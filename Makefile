@@ -4,10 +4,10 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet test race bench benchsmoke tier1 loadsmoke
+.PHONY: check build fmt vet test race bench benchsmoke benchtest tier1 loadsmoke
 
 # check is the full gate: what CI (and scripts/check.sh) runs.
-check: fmt vet build race tier1 benchsmoke loadsmoke
+check: fmt vet build race tier1 benchsmoke benchtest loadsmoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,15 @@ bench:
 # benchmark cannot hide until someone runs the full suite.
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# benchtest runs the tests of the nested bench/ module (the repository's
+# benchmark, BENCHMARK.json), which tier-1 `go test ./...` never descends
+# into: it compiles against the kdb/colstore/vcs/schema surfaces and
+# smokes all four workloads at --scale 0.02, so a change that breaks the
+# benchmark's build or its correctness checks fails here, not in the
+# driver.
+benchtest:
+	cd bench && $(GO) test ./...
 
 # loadsmoke drives the in-process self-test target with 1k concurrent
 # clients for 10s and fails if the telemetry-histogram p99 regresses past

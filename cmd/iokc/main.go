@@ -579,8 +579,8 @@ func cmdAnalytics(args []string) error {
 		fmt.Printf("%s baseline: %d summaries, mean %.1f MiB/s\n", *op, n, mean)
 	}
 	st := cs.Stats()
-	fmt.Printf("colstore: served %d, fallbacks %d, rebuilds %d, segments scanned %d, skipped %d\n",
-		st.Served, st.Fallbacks, st.Rebuilds, st.SegmentsScanned, st.SegmentsSkipped)
+	fmt.Printf("colstore: served %d, fallbacks %d, rebuilds %d, appends %d, segments scanned %d, skipped %d\n",
+		st.Served, st.Fallbacks, st.Rebuilds, st.Appends, st.SegmentsScanned, st.SegmentsSkipped)
 	return nil
 }
 

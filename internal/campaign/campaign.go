@@ -353,12 +353,13 @@ func (s *Scheduler) persistSlowTraces(name string, began time.Time, reg *extract
 // cannot leak between attempts (or units).
 func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAttempts int,
 	backoff time.Duration, newMachine func() *cluster.Machine, reg *extract.Registry,
-	met *telemetry.Registry, trace *telemetry.Span) outcome {
+	met *telemetry.Registry, trace *telemetry.Span) (out outcome) {
 	run := RunOutcome{Unit: u, Seed: core.DeriveSeed(baseSeed, uint64(u.Index))}
 	span := trace.StartChild(fmt.Sprintf("unit %d", u.Index))
 	defer span.End()
 	start := time.Now()
-	defer func() { run.Wall = time.Since(start) }()
+	// Stamp the returned copy: every return below copies run into out first.
+	defer func() { out.run.Wall = time.Since(start) }()
 	genHist := met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "generation"))
 	extHist := met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "extraction"))
 	for attempt := 1; attempt <= maxAttempts; attempt++ {

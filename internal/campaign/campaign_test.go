@@ -174,6 +174,45 @@ func TestCampaignRetriesTransientFailures(t *testing.T) {
 	}
 }
 
+// TestCampaignRecordsUnitWall: every finished unit — ok, retried or
+// failed — reports its wall time, and campaign_runs.wall_ms persists it.
+func TestCampaignRecordsUnitWall(t *testing.T) {
+	st, err := schema.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	good := iorGen(t, "ior -a posix -b 1m -t 256k -s 2 -i 1 -o /scratch/w")
+	retried := &flakyGenerator{inner: good, failures: 2}
+	failing := &flakyGenerator{failures: 1 << 30}
+	s := &Scheduler{Store: st, Workers: 2, MaxAttempts: 3, Backoff: 2 * time.Millisecond}
+	res, err := s.Run(context.Background(), FromGenerators("walls", 7, []core.Generator{good, retried, failing}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runs, err := st.LoadCampaign(res.CampaignID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(res.Runs) {
+		t.Fatalf("persisted %d runs, want %d", len(runs), len(res.Runs))
+	}
+	for i, r := range res.Runs {
+		if r.Wall <= 0 {
+			t.Errorf("unit %d (%s): Wall = %v, want > 0", i, r.Status, r.Wall)
+		}
+		if runs[i].WallMS != r.Wall.Milliseconds() {
+			t.Errorf("unit %d: persisted wall_ms = %d, want %d", i, runs[i].WallMS, r.Wall.Milliseconds())
+		}
+	}
+	// Two backoffs of at least 2 ms and 4 ms sit inside a thrice-tried unit.
+	for _, i := range []int{1, 2} {
+		if runs[i].WallMS < 6 {
+			t.Errorf("unit %d waited through two backoffs but wall_ms = %d", i, runs[i].WallMS)
+		}
+	}
+}
+
 func TestCampaignRecordsExhaustedFailure(t *testing.T) {
 	st, err := schema.Open("")
 	if err != nil {

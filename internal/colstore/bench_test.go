@@ -92,3 +92,25 @@ func BenchmarkSegmentBuild(b *testing.B) {
 		b.Fatalf("expected a rebuild per iteration")
 	}
 }
+
+// BenchmarkFirstQueryAfterInsert is ROADMAP item 4's gate: one row
+// appended to a built table, then the first analytic query — the
+// incremental refresh plus one scan.
+func BenchmarkFirstQueryAfterInsert(b *testing.B) {
+	db, store := benchDB(b, 40000, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := db.Exec(`INSERT INTO scores (fs, bw, total) VALUES ('lustre', 1.5, 2.5)`); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := db.Query("SELECT COUNT(*) FROM scores"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := store.Stats(); st.Appends < int64(b.N) || st.Rebuilds != 1 {
+		b.Fatalf("expected one build and an append per iteration: %+v", st)
+	}
+}

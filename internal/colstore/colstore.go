@@ -11,16 +11,23 @@
 // refresh, type mismatches the engine would error on), it declines and
 // the row engine answers as if no store were attached.
 //
-// Freshness: segments are rebuilt lazily. Each query compares the
-// engine's per-table mutation versions (bumped on every insert, update,
-// delete, and rollback) against the versions recorded at build time, and
-// rebuilds from a WriteSnapshot stream when they diverge. The version is
-// read before the snapshot is taken, so a write racing the rebuild can
-// only make the cache conservatively stale — never wrong.
+// Freshness: images are refreshed lazily, one table at a time. Each
+// query reads the table's engine version (bumped on every insert, update,
+// delete, index DDL and rollback) and compares it with the version its
+// image was built at. A stale table is refreshed from a kdb.View — typed
+// rows copied straight into vectors under the engine's read lock, so the
+// image is exactly the table at the version it records. When only appends
+// happened since the image was built (the engine's last-rewrite version is
+// not past the image's), the new image shares every full segment and the
+// dictionary entries with the old one and rebuilds only the tail segment;
+// after anything else — UPDATE, DELETE, a rolled-back batch, DROP+CREATE,
+// RestoreSnapshot — that one table is rebuilt from scratch. Either way
+// the result equals a from-scratch build of the same rows, and published
+// images are never written again: readers of an older image keep a
+// consistent table while newer ones are published beside it.
 package colstore
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,10 +36,19 @@ import (
 	"repro/internal/telemetry"
 )
 
+// Reasons a routable query is declined back to the row engine, the label
+// values of colstore_fallback_total.
+const (
+	declineUnknownTable = "unknown_table" // no such table in the engine
+	declineTypeMismatch = "type_mismatch" // text-vs-numeric filter: the engine errors
+	declineShape        = "shape"         // unknown column, bad placeholder, ungrouped plain column
+)
+
 var (
 	metQueries     *telemetry.Counter
-	metFallbacks   *telemetry.Counter
+	metFallbacks   map[string]*telemetry.Counter // by decline reason
 	metRebuilds    *telemetry.Counter
+	metAppends     *telemetry.Counter
 	metSegsScanned *telemetry.Counter
 	metSegsSkipped *telemetry.Counter
 )
@@ -40,8 +56,12 @@ var (
 func init() {
 	reg := telemetry.Default()
 	metQueries = reg.Counter("colstore_queries_total")
-	metFallbacks = reg.Counter("colstore_fallback_total")
+	metFallbacks = map[string]*telemetry.Counter{}
+	for _, reason := range []string{declineUnknownTable, declineTypeMismatch, declineShape} {
+		metFallbacks[reason] = reg.Counter(telemetry.Label("colstore_fallback_total", "reason", reason))
+	}
 	metRebuilds = reg.Counter("colstore_rebuilds_total")
+	metAppends = reg.Counter("colstore_appends_total")
 	metSegsScanned = reg.Counter("colstore_segments_scanned_total")
 	metSegsSkipped = reg.Counter("colstore_segments_skipped_total")
 }
@@ -50,13 +70,13 @@ func init() {
 type Store struct {
 	db *kdb.DB
 
-	mu       sync.RWMutex
-	tables   map[string]*colTable // keyed by lowercased name
-	versions map[string]int64     // engine version each colTable was built at
+	mu     sync.RWMutex
+	tables map[string]*colTable // keyed by lowercased name
 
 	served      atomic.Int64
 	fallbacks   atomic.Int64
 	rebuilds    atomic.Int64
+	appends     atomic.Int64
 	segsScanned atomic.Int64
 	segsSkipped atomic.Int64
 }
@@ -65,7 +85,8 @@ type Store struct {
 type Stats struct {
 	Served          int64 // analytical queries answered from segments
 	Fallbacks       int64 // routable queries declined back to the row engine
-	Rebuilds        int64 // table images rebuilt from snapshots
+	Rebuilds        int64 // table images rebuilt from scratch
+	Appends         int64 // table images refreshed incrementally after appends
 	SegmentsScanned int64
 	SegmentsSkipped int64 // segments eliminated by zone maps
 }
@@ -73,11 +94,7 @@ type Stats struct {
 // Attach builds a store over db and registers it as the database's
 // columnar backend. Detach with db.SetColumnar(nil).
 func Attach(db *kdb.DB) *Store {
-	s := &Store{
-		db:       db,
-		tables:   map[string]*colTable{},
-		versions: map[string]int64{},
-	}
+	s := &Store{db: db, tables: map[string]*colTable{}}
 	db.SetColumnar(s)
 	return s
 }
@@ -88,75 +105,58 @@ func (s *Store) Stats() Stats {
 		Served:          s.served.Load(),
 		Fallbacks:       s.fallbacks.Load(),
 		Rebuilds:        s.rebuilds.Load(),
+		Appends:         s.appends.Load(),
 		SegmentsScanned: s.segsScanned.Load(),
 		SegmentsSkipped: s.segsSkipped.Load(),
 	}
 }
 
-// table returns the current columnar image of name, rebuilding stale
-// tables first. ok is false when the table is unknown or the rebuild
-// failed — the caller then declines the query.
+// table returns the current columnar image of name, refreshing it first
+// when the engine's table has moved on. ok is false when the table is
+// unknown — the caller then declines the query.
 func (s *Store) table(name string) (*colTable, bool) {
 	key := strings.ToLower(name)
-	vers := s.db.TableVersions()
-	want, exists := vers[key]
-	if !exists {
-		return nil, false
+	if want, exists := s.db.TableVersion(key); exists {
+		s.mu.RLock()
+		ct := s.tables[key]
+		s.mu.RUnlock()
+		if ct != nil && ct.version == want {
+			return ct, true
+		}
 	}
-	s.mu.RLock()
-	ct := s.tables[key]
-	have := s.versions[key]
-	s.mu.RUnlock()
-	if ct != nil && have == want {
-		return ct, true
-	}
-	return s.rebuild(key, vers)
+	return s.refresh(key)
 }
 
-// rebuild refreshes every stale table from one snapshot stream. Taking
-// the whole snapshot for one table sounds expensive, but the snapshot is
-// the WAL compaction serializer the store already pays for elsewhere,
-// and refreshing all stale tables at once amortizes it across the
-// analytical working set.
-func (s *Store) rebuild(key string, vers map[string]int64) (*colTable, bool) {
+// refresh brings one table's image up to the engine's current version and
+// publishes it. The rows are copied into vectors inside the view, so the
+// image is the table at exactly the version it records and nothing of the
+// engine's memory is kept.
+func (s *Store) refresh(key string) (*colTable, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Another goroutine may have rebuilt while we waited for the lock.
-	if ct := s.tables[key]; ct != nil && s.versions[key] == vers[key] {
-		return ct, true
-	}
-	var buf bytes.Buffer
-	if _, err := s.db.WriteSnapshot(&buf); err != nil {
-		return nil, false
-	}
-	parsed, err := kdb.ParseSnapshotTables(buf.Bytes())
-	if err != nil {
-		return nil, false
-	}
-	for tname, t := range parsed {
-		want, known := vers[tname]
-		if !known {
-			// Created after the version read; next query picks it up.
-			continue
+	var ct *colTable
+	_ = s.db.View(func(v *kdb.View) error { // the callback never fails
+		tv, ok := v.Table(key)
+		if !ok {
+			delete(s.tables, key) // dropped since the image was built
+			return nil
 		}
-		if ct := s.tables[tname]; ct != nil && s.versions[tname] == want {
-			continue // already fresh
+		old := s.tables[key]
+		switch {
+		case old != nil && old.version == tv.Version():
+			ct = old // another goroutine refreshed while we waited for the lock
+			return nil
+		case old != nil && tv.Rewritten() <= old.version && tv.Len() >= old.rows:
+			ct = appendTable(old, tv)
+			s.appends.Add(1)
+			metAppends.Inc()
+		default:
+			ct = buildTable(tv)
+			s.rebuilds.Add(1)
+			metRebuilds.Inc()
 		}
-		s.tables[tname] = buildTable(t)
-		// Record the version read BEFORE the snapshot: if a write landed
-		// in between, the image is newer than we claim and the next query
-		// rebuilds again — conservative, never wrong.
-		s.versions[tname] = want
-		s.rebuilds.Add(1)
-		metRebuilds.Inc()
-	}
-	// Drop images of tables the engine no longer has.
-	for tname := range s.tables {
-		if _, ok := vers[tname]; !ok {
-			delete(s.tables, tname)
-			delete(s.versions, tname)
-		}
-	}
-	ct := s.tables[key]
+		s.tables[key] = ct
+		return nil
+	})
 	return ct, ct != nil
 }

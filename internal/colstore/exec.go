@@ -25,11 +25,11 @@ func (s *Store) AnalyticQuery(plan *kdb.AnalyticPlan, args []any) (*kdb.Rows, bo
 	metQueries.Inc()
 	ct, ok := s.table(plan.Table)
 	if !ok {
-		return s.decline()
+		return s.decline(declineUnknownTable)
 	}
-	filters, ok := compileFilters(ct, plan.Filters, args)
-	if !ok {
-		return s.decline()
+	filters, reason := compileFilters(ct, plan.Filters, args)
+	if reason != "" {
+		return s.decline(reason)
 	}
 	q := &query{store: s, ct: ct, plan: plan, filters: filters}
 	var rows *kdb.Rows
@@ -39,15 +39,15 @@ func (s *Store) AnalyticQuery(plan *kdb.AnalyticPlan, args []any) (*kdb.Rows, bo
 		rows, ok = q.runGlobal()
 	}
 	if !ok {
-		return s.decline()
+		return s.decline(declineShape)
 	}
 	s.served.Add(1)
 	return rows, true, nil
 }
 
-func (s *Store) decline() (*kdb.Rows, bool, error) {
+func (s *Store) decline(reason string) (*kdb.Rows, bool, error) {
 	s.fallbacks.Add(1)
-	metFallbacks.Inc()
+	metFallbacks[reason].Inc()
 	return nil, false, nil
 }
 
@@ -70,24 +70,24 @@ type filter struct {
 }
 
 // compileFilters resolves and type-checks the conjuncts. It declines
-// (ok=false) whenever the row engine would behave in any way a pure
-// vector comparison cannot reproduce — chiefly mixed text/numeric
+// (a non-empty reason) whenever the row engine would behave in any way a
+// pure vector comparison cannot reproduce — chiefly mixed text/numeric
 // comparisons, which the engine reports as errors.
-func compileFilters(ct *colTable, fs []kdb.AnalyticFilter, args []any) ([]filter, bool) {
-	out := make([]filter, 0, len(fs))
+func compileFilters(ct *colTable, fs []kdb.AnalyticFilter, args []any) (out []filter, reason string) {
+	out = make([]filter, 0, len(fs))
 	for _, af := range fs {
 		ci, ok := ct.colIndex(af.Col)
 		if !ok {
-			return nil, false
+			return nil, declineShape
 		}
 		val := af.Lit
 		if af.Arg >= 0 {
 			if af.Arg >= len(args) {
-				return nil, false // engine reports placeholder-out-of-range
+				return nil, declineShape // engine reports placeholder-out-of-range
 			}
 			v, err := kdb.NormalizeArg(args[af.Arg])
 			if err != nil {
-				return nil, false
+				return nil, declineShape
 			}
 			val = v
 		}
@@ -98,26 +98,26 @@ func compileFilters(ct *colTable, fs []kdb.AnalyticFilter, args []any) ([]filter
 			f.isNil = true
 		case int64:
 			if text {
-				return nil, false // engine errors on text-vs-numeric
+				return nil, declineTypeMismatch // engine errors on text-vs-numeric
 			}
 			f.f = float64(x)
 		case float64:
 			if text {
-				return nil, false
+				return nil, declineTypeMismatch
 			}
 			f.f = x
 		case string:
 			if !text {
-				return nil, false
+				return nil, declineTypeMismatch
 			}
 			f.isStr = true
 			f.s = x
 		default:
-			return nil, false
+			return nil, declineShape
 		}
 		out = append(out, f)
 	}
-	return out, true
+	return out, ""
 }
 
 // cmpFloat is compareValues' numeric branch verbatim: NaN on either side

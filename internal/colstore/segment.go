@@ -22,7 +22,13 @@ import (
 var segmentRows = 4096
 
 // dictionary interns a table's strings. Codes are assigned in first-seen
-// row order and shared by every segment of the table.
+// order reading the table row by row, column by column, and are shared by
+// every segment — an order that depends only on the rows, not on how they
+// were batched into builds. Scans read strs; idx belongs to the builder
+// (serialized by Store.mu) and is never touched by a reader. An
+// incremental refresh hands both on to the next image's dictionary: it
+// appends to strs past the length any published image can see and never
+// rewrites an entry below it.
 type dictionary struct {
 	strs []string
 	idx  map[string]uint32
@@ -81,13 +87,14 @@ type segment struct {
 }
 
 // colTable is the columnar image of one engine table at a recorded
-// version. Immutable once built; queries read it without locking.
+// version. Immutable once published; queries read it without locking.
 type colTable struct {
-	name string
-	cols []kdb.ColumnDef
-	dict *dictionary
-	segs []*segment
-	rows int
+	name    string
+	cols    []kdb.ColumnDef
+	dict    *dictionary
+	segs    []*segment
+	rows    int
+	version int64 // engine version of the table the image reflects
 }
 
 // colIndex resolves a possibly-qualified column reference against the
@@ -121,26 +128,55 @@ func (s *segment) value(ct *colTable, i, ci int) any {
 	}
 }
 
-// buildTable decomposes a snapshot table into segments. Row order is
+// buildTable decomposes a table into segments from scratch. Row order is
 // preserved exactly — aggregate accumulation must visit values in the
 // same order as the row engine so float sums come out bit-identical.
-func buildTable(t *kdb.Table) *colTable {
+func buildTable(tv kdb.TableView) *colTable {
 	ct := &colTable{
-		name: t.Name,
-		cols: t.Columns,
-		dict: newDictionary(),
-		rows: len(t.Rows),
+		name:    tv.Name(),
+		cols:    append([]kdb.ColumnDef(nil), tv.Columns()...),
+		dict:    newDictionary(),
+		rows:    tv.Len(),
+		version: tv.Version(),
 	}
-	for base := 0; base < len(t.Rows); base += segmentRows {
-		end := base + segmentRows
-		if end > len(t.Rows) {
-			end = len(t.Rows)
-		}
-		ct.segs = append(ct.segs, buildSegment(ct, t.Rows[base:end]))
-	}
+	ct.addSegments(tv.Rows(0))
 	return ct
 }
 
+// appendTable builds the image of a table that only grew by appends since
+// old was built. Full segments are shared with old; its partial tail
+// segment is rebuilt together with the new rows, so the layout, zone maps
+// and dictionary equal a from-scratch build of the same rows. old is left
+// untouched: the new image gets its own segment list and its own
+// dictionary header.
+func appendTable(old *colTable, tv kdb.TableView) *colTable {
+	full := old.rows / segmentRows
+	ct := &colTable{
+		name:    old.name,
+		cols:    old.cols,
+		dict:    &dictionary{strs: old.dict.strs, idx: old.dict.idx},
+		segs:    append(make([]*segment, 0, tv.Len()/segmentRows+1), old.segs[:full]...),
+		rows:    tv.Len(),
+		version: tv.Version(),
+	}
+	ct.addSegments(tv.Rows(full * segmentRows))
+	return ct
+}
+
+// addSegments appends segments holding rows, which start at a segment
+// boundary of the table.
+func (ct *colTable) addSegments(rows [][]any) {
+	for base := 0; base < len(rows); base += segmentRows {
+		end := base + segmentRows
+		if end > len(rows) {
+			end = len(rows)
+		}
+		ct.segs = append(ct.segs, buildSegment(ct, rows[base:end]))
+	}
+}
+
+// buildSegment copies rows into one segment's typed vectors. Nothing of
+// rows is kept: they alias engine memory that the next writer changes.
 func buildSegment(ct *colTable, rows [][]any) *segment {
 	n := len(rows)
 	seg := &segment{n: n, cols: make([]*colVec, len(ct.cols))}
@@ -154,22 +190,13 @@ func buildSegment(ct *colTable, rows [][]any) *segment {
 		default:
 			v.codes = make([]uint32, n)
 		}
-		haveF, haveS := false, false
-		noteF := func(f float64) {
-			if math.IsNaN(f) {
-				v.hasNaN = true
-				return
-			}
-			if !haveF || f < v.minF {
-				v.minF = f
-			}
-			if !haveF || f > v.maxF {
-				v.maxF = f
-			}
-			haveF = true
-		}
-		for i, row := range rows {
-			raw := row[ci]
+		seg.cols[ci] = v
+	}
+	// bounded[ci] records that column ci's zone map has been seeded.
+	bounded := make([]bool, len(ct.cols))
+	for i, row := range rows {
+		for ci, raw := range row {
+			v := seg.cols[ci]
 			if raw == nil {
 				if v.nulls == nil {
 					v.nulls = make([]uint64, (n+63)/64)
@@ -181,22 +208,37 @@ func buildSegment(ct *colTable, rows [][]any) *segment {
 			switch x := raw.(type) {
 			case int64:
 				v.ints[i] = x
-				noteF(float64(x))
+				bounded[ci] = v.noteF(float64(x), bounded[ci])
 			case float64:
 				v.floats[i] = x
-				noteF(x)
+				bounded[ci] = v.noteF(x, bounded[ci])
 			case string:
 				v.codes[i] = ct.dict.code(x)
-				if !haveS || x < v.minS {
+				if !bounded[ci] || x < v.minS {
 					v.minS = x
 				}
-				if !haveS || x > v.maxS {
+				if !bounded[ci] || x > v.maxS {
 					v.maxS = x
 				}
-				haveS = true
+				bounded[ci] = true
 			}
 		}
-		seg.cols[ci] = v
 	}
 	return seg
+}
+
+// noteF widens a numeric zone map by f; seeded reports whether the bounds
+// already hold a value, and the result whether they do now.
+func (v *colVec) noteF(f float64, seeded bool) bool {
+	if math.IsNaN(f) {
+		v.hasNaN = true
+		return seeded
+	}
+	if !seeded || f < v.minF {
+		v.minF = f
+	}
+	if !seeded || f > v.maxF {
+		v.maxF = f
+	}
+	return true
 }

@@ -35,24 +35,10 @@ func (db *DB) SetColumnar(b ColumnarBackend) {
 	db.columnar.Store(&columnarHook{backend: b})
 }
 
-// TableVersions reports every table's mutation version (keyed by the
-// lowercased table name). A columnar backend records these when it builds
-// segments and rebuilds when they move.
-func (db *DB) TableVersions() map[string]int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]int64, len(db.tables))
-	for name, t := range db.tables {
-		out[name] = t.version
-	}
-	return out
-}
-
-// ParseSnapshotTables replays a WriteSnapshot stream into a detached table
-// set — the bridge a columnar store uses to bulk-load row data through the
-// existing compaction serializer without holding the database's lock while
-// it builds segments. Keys are lowercased table names; the returned tables
-// are private copies and safe to read without locking.
+// ParseSnapshotTables replays a snapshot stream into a detached table
+// set — how the version-control layer reads a stored commit's chunks back
+// into tables. Keys are lowercased table names; the returned tables are
+// private copies and safe to read without locking.
 func ParseSnapshotTables(data []byte) (map[string]*Table, error) {
 	entries, err := parseWALRecords("snapshot", data)
 	if err != nil {

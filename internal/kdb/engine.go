@@ -26,12 +26,17 @@ type Table struct {
 	autoID  int64
 	pkIndex int // index of the INTEGER PRIMARY KEY column, -1 if none
 
-	// version changes on every row mutation (inserts, updates, deletes,
-	// and their undos). Attached columnar stores compare it against the
-	// version their segments were built from to decide whether a rebuild
-	// is due. Values come from a process-wide counter so a dropped and
-	// recreated table can never alias an older version of itself.
+	// version changes on every mutation (inserts, updates, deletes, index
+	// DDL, and their undos). Attached columnar stores and the commit path
+	// compare it against the version their derived state was built from.
+	// Values come from a process-wide counter so a dropped and recreated
+	// table can never alias an older version of itself.
 	version int64
+	// rewritten is the version of the last mutation that was not a plain
+	// append — stamped at creation, so a new, recreated or restored table
+	// never reads as "appended to since version X". See
+	// TableView.Rewritten.
+	rewritten int64
 
 	indexes []*hashIndex
 	idxMu   sync.Mutex // serializes lazy index rebuilds under db.mu.RLock
@@ -454,7 +459,7 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 	// Analytical SELECTs (aggregates / GROUP BY over a single table) may be
 	// served by an attached columnar backend. The hook runs before the read
 	// lock is taken: the backend re-enters the database through
-	// TableVersions/WriteSnapshot, which acquire their own read locks. A
+	// TableVersion/View, which acquire their own read locks. A
 	// backend that declines (or fails) falls through to the row engine,
 	// which stays authoritative.
 	if h := db.columnar.Load(); h != nil {
@@ -527,6 +532,7 @@ func (db *DB) execCreate(s *createStmt) (Result, func(), error) {
 		}
 	}
 	t := &Table{Name: s.Table, Columns: s.Columns, pkIndex: pk}
+	t.noteRewrite()
 	if pk >= 0 {
 		// Automatic index on the INTEGER PRIMARY KEY.
 		t.indexes = append(t.indexes, &hashIndex{col: pk})
@@ -556,8 +562,14 @@ func (db *DB) execCreateIndex(s *createIndexStmt) (Result, func(), error) {
 		}
 		return Result{}, nil, fmt.Errorf("kdb: column %q is already indexed by %q", s.Col, ix.Name)
 	}
+	// Index DDL changes the table's snapshot records (a CREATE INDEX line
+	// shifts every later record), so it and its undo count as rewrites.
 	t.indexes = append(t.indexes, &hashIndex{Name: s.Name, col: col})
-	undo := func() { t.indexes = t.indexes[:len(t.indexes)-1] }
+	t.noteRewrite()
+	undo := func() {
+		t.indexes = t.indexes[:len(t.indexes)-1]
+		t.noteRewrite()
+	}
 	return Result{}, undo, nil
 }
 
@@ -566,7 +578,11 @@ func (db *DB) execDropIndex(s *dropIndexStmt) (Result, func(), error) {
 		for i, ix := range t.indexes {
 			if ix.Name != "" && strings.EqualFold(ix.Name, s.Name) {
 				t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-				undo := func() { t.indexes = append(t.indexes, ix) }
+				t.noteRewrite()
+				undo := func() {
+					t.indexes = append(t.indexes, ix)
+					t.noteRewrite()
+				}
 				return Result{}, undo, nil
 			}
 		}

@@ -78,18 +78,25 @@ func (t *Table) indexNamed(name string) *hashIndex {
 // Table.version.
 var tableVersions atomic.Int64
 
-// invalidateIndexes marks every index stale; the next lookup rebuilds.
-// Called on every row mutation (and every rollback), so it doubles as the
-// table-version bump attached columnar stores watch.
-func (t *Table) invalidateIndexes() {
+// noteRewrite stamps a mutation that was not a plain append.
+func (t *Table) noteRewrite() {
 	t.version = tableVersions.Add(1)
+	t.rewritten = t.version
+}
+
+// invalidateIndexes marks every index stale; the next lookup rebuilds.
+// Called on every row mutation other than an insert (and on every
+// rollback, an insert's included), so it doubles as the rewrite stamp.
+func (t *Table) invalidateIndexes() {
+	t.noteRewrite()
 	for _, ix := range t.indexes {
 		ix.fresh = false
 	}
 }
 
 // noteInsert extends fresh indexes with a newly appended row. Stale
-// indexes stay stale and catch up on their next rebuild.
+// indexes stay stale and catch up on their next rebuild. An append moves
+// the version only, never the rewrite stamp.
 func (t *Table) noteInsert(pos int, row []any) {
 	t.version = tableVersions.Add(1)
 	for _, ix := range t.indexes {

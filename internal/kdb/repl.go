@@ -218,6 +218,12 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 // adoptLocked swaps in a freshly restored state and wakes replication
 // streams so chained followers notice the new world; db.mu must be held.
 func (db *DB) adoptLocked(scratch *DB, lsn int64) {
+	// The scratch tables drew their versions while the live ones could
+	// still move past them; stamp again under the lock so every replaced
+	// table reads as rewritten after anything derived from its predecessor.
+	for _, t := range scratch.tables {
+		t.noteRewrite()
+	}
 	db.tables = scratch.tables
 	db.lsn = lsn
 	db.replBuf = nil

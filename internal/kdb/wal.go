@@ -267,78 +267,31 @@ func (db *DB) Compact() error {
 // snapshotLocked serializes the database as a minimal, deterministic
 // sequence of log records: CREATE TABLE and CREATE INDEX statements, one
 // INSERT per row, and a final meta record carrying the auto-increment
-// high-water marks plus the commit LSN the snapshot represents. It is the
-// single serialization used by Compact, by replication snapshot transfer,
-// and by the byte-identical convergence checks; db.mu must be held (read
-// or write).
+// high-water marks plus the commit LSN the snapshot represents. Table
+// records come from TableView.EncodeRecords, the one table serializer;
+// this stream is what Compact, replication snapshot transfer and the
+// byte-identical convergence checks use. db.mu must be held (read or
+// write).
 func (db *DB) snapshotLocked(w *bufio.Writer) error {
-	writeEntry := func(e walEntry) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(data, '\n'))
-		return err
-	}
-	writeSQL := func(sql string, args []any) error {
-		ea, err := encodeArgs(args)
-		if err != nil {
-			return err
-		}
-		return writeEntry(walEntry{SQL: sql, Args: ea})
-	}
 	autoIDs := map[string]int64{}
 	for _, name := range db.tablesSorted() {
-		t := db.tables[name]
-		sql := "CREATE TABLE " + t.Name + " ("
-		for i, c := range t.Columns {
-			if i > 0 {
-				sql += ", "
-			}
-			sql += c.Name + " " + c.Type.String()
-			if c.PrimaryKey {
-				sql += " PRIMARY KEY"
-			}
-		}
-		sql += ")"
-		if err := writeSQL(sql, nil); err != nil {
+		tv := TableView{t: db.tables[name]}
+		if err := tv.EncodeRecords(w, 0, tv.Records()); err != nil {
 			return err
 		}
-		for _, ix := range t.indexes {
-			if ix.Name == "" {
-				continue // the pk index is recreated automatically
-			}
-			if err := writeSQL("CREATE INDEX "+ix.Name+" ON "+t.Name+" ("+t.Columns[ix.col].Name+")", nil); err != nil {
-				return err
-			}
-		}
-		if t.pkIndex >= 0 && t.autoID > 0 {
-			autoIDs[t.Name] = t.autoID
-		}
-		if len(t.Rows) == 0 {
-			continue
-		}
-		ins := "INSERT INTO " + t.Name + " VALUES ("
-		for i := range t.Columns {
-			if i > 0 {
-				ins += ", "
-			}
-			ins += "?"
-		}
-		ins += ")"
-		for _, row := range t.Rows {
-			if err := writeSQL(ins, row); err != nil {
-				return err
-			}
+		if id := tv.AutoID(); id > 0 {
+			autoIDs[tv.Name()] = id
 		}
 	}
 	// The meta record is written unconditionally and tagged explicitly:
 	// a snapshot taken at LSN 0 with no auto-increment high-water marks
 	// must still restore as "no history", not replay as a mutation.
-	if err := writeEntry(walEntry{AutoIDs: autoIDs, BaseLSN: db.lsn, Meta: true}); err != nil {
+	meta, err := EncodeSnapshotMeta(autoIDs, db.lsn)
+	if err != nil {
 		return err
 	}
-	return nil
+	_, err = w.Write(meta)
+	return err
 }
 
 // WriteSnapshot streams a consistent snapshot of the database to w and

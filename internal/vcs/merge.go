@@ -156,11 +156,11 @@ func (r *Repo) Merge(ours, theirs, author, message string) (*MergeResult, error)
 // requireWorkingLocked verifies the working content equals a commit's, so
 // a merge never silently destroys uncommitted knowledge.
 func (r *Repo) requireWorkingLocked(head, branch string) error {
-	m, _, _, err := r.workingManifest()
+	w, err := r.workingManifest()
 	if err != nil {
 		return err
 	}
-	root, err := rootHash(m)
+	root, err := rootHash(w.manifest)
 	if err != nil {
 		return err
 	}

@@ -4,10 +4,11 @@
 // detection — so concurrent analysis campaigns can branch, compare tuning
 // rounds, and combine their ingested knowledge.
 //
-// A commit is the database's deterministic WriteSnapshot stream split
-// into content-addressed chunks (kdb.ChunkSnapshot): segments reset at
-// table boundaries, so committing after appending to one table stores
-// only that table's new tail. Chunk bytes, commit metadata (parents,
+// A commit is the content tables' deterministic snapshot records split
+// into content-addressed chunks — the very chunks kdb.ChunkSnapshot cuts
+// from a WriteSnapshot stream: boundaries are counted from each table's
+// start, so committing after appending to one table encodes, hashes and
+// stores only that table's new tail. Chunk bytes, commit metadata (parents,
 // author, message, campaign id, LSN), and branch heads all live in the
 // store itself — ordinary vcs_* tables, which are excluded from commit
 // content (a commit cannot contain itself) but replicate, shard, and
@@ -70,6 +71,40 @@ type Repo struct {
 	// conflicts retains the most recent merge's conflict set for the
 	// __conflicts system table.
 	conflicts []Conflict
+	// chunked remembers each content table's chunk list (keyed by
+	// lowercased name) and the table version it was cut at, so the next
+	// commit re-encodes only what moved. Only lists whose every chunk is
+	// known to be in vcs_chunks are remembered, which is why a reused
+	// chunk needs neither its bytes nor an existence check;
+	// chunkStoreStamp is vcs_chunks' rewrite stamp that knowledge holds
+	// for — once anything but an append touches the chunk store the lists
+	// are void.
+	chunked         map[string]*tableChunks
+	chunkStoreStamp int64
+}
+
+// tableChunks is one content table's chunk list as of an engine version.
+type tableChunks struct {
+	version int64 // kdb table version the list was cut at
+	records int   // snapshot records the list covers
+	chunks  []ManifestChunk
+}
+
+// working is the working state cut into chunks: what a commit of it
+// would contain.
+type working struct {
+	manifest Manifest
+	lsn      int64
+	// fresh holds the chunks this cut had to encode, with their bytes, in
+	// manifest order; every other manifest entry was reused from
+	// Repo.chunked.
+	fresh []kdb.SnapshotChunk
+	// tables and storeStamp become Repo.chunked/chunkStoreStamp once the
+	// cut's chunks are known to be stored (see Repo.remember).
+	tables     map[string]*tableChunks
+	storeStamp int64
+	// How each content table's list was obtained, for the commit counters.
+	reused, extended, rechunked int
 }
 
 // Manifest describes one commit's content: the ordered content-addressed
@@ -123,57 +158,90 @@ func IsVersionTable(name string) bool {
 	return strings.HasPrefix(strings.ToLower(name), "vcs_")
 }
 
-// snapshotChunks takes the current snapshot and splits it, returning the
-// chunk list and the LSN the snapshot represents.
-func (r *Repo) snapshotChunks() ([]kdb.SnapshotChunk, int64, error) {
-	var buf bytes.Buffer
-	lsn, err := r.db.WriteSnapshot(&buf)
+// workingManifest cuts the current working state into chunks from one
+// kdb.View: the content tables (vcs_* skipped before anything is encoded)
+// in snapshot order, each split every kdb.DefaultChunkLines records from
+// its CREATE TABLE, plus their auto-id high-water marks. A table whose
+// version has not moved since Repo.chunked saw it costs nothing; one that
+// only grew by appends keeps its full chunks and has its tail chunk
+// re-encoded and re-hashed; anything else (UPDATE, DELETE, rollback, index
+// DDL, checkout) is cut afresh. The result is chunk-for-chunk what
+// ChunkSnapshot makes of the WriteSnapshot stream. All bytes are copied
+// out of the view before it closes.
+func (r *Repo) workingManifest() (*working, error) {
+	const chunkLines = kdb.DefaultChunkLines
+	w := &working{tables: map[string]*tableChunks{}}
+	err := r.db.View(func(v *kdb.View) error {
+		w.lsn = v.LSN()
+		if store, ok := v.Table("vcs_chunks"); ok {
+			w.storeStamp = store.Rewritten()
+		}
+		known := r.chunked
+		if w.storeStamp != r.chunkStoreStamp {
+			known = nil
+		}
+		var buf bytes.Buffer
+		for _, tv := range v.Tables() {
+			if IsVersionTable(tv.Name()) {
+				continue
+			}
+			if id := tv.AutoID(); id > 0 {
+				if w.manifest.AutoIDs == nil {
+					w.manifest.AutoIDs = map[string]int64{}
+				}
+				w.manifest.AutoIDs[tv.Name()] = id
+			}
+			key := strings.ToLower(tv.Name())
+			have := known[key]
+			if have != nil && have.version == tv.Version() {
+				w.reused++
+				w.tables[key] = have
+				w.manifest.Chunks = append(w.manifest.Chunks, have.chunks...)
+				continue
+			}
+			cut := &tableChunks{version: tv.Version(), records: tv.Records()}
+			if have != nil && tv.Rewritten() <= have.version && cut.records >= have.records {
+				// Only grew: every full chunk stands, the tail is cut again.
+				cut.chunks = append(cut.chunks, have.chunks[:have.records/chunkLines]...)
+				w.extended++
+			} else {
+				w.rechunked++
+			}
+			for from := len(cut.chunks) * chunkLines; from < cut.records; from += chunkLines {
+				to := from + chunkLines
+				if to > cut.records {
+					to = cut.records
+				}
+				buf.Reset()
+				if err := tv.EncodeRecords(&buf, from, to); err != nil {
+					return err
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				c := kdb.SnapshotChunk{
+					Table: tv.Name(),
+					Hash:  hex.EncodeToString(sum[:]),
+					Data:  append([]byte(nil), buf.Bytes()...),
+					Lines: to - from,
+				}
+				w.fresh = append(w.fresh, c)
+				cut.chunks = append(cut.chunks, ManifestChunk{Table: c.Table, Hash: c.Hash, Size: len(c.Data)})
+			}
+			w.tables[key] = cut
+			w.manifest.Chunks = append(w.manifest.Chunks, cut.chunks...)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	chunks, err := kdb.ChunkSnapshot(buf.Bytes(), 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return chunks, lsn, nil
+	return w, nil
 }
 
-// workingManifest builds the manifest of the current working state: the
-// content chunks of the live snapshot with vcs_* tables and the meta
-// record stripped, and the content tables' auto-id high-water marks.
-func (r *Repo) workingManifest() (Manifest, []kdb.SnapshotChunk, int64, error) {
-	chunks, lsn, err := r.snapshotChunks()
-	if err != nil {
-		return Manifest{}, nil, 0, err
-	}
-	var m Manifest
-	var content []kdb.SnapshotChunk
-	for _, c := range chunks {
-		if c.Meta {
-			recs, err := kdb.DecodeSnapshotRecords(c.Data)
-			if err != nil {
-				return Manifest{}, nil, 0, err
-			}
-			for _, rec := range recs {
-				for name, id := range rec.AutoIDs {
-					if IsVersionTable(name) {
-						continue
-					}
-					if m.AutoIDs == nil {
-						m.AutoIDs = map[string]int64{}
-					}
-					m.AutoIDs[name] = id
-				}
-			}
-			continue
-		}
-		if IsVersionTable(c.Table) {
-			continue
-		}
-		m.Chunks = append(m.Chunks, ManifestChunk{Table: c.Table, Hash: c.Hash, Size: len(c.Data)})
-		content = append(content, c)
-	}
-	return m, content, lsn, nil
+// remember keeps a cut's chunk lists for the next one. Call it only once
+// every chunk of w is in vcs_chunks: after persisting a commit of it, or
+// on finding a stored commit with the same root. r.mu must be held.
+func (r *Repo) remember(w *working) {
+	r.chunked, r.chunkStoreStamp = w.tables, w.storeStamp
 }
 
 // rootHash is the content identity of a manifest: the SHA-256 of its
@@ -221,11 +289,11 @@ func (r *Repo) Commit(branch, author, message string, campaignID int64) (hash st
 // parent (merge commits). r.mu must be held.
 func (r *Repo) commitLocked(branch, author, message string, campaignID int64, extraParent string) (hash string, created bool, err error) {
 	start := time.Now()
-	m, content, lsn, err := r.workingManifest()
+	w, err := r.workingManifest()
 	if err != nil {
 		return "", false, err
 	}
-	root, err := rootHash(m)
+	root, err := rootHash(w.manifest)
 	if err != nil {
 		return "", false, err
 	}
@@ -244,6 +312,7 @@ func (r *Repo) commitLocked(branch, author, message string, campaignID int64, ex
 			return "", false, err
 		}
 		if proot == root && extraParent == "" {
+			r.remember(w)
 			return head, false, nil
 		}
 		parents = []string{head}
@@ -252,24 +321,29 @@ func (r *Repo) commitLocked(branch, author, message string, campaignID int64, ex
 		parents = append(parents, extraParent)
 	}
 	hash = commitHash(root, parents, author, message, campaignID)
-	if err := r.persistCommit(hash, parents, author, message, campaignID, lsn, m, content, branch, hasBranch); err != nil {
+	if err := r.persistCommit(hash, parents, author, message, campaignID, w, branch, hasBranch); err != nil {
 		return "", false, err
 	}
+	r.remember(w)
+	metTablesReused.Add(int64(w.reused))
+	metTablesExtended.Add(int64(w.extended))
+	metTablesRechunked.Add(int64(w.rechunked))
 	metCommitSeconds.Observe(time.Since(start).Seconds())
 	return hash, true, nil
 }
 
-// persistCommit writes missing chunks, the commit row (unless the hash
-// already exists, e.g. the identical merge performed on two nodes), and
-// the branch head in one atomic batch.
-func (r *Repo) persistCommit(hash string, parents []string, author, message string, campaignID, lsn int64, m Manifest, content []kdb.SnapshotChunk, branch string, hasBranch bool) error {
-	manifestJSON, err := json.Marshal(m)
+// persistCommit writes the cut's missing chunks, the commit row (unless
+// the hash already exists, e.g. the identical merge performed on two
+// nodes), and the branch head in one atomic batch. Only freshly encoded
+// chunks can be missing: reused ones were stored by an earlier commit.
+func (r *Repo) persistCommit(hash string, parents []string, author, message string, campaignID int64, w *working, branch string, hasBranch bool) error {
+	manifestJSON, err := json.Marshal(w.manifest)
 	if err != nil {
 		return err
 	}
 	var newChunks []kdb.SnapshotChunk
 	seen := map[string]bool{}
-	for _, c := range content {
+	for _, c := range w.fresh {
 		if seen[c.Hash] {
 			continue
 		}
@@ -297,7 +371,7 @@ func (r *Repo) persistCommit(hash string, parents []string, author, message stri
 		if !known {
 			if _, err := exec(
 				"INSERT INTO vcs_commits (hash, parents, author, message, campaign_id, lsn, created, manifest) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-				hash, strings.Join(parents, ","), author, message, campaignID, lsn,
+				hash, strings.Join(parents, ","), author, message, campaignID, w.lsn,
 				time.Now().UTC().Format(time.RFC3339), string(manifestJSON)); err != nil {
 				return err
 			}
@@ -410,11 +484,11 @@ func (r *Repo) Branch(name, from string) error {
 	if from == "" {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		m, _, _, err := r.workingManifest()
+		w, err := r.workingManifest()
 		if err != nil {
 			return err
 		}
-		root, err := rootHash(m)
+		root, err := rootHash(w.manifest)
 		if err != nil {
 			return err
 		}
@@ -501,10 +575,6 @@ func (r *Repo) checkoutLocked(hash string) error {
 	if err != nil {
 		return err
 	}
-	cur, lsn, err := r.snapshotChunks()
-	if err != nil {
-		return err
-	}
 	var out bytes.Buffer
 	for _, mc := range c.Manifest.Chunks {
 		data, err := r.chunkData(mc.Hash)
@@ -513,26 +583,38 @@ func (r *Repo) checkoutLocked(hash string) error {
 		}
 		out.Write(data)
 	}
-	var curMeta []byte
-	for _, ch := range cur {
-		if ch.Meta {
-			curMeta = ch.Data
-			continue
+	// The version store rides along unchanged, followed by two meta
+	// records: the commit's content high-water marks and the current ones
+	// (content + vcs tables, current LSN). Restore merges them by maximum,
+	// so ids stay globally unique and the LSN keeps its position in the
+	// local history.
+	curAutoIDs := map[string]int64{}
+	var lsn int64
+	err = r.db.View(func(v *kdb.View) error {
+		lsn = v.LSN()
+		for _, tv := range v.Tables() {
+			if id := tv.AutoID(); id > 0 {
+				curAutoIDs[tv.Name()] = id
+			}
+			if !IsVersionTable(tv.Name()) {
+				continue
+			}
+			if err := tv.EncodeRecords(&out, 0, tv.Records()); err != nil {
+				return err
+			}
 		}
-		if IsVersionTable(ch.Table) {
-			out.Write(ch.Data)
-		}
-	}
-	// Two meta records: the commit's content high-water marks and the
-	// current ones (content + vcs tables, current LSN). Restore merges
-	// them by maximum, so ids stay globally unique and the LSN keeps its
-	// position in the local history.
-	meta, err := kdb.EncodeSnapshotMeta(c.Manifest.AutoIDs, lsn)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	out.Write(meta)
-	out.Write(curMeta)
+	for _, autoIDs := range []map[string]int64{c.Manifest.AutoIDs, curAutoIDs} {
+		meta, err := kdb.EncodeSnapshotMeta(autoIDs, lsn)
+		if err != nil {
+			return err
+		}
+		out.Write(meta)
+	}
 	return r.db.RestoreSnapshot(out.Bytes())
 }
 
@@ -646,20 +728,31 @@ func (r *Repo) commitState(hash string) (map[string]*kdb.Table, error) {
 	return kdb.ParseSnapshotTables(buf.Bytes())
 }
 
-// workingState materializes the current content tables (vcs_* excluded).
+// workingState materializes the current content tables (vcs_* excluded)
+// as detached copies: the view's rows alias live engine memory, so every
+// row is copied before the view closes.
 func (r *Repo) workingState() (map[string]*kdb.Table, error) {
-	var buf bytes.Buffer
-	if _, err := r.db.WriteSnapshot(&buf); err != nil {
-		return nil, err
-	}
-	tables, err := kdb.ParseSnapshotTables(buf.Bytes())
+	tables := map[string]*kdb.Table{}
+	err := r.db.View(func(v *kdb.View) error {
+		for _, tv := range v.Tables() {
+			if IsVersionTable(tv.Name()) {
+				continue
+			}
+			live := tv.Rows(0)
+			rows := make([][]any, len(live))
+			for i, row := range live {
+				rows[i] = append([]any(nil), row...)
+			}
+			tables[strings.ToLower(tv.Name())] = &kdb.Table{
+				Name:    tv.Name(),
+				Columns: append([]kdb.ColumnDef(nil), tv.Columns()...),
+				Rows:    rows,
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	for name := range tables {
-		if IsVersionTable(name) {
-			delete(tables, name)
-		}
 	}
 	return tables, nil
 }

@@ -3,6 +3,7 @@ package vcs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -519,6 +520,26 @@ func BenchmarkCommit(b *testing.B) {
 		mustExec(b, db, "UPDATE runs SET gbps = ? WHERE id = ?", float64(i), int64(1))
 		if _, _, err := r.Commit("main", "bench", "tick", 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCommitAfterInsert is the append path BenchmarkCommit (which
+// UPDATEs, so re-chunks the table) never takes: one new run record into a
+// table of several chunks, then a commit.
+func BenchmarkCommitAfterInsert(b *testing.B) {
+	db, r := newRepo(b)
+	ingestRuns(b, db, "ior")
+	bulkRuns(b, db, rand.New(rand.NewSource(1)), 4*kdb.DefaultChunkLines)
+	if _, _, err := r.Commit("main", "bench", "base", 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustExec(b, db, "INSERT INTO runs (app, gbps, notes) VALUES (?, ?, ?)", "app", float64(i), "n")
+		if _, created, err := r.Commit("main", "bench", "tick", 0); err != nil || !created {
+			b.Fatalf("commit: created=%v err=%v", created, err)
 		}
 	}
 }

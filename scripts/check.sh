@@ -2,7 +2,8 @@
 # Full verification gate, equivalent to `make check`, for environments
 # without make. Runs gofmt, vet, build, the race-enabled concurrency
 # suites, the tier-1 test suite, a one-iteration benchmark smoke pass,
-# and a 1k-connection load smoke with a p99 regression gate.
+# the nested bench/ module's tests, and a 1k-connection load smoke with a
+# p99 regression gate.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,6 +24,8 @@ echo "== go test (tier 1) =="
 go test ./...
 echo "== bench smoke (1 iteration) =="
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
+echo "== bench module tests (cd bench && go test ./...) =="
+(cd bench && go test ./...)
 echo "== load smoke (1k conns, 10s, p99 gate) =="
 go run ./cmd/iokc loadgen --selftest --conns 1000 --duration 10s --objects 200 --io500 200 --max-p99 750ms --max-error-rate 0.01
 echo "OK"
