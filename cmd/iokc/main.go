@@ -13,7 +13,7 @@
 //	iokc configure [--db FILE] --id N [-t SIZE] [-b SIZE] [-s N] [-i N] [-N N]
 //	iokc causes [--db FILE] --id N --sacct FILE [--exclude-user U]
 //	iokc tune [--tasks N] [--burst SIZE] [--seed N]
-//	iokc serve [--db FILE] [--addr :8080] [--replica ADDR]... [--api] [--api-only] [--slow-query DUR] [--pprof]
+//	iokc serve [--db FILE] [--addr :8080] [--replica ADDR]... [--demo] [--api] [--api-only] [--slow-query DUR] [--pprof]
 //	iokc loadgen {--url URL | --selftest} [--conns N] [--duration DUR] [--seed N] [--max-p99 DUR] [--json]
 //	iokc servedb [--db FILE] [--addr :7070] [--metrics-addr :9090] [--replica-of ADDR] [--advertise ADDR] [--slow-query DUR] [--pprof]
 //	iokc servedb --db FILE --shard-index I --shard-count N           (serve one shard of a partitioned store)
@@ -893,48 +893,21 @@ func runServeDB(ctx context.Context, cfg *serveDBConfig) error {
 // topology from this one address.
 func runShardCoordinator(ctx context.Context, cfg *serveDBConfig) error {
 	specs := make([]shard.Spec, 0, len(cfg.shards))
-	conns := make([]kdb.Conn, 0, len(cfg.shards))
-	fail := func(err error) error {
-		for _, c := range conns {
-			c.Close()
-		}
-		return err
-	}
 	for i, raw := range cfg.shards {
 		spec, err := shard.ParseSpec(raw)
 		if err != nil {
-			return fail(fmt.Errorf("--shard %d: %w", i, err))
-		}
-		primary, err := kdb.Dial(spec.Primary)
-		if err != nil {
-			return fail(fmt.Errorf("shard %d (%s): %w", i, spec.Primary, err))
-		}
-		conn := kdb.Conn(primary)
-		if len(spec.Replicas) > 0 {
-			// Reads on this shard route to caught-up replicas; the
-			// coordinator composes on top without knowing.
-			replicas := make([]repl.Replica, 0, len(spec.Replicas))
-			for _, addr := range spec.Replicas {
-				r, err := kdb.Dial(addr)
-				if err != nil {
-					primary.Close()
-					return fail(fmt.Errorf("shard %d replica (%s): %w", i, addr, err))
-				}
-				replicas = append(replicas, r)
-			}
-			conn = repl.NewRouter(primary, replicas...)
+			return fmt.Errorf("--shard %d: %w", i, err)
 		}
 		specs = append(specs, spec)
-		conns = append(conns, conn)
 	}
-	coord, err := shard.New(conns...)
+	// Reads on a shard with replicas route to caught-up ones (shard.Dial
+	// fronts it with a router); the coordinator composes on top without
+	// knowing.
+	coord, err := shard.Dial(&shard.Map{Epoch: cfg.epoch, Shards: specs})
 	if err != nil {
-		return fail(err)
-	}
-	defer coord.Close()
-	if err := coord.SetMap(&shard.Map{Epoch: cfg.epoch, Shards: specs}); err != nil {
 		return err
 	}
+	defer coord.Close()
 	srv := &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap, Role: "coordinator",
 		MaxConns: cfg.maxConns, IdleTimeout: cfg.idle, Advertise: cfg.advertise}
 	health := func() repl.Status {
@@ -1021,42 +994,6 @@ func (r *replicaFlags) Set(v string) error {
 	return nil
 }
 
-// openRoutedStore opens the knowledge store, fronting it with a
-// read-your-writes router when replica addresses are given. The returned
-// health function reflects the deployment: the router's view when
-// replicated, a standalone primary otherwise.
-func openRoutedStore(db string, replicas []string) (*schema.Store, func() repl.Status, error) {
-	if len(replicas) == 0 {
-		store, err := schema.Open(db)
-		return store, nil, err
-	}
-	var primary kdb.Conn
-	var err error
-	if strings.HasPrefix(db, "kdb://") {
-		primary, err = kdb.Dial(db)
-	} else {
-		primary, err = kdb.Open(db)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	reps := make([]repl.Replica, 0, len(replicas))
-	for _, addr := range replicas {
-		r, err := kdb.Dial(addr)
-		if err != nil {
-			primary.Close()
-			return nil, nil, fmt.Errorf("replica %s: %w", addr, err)
-		}
-		reps = append(reps, r)
-	}
-	router := repl.NewRouter(primary, reps...)
-	store, err := schema.Wrap(router)
-	if err != nil {
-		return nil, nil, err
-	}
-	return store, router.Health, nil
-}
-
 // serveConfig is the parsed `iokc serve` command line.
 type serveConfig struct {
 	db             string
@@ -1064,6 +1001,7 @@ type serveConfig struct {
 	pprofOn        bool
 	slowQuery      time.Duration
 	replicas       []string
+	demo           bool
 	apiOn          bool
 	apiOnly        bool
 	apiRate        float64
@@ -1078,6 +1016,7 @@ func parseServeArgs(args []string) (*serveConfig, error) {
 	fs.StringVar(&cfg.db, "db", "knowledge.db", "knowledge database")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.BoolVar(&cfg.pprofOn, "pprof", false, "expose /debug/pprof endpoints")
+	fs.BoolVar(&cfg.demo, "demo", false, "seed the store with the paper's two example scenarios (use with --db '' for a throwaway in-memory store)")
 	fs.DurationVar(&cfg.slowQuery, "slow-query", 0, "trace queries and log those slower than this to __slow_queries and /traces (0 = tracing off)")
 	fs.BoolVar(&cfg.apiOn, "api", false, "mount the JSON API under /v1/ beside the explorer")
 	fs.BoolVar(&cfg.apiOnly, "api-only", false, "serve only the JSON API (no HTML explorer)")
@@ -1113,11 +1052,16 @@ func cmdServe(args []string) error {
 func runServe(ctx context.Context, cfg *serveConfig) error {
 	telemetry.SetSlowQueryThreshold(cfg.slowQuery)
 	telemetry.SetTraceNode("explorer")
-	store, health, err := openRoutedStore(cfg.db, cfg.replicas)
+	store, err := schema.Open(cfg.db, cfg.replicas...)
 	if err != nil {
 		return err
 	}
 	defer store.Close()
+	if cfg.demo {
+		if err := seedDemo(store); err != nil {
+			return err
+		}
+	}
 	// Versioning is served when the store is embedded; remote/sharded
 	// stores version on their serving side.
 	if _, err := store.EnableVersioning(); err == nil {
@@ -1126,7 +1070,6 @@ func runServe(ctx context.Context, cfg *serveConfig) error {
 	var handler http.Handler
 	if !cfg.apiOnly {
 		exp := explorer.New(store)
-		exp.Health = health
 		if cfg.pprofOn {
 			exp.EnablePprof()
 		}
@@ -1135,7 +1078,6 @@ func runServe(ctx context.Context, cfg *serveConfig) error {
 	if cfg.apiOn || cfg.apiOnly {
 		apiSrv := api.New(api.Config{
 			Store:         store,
-			Health:        health,
 			Rate:          cfg.apiRate,
 			Burst:         cfg.apiBurst,
 			MaxInflight:   cfg.apiMaxInflight,

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/kdb"
-	"repro/internal/repl"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
@@ -39,9 +38,6 @@ import (
 // Config wires a Server; only Store is required.
 type Config struct {
 	Store *schema.Store
-	// Health supplies the /v1/healthz payload (a router's Health method);
-	// nil means standalone-primary status derived from the store.
-	Health func() repl.Status
 	// Metrics defaults to telemetry.Default().
 	Metrics *telemetry.Registry
 	// Rate/Burst configure per-client token buckets (requests/sec); Rate 0
@@ -64,7 +60,6 @@ const defaultPageLimit = 50
 // Server is the API subsystem; it implements http.Handler.
 type Server struct {
 	store    *schema.Store
-	health   func() repl.Status
 	reg      *telemetry.Registry
 	mux      *http.ServeMux
 	cache    *resultCache
@@ -85,7 +80,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		store:    cfg.Store,
-		health:   cfg.Health,
 		reg:      cfg.Metrics,
 		mux:      http.NewServeMux(),
 		cache:    newResultCache(),
@@ -481,15 +475,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, rid string)
 	}
 	tc := telemetry.ContextTrace(r.Context())
 	s.respondCached(w, r, rid, "query?q="+q, func() (any, error) {
-		var rows *kdb.Rows
-		var qerr error
-		if t, ok := s.store.DB.(kdb.TracedConn); ok {
-			rows, qerr = t.QueryTraced(tc, q)
-		} else {
-			rows, qerr = s.store.DB.Query(q)
-		}
-		if qerr != nil {
-			return nil, qerr
+		rows, err := s.store.DB.QueryTraced(tc, q)
+		if err != nil {
+			return nil, err
 		}
 		var data [][]any
 		for rows.Next() {
@@ -600,27 +588,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, rid string
 	s.writeJSON(w, map[string]any{"data": slow, "count": len(slow)})
 }
 
-// handleHealthz mirrors the explorer's health view as JSON: router status
-// when fronting replicas, standalone-primary LSN otherwise, plus the
-// shard-map epoch when the backend exposes one.
+// handleHealthz serves the store's status — the explorer's /healthz view —
+// in the API's JSON encoding.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, rid string) {
-	status := s.health
-	if status == nil {
-		status = func() repl.Status {
-			st := repl.Status{Role: "primary"}
-			if l, ok := s.store.DB.(interface{ LSN() int64 }); ok {
-				st.AppliedLSN = l.LSN()
-			}
-			return st
-		}
-	}
-	st := status()
-	if st.Epoch == 0 {
-		if m, ok := s.store.DB.(interface{ ShardMap() (int64, []byte) }); ok {
-			st.Epoch, _ = m.ShardMap()
-		}
-	}
-	s.writeJSON(w, st)
+	s.writeJSON(w, s.store.Status())
 }
 
 func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request, rid string) {

@@ -185,10 +185,8 @@ func (v *validity) note(lsn int64) {
 // responses (read-your-writes).
 func (v *validity) current() (lsn, epoch int64) {
 	lsn = v.floor.Load()
-	if l, ok := v.conn.(interface{ LSN() int64 }); ok {
-		if cur := l.LSN(); cur > lsn {
-			lsn = cur
-		}
+	if cur := v.conn.LSN(); cur > lsn {
+		lsn = cur
 	}
 	if m, ok := v.conn.(interface{ ShardMap() (int64, []byte) }); ok {
 		epoch, _ = m.ShardMap()

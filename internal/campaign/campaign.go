@@ -269,9 +269,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 			persistErr = err
 		}
 	}
-	if l, ok := s.Store.DB.(interface{ LSN() int64 }); ok {
-		res.FinalLSN = l.LSN()
-	}
+	res.FinalLSN = s.Store.DB.LSN()
 	if persistErr != nil {
 		return res, persistErr
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kdb"
 	"repro/internal/rng"
 	"repro/internal/schema"
+	"repro/internal/telemetry"
 )
 
 func TestDeriveSeed(t *testing.T) {
@@ -90,6 +91,12 @@ func (c *countingConn) Exec(query string, args ...any) (kdb.Result, error) {
 		return kdb.Result{}, fmt.Errorf("simulated disk full")
 	}
 	return c.Conn.Exec(query, args...)
+}
+
+// ExecTraced counts too: a wrapper that intercepts statements overrides
+// both pairs (see kdb.Conn), or a forwarding layer would bypass it.
+func (c *countingConn) ExecTraced(_ telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
+	return c.Exec(query, args...)
 }
 
 // twoArtifacts runs an inner generator twice so the cycle has a multi-

@@ -22,7 +22,6 @@ import (
 	"repro/internal/chart"
 	"repro/internal/knowledge"
 	"repro/internal/recommend"
-	"repro/internal/repl"
 	"repro/internal/schema"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -36,11 +35,7 @@ type Server struct {
 	// New wires the process-wide default registry; tests may substitute a
 	// private one before the first request.
 	Metrics *telemetry.Registry
-	// Health backs /healthz. When the explorer fronts a replicated store
-	// the caller sets it to the read router's Health; nil reports a
-	// standalone primary whose position is read off the store connection.
-	Health func() repl.Status
-	mux    *http.ServeMux
+	mux     *http.ServeMux
 	// knownPaths normalizes request paths for metric labels so series
 	// cardinality stays bounded under arbitrary client traffic.
 	knownPaths func(string) string

@@ -6,31 +6,9 @@ import (
 	"repro/internal/repl"
 )
 
-// handleHealthz reports the node's replication health. With no Health
-// source configured the explorer is a standalone primary; its applied LSN
-// is read straight off the store connection when it exposes one (local
-// kdb databases and read routers both do).
+// handleHealthz reports the store's replication health: router status when
+// it fronts replicas, a standalone primary's LSN otherwise, plus the
+// shard-map epoch when sharded (schema.Store.Status).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := s.Health
-	if status == nil {
-		status = func() repl.Status {
-			st := repl.Status{Role: "primary"}
-			if l, ok := s.Store.DB.(interface{ LSN() int64 }); ok {
-				st.AppliedLSN = l.LSN()
-			}
-			return st
-		}
-	}
-	withEpoch := func() repl.Status {
-		st := status()
-		if st.Epoch == 0 {
-			// Stores fronted by a shard coordinator expose their partition
-			// map; surface its epoch so load balancers can spot stale maps.
-			if m, ok := s.Store.DB.(interface{ ShardMap() (int64, []byte) }); ok {
-				st.Epoch, _ = m.ShardMap()
-			}
-		}
-		return st
-	}
-	repl.HealthHandler(withEpoch).ServeHTTP(w, r)
+	repl.HealthHandler(s.Store.Status).ServeHTTP(w, r)
 }

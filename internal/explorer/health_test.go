@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/repl"
 	"repro/internal/schema"
 )
@@ -49,24 +51,30 @@ func TestHealthzStandalonePrimary(t *testing.T) {
 	}
 }
 
-func TestHealthzCustomSource(t *testing.T) {
-	store, err := schema.Open("")
+// TestHealthzRoutedStore: a store opened with a replica list serves the
+// router's view — the replica, its applied LSN and its lag — with no
+// health source wired beside the store. The replica here follows nothing,
+// so its lag is exactly the primary's position.
+func TestHealthzRoutedStore(t *testing.T) {
+	primary := kdbtest.Serve(t, &kdb.Server{DB: kdbtest.MemDB(t, kdb.DBOptions{})})
+	replica := kdbtest.Serve(t, &kdb.Server{DB: kdbtest.MemDB(t, kdb.DBOptions{}), Role: "replica", ReadOnly: true, Advertise: "replica-1"})
+	store, err := schema.Open(primary, replica)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := New(store)
-	srv.Health = func() repl.Status {
-		return repl.Status{
-			Role:       "primary",
-			AppliedLSN: 42,
-			Replicas: []repl.Status{
-				{Role: "replica", AppliedLSN: 40, LagLSN: 2},
-			},
-		}
+	st := getHealth(t, New(store))
+	if st.Role != "primary" || st.AppliedLSN == 0 {
+		t.Fatalf("health = %+v, want a primary past its DDL", st)
 	}
-	st := getHealth(t, srv)
-	if st.AppliedLSN != 42 || len(st.Replicas) != 1 || st.Replicas[0].LagLSN != 2 {
-		t.Errorf("health = %+v", st)
+	if len(st.Replicas) != 1 {
+		t.Fatalf("replicas = %+v, want the one routed replica", st.Replicas)
+	}
+	r := st.Replicas[0]
+	if r.Role != "replica" || r.Addr != "replica-1" || r.AppliedLSN != 0 || r.LagLSN != st.AppliedLSN {
+		t.Errorf("replica health = %+v (primary at %d)", r, st.AppliedLSN)
+	}
+	if st.ReplLagLSN != r.LagLSN {
+		t.Errorf("worst replica lag = %d, want %d", st.ReplLagLSN, r.LagLSN)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/repl"
+	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/schema"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -88,20 +90,31 @@ func TestTracesPageListsAndRendersTree(t *testing.T) {
 	}
 }
 
-// TestHealthzCarriesEpochAndLag: a health source that knows its shard-map
-// epoch and replica lag serves them through /healthz unchanged.
+// TestHealthzCarriesEpochAndLag: a store opened from a shard:// URL serves
+// its partition map's epoch, and the lag fields stay present (zero: no
+// shard here has replicas) — read off the store, no health source wired.
 func TestHealthzCarriesEpochAndLag(t *testing.T) {
-	store, err := schema.Open("")
+	specs := make([]shard.Spec, 2)
+	for i := range specs {
+		db := kdbtest.MemDB(t, kdb.DBOptions{AutoIDOffset: int64(i), AutoIDStride: int64(len(specs))})
+		specs[i].Primary = kdbtest.Serve(t, &kdb.Server{DB: db})
+	}
+	coord, err := shard.Dial(&shard.Map{Epoch: 7, Shards: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	addr := kdbtest.Serve(t, &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap, Role: "coordinator"})
+	store, err := schema.Open("shard://" + strings.TrimPrefix(addr, "kdb://"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv := New(store)
-	srv.Health = func() repl.Status {
-		return repl.Status{Role: "coordinator", Epoch: 7, ReplLagLSN: 3, ReplLagSeconds: 0.5}
+	st := getHealth(t, New(store))
+	if st.Role != "primary" || st.Epoch != 7 || st.AppliedLSN == 0 {
+		t.Errorf("health = %+v, want a primary at epoch 7 past its DDL", st)
 	}
-	st := getHealth(t, srv)
-	if st.Epoch != 7 || st.ReplLagLSN != 3 || st.ReplLagSeconds != 0.5 {
-		t.Errorf("health = %+v", st)
+	if st.ReplLagLSN != 0 || st.ReplLagSeconds != 0 || len(st.Replicas) != 0 {
+		t.Errorf("replica-less shards report lag: %+v", st)
 	}
 }

@@ -229,7 +229,7 @@ func (db *DB) Exec(query string, args ...any) (Result, error) {
 	return db.ExecTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// ExecTraced implements TracedConn: Exec recorded as a "db.exec" span.
+// ExecTraced implements Conn: Exec recorded as a "db.exec" span.
 func (db *DB) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (Result, error) {
 	hop := telemetry.StartHop(tc, "db.exec")
 	hop.SetSQL(query)
@@ -336,9 +336,8 @@ func (db *DB) applyLocked(query string, args []any) (Result, func(), error) {
 type ExecFunc func(query string, args ...any) (Result, error)
 
 // Batcher is implemented by connections that can apply several mutations
-// atomically under one lock with a single log flush. *DB implements it;
-// callers holding only a Conn should type-assert and fall back to
-// statement-at-a-time Exec when the assertion fails (e.g. for *Remote).
+// atomically under one lock with a single log flush. *DB implements it; a
+// wire client cannot, so callers holding a Conn go through Batch.
 type Batcher interface {
 	Batch(fn func(exec ExecFunc) error) error
 }
@@ -348,10 +347,28 @@ var _ Batcher = (*DB)(nil)
 // KeyedBatcher is implemented by connections that can pin a batch to a
 // placement key: every mutation in fn lands on whichever backend the key
 // hashes to. A sharded coordinator uses the key to colocate related rows
-// (a campaign's runs, an object's child tables) on one shard; single-node
-// connections may satisfy it by ignoring the key.
+// (a campaign's runs, an object's child tables) on one shard.
 type KeyedBatcher interface {
 	BatchKeyed(key uint64, fn func(exec ExecFunc) error) error
+}
+
+// Batch runs fn as one atomic batch when c is a Batcher and statement at a
+// time through c.Exec otherwise — c's own Exec, so a wrapper embedding a
+// connection still sees every statement of the fallback.
+func Batch(c Conn, fn func(exec ExecFunc) error) error {
+	if b, ok := c.(Batcher); ok {
+		return b.Batch(fn)
+	}
+	return fn(c.Exec)
+}
+
+// BatchKeyed pins the batch to a placement key when c routes batches by
+// key, and is Batch otherwise.
+func BatchKeyed(c Conn, key uint64, fn func(exec ExecFunc) error) error {
+	if kb, ok := c.(KeyedBatcher); ok {
+		return kb.BatchKeyed(key, fn)
+	}
+	return Batch(c, fn)
 }
 
 // Batch runs fn with an exec function that applies mutations under one
@@ -420,7 +437,7 @@ func (db *DB) Query(query string, args ...any) (*Rows, error) {
 	return db.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// QueryTraced implements TracedConn: the same SELECT path as Query, with
+// QueryTraced implements Conn: the same SELECT path as Query, with
 // the work recorded as a "db.select" span annotated with the execution path
 // taken (system table / columnar / index / scan), rows returned, and lock
 // wait. Query delegates here with an empty context, so when tracing is off
@@ -495,7 +512,13 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 // QueryRow runs a SELECT and returns its single row, returning ErrNoRows
 // on zero rows.
 func (db *DB) QueryRow(query string, args ...any) ([]any, error) {
-	rows, err := db.Query(query, args...)
+	return FirstRow(db.Query(query, args...))
+}
+
+// FirstRow turns a Query result into QueryRow's: the first row, or
+// ErrNoRows when the result is empty. Every Conn derives QueryRow from its
+// own Query through it, so a point read takes the same path as any read.
+func FirstRow(rows *Rows, err error) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -34,53 +34,48 @@ import (
 // likewise receive a wireResponse carrying the parse error instead of a
 // silent hangup.
 
-// Conn is the database surface the persistence layer programs against;
-// *DB (local) and *Remote (network) both implement it.
+// Conn is the complete database surface every layer above the engine
+// programs against: statements with and without an explicit trace context,
+// the connection's commit position, the table list, and Close. *DB
+// (embedded), *Remote (wire client), repl.Router and repl.Session (read
+// routing) and shard.Coordinator (scatter-gather) all implement it, so no
+// layer has to ask a connection what it can do.
+//
+// Query and Exec are QueryTraced and ExecTraced with an empty context, and
+// forwarding layers (the wire server, the router, the coordinator) always
+// call the traced pair. A wrapper that embeds a Conn to intercept
+// statements must therefore override both pairs, or traffic arriving
+// through a forwarding layer bypasses it.
+//
+// LSN is the connection's own view of the commit position — exact for an
+// embedded database, a passive high-water mark for a wire client, the last
+// write for a router session, the per-shard maximum for a coordinator. It
+// never costs a round trip.
+//
+// Atomic batching is the one optional capability (a wire client cannot
+// batch atomically); reach it through Batch and BatchKeyed below.
 type Conn interface {
+	TracedConn
 	Exec(query string, args ...any) (Result, error)
 	Query(query string, args ...any) (*Rows, error)
 	QueryRow(query string, args ...any) ([]any, error)
+	LSN() int64
 	Tables() []string
 	Close() error
 }
 
-// TracedConn is the optional tracing-aware surface of a Conn: the same
-// Query/Exec, plus an explicit trace context to attach the work to. *DB and
-// *Remote implement it, as do the shard coordinator and the repl router;
-// layers discover it by type assertion and fall back to the plain calls, so
-// tracing degrades gracefully across mixed-version components.
+// TracedConn is the trace-context-carrying statement pair of a Conn: the
+// same Query/Exec, plus the context to attach the work to. An empty context
+// means untraced.
 type TracedConn interface {
 	QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*Rows, error)
 	ExecTraced(tc telemetry.TraceContext, query string, args ...any) (Result, error)
 }
 
 var (
-	_ Conn       = (*DB)(nil)
-	_ Conn       = (*Remote)(nil)
-	_ TracedConn = (*DB)(nil)
-	_ TracedConn = (*Remote)(nil)
+	_ Conn = (*DB)(nil)
+	_ Conn = (*Remote)(nil)
 )
-
-// connQuery routes a query through c's traced surface when a trace is
-// active and c supports it; otherwise the plain path.
-func connQuery(c Conn, tc telemetry.TraceContext, query string, args ...any) (*Rows, error) {
-	if tc.Valid() {
-		if t, ok := c.(TracedConn); ok {
-			return t.QueryTraced(tc, query, args...)
-		}
-	}
-	return c.Query(query, args...)
-}
-
-// connExec is connQuery for mutations.
-func connExec(c Conn, tc telemetry.TraceContext, query string, args ...any) (Result, error) {
-	if tc.Valid() {
-		if t, ok := c.(TracedConn); ok {
-			return t.ExecTraced(tc, query, args...)
-		}
-	}
-	return c.Exec(query, args...)
-}
 
 // wireRequest is one client->server message.
 type wireRequest struct {
@@ -388,7 +383,7 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.exec")
 		hop.SetNode(s.traceNode())
 		hop.SetSQL(req.SQL)
-		res, err := connExec(s.conn(), hop.Context(), req.SQL, args...)
+		res, err := s.conn().ExecTraced(hop.Context(), req.SQL, args...)
 		if err != nil {
 			hop.Fail(err)
 			return wireResponse{Err: err.Error()}
@@ -400,8 +395,8 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		st := wireResponse{Role: s.role(), Addr: s.Advertise}
 		if s.DB != nil {
 			st.LSN = s.DB.LSN()
-		} else if l, ok := s.Backend.(interface{ LSN() int64 }); ok {
-			st.LSN = l.LSN()
+		} else if s.Backend != nil {
+			st.LSN = s.Backend.LSN()
 		}
 		return st
 	case "snapshot":
@@ -452,7 +447,7 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.query")
 		hop.SetNode(s.traceNode())
 		hop.SetSQL(req.SQL)
-		rows, err := connQuery(s.conn(), hop.Context(), req.SQL, args...)
+		rows, err := s.conn().QueryTraced(hop.Context(), req.SQL, args...)
 		if err != nil {
 			hop.Fail(err)
 			return wireResponse{Err: err.Error()}
@@ -672,7 +667,7 @@ func (r *Remote) Exec(query string, args ...any) (Result, error) {
 	return r.ExecTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// ExecTraced implements TracedConn: the mutation is sent with the trace
+// ExecTraced implements Conn: the mutation is sent with the trace
 // context on the wire, and the client-side round trip becomes an "rpc.exec"
 // span.
 func (r *Remote) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (Result, error) {
@@ -700,7 +695,7 @@ func (r *Remote) Query(query string, args ...any) (*Rows, error) {
 	return r.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// QueryTraced implements TracedConn; see ExecTraced.
+// QueryTraced implements Conn; see ExecTraced.
 func (r *Remote) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*Rows, error) {
 	hop := telemetry.StartHop(tc, "rpc.query")
 	hop.SetSQL(query)
@@ -733,14 +728,7 @@ func (r *Remote) QueryTraced(tc telemetry.TraceContext, query string, args ...an
 // QueryRow implements Conn; it returns ErrNoRows when the query matches
 // nothing.
 func (r *Remote) QueryRow(query string, args ...any) ([]any, error) {
-	rows, err := r.Query(query, args...)
-	if err != nil {
-		return nil, err
-	}
-	if !rows.Next() {
-		return nil, ErrNoRows
-	}
-	return rows.Row(), nil
+	return FirstRow(r.Query(query, args...))
 }
 
 // Tables implements Conn.

@@ -58,10 +58,7 @@ func PrimaryStatus(db *kdb.DB, addr string) func() Status {
 // Health reports the Router's view: the primary's position plus each
 // replica's last-known applied LSN.
 func (rt *Router) Health() Status {
-	st := Status{Role: "primary", AppliedLSN: rt.LSN()}
-	if l, ok := rt.primary.(interface{ LSN() int64 }); ok {
-		st.AppliedLSN = l.LSN()
-	}
+	st := Status{Role: "primary", AppliedLSN: rt.primary.LSN()}
 	for _, rs := range rt.replicas {
 		rst := Status{Role: "replica", AppliedLSN: rs.knownLSN.Load()}
 		if ns, err := rs.r.Status(); err == nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/kdb"
+	"repro/internal/telemetry"
 )
 
 // fastOpts keeps reconnect/heartbeat cycles short so failure scenarios
@@ -230,20 +231,12 @@ type fakeReplica struct {
 	queries   atomic.Int64
 }
 
-func (f *fakeReplica) Query(q string, args ...any) (*kdb.Rows, error) {
+func (f *fakeReplica) QueryTraced(tc telemetry.TraceContext, q string, args ...any) (*kdb.Rows, error) {
 	if f.fail.Load() || f.queryFail.Load() {
 		return nil, errors.New("replica down")
 	}
 	f.queries.Add(1)
-	return f.db.Query(q, args...)
-}
-
-func (f *fakeReplica) QueryRow(q string, args ...any) ([]any, error) {
-	if f.fail.Load() || f.queryFail.Load() {
-		return nil, errors.New("replica down")
-	}
-	f.queries.Add(1)
-	return f.db.QueryRow(q, args...)
+	return f.db.QueryTraced(tc, q, args...)
 }
 
 func (f *fakeReplica) Status() (kdb.NodeStatus, error) {

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"errors"
 	"io"
 	"strconv"
 	"sync/atomic"
@@ -12,67 +11,22 @@ import (
 
 // Replica is a read target the Router can route queries to: a remote
 // served replica (*kdb.Remote) or an in-process *Follower's database
-// wrapped by LocalReplica. Status is the staleness probe.
+// wrapped by LocalReplica. Reads carry the request's trace context (empty
+// when untraced) so replica-side spans join it; Status is the staleness
+// probe.
 type Replica interface {
-	Query(query string, args ...any) (*kdb.Rows, error)
-	QueryRow(query string, args ...any) ([]any, error)
+	QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error)
 	Status() (kdb.NodeStatus, error)
 }
 
 var _ Replica = (*kdb.Remote)(nil)
 
-// tracedQuerier is the read-only tracing surface a Replica may offer;
-// *kdb.Remote does (via kdb.TracedConn) and LocalReplica does below. The
-// router queries through it when a trace is active so replica-side spans
-// join the request's trace.
-type tracedQuerier interface {
-	QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error)
-}
-
-// replicaQuery routes through the replica's traced surface when possible.
-func replicaQuery(r Replica, tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
-	if tc.Valid() {
-		if t, ok := r.(tracedQuerier); ok {
-			return t.QueryTraced(tc, query, args...)
-		}
-	}
-	return r.Query(query, args...)
-}
-
-// connQuery and connExec route through a Conn's traced surface when
-// possible.
-func connQuery(c kdb.Conn, tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
-	if tc.Valid() {
-		if t, ok := c.(kdb.TracedConn); ok {
-			return t.QueryTraced(tc, query, args...)
-		}
-	}
-	return c.Query(query, args...)
-}
-
-func connExec(c kdb.Conn, tc telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
-	if tc.Valid() {
-		if t, ok := c.(kdb.TracedConn); ok {
-			return t.ExecTraced(tc, query, args...)
-		}
-	}
-	return c.Exec(query, args...)
-}
-
 // LocalReplica adapts an in-process Follower into a Replica, so a node
 // can serve its own follower copy without a network hop.
 type LocalReplica struct{ F *Follower }
 
-func (l LocalReplica) Query(query string, args ...any) (*kdb.Rows, error) {
-	return l.F.db.Query(query, args...)
-}
-
 func (l LocalReplica) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
 	return l.F.db.QueryTraced(tc, query, args...)
-}
-
-func (l LocalReplica) QueryRow(query string, args ...any) ([]any, error) {
-	return l.F.db.QueryRow(query, args...)
 }
 
 func (l LocalReplica) Status() (kdb.NodeStatus, error) { return l.F.Status() }
@@ -123,17 +77,14 @@ func (rt *Router) Session() *Session { return &Session{rt: rt} }
 // session (campaign ingest records it as the run's final LSN).
 func (rt *Router) LSN() int64 { return rt.def.lastWrite.Load() }
 
-// PrimaryLSN reports the primary's committed position when the primary
-// connection exposes one (embedded databases, coordinators, and remote
-// clients all do), falling back to the router's own last-write LSN. Unlike
+// PrimaryLSN reports the primary connection's view of its committed
+// position, or the router's own last-write LSN when that is ahead. Unlike
 // Health it never probes replicas, so it is cheap enough for cache-validity
 // checks on the read path.
 func (rt *Router) PrimaryLSN() int64 {
 	lsn := rt.LSN()
-	if l, ok := rt.primary.(interface{ LSN() int64 }); ok {
-		if p := l.LSN(); p > lsn {
-			lsn = p
-		}
+	if p := rt.primary.LSN(); p > lsn {
+		lsn = p
 	}
 	return lsn
 }
@@ -184,11 +135,9 @@ func (rt *Router) QueryRow(query string, args ...any) ([]any, error) {
 
 func (rt *Router) Tables() []string { return rt.primary.Tables() }
 
-// Batch forwards to the primary's Batcher when it has one, tracking the
-// LSNs the batched execs report so read-your-writes covers batched
-// ingest. A primary without batching (e.g. a remote connection) gets
-// statement-at-a-time semantics, matching the schema layer's own
-// fallback.
+// Batch applies fn on the primary through kdb.Batch — atomically when the
+// primary can, statement at a time over a wire connection — tracking the
+// LSNs the execs report so read-your-writes covers batched ingest.
 func (rt *Router) Batch(fn func(exec kdb.ExecFunc) error) error {
 	return rt.def.Batch(fn)
 }
@@ -208,12 +157,10 @@ func (rt *Router) Close() error {
 }
 
 var (
-	_ kdb.Conn       = (*Router)(nil)
-	_ kdb.TracedConn = (*Router)(nil)
-	_ kdb.Batcher    = (*Router)(nil)
-	_ kdb.Conn       = (*Session)(nil)
-	_ kdb.TracedConn = (*Session)(nil)
-	_ tracedQuerier  = LocalReplica{}
+	_ kdb.Conn    = (*Router)(nil)
+	_ kdb.Batcher = (*Router)(nil)
+	_ kdb.Conn    = (*Session)(nil)
+	_ Replica     = LocalReplica{}
 )
 
 // Session tracks one logical client's last write so its reads are never
@@ -222,6 +169,9 @@ type Session struct {
 	rt        *Router
 	lastWrite atomic.Int64
 }
+
+// LSN reports the session's last write LSN.
+func (s *Session) LSN() int64 { return s.lastWrite.Load() }
 
 func (s *Session) noteWrite(lsn int64) {
 	for {
@@ -237,13 +187,13 @@ func (s *Session) Exec(query string, args ...any) (kdb.Result, error) {
 	return s.ExecTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// ExecTraced implements kdb.TracedConn: writes always target the primary,
+// ExecTraced implements kdb.Conn: writes always target the primary,
 // recorded as a "router.exec" span.
 func (s *Session) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
 	hop := telemetry.StartHop(tc, "router.exec")
 	hop.SetSQL(query)
 	hop.Attr("target", "primary")
-	res, err := connExec(s.rt.primary, hop.Context(), query, args...)
+	res, err := s.rt.primary.ExecTraced(hop.Context(), query, args...)
 	if err != nil {
 		hop.Fail(err)
 		return res, err
@@ -299,7 +249,7 @@ func (s *Session) Query(query string, args ...any) (*kdb.Rows, error) {
 	return s.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// QueryTraced implements kdb.TracedConn: the routing decision becomes a
+// QueryTraced implements kdb.Conn: the routing decision becomes a
 // "router.query" span annotated with the target chosen (replica index or
 // primary fallback), and the chosen backend's own spans nest under it.
 func (s *Session) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
@@ -308,7 +258,7 @@ func (s *Session) QueryTraced(tc telemetry.TraceContext, query string, args ...a
 	var rows *kdb.Rows
 	chosen := -1
 	if s.eachFresh(func(idx int, rep Replica) bool {
-		r, err := replicaQuery(rep, hop.Context(), query, args...)
+		r, err := rep.QueryTraced(hop.Context(), query, args...)
 		if err != nil {
 			return false
 		}
@@ -325,7 +275,7 @@ func (s *Session) QueryTraced(tc telemetry.TraceContext, query string, args ...a
 	s.rt.primaryReads.Add(1)
 	metRouterPrimary.Inc()
 	hop.Attr("target", "primary")
-	rows, err := connQuery(s.rt.primary, hop.Context(), query, args...)
+	rows, err := s.rt.primary.QueryTraced(hop.Context(), query, args...)
 	if err != nil {
 		hop.Fail(err)
 		return nil, err
@@ -335,26 +285,11 @@ func (s *Session) QueryTraced(tc telemetry.TraceContext, query string, args ...a
 	return rows, nil
 }
 
-// QueryRow routes like Query; a replica's ErrNoRows is a real answer, not
-// a failure, so it does not trigger failover or primary fallback.
+// QueryRow is Query's first row. A replica's empty result is a real
+// answer, not a failure: it yields ErrNoRows without failover or primary
+// fallback.
 func (s *Session) QueryRow(query string, args ...any) ([]any, error) {
-	var row []any
-	var rowErr error
-	if s.eachFresh(func(_ int, rep Replica) bool {
-		r, err := rep.QueryRow(query, args...)
-		if err != nil && !errors.Is(err, kdb.ErrNoRows) {
-			return false
-		}
-		row, rowErr = r, err
-		return true
-	}) {
-		s.rt.replicaReads.Add(1)
-		metRouterReplica.Inc()
-		return row, rowErr
-	}
-	s.rt.primaryReads.Add(1)
-	metRouterPrimary.Inc()
-	return s.rt.primary.QueryRow(query, args...)
+	return kdb.FirstRow(s.Query(query, args...))
 }
 
 func (s *Session) Tables() []string { return s.rt.primary.Tables() }
@@ -364,19 +299,16 @@ func (s *Session) Tables() []string { return s.rt.primary.Tables() }
 // Router.Close is the single teardown path.
 func (s *Session) Close() error { return nil }
 
-// Batch applies fn atomically on the primary when it supports batching,
-// recording each exec's LSN for read-your-writes.
+// Batch applies fn on the primary (see Router.Batch), recording each
+// exec's LSN for read-your-writes.
 func (s *Session) Batch(fn func(exec kdb.ExecFunc) error) error {
-	if b, ok := s.rt.primary.(kdb.Batcher); ok {
-		return b.Batch(func(exec kdb.ExecFunc) error {
-			return fn(func(query string, args ...any) (kdb.Result, error) {
-				res, err := exec(query, args...)
-				if err == nil {
-					s.noteWrite(res.LSN)
-				}
-				return res, err
-			})
+	return kdb.Batch(s.rt.primary, func(exec kdb.ExecFunc) error {
+		return fn(func(query string, args ...any) (kdb.Result, error) {
+			res, err := exec(query, args...)
+			if err == nil {
+				s.noteWrite(res.LSN)
+			}
+			return res, err
 		})
-	}
-	return fn(s.Exec)
+	})
 }

@@ -62,33 +62,22 @@ func (s *Store) FinishCampaign(id int64, status string, finished time.Time, wall
 }
 
 // AddCampaignRuns persists the per-unit outcome rows of a campaign in one
-// batch (falling back to row-at-a-time over a remote connection).
+// batch (row at a time over a remote connection; see kdb.Batch).
 func (s *Store) AddCampaignRuns(campaignID int64, runs []CampaignRun) error {
-	insert := func(exec execFn, r CampaignRun) error {
-		_, err := exec(
-			`INSERT INTO campaign_runs (campaign_id, unit, name, seed, status, attempts, wall_ms, error, object_ids, io500_ids)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
-			campaignID, r.Unit, r.Name, strconv.FormatUint(r.Seed, 10),
-			r.Status, r.Attempts, r.WallMS, r.Error,
-			joinIDs(r.ObjectIDs), joinIDs(r.IO500IDs))
-		return err
-	}
-	if b, ok := s.DB.(kdb.Batcher); ok {
-		return b.Batch(func(exec kdb.ExecFunc) error {
-			for _, r := range runs {
-				if err := insert(execFn(exec), r); err != nil {
-					return err
-				}
+	return kdb.Batch(s.DB, func(exec kdb.ExecFunc) error {
+		for _, r := range runs {
+			_, err := exec(
+				`INSERT INTO campaign_runs (campaign_id, unit, name, seed, status, attempts, wall_ms, error, object_ids, io500_ids)
+				 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
+				campaignID, r.Unit, r.Name, strconv.FormatUint(r.Seed, 10),
+				r.Status, r.Attempts, r.WallMS, r.Error,
+				joinIDs(r.ObjectIDs), joinIDs(r.IO500IDs))
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-	}
-	for _, r := range runs {
-		if err := insert(s.DB.Exec, r); err != nil {
-			return err
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ListCampaigns returns all campaign headers, newest first.

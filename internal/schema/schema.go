@@ -179,24 +179,26 @@ var ddl = []string{
 	`CREATE INDEX IF NOT EXISTS idx_campaign_runs_campaign ON campaign_runs (campaign_id)`,
 }
 
-// Open opens (or creates) a knowledge store. An empty path keeps
-// everything in memory; a plain path appends to a local database file; a
-// "kdb://host:port" URL connects to a remote knowledge database — the
-// paper's local/remote persistence split (§IV, §V-C). A
-// "shard://host:port" URL points at a shard coordinator: the partition
-// map is fetched from that address, every shard is dialed (replicas, when
-// advertised, behind a per-shard read router), and the store operates
-// over the assembled coordinator.
-func Open(path string) (*Store, error) {
+// Open opens (or creates) a knowledge store — the one place a URL plus a
+// replica list becomes a store. An empty url keeps everything in memory; a
+// plain path appends to a local database file; a "kdb://host:port" URL
+// connects to a remote knowledge database — the paper's local/remote
+// persistence split (§IV, §V-C). Replica addresses, when given, put a
+// read-your-writes router in front of that primary (repl.Dial). A
+// "shard://host:port" URL points at a shard coordinator: the partition map
+// is fetched from that address and the store operates over the coordinator
+// shard.Dial assembles from it; its replicas come from the map, so passing
+// any here is an error.
+func Open(url string, replicas ...string) (*Store, error) {
 	var db kdb.Conn
 	var err error
-	switch {
-	case strings.HasPrefix(path, "shard://"):
-		db, err = openSharded(path)
-	case strings.HasPrefix(path, "kdb://"):
-		db, err = kdb.Dial(path)
-	default:
-		db, err = kdb.Open(path)
+	if addr, ok := strings.CutPrefix(url, "shard://"); ok {
+		if len(replicas) > 0 {
+			return nil, fmt.Errorf("schema: a shard:// store takes its replicas from the shard map, not from a replica list")
+		}
+		db, err = openSharded(addr)
+	} else {
+		db, err = repl.Dial(url, replicas...)
 	}
 	if err != nil {
 		return nil, err
@@ -243,44 +245,15 @@ func fetchMapBounded(addr string) (*shard.Map, error) {
 }
 
 // openSharded assembles a client-side coordinator from a coordinator
-// address: shard-map discovery, one connection per shard primary, and a
-// repl.Router in front of any shard that advertises read replicas — so
-// replication composes under sharding.
-func openSharded(path string) (kdb.Conn, error) {
-	m, err := fetchMapBounded("kdb://" + strings.TrimPrefix(path, "shard://"))
+// address: bounded shard-map discovery, then shard.Dial.
+func openSharded(addr string) (kdb.Conn, error) {
+	m, err := fetchMapBounded("kdb://" + addr)
 	if err != nil {
 		return nil, err
 	}
-	conns := make([]kdb.Conn, 0, len(m.Shards))
-	fail := func(err error) (kdb.Conn, error) {
-		for _, c := range conns {
-			c.Close()
-		}
-		return nil, err
-	}
-	for i, sp := range m.Shards {
-		primary, err := kdb.Dial(sp.Primary)
-		if err != nil {
-			return fail(fmt.Errorf("schema: dial shard %d: %w", i, err))
-		}
-		if len(sp.Replicas) == 0 {
-			conns = append(conns, primary)
-			continue
-		}
-		replicas := make([]repl.Replica, 0, len(sp.Replicas))
-		for _, addr := range sp.Replicas {
-			r, err := kdb.Dial(addr)
-			if err != nil {
-				primary.Close()
-				return fail(fmt.Errorf("schema: dial shard %d replica: %w", i, err))
-			}
-			replicas = append(replicas, r)
-		}
-		conns = append(conns, repl.NewRouter(primary, replicas...))
-	}
-	coord, err := shard.New(conns...)
+	coord, err := shard.Dial(m)
 	if err != nil {
-		return fail(err)
+		return nil, fmt.Errorf("schema: %w", err)
 	}
 	return coord, nil
 }
@@ -313,12 +286,26 @@ func Wrap(db kdb.Conn) (*Store, error) {
 // Close closes the underlying database.
 func (s *Store) Close() error { return s.DB.Close() }
 
-const timeLayout = time.RFC3339
+// Status is the store's health as /healthz serves it: the read router's
+// view (primary position, per-replica lag) when the connection has one, a
+// standalone primary at the connection's LSN otherwise, plus the shard-map
+// epoch when the connection fronts a partition map. Capabilities are found
+// through method sets, so a wrapper embedding a router or coordinator
+// reports as what it wraps.
+func (s *Store) Status() repl.Status {
+	var st repl.Status
+	if h, ok := s.DB.(interface{ Health() repl.Status }); ok {
+		st = h.Health()
+	} else {
+		st = repl.Status{Role: "primary", AppliedLSN: s.DB.LSN()}
+	}
+	if m, ok := s.DB.(interface{ ShardMap() (int64, []byte) }); ok {
+		st.Epoch, _ = m.ShardMap()
+	}
+	return st
+}
 
-// execFn applies one mutation; it is either Conn.Exec (per-statement
-// persistence) or the exec handed out by kdb.Batcher.Batch (batched
-// ingestion with one lock acquisition and one log flush per batch).
-type execFn func(query string, args ...any) (kdb.Result, error)
+const timeLayout = time.RFC3339
 
 // SaveObject persists a benchmark knowledge object across performances,
 // summaries, results, filesystems, and systeminfos, returning the new
@@ -331,42 +318,37 @@ func (s *Store) SaveObject(o *knowledge.Object) (int64, error) {
 // batch when the connection supports it (local kdb databases do): all
 // inserts apply under a single lock with a single log flush, and a failure
 // rolls the whole batch back. Connections without batch support (remote
-// kdb:// stores) fall back to per-object saves. IDs are returned in input
-// order.
+// kdb:// stores) save statement at a time (kdb.Batch). IDs are returned in
+// input order.
 func (s *Store) SaveObjects(objs []*knowledge.Object) ([]int64, error) {
-	ids := make([]int64, 0, len(objs))
-	if b, ok := s.DB.(kdb.Batcher); ok {
-		err := b.Batch(func(exec kdb.ExecFunc) error {
-			return s.saveObjectsWith(execFn(exec), objs, &ids)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return ids, nil
-	}
-	for _, o := range objs {
-		id, err := s.SaveObject(o)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
+	return saveAll(objs, s.saveObject, func(fn batchFn) error { return kdb.Batch(s.DB, fn) })
 }
 
 // SaveObjectsKeyed persists the batch pinned to a placement key: on a
 // connection that routes batches by key (a sharded coordinator), every
 // save sharing a key lands on the same shard, keeping a run's object
 // graphs and its campaign bookkeeping colocated. Connections without
-// keyed batching fall back to SaveObjects unchanged.
+// keyed batching behave as SaveObjects (kdb.BatchKeyed).
 func (s *Store) SaveObjectsKeyed(key uint64, objs []*knowledge.Object) ([]int64, error) {
-	kb, ok := s.DB.(kdb.KeyedBatcher)
-	if !ok {
-		return s.SaveObjects(objs)
-	}
+	return saveAll(objs, s.saveObject, func(fn batchFn) error { return kdb.BatchKeyed(s.DB, key, fn) })
+}
+
+// batchFn is the body of a batch: the statements to apply through exec.
+type batchFn = func(exec kdb.ExecFunc) error
+
+// saveAll saves every object inside one batch and returns their ids in
+// input order — or none if the batch failed.
+func saveAll[T any](objs []T, save func(kdb.ExecFunc, T) (int64, error), batch func(batchFn) error) ([]int64, error) {
 	ids := make([]int64, 0, len(objs))
-	err := kb.BatchKeyed(key, func(exec kdb.ExecFunc) error {
-		return s.saveObjectsWith(execFn(exec), objs, &ids)
+	err := batch(func(exec kdb.ExecFunc) error {
+		for _, o := range objs {
+			id, err := save(exec, o)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -374,18 +356,7 @@ func (s *Store) SaveObjectsKeyed(key uint64, objs []*knowledge.Object) ([]int64,
 	return ids, nil
 }
 
-func (s *Store) saveObjectsWith(exec execFn, objs []*knowledge.Object, ids *[]int64) error {
-	for _, o := range objs {
-		id, err := s.saveObject(exec, o)
-		if err != nil {
-			return err
-		}
-		*ids = append(*ids, id)
-	}
-	return nil
-}
-
-func (s *Store) saveObject(exec execFn, o *knowledge.Object) (int64, error) {
+func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (int64, error) {
 	if err := o.Validate(); err != nil {
 		return 0, err
 	}
@@ -452,7 +423,7 @@ func (s *Store) saveObject(exec execFn, o *knowledge.Object) (int64, error) {
 	return perfID, nil
 }
 
-func (s *Store) saveSystem(exec execFn, sys *knowledge.SystemInfo, perfID, iofhID int64) error {
+func (s *Store) saveSystem(exec kdb.ExecFunc, sys *knowledge.SystemInfo, perfID, iofhID int64) error {
 	_, err := exec(
 		`INSERT INTO systeminfos (performance_id, iofh_id, hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb)
 		 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
@@ -586,55 +557,16 @@ func (s *Store) SaveIO500(o *knowledge.IO500Object) (int64, error) {
 // SaveIO500s persists several IO500 knowledge objects in one
 // transaction-sized batch (see SaveObjects for the batching contract).
 func (s *Store) SaveIO500s(objs []*knowledge.IO500Object) ([]int64, error) {
-	ids := make([]int64, 0, len(objs))
-	if b, ok := s.DB.(kdb.Batcher); ok {
-		err := b.Batch(func(exec kdb.ExecFunc) error {
-			return s.saveIO500sWith(execFn(exec), objs, &ids)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return ids, nil
-	}
-	for _, o := range objs {
-		id, err := s.SaveIO500(o)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
+	return saveAll(objs, s.saveIO500, func(fn batchFn) error { return kdb.Batch(s.DB, fn) })
 }
 
 // SaveIO500sKeyed is SaveIO500s pinned to a placement key (see
 // SaveObjectsKeyed for the routing contract).
 func (s *Store) SaveIO500sKeyed(key uint64, objs []*knowledge.IO500Object) ([]int64, error) {
-	kb, ok := s.DB.(kdb.KeyedBatcher)
-	if !ok {
-		return s.SaveIO500s(objs)
-	}
-	ids := make([]int64, 0, len(objs))
-	err := kb.BatchKeyed(key, func(exec kdb.ExecFunc) error {
-		return s.saveIO500sWith(execFn(exec), objs, &ids)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return saveAll(objs, s.saveIO500, func(fn batchFn) error { return kdb.BatchKeyed(s.DB, key, fn) })
 }
 
-func (s *Store) saveIO500sWith(exec execFn, objs []*knowledge.IO500Object, ids *[]int64) error {
-	for _, o := range objs {
-		id, err := s.saveIO500(exec, o)
-		if err != nil {
-			return err
-		}
-		*ids = append(*ids, id)
-	}
-	return nil
-}
-
-func (s *Store) saveIO500(exec execFn, o *knowledge.IO500Object) (int64, error) {
+func (s *Store) saveIO500(exec kdb.ExecFunc, o *knowledge.IO500Object) (int64, error) {
 	if err := o.Validate(); err != nil {
 		return 0, err
 	}

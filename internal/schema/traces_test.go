@@ -23,10 +23,17 @@ func (c *stubConn) Query(query string, args ...any) (*kdb.Rows, error) {
 	}
 	return c.rows, nil
 }
+func (c *stubConn) QueryTraced(_ telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
+	return c.Query(query, args...)
+}
 func (c *stubConn) Exec(query string, args ...any) (kdb.Result, error) { return kdb.Result{}, nil }
-func (c *stubConn) QueryRow(query string, args ...any) ([]any, error)  { return nil, kdb.ErrNoRows }
-func (c *stubConn) Tables() []string                                   { return nil }
-func (c *stubConn) Close() error                                       { return nil }
+func (c *stubConn) ExecTraced(_ telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
+	return c.Exec(query, args...)
+}
+func (c *stubConn) QueryRow(query string, args ...any) ([]any, error) { return nil, kdb.ErrNoRows }
+func (c *stubConn) LSN() int64                                        { return 0 }
+func (c *stubConn) Tables() []string                                  { return nil }
+func (c *stubConn) Close() error                                      { return nil }
 
 func resetTraces(t *testing.T) {
 	t.Helper()

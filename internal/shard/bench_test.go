@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"repro/internal/kdb"
+	"repro/internal/telemetry"
 )
 
 // ingestWorkload pushes batches of rows through conn from p parallel
 // writers — the campaign scheduler's ingest shape.
 func ingestWorkload(b *testing.B, conn kdb.Conn, writers, batchesPerWriter, rowsPerBatch int) {
 	b.Helper()
-	kb, _ := conn.(kdb.KeyedBatcher)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -29,15 +29,7 @@ func ingestWorkload(b *testing.B, conn kdb.Conn, writers, batchesPerWriter, rows
 					}
 					return nil
 				}
-				var err error
-				if kb != nil {
-					err = kb.BatchKeyed(HashString(fmt.Sprintf("c%d-%d", w, bi)), fn)
-				} else if bt, ok := conn.(kdb.Batcher); ok {
-					err = bt.Batch(fn)
-				} else {
-					err = fmt.Errorf("conn supports no batching")
-				}
-				if err != nil {
+				if err := kdb.BatchKeyed(conn, HashString(fmt.Sprintf("c%d-%d", w, bi)), fn); err != nil {
 					b.Error(err)
 					return
 				}
@@ -136,26 +128,33 @@ type remoteShapedConn struct {
 	rtt time.Duration
 }
 
-func (c *remoteShapedConn) Exec(query string, args ...any) (kdb.Result, error) {
+// The traced pair carries the RTT: the coordinator forwards through it (and
+// Exec/Query arrive here too), so the double stays in the path.
+func (c *remoteShapedConn) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	time.Sleep(c.rtt)
-	return c.Conn.Exec(query, args...)
+	return c.Conn.ExecTraced(tc, query, args...)
+}
+
+func (c *remoteShapedConn) Exec(query string, args ...any) (kdb.Result, error) {
+	return c.ExecTraced(telemetry.TraceContext{}, query, args...)
+}
+
+func (c *remoteShapedConn) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	time.Sleep(c.rtt)
+	return c.Conn.QueryTraced(tc, query, args...)
 }
 
 func (c *remoteShapedConn) Query(query string, args ...any) (*kdb.Rows, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	time.Sleep(c.rtt)
-	return c.Conn.Query(query, args...)
+	return c.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
 func (c *remoteShapedConn) Batch(fn func(exec kdb.ExecFunc) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	time.Sleep(c.rtt)
-	if bt, ok := c.Conn.(kdb.Batcher); ok {
-		return bt.Batch(fn)
-	}
-	return fn(c.Conn.Exec)
+	return kdb.Batch(c.Conn, fn)
 }

@@ -70,27 +70,6 @@ func observe(shard int, start time.Time, traceID string) {
 	shardLatency(shard).ObserveEx(time.Since(start).Seconds(), traceID)
 }
 
-// queryOn routes a query through a shard's traced surface when a trace is
-// active and the connection supports it, the plain path otherwise.
-func queryOn(conn kdb.Conn, tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
-	if tc.Valid() {
-		if t, ok := conn.(kdb.TracedConn); ok {
-			return t.QueryTraced(tc, query, args...)
-		}
-	}
-	return conn.Query(query, args...)
-}
-
-// execOn is queryOn for mutations.
-func execOn(conn kdb.Conn, tc telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
-	if tc.Valid() {
-		if t, ok := conn.(kdb.TracedConn); ok {
-			return t.ExecTraced(tc, query, args...)
-		}
-	}
-	return conn.Exec(query, args...)
-}
-
 // Exec routes one mutation. DDL broadcasts to every shard so schemas stay
 // identical; INSERT lands on the shard its leading value hashes to (or
 // round-robin when the statement has no values); UPDATE and DELETE
@@ -100,7 +79,7 @@ func (c *Coordinator) Exec(query string, args ...any) (kdb.Result, error) {
 	return c.ExecTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// ExecTraced implements kdb.TracedConn: the routing decision becomes a
+// ExecTraced implements kdb.Conn: the routing decision becomes a
 // "coordinator.exec" span with a child span per shard touched.
 func (c *Coordinator) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
 	class, _, err := kdb.Classify(query)
@@ -123,7 +102,7 @@ func (c *Coordinator) ExecTraced(tc telemetry.TraceContext, query string, args .
 		hop.AttrInt("shard", int64(idx))
 		child := telemetry.StartHop(hop.Context(), fmt.Sprintf("shard %d", idx))
 		start := time.Now()
-		res, err := execOn(c.shards[idx], child.Context(), query, args...)
+		res, err := c.shards[idx].ExecTraced(child.Context(), query, args...)
 		observe(idx, start, child.TraceID())
 		if err != nil {
 			child.Fail(err)
@@ -186,7 +165,7 @@ func (c *Coordinator) broadcast(tc telemetry.TraceContext, query string, args []
 			defer wg.Done()
 			child := telemetry.StartHop(tc, fmt.Sprintf("shard %d", i))
 			start := time.Now()
-			results[i], errs[i] = execOn(c.shards[i], child.Context(), query, args...)
+			results[i], errs[i] = c.shards[i].ExecTraced(child.Context(), query, args...)
 			observe(i, start, child.TraceID())
 			if errs[i] != nil {
 				child.Fail(errs[i])
@@ -218,7 +197,7 @@ func (c *Coordinator) Query(query string, args ...any) (*kdb.Rows, error) {
 	return c.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// QueryTraced implements kdb.TracedConn: the scatter-gather becomes a
+// QueryTraced implements kdb.Conn: the scatter-gather becomes a
 // "coordinator.scatter" span with one "shard i" child per fan-out leg
 // (each annotated with the rows that leg returned), so a cross-shard query
 // reads as one tree from coordinator to every replica that served it.
@@ -239,7 +218,7 @@ func (c *Coordinator) QueryTraced(tc telemetry.TraceContext, query string, args 
 			defer wg.Done()
 			child := telemetry.StartHop(hop.Context(), fmt.Sprintf("shard %d", i))
 			start := time.Now()
-			parts[i], errs[i] = queryOn(c.shards[i], child.Context(), plan.ShardSQL, args...)
+			parts[i], errs[i] = c.shards[i].QueryTraced(child.Context(), plan.ShardSQL, args...)
 			observe(i, start, child.TraceID())
 			if errs[i] != nil {
 				child.Fail(errs[i])
@@ -269,30 +248,21 @@ func (c *Coordinator) QueryTraced(tc telemetry.TraceContext, query string, args 
 // QueryRow runs Query and returns the first merged row, with the engine's
 // ErrNoRows contract.
 func (c *Coordinator) QueryRow(query string, args ...any) ([]any, error) {
-	rows, err := c.Query(query, args...)
-	if err != nil {
-		return nil, err
-	}
-	if !rows.Next() {
-		return nil, kdb.ErrNoRows
-	}
-	return rows.Row(), nil
+	return kdb.FirstRow(c.Query(query, args...))
 }
 
 // Tables reports the schema from the first shard; DDL broadcast keeps all
 // shards identical.
 func (c *Coordinator) Tables() []string { return c.shards[0].Tables() }
 
-// LSN reports the maximum commit LSN across shards that expose one — a
-// coarse liveness figure for the "status" wire verb, not a global
-// ordering (each shard's sequence is independent).
+// LSN reports the maximum commit LSN across shards — a coarse liveness
+// figure for the "status" wire verb, not a global ordering (each shard's
+// sequence is independent).
 func (c *Coordinator) LSN() int64 {
 	var max int64
 	for _, s := range c.shards {
-		if l, ok := s.(interface{ LSN() int64 }); ok {
-			if v := l.LSN(); v > max {
-				max = v
-			}
+		if v := s.LSN(); v > max {
+			max = v
 		}
 	}
 	return max
@@ -308,9 +278,9 @@ func (c *Coordinator) Close() error {
 }
 
 // Batch pins the whole batch to one shard (round-robin), so multi-table
-// object graphs built from LastInsertID stay colocated. Shards without a
-// native Batcher get statement-at-a-time semantics, mirroring the schema
-// layer's own fallback.
+// object graphs built from LastInsertID stay colocated. The shard applies
+// it through kdb.Batch: atomically when it can, statement at a time over a
+// wire connection.
 func (c *Coordinator) Batch(fn func(exec kdb.ExecFunc) error) error {
 	return c.batchOn(c.shardFor(c.rr.Add(1)), fn)
 }
@@ -325,24 +295,19 @@ func (c *Coordinator) BatchKeyed(key uint64, fn func(exec kdb.ExecFunc) error) e
 func (c *Coordinator) batchOn(idx int, fn func(exec kdb.ExecFunc) error) error {
 	start := time.Now()
 	defer observe(idx, start, "")
-	count := func(exec kdb.ExecFunc) kdb.ExecFunc {
-		return func(query string, args ...any) (kdb.Result, error) {
+	return kdb.Batch(c.shards[idx], func(exec kdb.ExecFunc) error {
+		return fn(func(query string, args ...any) (kdb.Result, error) {
 			res, err := exec(query, args...)
 			if err == nil {
 				metIngest.Inc()
 			}
 			return res, err
-		}
-	}
-	if b, ok := c.shards[idx].(kdb.Batcher); ok {
-		return b.Batch(func(exec kdb.ExecFunc) error { return fn(count(exec)) })
-	}
-	return fn(count(c.shards[idx].Exec))
+		})
+	})
 }
 
 var (
 	_ kdb.Conn         = (*Coordinator)(nil)
-	_ kdb.TracedConn   = (*Coordinator)(nil)
 	_ kdb.Batcher      = (*Coordinator)(nil)
 	_ kdb.KeyedBatcher = (*Coordinator)(nil)
 )

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/kdb"
+	"repro/internal/repl"
 )
 
 // Spec is one shard's location: a primary address plus optional read
@@ -93,6 +94,32 @@ func FetchMap(addr string) (*Map, error) {
 		return nil, err
 	}
 	return UnmarshalMap(data)
+}
+
+// Dial assembles a coordinator over a partition map: every shard is opened
+// through repl.Dial — its primary, behind a read router when the spec lists
+// replicas, so replication composes under sharding — and the map is
+// attached so the coordinator reports its epoch. Spec addresses are wire
+// addresses with or without the kdb:// scheme. On failure every shard
+// opened so far is closed.
+func Dial(m *Map) (*Coordinator, error) {
+	conns := make([]kdb.Conn, 0, len(m.Shards))
+	for i, sp := range m.Shards {
+		conn, err := repl.Dial("kdb://"+strings.TrimPrefix(sp.Primary, "kdb://"), sp.Replicas...)
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return nil, fmt.Errorf("shard %d (%s): %w", i, sp.Primary, err)
+		}
+		conns = append(conns, conn)
+	}
+	c, err := New(conns...)
+	if err != nil {
+		return nil, err
+	}
+	c.smap = m
+	return c, nil
 }
 
 // HashValue hashes one routing value. It goes through the engine's
