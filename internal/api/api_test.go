@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/workloadgen"
@@ -448,5 +449,40 @@ func TestCampaignEndpoints(t *testing.T) {
 	}
 	if body["data"].(map[string]any)["name"] != "nightly" {
 		t.Fatalf("campaign %s", w.Body)
+	}
+}
+
+// A store failure in the middle of a load is a 5xx envelope and leaves
+// nothing behind in the cache: the retry recomputes (a miss) rather than
+// being served a truncated object under a strong ETag until the next commit.
+func TestMidLoadFailureIsNotCached(t *testing.T) {
+	_, store := newTestServer(t, 3, Config{})
+	// LoadIO500's reads, in order: run, scores, test cases, options, system.
+	for n := 1; n <= 5; n++ {
+		flaky := &kdbtest.FailNth{Conn: store.DB, N: n}
+		s := New(Config{Store: &schema.Store{DB: flaky}, Metrics: telemetry.NewRegistry()})
+		t.Cleanup(s.Close)
+
+		w, body := get(t, s, "/v1/io500/1", nil)
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("read %d failing: status %d, want 500: %s", n, w.Code, w.Body)
+		}
+		if e, ok := body["error"].(map[string]any); !ok || e["code"] != "internal" {
+			t.Fatalf("read %d failing: no error envelope: %s", n, w.Body)
+		}
+		if w.Header().Get("ETag") != "" {
+			t.Fatalf("read %d failing: error response carries ETag %q", n, w.Header().Get("ETag"))
+		}
+		w, body = get(t, s, "/v1/io500/1", nil)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("retry after read %d failed: status %d, X-Cache %q, want 200 miss", n, w.Code, w.Header().Get("X-Cache"))
+		}
+		data := body["data"].(map[string]any)
+		if len(data["testcases"].([]any)) == 0 || data["score_total"] == 0.0 || data["system"] == nil {
+			t.Fatalf("retry after read %d failed served a truncated object: %s", n, w.Body)
+		}
+		if flaky.Reads != 5+n {
+			t.Fatalf("read %d failing: store saw %d reads, want %d (one aborted load, one whole)", n, flaky.Reads, 5+n)
+		}
 	}
 }

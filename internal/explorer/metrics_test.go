@@ -84,6 +84,8 @@ func TestMetricsGolden(t *testing.T) {
 	srv.Metrics = reg
 	reg.Counter(telemetry.Label("kdb_plan_cache_total", "result", "hit")).Add(7)
 	reg.Counter(telemetry.Label("kdb_plan_cache_total", "result", "miss")).Add(2)
+	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "index")).Add(5)
+	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "hash")).Add(1)
 	reg.Counter("kdb_wal_flushes_total").Add(3)
 	reg.Gauge("campaign_active_workers").Set(4)
 	h := reg.HistogramBuckets(telemetry.Label("cycle_phase_seconds", "phase", "generation"), []float64{0.001, 0.01, 0.1})

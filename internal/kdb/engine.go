@@ -39,6 +39,7 @@ type Table struct {
 	rewritten int64
 
 	indexes []*hashIndex
+	pkOrder pkOrder    // whether Rows is in primary-key order; see pkSorted
 	idxMu   sync.Mutex // serializes lazy index rebuilds under db.mu.RLock
 }
 
@@ -439,9 +440,10 @@ func (db *DB) Query(query string, args ...any) (*Rows, error) {
 
 // QueryTraced implements Conn: the same SELECT path as Query, with
 // the work recorded as a "db.select" span annotated with the execution path
-// taken (system table / columnar / index / scan), rows returned, and lock
-// wait. Query delegates here with an empty context, so when tracing is off
-// the hop is nil and every annotation is a no-op.
+// taken ("system", "columnar", or the row engine's plan — see
+// selectStats.path), rows returned and examined, and lock wait. Query
+// delegates here with an empty context, so when tracing is off the hop is
+// nil and every annotation is a no-op.
 func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*Rows, error) {
 	hop := telemetry.StartHop(tc, "db.select")
 	hop.SetSQL(query)
@@ -495,7 +497,7 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 	metLockWaitSeconds.Observe(lockWait)
 	defer db.mu.RUnlock()
 	start := time.Now()
-	st := selectStats{path: "scan"}
+	var st selectStats
 	rows, err := db.execSelectStats(sel, args, &st)
 	metQuerySeconds.ObserveEx(sinceSeconds(start), hop.TraceID())
 	if err != nil {
@@ -505,6 +507,7 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 	hop.Attr("path", st.path)
 	hop.AttrFloat("lock_wait_seconds", lockWait)
 	hop.AttrInt("rows", int64(rows.Len()))
+	hop.AttrInt("rows_examined", int64(st.examined))
 	hop.End()
 	return rows, nil
 }
@@ -904,10 +907,101 @@ func (db *DB) execSelect(s *selectStmt, args []any) (*Rows, error) {
 	return db.execSelectStats(s, args, nil)
 }
 
-// selectStats reports how a SELECT executed — currently just which access
-// path served it — for trace-span annotation.
+// selectStats reports how a SELECT executed, for trace-span annotation.
 type selectStats struct {
-	path string // "index" or "scan"
+	// path names the plan taken: the base table's access path ("index",
+	// "range" or "scan"), then "+index-join", "+hash-join" or "+loop-join"
+	// per join step.
+	path string
+	// examined counts the table rows read to produce the result: the base
+	// rows the access path yielded (up to where a LIMIT stopped the filter)
+	// plus the joined-table rows compared at each join step.
+	examined int
+}
+
+// joinStep is one planned inner join: the joined table and the positions of
+// the ON clause's two columns in the row accumulated so far plus the joined
+// table's columns (width is the accumulated row's width).
+type joinStep struct {
+	table  *Table
+	li, ri int
+	width  int
+}
+
+// run joins the accumulated rows with the step's table. Matches for one
+// left row come out in ascending joined-row position. It returns the
+// strategy used and how many joined-table rows it compared.
+func (j joinStep) run(rows [][]any) (joined [][]any, strategy string, compared int, err error) {
+	jt := j.table
+	combine := func(lrow, rrow []any) []any {
+		combined := make([]any, 0, len(lrow)+len(rrow))
+		combined = append(combined, lrow...)
+		return append(combined, rrow...)
+	}
+	// Orient the predicate: one side must resolve into the left
+	// (accumulated) row, the other into the joined table's columns.
+	leftIdx, rightIdx := j.li, j.ri
+	if leftIdx >= j.width {
+		leftIdx, rightIdx = rightIdx, leftIdx
+	}
+	if leftIdx >= j.width || rightIdx < j.width {
+		// Degenerate predicate (both sides on one table): nested loop.
+		for _, lrow := range rows {
+			for _, rrow := range jt.Rows {
+				combined := combine(lrow, rrow)
+				compared++
+				eq, err := compareEq(combined[j.li], combined[j.ri])
+				if err != nil {
+					return nil, "", 0, err
+				}
+				if eq {
+					joined = append(joined, combined)
+				}
+			}
+		}
+		return joined, "loop", compared, nil
+	}
+	// Equijoin: probe the joined table's own index on its key column, or
+	// bucket the table for this one query when no index covers the column.
+	// Either way hashKey picks candidates and compareEq verifies each pair,
+	// so NULL = NULL and 1 = 1.0 join exactly as the nested loop would.
+	rcol := rightIdx - j.width
+	var buckets map[any][]int
+	if ix := jt.indexOn(rcol); ix != nil {
+		strategy, buckets = "index", jt.freshBuckets(ix)
+	} else {
+		strategy, buckets = "hash", make(map[any][]int, len(jt.Rows))
+		for pos, rrow := range jt.Rows {
+			k := hashKey(rrow[rcol])
+			buckets[k] = append(buckets[k], pos)
+		}
+	}
+	for _, lrow := range rows {
+		for _, pos := range buckets[hashKey(lrow[leftIdx])] {
+			rrow := jt.Rows[pos]
+			compared++
+			eq, err := compareEq(lrow[leftIdx], rrow[rcol])
+			if err != nil {
+				return nil, "", 0, err
+			}
+			if eq {
+				joined = append(joined, combine(lrow, rrow))
+			}
+		}
+	}
+	return joined, strategy, compared, nil
+}
+
+// orderedByBaseKey reports whether rows produced in ascending base-table
+// position already satisfy the statement's ORDER BY: exactly the base
+// table's primary key, ascending, on a table stored in key order. (Join
+// output keeps base order, and the stable sort would keep it too.)
+func orderedByBaseKey(s *selectStmt, e *env, base *Table) bool {
+	if len(s.OrderBy) != 1 || s.OrderBy[0].Desc {
+		return false
+	}
+	idx, err := e.resolve(s.OrderBy[0].Col)
+	return err == nil && idx == base.pkIndex && base.pkSorted()
 }
 
 func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows, error) {
@@ -915,27 +1009,12 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 	if !ok {
 		return nil, fmt.Errorf("kdb: no such table %q", s.Table)
 	}
+	// Plan first: resolve every joined table and ON clause, so the WHERE
+	// clause's conjuncts can be read in the environment of the whole joined
+	// row before the base table's access path is chosen (see index.go).
 	e := singleTableEnv(base)
-	rows := base.Rows
-	// An index on an equality conjunct shrinks the scan to its candidate
-	// bucket; the WHERE filter below still verifies every candidate.
-	if len(s.Joins) == 0 {
-		if cand, ok := base.indexCandidates(s.Where, e, args); ok {
-			sub := make([][]any, len(cand))
-			for i, pos := range cand {
-				sub[i] = base.Rows[pos]
-			}
-			rows = sub
-			if st != nil {
-				st.path = "index"
-			}
-		}
-	}
-	// Inner joins: hash join on the equality predicate. The smaller probe
-	// cost comes from bucketing the joined table by its key column; each
-	// candidate pair is still verified with compareEq so join semantics
-	// match the nested-loop original.
-	for _, j := range s.Joins {
+	steps := make([]joinStep, len(s.Joins))
+	for i, j := range s.Joins {
 		jt, ok := db.tables[strings.ToLower(j.Table)]
 		if !ok {
 			return nil, fmt.Errorf("kdb: no such table %q", j.Table)
@@ -949,85 +1028,61 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 		if err != nil {
 			return nil, err
 		}
-		// Orient the predicate: one side must resolve into the left
-		// (accumulated) row, the other into the joined table's columns.
-		lw := e.width
-		leftIdx, rightIdx := li, ri
-		if leftIdx >= lw {
-			leftIdx, rightIdx = ri, li
-		}
-		var joined [][]any
-		if leftIdx < lw && rightIdx >= lw {
-			rcol := rightIdx - lw
-			buckets := make(map[any][]int, len(jt.Rows))
-			for pos, rrow := range jt.Rows {
-				k := hashKey(rrow[rcol])
-				buckets[k] = append(buckets[k], pos)
-			}
-			for _, lrow := range rows {
-				for _, pos := range buckets[hashKey(lrow[leftIdx])] {
-					rrow := jt.Rows[pos]
-					eq, err := compareEq(lrow[leftIdx], rrow[rcol])
-					if err != nil {
-						return nil, err
-					}
-					if !eq {
-						continue
-					}
-					combined := make([]any, 0, len(lrow)+len(rrow))
-					combined = append(combined, lrow...)
-					combined = append(combined, rrow...)
-					joined = append(joined, combined)
-				}
-			}
-		} else {
-			// Degenerate predicate (both sides on one table): fall back to
-			// the nested loop.
-			for _, lrow := range rows {
-				for _, rrow := range jt.Rows {
-					combined := make([]any, 0, len(lrow)+len(rrow))
-					combined = append(combined, lrow...)
-					combined = append(combined, rrow...)
-					eq, err := compareEq(combined[li], combined[ri])
-					if err != nil {
-						return nil, err
-					}
-					if eq {
-						joined = append(joined, combined)
-					}
-				}
-			}
-		}
-		rows = joined
+		steps[i] = joinStep{table: jt, li: li, ri: ri, width: e.width}
 		e = ne
 	}
-	// WHERE filter.
-	var filtered [][]any
-	for _, row := range rows {
-		match, err := matchWhere(s.Where, e, row, args)
-		if err != nil {
-			return nil, err
-		}
-		if match {
-			filtered = append(filtered, row)
-		}
-	}
-	// Grouped aggregation?
-	if len(s.GroupBy) > 0 {
-		return evalGrouped(s, e, filtered)
-	}
-	// Aggregates?
 	hasAgg := false
 	for _, it := range s.Items {
 		if it.Agg != "" {
 			hasAgg = true
 		}
 	}
+	rows, path := base.selectAccess(s.Where, e, args)
+	examined := len(rows)
+	for _, j := range steps {
+		joined, strategy, compared, err := j.run(rows)
+		if err != nil {
+			return nil, err
+		}
+		metJoins[strategy].Inc()
+		rows, path, examined = joined, path+"+"+strategy+"-join", examined+compared
+	}
+	// With no sort to feed and nothing that needs every match, the filter
+	// can stop at the page boundary.
+	sorted := len(s.OrderBy) == 0 || orderedByBaseKey(s, e, base)
+	stopAt := -1
+	if sorted && s.Limit > 0 && !hasAgg && len(s.GroupBy) == 0 && !s.Distinct {
+		stopAt = s.Offset + s.Limit
+	}
+	// WHERE filter.
+	var filtered [][]any
+	for i, row := range rows {
+		match, err := matchWhere(s.Where, e, row, args)
+		if err != nil {
+			return nil, err
+		}
+		if match {
+			filtered = append(filtered, row)
+			if len(filtered) == stopAt {
+				if len(steps) == 0 {
+					examined = i + 1 // the rest of the base rows were never read
+				}
+				break
+			}
+		}
+	}
+	if st != nil {
+		st.path, st.examined = path, examined
+	}
+	// Grouped aggregation?
+	if len(s.GroupBy) > 0 {
+		return evalGrouped(s, e, filtered)
+	}
 	if hasAgg {
 		return evalAggregates(s, e, filtered)
 	}
 	// ORDER BY.
-	if len(s.OrderBy) > 0 {
+	if !sorted {
 		type key struct {
 			idx  int
 			desc bool

@@ -22,6 +22,7 @@ var (
 	metIndexHits       *telemetry.Counter
 	metIndexMisses     *telemetry.Counter
 	metIndexRebuilds   *telemetry.Counter
+	metJoins           map[string]*telemetry.Counter // by joinStep.run strategy
 	metWALFlushes      *telemetry.Counter
 	metWALBytes        *telemetry.Counter
 	metServerRequests  *telemetry.Counter
@@ -43,6 +44,10 @@ func init() {
 	metIndexHits = reg.Counter(telemetry.Label("kdb_index_lookups_total", "result", "hit"))
 	metIndexMisses = reg.Counter(telemetry.Label("kdb_index_lookups_total", "result", "miss"))
 	metIndexRebuilds = reg.Counter("kdb_index_rebuilds_total")
+	metJoins = map[string]*telemetry.Counter{}
+	for _, strategy := range []string{"index", "hash", "loop"} {
+		metJoins[strategy] = reg.Counter(telemetry.Label("kdb_join_total", "strategy", strategy))
+	}
 	metWALFlushes = reg.Counter("kdb_wal_flushes_total")
 	metWALBytes = reg.Counter("kdb_wal_bytes_total")
 	metServerRequests = reg.Counter("kdb_server_requests_total")

@@ -1,0 +1,81 @@
+package schema
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/knowledge"
+	"repro/internal/workloadgen"
+)
+
+// The two reads the API serves most, at a corpus the size of the
+// repository's benchmark and at ten and a hundred times that: both should
+// cost the same at either size (EXPERIMENTS E14). They assert nothing;
+// -benchmem reports the allocations.
+
+var benchSink int
+
+func BenchmarkLoadIO500(b *testing.B) {
+	for _, runs := range []int{300, 3000} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			s, err := Open("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			corpus, err := workloadgen.SynthesizeIO500Corpus(runs, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids, err := s.SaveIO500s(corpus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o, err := s.LoadIO500(ids[i%len(ids)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(o.TestCases)
+			}
+		})
+	}
+}
+
+func BenchmarkListObjectsPage(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {
+			s, err := Open("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			// Listing reads only the performances row, so the smallest valid
+			// object keeps the 100,000-object seeding to two INSERTs each.
+			objs := make([]*knowledge.Object, n)
+			for i := range objs {
+				objs[i] = &knowledge.Object{
+					Source: knowledge.SourceIOR, Command: "ior -o /scratch/t",
+					Summaries: []knowledge.Summary{{Operation: "write"}},
+				}
+			}
+			ids, err := s.SaveObjects(objs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const limit = 20
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Pages spread over the whole id range, as a keyset walk's are.
+				page, err := s.ListObjectsPage(ids[(i*7919)%(n-limit)], limit)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += len(page)
+			}
+		})
+	}
+}

@@ -482,9 +482,15 @@ func (s *Store) LoadObject(id int64) (*knowledge.Object, error) {
 			})
 		}
 	}
-	if fsRows, err := s.DB.Query(
+	// The file-system and system sections are optional: an empty result
+	// leaves them nil, but a failed read must not pass for an absent section.
+	fsRows, err := s.DB.Query(
 		`SELECT fstype, entry_type, entry_id, metadata_node, stripe_pattern, chunk_size, num_targets, raid_scheme, storage_pool
-		 FROM filesystems WHERE performance_id = ?`, id); err == nil && fsRows.Next() {
+		 FROM filesystems WHERE performance_id = ?`, id)
+	if err != nil {
+		return nil, fmt.Errorf("schema: load knowledge object %d: %w", id, err)
+	}
+	if fsRows.Next() {
 		r := fsRows.Row()
 		o.FileSystem = &knowledge.FileSystemInfo{
 			Type: asString(r[0]), EntryType: asString(r[1]), EntryID: asString(r[2]),
@@ -492,9 +498,13 @@ func (s *Store) LoadObject(id int64) (*knowledge.Object, error) {
 			NumTargets: int(asInt(r[6])), RAIDScheme: asString(r[7]), StoragePool: asString(r[8]),
 		}
 	}
-	if sysRows, err := s.DB.Query(
+	sysRows, err := s.DB.Query(
 		`SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
-		 FROM systeminfos WHERE performance_id = ?`, id); err == nil && sysRows.Next() {
+		 FROM systeminfos WHERE performance_id = ?`, id)
+	if err != nil {
+		return nil, fmt.Errorf("schema: load knowledge object %d: %w", id, err)
+	}
+	if sysRows.Next() {
 		o.System = scanSystem(sysRows.Row())
 	}
 	return o, nil
@@ -627,8 +637,13 @@ func (s *Store) LoadIO500(id int64) (*knowledge.IO500Object, error) {
 	o := &knowledge.IO500Object{ID: id, Command: asString(row[0]), Options: map[string]string{}}
 	o.Began, _ = time.Parse(timeLayout, asString(row[1]))
 	o.Finished, _ = time.Parse(timeLayout, asString(row[2]))
-	if sr, err := s.DB.QueryRow("SELECT bw_gib, md_kiops, total FROM IOFHsScores WHERE IOFH_id = ?", id); err == nil {
+	// Scores and the system section are optional: no row leaves them zero,
+	// but a failed read must not pass for an absent section.
+	sr, err := s.DB.QueryRow("SELECT bw_gib, md_kiops, total FROM IOFHsScores WHERE IOFH_id = ?", id)
+	if err == nil {
 		o.ScoreBW, o.ScoreMD, o.ScoreTotal = asFloat(sr[0]), asFloat(sr[1]), asFloat(sr[2])
+	} else if !errors.Is(err, kdb.ErrNoRows) {
+		return nil, fmt.Errorf("schema: load io500 run %d: %w", id, err)
 	}
 	tcs, err := s.DB.Query(
 		`SELECT IOFHsTestcases.name, IOFHsResults.value, IOFHsResults.unit, IOFHsResults.seconds
@@ -651,9 +666,13 @@ func (s *Store) LoadIO500(id int64) (*knowledge.IO500Object, error) {
 		r := opts.Row()
 		o.Options[asString(r[0])] = asString(r[1])
 	}
-	if sysRows, err := s.DB.Query(
+	sysRows, err := s.DB.Query(
 		`SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
-		 FROM systeminfos WHERE iofh_id = ?`, id); err == nil && sysRows.Next() {
+		 FROM systeminfos WHERE iofh_id = ?`, id)
+	if err != nil {
+		return nil, fmt.Errorf("schema: load io500 run %d: %w", id, err)
+	}
+	if sysRows.Next() {
 		o.System = scanSystem(sysRows.Row())
 	}
 	return o, nil

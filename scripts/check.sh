@@ -71,6 +71,22 @@ step_benchsmoke() {
 	$GO test -run='^$' -bench=. -benchtime=1x ./...
 }
 
+# fuzzsmoke runs every fuzz target for a few seconds, so the gate exercises
+# more than each target's seed corpus (which tier1 already replays). Targets
+# are discovered from the test binaries — `go test -list` prints a package's
+# Fuzz functions above its "ok" line — and run one at a time, as -fuzz
+# requires; adding a target is a zero-line change here.
+step_fuzzsmoke() {
+	echo "== fuzz smoke (3s per target) =="
+	listing=$($GO test -list '^Fuzz' ./...)
+	printf '%s\n' "$listing" |
+		awk '/^Fuzz/ { names = names " " $1 } /^ok/ { n = split(names, t, " "); for (i = 1; i <= n; i++) print $2, t[i]; names = "" }' |
+		while read -r pkg target; do
+			echo "-- $pkg $target"
+			$GO test -run='^$' -fuzz="^$target\$" -fuzztime=3s "$pkg"
+		done
+}
+
 # benchtest runs the tests of the nested bench/ module (the repository's
 # benchmark, BENCHMARK.json), which tier-1 `go test ./...` never descends
 # into: it compiles against the kdb/colstore/vcs/schema surfaces and smokes
@@ -92,7 +108,7 @@ step_loadsmoke() {
 }
 
 step_check() {
-	for s in fmt vet build race tier1 benchsmoke benchtest loadsmoke; do
+	for s in fmt vet build race tier1 fuzzsmoke benchsmoke benchtest loadsmoke; do
 		"step_$s"
 	done
 	echo "OK"
@@ -101,7 +117,7 @@ step_check() {
 [ $# -gt 0 ] || set -- check
 for s; do
 	case $s in
-	check | fmt | vet | build | race | tier1 | benchsmoke | benchtest | loadsmoke) "step_$s" ;;
+	check | fmt | vet | build | race | tier1 | fuzzsmoke | benchsmoke | benchtest | loadsmoke) "step_$s" ;;
 	*)
 		echo "check.sh: unknown step '$s'" >&2
 		exit 2
