@@ -132,26 +132,34 @@ func run(args []string) error {
 	return fmt.Errorf("unknown subcommand %q\n%s", sub, usage)
 }
 
-// dumpTrace ends the root span, writes the JSON trace to path, and prints
-// the flame-style text tree. A "" path is a no-op so callers can defer it
-// unconditionally.
-func dumpTrace(root *telemetry.Span, path string) error {
-	root.End()
+// startTrace begins the trace a --trace FILE flag asks for and returns its
+// root hop; without the flag it returns nil, whose zero Context() makes the
+// cycle and the scheduler record nothing.
+func startTrace(path, name string) *telemetry.Hop {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
+	return telemetry.Traces.StartTrace(name)
+}
+
+// dumpTrace ends the root hop from startTrace, reads the trace back from
+// the store, writes it to path as the start-ordered []SpanRecord JSON
+// /v1/traces?trace_id= serves, and prints the flame-style text tree. A nil
+// root is a no-op.
+func dumpTrace(root *telemetry.Hop, path string) error {
+	if root == nil {
+		return nil
+	}
+	root.End()
+	spans := telemetry.Traces.Release(root.TraceID())
+	data, err := json.MarshalIndent(spans, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := root.WriteJSON(f); err != nil {
-		f.Close()
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace written to %s\n%s", path, root.Tree())
+	fmt.Printf("trace written to %s\n%s", path, telemetry.TreeText(spans))
 	return nil
 }
 
@@ -189,8 +197,8 @@ func cmdGenerate(args []string) error {
 		return err
 	}
 	defer c.Store.Close()
-	root := telemetry.StartSpan("iokc generate")
-	c.Trace = root
+	root := startTrace(*traceOut, "iokc generate")
+	c.Trace = root.Context()
 	var g core.Generator
 	switch fs.Arg(0) {
 	case "ior":
@@ -254,8 +262,8 @@ func cmdJube(args []string) error {
 		return err
 	}
 	defer c.Store.Close()
-	root := telemetry.StartSpan("iokc jube")
-	c.Trace = root
+	root := startTrace(*traceOut, "iokc jube")
+	c.Trace = root.Context()
 	rep, err := c.Run(core.JUBEGenerator{ConfigXML: string(data), BaseDir: *baseDir})
 	if err != nil {
 		return err
@@ -330,13 +338,13 @@ func cmdCampaign(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	root := telemetry.StartSpan("iokc campaign")
+	root := startTrace(*traceOut, "iokc campaign")
 	sched := &campaign.Scheduler{
 		Store:       store,
 		Workers:     *workers,
 		MaxAttempts: *retries,
 		BatchSize:   *batch,
-		Trace:       root,
+		Trace:       root.Context(),
 		SelfObserve: *selfObserve,
 	}
 	res, runErr := sched.Run(ctx, spec)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -53,10 +54,12 @@ type Scheduler struct {
 	// (queue wait, retries, ingest batches, phase latencies). Nil means
 	// the process-wide telemetry.Default registry.
 	Metrics *telemetry.Registry
-	// Trace, when set, receives the campaign's span tree: one child per
-	// unit with generation/extraction children, plus persistence spans
-	// for the ingest batches.
-	Trace *telemetry.Span
+	// Trace, when valid, is the trace position to join: the campaign
+	// records a "campaign NAME" hop under it, one "unit N" child per unit
+	// with generation/extraction children, plus a persistence hop per
+	// ingest batch. The scheduler never starts a trace of its own; with
+	// the zero context it records no spans.
+	Trace telemetry.TraceContext
 	// SelfObserve closes the paper's cycle on the pipeline itself: after
 	// the campaign finishes, its phase timings are serialized as a
 	// telemetry artifact and persisted through the normal
@@ -90,8 +93,13 @@ type Result struct {
 	Cancelled  int
 	ObjectIDs  []int64
 	IO500IDs   []int64
-	// TelemetryID is the knowledge object holding the campaign's own
-	// phase timings (0 unless the scheduler ran with SelfObserve).
+	// Timings are the campaign's phase timings in unit order: one
+	// generation (and, when it got that far, extraction) timing per
+	// attempt of each unit, and one persistence timing (Unit -1) per
+	// ingest batch. SelfObserve persists exactly this list.
+	Timings []telemetry.PhaseTiming
+	// TelemetryID is the knowledge object holding Timings (0 unless the
+	// scheduler ran with SelfObserve).
 	TelemetryID int64
 	// SlowTraceIDs are the knowledge objects holding the slowest traced
 	// requests logged during the campaign (empty unless SelfObserve is set
@@ -104,11 +112,12 @@ type Result struct {
 	FinalLSN int64
 }
 
-// outcome travels from a worker to the collector: the executed unit plus
-// its extractions, not yet persisted.
+// outcome travels from a worker to the collector: the executed unit, its
+// phase timings, and its extractions, not yet persisted.
 type outcome struct {
-	run RunOutcome
-	exs []*extract.Extraction
+	run     RunOutcome
+	timings []telemetry.PhaseTiming
+	exs     []*extract.Extraction
 }
 
 // Run executes the spec. Unit failures are recorded, not fatal: the
@@ -153,15 +162,9 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	if met == nil {
 		met = telemetry.Default()
 	}
-	// The campaign always traces itself: either into the caller's span
-	// tree or into a private root, which is what SelfObserve serializes.
-	var trace *telemetry.Span
-	if s.Trace != nil {
-		trace = s.Trace.StartChild("campaign " + spec.Name)
-	} else {
-		trace = telemetry.StartSpan("campaign " + spec.Name)
-	}
-	defer trace.End()
+	hop := telemetry.JoinHop(s.Trace, "campaign "+spec.Name)
+	defer hop.End()
+	trace := hop.Context()
 
 	began := time.Now()
 	campaignID, err := s.Store.CreateCampaign(spec.Name, spec.BaseSeed, workers, len(spec.Units), began)
@@ -203,14 +206,14 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 		if persistErr != nil || len(pending) == 0 {
 			return
 		}
-		span := trace.StartChild("persistence")
+		span := telemetry.JoinHop(trace, "persistence")
 		start := time.Now()
 		met.Histogram("campaign_ingest_batch_units").Observe(float64(len(pending)))
 		persistErr = s.ingest(pending, res)
-		span.End()
-		sec := time.Since(start).Seconds()
-		met.Histogram("campaign_ingest_seconds").Observe(sec)
-		met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "persistence")).Observe(sec)
+		d := time.Since(start)
+		met.Histogram("campaign_ingest_seconds").Observe(d.Seconds())
+		res.Timings = append(res.Timings, endPhase(span,
+			met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "persistence")), "persistence", -1, d))
 		pending = pending[:0]
 	}
 	for range spec.Units {
@@ -224,6 +227,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 			delete(buffered, next)
 			next++
 			res.Runs[oc.run.Unit.Index] = oc.run
+			res.Timings = append(res.Timings, oc.timings...)
 			if oc.run.Status == "ok" {
 				pending = append(pending, oc)
 			}
@@ -259,8 +263,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 		persistErr = err
 	}
 	if s.SelfObserve && persistErr == nil {
-		trace.End()
-		if err := s.persistTelemetry(spec.Name, trace, reg, res); err != nil {
+		if err := s.persistTelemetry(reg, res); err != nil {
 			persistErr = err
 		}
 	}
@@ -280,14 +283,13 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 }
 
 // persistTelemetry closes the knowledge cycle on the campaign itself: the
-// span tree's phase timings are serialized as a telemetry artifact and
+// collected phase timings are serialized as a telemetry artifact and
 // pushed through the same extraction/persistence path as benchmark output.
-func (s *Scheduler) persistTelemetry(name string, trace *telemetry.Span, reg *extract.Registry, res *Result) error {
-	timings := trace.PhaseTimings()
-	if len(timings) == 0 {
+func (s *Scheduler) persistTelemetry(reg *extract.Registry, res *Result) error {
+	if len(res.Timings) == 0 {
 		return nil
 	}
-	ex, err := reg.Extract(telemetry.Artifact(name, timings))
+	ex, err := reg.Extract(telemetry.Artifact(res.Name, res.Timings))
 	if err != nil {
 		return fmt.Errorf("campaign: extract self-telemetry: %w", err)
 	}
@@ -351,13 +353,20 @@ func (s *Scheduler) persistSlowTraces(name string, began time.Time, reg *extract
 // cannot leak between attempts (or units).
 func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAttempts int,
 	backoff time.Duration, newMachine func() *cluster.Machine, reg *extract.Registry,
-	met *telemetry.Registry, trace *telemetry.Span) (out outcome) {
+	met *telemetry.Registry, trace telemetry.TraceContext) (out outcome) {
 	run := RunOutcome{Unit: u, Seed: core.DeriveSeed(baseSeed, uint64(u.Index))}
-	span := trace.StartChild(fmt.Sprintf("unit %d", u.Index))
-	defer span.End()
+	var span *telemetry.Hop
+	if trace.Valid() { // an untraced campaign does not even format the name
+		span = telemetry.JoinHop(trace, "unit "+strconv.Itoa(u.Index))
+	}
 	start := time.Now()
+	var timings []telemetry.PhaseTiming
 	// Stamp the returned copy: every return below copies run into out first.
-	defer func() { out.run.Wall = time.Since(start) }()
+	defer func() {
+		out.run.Wall = time.Since(start)
+		out.timings = timings
+		span.EndAfter(out.run.Wall)
+	}()
 	genHist := met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "generation"))
 	extHist := met.Histogram(telemetry.Label("cycle_phase_seconds", "phase", "extraction"))
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -387,21 +396,19 @@ func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAtt
 		if s.BeforeAttempt != nil {
 			s.BeforeAttempt(u, attempt, m)
 		}
-		genSpan := span.StartChild("generation")
+		genHop := telemetry.JoinHop(span.Context(), "generation")
 		genStart := time.Now()
 		arts, err := u.Gen.Generate(&core.Context{Machine: m, Seed: run.Seed})
-		genSpan.End()
-		genHist.Observe(time.Since(genStart).Seconds())
+		timings = append(timings, endPhase(genHop, genHist, "generation", u.Index, time.Since(genStart)))
 		if err == nil && len(arts) == 0 {
 			err = fmt.Errorf("campaign: unit %q produced no artifacts", u.Name)
 		}
 		var exs []*extract.Extraction
 		if err == nil {
-			extSpan := span.StartChild("extraction")
+			extHop := telemetry.JoinHop(span.Context(), "extraction")
 			extStart := time.Now()
 			exs, err = core.ExtractArtifacts(m, reg, s.EnrichNode, arts)
-			extSpan.End()
-			extHist.Observe(time.Since(extStart).Seconds())
+			timings = append(timings, endPhase(extHop, extHist, "extraction", u.Index, time.Since(extStart)))
 		}
 		if err == nil {
 			run.Status = "ok"
@@ -412,6 +419,15 @@ func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAtt
 	}
 	run.Status = "failed"
 	return outcome{run: run}
+}
+
+// endPhase books one measured phase duration everywhere it goes — the hop
+// (nil when untraced) and the cycle_phase_seconds histogram — and returns
+// it as the timing SelfObserve serialises, so each phase is timed once.
+func endPhase(hop *telemetry.Hop, hist *telemetry.Histogram, phase string, unit int, d time.Duration) telemetry.PhaseTiming {
+	hop.EndAfter(d)
+	hist.Observe(d.Seconds())
+	return telemetry.PhaseTiming{Phase: phase, Unit: unit, Seconds: d.Seconds()}
 }
 
 // ingest persists one batch of unit extractions in unit order. Objects

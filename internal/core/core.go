@@ -75,9 +75,11 @@ type Cycle struct {
 	// Metrics receives per-phase latency histograms
 	// (cycle_phase_seconds{phase=...}). Nil disables recording.
 	Metrics *telemetry.Registry
-	// Trace, when set, receives one child span per knowledge-cycle phase
-	// of every Run (and of the on-demand Analyze/Recommend phases).
-	Trace *telemetry.Span
+	// Trace, when valid, is the trace position to join: every phase of
+	// every Run (and of the on-demand Analyze/Recommend phases) records one
+	// hop under it. The cycle never starts a trace of its own; with the
+	// zero context it records none.
+	Trace telemetry.TraceContext
 	// runCount numbers successive Run calls so each iteration sees its own
 	// derived seed instead of replaying the identical noise stream.
 	runCount uint64
@@ -100,14 +102,16 @@ func New(m *cluster.Machine, seed uint64) (*Cycle, error) {
 	return &Cycle{Machine: m, Registry: extract.NewRegistry(), Store: st, Seed: seed, Metrics: telemetry.Default()}, nil
 }
 
-// beginPhase opens one knowledge-cycle phase: a child span under c.Trace
-// plus a closure that ends the span and feeds the phase latency histogram.
+// beginPhase opens one knowledge-cycle phase: a hop under c.Trace (nil when
+// untraced) plus a closure that times the phase once, for the hop and the
+// phase latency histogram alike.
 func (c *Cycle) beginPhase(phase string) func() {
-	span := c.Trace.StartChild(phase)
+	hop := telemetry.JoinHop(c.Trace, phase)
 	start := time.Now()
 	return func() {
-		span.End()
-		c.Metrics.Histogram(telemetry.Label("cycle_phase_seconds", "phase", phase)).Observe(time.Since(start).Seconds())
+		d := time.Since(start)
+		hop.EndAfter(d)
+		c.Metrics.Histogram(telemetry.Label("cycle_phase_seconds", "phase", phase)).Observe(d.Seconds())
 	}
 }
 

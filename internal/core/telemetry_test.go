@@ -7,13 +7,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestCycleTracePhases verifies that a traced Run records one child span
-// per cycle phase and feeds the phase-duration histograms.
+// TestCycleTracePhases verifies that a Run joined to a trace records one
+// hop per cycle phase under it and feeds the phase-duration histograms.
 func TestCycleTracePhases(t *testing.T) {
 	c := newCycle(t)
 	c.Metrics = telemetry.NewRegistry()
-	root := telemetry.StartSpan("test run")
-	c.Trace = root
+	root := telemetry.Traces.StartTrace("test run")
+	c.Trace = root.Context()
 	rep, err := c.Run(IORGenerator{Config: paperIORConfig(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -23,12 +23,18 @@ func TestCycleTracePhases(t *testing.T) {
 	}
 	root.End()
 
-	export := root.Export()
+	spans := telemetry.Traces.Release(root.TraceID())
 	var names []string
-	for _, ch := range export.Children {
-		names = append(names, ch.Name)
+	for _, s := range spans[1:] {
+		if s.ParentID != spans[0].SpanID {
+			t.Errorf("hop %q is not a child of the root: %+v", s.Name, s)
+		}
+		names = append(names, s.Name)
 	}
 	got := strings.Join(names, " ")
+	if got != "generation extraction persistence analysis" {
+		t.Errorf("phase hops = %q", got)
+	}
 	snap := c.Metrics.Snapshot()
 	for _, phase := range []string{"generation", "extraction", "persistence", "analysis"} {
 		if !strings.Contains(got, phase) {
@@ -39,15 +45,15 @@ func TestCycleTracePhases(t *testing.T) {
 			t.Errorf("cycle_phase_seconds{phase=%q} not observed (ok=%v, %+v)", phase, ok, hv)
 		}
 	}
-	for _, ch := range export.Children {
-		if ch.Seconds < 0 {
-			t.Errorf("span %q has negative duration %v", ch.Name, ch.Seconds)
+	for _, s := range spans {
+		if s.Seconds < 0 {
+			t.Errorf("span %q has negative duration %v", s.Name, s.Seconds)
 		}
 	}
 }
 
-// TestCycleUntracedStillCounts verifies metrics flow with a nil trace span
-// (the default for library callers that never set Cycle.Trace).
+// TestCycleUntracedStillCounts verifies metrics flow with the zero trace
+// context (the default for library callers that never set Cycle.Trace).
 func TestCycleUntracedStillCounts(t *testing.T) {
 	c := newCycle(t)
 	c.Metrics = telemetry.NewRegistry()

@@ -57,52 +57,15 @@ func (s *Server) renderTrace(w http.ResponseWriter, id string) {
 		return
 	}
 	b.WriteString("<table><tr><th>span</th><th>node</th><th>seconds</th><th>attrs</th><th>sql</th></tr>")
-	for _, row := range spanTree(spans) {
-		indent := strings.Repeat("&nbsp;&nbsp;&nbsp;", row.depth)
+	for _, row := range telemetry.SpanTree(spans) {
+		indent := strings.Repeat("&nbsp;&nbsp;&nbsp;", row.Depth)
 		fmt.Fprintf(&b, `<tr><td>%s%s</td><td>%s</td><td>%.6f</td><td>%s</td><td><code>%s</code></td></tr>`,
-			indent, esc(row.span.Name), esc(row.span.Node), row.span.Seconds,
-			esc(row.span.AttrsText()), esc(clip(row.span.SQL, 100)))
+			indent, esc(row.Span.Name), esc(row.Span.Node), row.Span.Seconds,
+			esc(row.Span.AttrsText()), esc(clip(row.Span.SQL, 100)))
 	}
 	b.WriteString("</table>")
 	b.WriteString(`<p><a href="/traces">← all slow queries</a></p>`)
 	s.render(w, "Traces", template.HTML(b.String()))
-}
-
-// treeRow is one span positioned in its trace's tree.
-type treeRow struct {
-	span  telemetry.SpanRecord
-	depth int
-}
-
-// spanTree orders spans depth-first from the roots, assigning each its
-// depth. Spans whose parent is missing (ring wrapped, unreachable node)
-// are treated as roots so they still render.
-func spanTree(spans []telemetry.SpanRecord) []treeRow {
-	byID := make(map[string]bool, len(spans))
-	children := map[string][]telemetry.SpanRecord{}
-	var roots []telemetry.SpanRecord
-	for _, s := range spans {
-		byID[s.SpanID] = true
-	}
-	for _, s := range spans {
-		if s.ParentID == "" || !byID[s.ParentID] {
-			roots = append(roots, s)
-		} else {
-			children[s.ParentID] = append(children[s.ParentID], s)
-		}
-	}
-	var out []treeRow
-	var walk func(s telemetry.SpanRecord, depth int)
-	walk = func(s telemetry.SpanRecord, depth int) {
-		out = append(out, treeRow{span: s, depth: depth})
-		for _, c := range children[s.SpanID] {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	return out
 }
 
 func clip(s string, n int) string {

@@ -2,6 +2,7 @@ package explorer
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +88,46 @@ func TestTracesPageListsAndRendersTree(t *testing.T) {
 	}
 	if !strings.Contains(body, "no spans retained") {
 		t.Errorf("unknown trace should explain itself:\n%s", body)
+	}
+}
+
+// TestTracesPageWhileHopsRecord: /traces reads the shared trace store
+// through the shared assembler while other goroutines keep recording into
+// it (run under -race by the gate).
+func TestTracesPageWhileHopsRecord(t *testing.T) {
+	resetTraces(t)
+	srv := New(seedStore(t))
+	srv.Metrics = telemetry.NewRegistry()
+	root := telemetry.JoinHop(telemetry.TraceContext{TraceID: "live"}, "campaign live")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				h := telemetry.JoinHop(root.Context(), "unit")
+				h.Attr("error", "kdb: no such table t")
+				h.End()
+			}
+		}()
+	}
+	recorded := make(chan struct{})
+	go func() { wg.Wait(); close(recorded) }()
+	for reading := true; reading; {
+		select {
+		case <-recorded:
+			reading = false
+		default:
+			if code, _ := get(t, srv, "/traces?id=live"); code != 200 {
+				t.Errorf("GET /traces?id=live = %d", code)
+			}
+		}
+	}
+	root.End()
+	_, body := get(t, srv, "/traces?id=live")
+	if !strings.Contains(body, "campaign live") || !strings.Contains(body, "&nbsp;&nbsp;&nbsp;unit") ||
+		!strings.Contains(body, "error=&#34;kdb: no such table t&#34;") {
+		t.Errorf("trace page after recording:\n%.600s", body[strings.Index(body, "<h2>"):])
 	}
 }
 

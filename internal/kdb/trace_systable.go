@@ -40,12 +40,16 @@ func traceSystemTable(name string) (cols []ColumnDef, rows [][]any, claimed bool
 			{Name: "rows", Type: TInteger},
 			{Name: "hops", Type: TInteger},
 		}
+		// One pass over the span ring serves every row's hop count.
+		hops := map[string]int64{}
+		for _, s := range telemetry.Traces.AllSpans() {
+			hops[s.TraceID]++
+		}
 		for _, q := range telemetry.Traces.SlowQueries() {
 			rows = append(rows, []any{
 				q.TraceID, q.SQL, q.Node,
 				q.Start.UTC().Format(time.RFC3339Nano),
-				q.Seconds, q.Rows,
-				int64(len(telemetry.Traces.Spans(q.TraceID))),
+				q.Seconds, q.Rows, hops[q.TraceID],
 			})
 		}
 		return cols, rows, true

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -297,5 +298,39 @@ func TestSlowQueryLogEndToEnd(t *testing.T) {
 	}
 	if rows.Len() != 1 {
 		t.Fatalf("__slow_queries rows = %v", rows.All())
+	}
+}
+
+// BenchmarkSlowQueriesTable reads __slow_queries with both rings full (256
+// slow entries over 4,096 spans) — what /traces and /v1/traces issue on
+// every hit. The hops column must cost one pass over the span ring, not
+// one per slow query.
+func BenchmarkSlowQueriesTable(b *testing.B) {
+	b.Cleanup(telemetry.Traces.Reset)
+	telemetry.Traces.Reset()
+	began := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
+	for i := 0; i < 4096; i++ {
+		telemetry.Traces.Record(telemetry.SpanRecord{
+			TraceID: "t" + strconv.Itoa(i%256), SpanID: strconv.Itoa(i), Name: "db.select", Start: began})
+	}
+	for i := 0; i < 256; i++ {
+		telemetry.Traces.RecordSlow(telemetry.SlowQuery{
+			TraceID: "t" + strconv.Itoa(i), SQL: "SELECT slow", Start: began, Seconds: float64(i)})
+	}
+	db, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := db.Query("SELECT trace_id, hops FROM __slow_queries")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if all := rows.All(); len(all) != 256 || all[0][1] != int64(16) {
+			b.Fatalf("rows = %d, hops = %v", len(all), all[0][1])
+		}
 	}
 }

@@ -114,7 +114,7 @@ func TestRouterQueryRowIsTraced(t *testing.T) {
 			engine = append(engine, s)
 		}
 	}
-	if len(routed) != 1 || !strings.Contains(routed[0].AttrsText(), "target=replica 0") {
+	if len(routed) != 1 || !strings.Contains(routed[0].AttrsText(), `target="replica 0"`) {
 		t.Fatalf("router.query spans = %+v", routed)
 	}
 	if len(engine) != 1 || engine[0].ParentID != routed[0].SpanID {

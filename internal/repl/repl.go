@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/kdb"
-	"repro/internal/telemetry"
 )
 
 // Options tunes a Follower. The zero value is production-ready; tests
@@ -35,9 +34,6 @@ type Options struct {
 	// Defaults 100ms and 5s.
 	RetryMin time.Duration
 	RetryMax time.Duration
-	// Trace, when set, records snapshot/catch-up/apply phases as child
-	// spans.
-	Trace *telemetry.Span
 }
 
 func (o *Options) withDefaults() Options {
@@ -150,8 +146,6 @@ func (f *Follower) run(ctx context.Context) {
 // installed; a (true, nil) return means "snapshot installed, reconnect
 // now".
 func (f *Follower) syncOnce(ctx context.Context) (progressed bool, err error) {
-	span := f.opt.Trace.StartChild("repl catch-up")
-	defer span.End()
 	stream, err := kdb.DialReplication(f.addr, f.db.LSN(), f.opt.HeartbeatTimeout)
 	if err != nil {
 		return false, err
@@ -202,8 +196,6 @@ func (f *Follower) snapshot(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	span := f.opt.Trace.StartChild("repl snapshot")
-	defer span.End()
 	r, err := kdb.Dial(f.addr)
 	if err != nil {
 		return err

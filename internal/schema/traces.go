@@ -10,7 +10,6 @@ package schema
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/kdb"
@@ -77,7 +76,7 @@ func TraceSpans(db kdb.Conn, traceID string) []telemetry.SpanRecord {
 		if err == nil {
 			for rows.Next() {
 				r := rows.Row()
-				rec := telemetry.SpanRecord{
+				add(telemetry.SpanRecord{
 					TraceID:  traceID,
 					SpanID:   asString(r[0]),
 					ParentID: asString(r[1]),
@@ -86,11 +85,8 @@ func TraceSpans(db kdb.Conn, traceID string) []telemetry.SpanRecord {
 					Start:    parseBegan(asString(r[4])),
 					Seconds:  asFloat(r[5]),
 					SQL:      asString(r[6]),
-				}
-				for _, kv := range splitAttrs(asString(r[7])) {
-					rec.Attrs = append(rec.Attrs, kv)
-				}
-				add(rec)
+					Attrs:    telemetry.ParseAttrs(asString(r[7])),
+				})
 			}
 		}
 	}
@@ -104,14 +100,4 @@ func TraceSpans(db kdb.Conn, traceID string) []telemetry.SpanRecord {
 func parseBegan(s string) time.Time {
 	t, _ := time.Parse(time.RFC3339Nano, s)
 	return t
-}
-
-func splitAttrs(s string) []telemetry.Attr {
-	var out []telemetry.Attr
-	for _, f := range strings.Fields(s) {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			out = append(out, telemetry.Attr{Key: k, Value: v})
-		}
-	}
-	return out
 }

@@ -2,10 +2,12 @@ package schema
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/telemetry"
 )
 
@@ -120,5 +122,41 @@ func TestTraceSpansUnionsAndOrders(t *testing.T) {
 	}
 	if spans := TraceSpans(&stubConn{err: fmt.Errorf("old server")}, "t1"); len(spans) != 1 {
 		t.Fatalf("degraded spans = %+v", spans)
+	}
+}
+
+// A failed statement's error text crosses the __trace_spans attrs column
+// whole: the hop's "error=kdb: ..." used to read back as "error=kdb:"
+// because attrs were split on whitespace.
+func TestTraceSpansKeepErrorText(t *testing.T) {
+	resetTraces(t)
+	telemetry.SetTracing(true)
+	t.Cleanup(func() { telemetry.SetTracing(false) })
+	store, err := Open(kdbtest.Serve(t, &kdb.Server{DB: kdbtest.MemDB(t, kdb.DBOptions{})}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	root := telemetry.StartHop(telemetry.TraceContext{}, "test")
+	_, qerr := store.DB.QueryTraced(root.Context(), "SELECT * FROM no_such_table")
+	root.End()
+	if qerr == nil {
+		t.Fatal("query against a missing table succeeded")
+	}
+	failed := 0
+	for _, s := range TraceSpans(store.DB, root.TraceID()) {
+		for _, a := range s.Attrs {
+			if a.Key != "error" {
+				continue
+			}
+			failed++
+			if !strings.Contains(a.Value, " ") || !strings.Contains(qerr.Error(), a.Value) {
+				t.Errorf("span %q error attr = %q, want the whole text of %q", s.Name, a.Value, qerr)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no span of the failed statement carries an error attr")
 	}
 }

@@ -137,7 +137,7 @@ func TestTracedScatterAcrossRouters(t *testing.T) {
 		t.Fatalf("router.query spans = %+v", got)
 	} else {
 		for _, s := range got {
-			if !strings.Contains(s.AttrsText(), "target=replica 0") {
+			if !strings.Contains(s.AttrsText(), `target="replica 0"`) {
 				t.Fatalf("router did not choose the replica: %+v", s)
 			}
 		}

@@ -14,6 +14,9 @@ import (
 // registry sniffs on it the same way it sniffs monitor logs.
 const ArtifactPrefix = "# iokc-telemetry"
 
+// Phases are the five knowledge-cycle phases of the paper, in order.
+var Phases = []string{"generation", "extraction", "persistence", "analysis", "usage"}
+
 // PhaseTiming is one observed phase duration. Unit is the campaign unit
 // index the timing belongs to, or -1 for a whole-run (single-cycle)
 // timing.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -57,11 +58,14 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(1)
 	r.Histogram("z").Observe(1)
-	var s *Span
-	s.StartChild("c").End()
-	s.End()
-	if s.Tree() != "" || s.Duration() != 0 {
-		t.Fatal("nil span not inert")
+	// An untraced hop is nil, and so is every hop joined under it.
+	h := JoinHop(TraceContext{}, "campaign")
+	c := JoinHop(h.Context(), "unit 0")
+	c.EndAfter(time.Second)
+	c.End()
+	h.End()
+	if h != nil || c != nil || h.Context().Valid() || TreeText(nil) != "" {
+		t.Fatal("untraced hop not inert")
 	}
 	if got := r.Snapshot(); len(got.Counters) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", got)
@@ -161,15 +165,19 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
+// TestSpanTree: concurrent workers open unit hops under one shared parent
+// (the campaign scheduler's shape); the assembler rebuilds the tree from the
+// id links, whatever order the hops completed in.
 func TestSpanTree(t *testing.T) {
-	root := StartSpan("campaign")
+	store := NewTraceStore()
+	root := store.StartTrace("campaign")
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			u := root.StartChild("unit " + string(rune('0'+i)))
-			g := u.StartChild("generation")
+			u := store.JoinHop(root.Context(), "unit "+strconv.Itoa(i))
+			g := store.JoinHop(u.Context(), "generation")
 			time.Sleep(time.Millisecond)
 			g.End()
 			u.End()
@@ -178,60 +186,57 @@ func TestSpanTree(t *testing.T) {
 	wg.Wait()
 	root.End()
 
-	e := root.Export()
-	if e.Name != "campaign" || len(e.Children) != 4 {
-		t.Fatalf("export = %+v", e)
+	rows := SpanTree(store.Release(root.TraceID()))
+	if len(rows) != 9 || rows[0].Span.Name != "campaign" || rows[0].Depth != 0 {
+		t.Fatalf("tree = %+v", rows)
 	}
-	if e.Seconds <= 0 {
-		t.Fatalf("root duration = %v", e.Seconds)
+	if rows[0].Span.Seconds <= 0 {
+		t.Fatalf("root duration = %v", rows[0].Span.Seconds)
 	}
-	tree := root.Tree()
-	if !strings.Contains(tree, "campaign") || !strings.Contains(tree, "generation") {
-		t.Fatalf("tree missing spans:\n%s", tree)
+	for i := 1; i < len(rows); i += 2 {
+		u, g := rows[i], rows[i+1]
+		if !strings.HasPrefix(u.Span.Name, "unit ") || u.Depth != 1 || u.Span.ParentID != rows[0].Span.SpanID {
+			t.Fatalf("row %d = %+v, want a unit under the root", i, u)
+		}
+		if g.Span.Name != "generation" || g.Depth != 2 || g.Span.ParentID != u.Span.SpanID {
+			t.Fatalf("row %d = %+v, want generation under %q", i+1, g, u.Span.Name)
+		}
 	}
-	var b strings.Builder
-	if err := root.WriteJSON(&strWriter{&b}); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if !strings.Contains(b.String(), `"name": "campaign"`) {
-		t.Fatalf("json missing root:\n%s", b.String())
+
+	// A span whose parent is missing still renders, as a root.
+	orphan := SpanTree([]SpanRecord{{SpanID: "a", ParentID: "gone", Name: "orphan"}})
+	if len(orphan) != 1 || orphan[0].Depth != 0 {
+		t.Fatalf("orphan tree = %+v", orphan)
 	}
 }
 
-type strWriter struct{ b *strings.Builder }
-
-func (w *strWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
+func TestTreeText(t *testing.T) {
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	// Completion order (children first), as a store hands spans back.
+	text := TreeText([]SpanRecord{
+		{SpanID: "g", ParentID: "u", Name: "generation", Start: t0.Add(2 * time.Millisecond), Seconds: 0.25},
+		{SpanID: "u", ParentID: "r", Name: "unit 0", Start: t0.Add(time.Millisecond), Seconds: 0.5},
+		{SpanID: "r", Name: "campaign sweep", Start: t0, Seconds: 1},
+	})
+	want := "campaign sweep                   1.000000s 100.0%\n" +
+		"  unit 0                         0.500000s  50.0%\n" +
+		"    generation                   0.250000s  25.0%\n"
+	if text != want {
+		t.Fatalf("tree text:\n%s\nwant:\n%s", text, want)
+	}
+}
 
 func TestSpanEndIdempotent(t *testing.T) {
-	s := StartSpan("x")
-	s.End()
-	d := s.Duration()
+	store := NewTraceStore()
+	h := store.StartTrace("x")
+	h.End()
+	first := store.Spans(h.TraceID())
 	time.Sleep(2 * time.Millisecond)
-	s.End()
-	if s.Duration() != d {
-		t.Fatal("second End changed the duration")
-	}
-}
-
-func TestPhaseTimings(t *testing.T) {
-	root := StartSpan("campaign")
-	u := root.StartChild("unit 3")
-	u.StartChild("generation").End()
-	u.StartChild("extraction").End()
-	u.End()
-	root.StartChild("persistence").End()
-	root.End()
-
-	got := root.PhaseTimings()
-	if len(got) != 3 {
-		t.Fatalf("timings = %+v", got)
-	}
-	byPhase := map[string]int{}
-	for _, tm := range got {
-		byPhase[tm.Phase] = tm.Unit
-	}
-	if byPhase["generation"] != 3 || byPhase["extraction"] != 3 || byPhase["persistence"] != -1 {
-		t.Fatalf("unit attribution wrong: %+v", got)
+	h.End()
+	h.EndAfter(time.Hour)
+	spans := store.Release(h.TraceID())
+	if len(first) != 1 || len(spans) != 1 || spans[0].Seconds != first[0].Seconds {
+		t.Fatalf("a later End re-recorded the span: %+v, first %+v", spans, first)
 	}
 }
 

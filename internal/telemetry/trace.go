@@ -15,18 +15,31 @@ package telemetry
 // always recorded, so a node that has tracing off locally still contributes
 // its hops to traces started elsewhere.
 //
+// This is the only span model. Request layers open hops with StartHop,
+// which may start a trace; the knowledge cycle and the campaign scheduler
+// open theirs with JoinHop, which never does — their phases appear in a
+// trace someone else started (iokc --trace, via StartTrace) and cost
+// nothing otherwise, so a serving process's rings hold requests, not
+// campaign phases.
+//
 // The store is two fixed-size rings: recent spans and the slow-query log.
 // A root hop (one with no parent) whose duration crosses the threshold
 // lands in the slow-query log with its full SQL — the entries behind the
-// __slow_queries system table and the explorer's /traces page.
+// __slow_queries system table and the explorer's /traces page. A trace
+// begun with StartTrace is kept whole beside the span ring until Release.
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 )
 
 // traceCtxKey carries a TraceContext through a context.Context — the
@@ -122,16 +135,62 @@ type SpanRecord struct {
 }
 
 // AttrsText renders the annotations as "k=v k=v" for single-column
-// exposition (the __trace_spans attrs column).
+// exposition (the __trace_spans attrs column, the trace artifact); ParseAttrs
+// reads it back. Keys are identifiers; values are quoted where needed.
 func (r SpanRecord) AttrsText() string {
-	out := ""
+	var b strings.Builder
 	for i, a := range r.Attrs {
 		if i > 0 {
-			out += " "
+			b.WriteByte(' ')
 		}
-		out += a.Key + "=" + a.Value
+		b.WriteString(a.Key)
+		b.WriteByte('=')
+		b.WriteString(quoteIfNeeded(a.Value))
 	}
-	return out
+	return b.String()
+}
+
+// quoteIfNeeded returns v as it may stand after "key=" in a space-separated
+// field list: bare, or strconv.Quoted when it contains whitespace, '"' or
+// '=' (an error message, a plan description).
+func quoteIfNeeded(v string) string {
+	if strings.ContainsAny(v, "\"=") || strings.IndexFunc(v, unicode.IsSpace) >= 0 {
+		return strconv.Quote(v)
+	}
+	return v
+}
+
+// ParseAttrs is the inverse of AttrsText. It never fails: a field without
+// '=' is skipped and a value with an unterminated quote is taken bare, so
+// the unquoted text an older peer emits parses as it always did.
+func ParseAttrs(s string) []Attr {
+	var out []Attr
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			return out
+		}
+		end := strings.IndexFunc(s, unicode.IsSpace)
+		if end < 0 {
+			end = len(s)
+		}
+		eq := strings.IndexByte(s[:end], '=')
+		if eq < 0 {
+			s = s[end:]
+			continue
+		}
+		key, rest := s[:eq], s[eq+1:]
+		if strings.HasPrefix(rest, `"`) {
+			if q, err := strconv.QuotedPrefix(rest); err == nil {
+				v, _ := strconv.Unquote(q)
+				out = append(out, Attr{Key: key, Value: v})
+				s = rest[len(q):]
+				continue
+			}
+		}
+		out = append(out, Attr{Key: key, Value: s[eq+1 : end]})
+		s = s[end:]
+	}
 }
 
 // SlowQuery is one slow-query log entry: a root hop that crossed the
@@ -161,6 +220,10 @@ type TraceStore struct {
 	spanNext int
 	slow     []SlowQuery // ring, capacity slowRingSize
 	slowNext int
+	// retained holds, by trace id, the traces begun with StartTrace: their
+	// spans bypass the ring (they neither wrap out of it nor crowd request
+	// spans out) until Release hands them back.
+	retained map[string][]SpanRecord
 }
 
 // Traces is the process-wide trace store every built-in instrumentation
@@ -170,19 +233,45 @@ var Traces = NewTraceStore()
 // NewTraceStore returns an empty store.
 func NewTraceStore() *TraceStore { return &TraceStore{} }
 
-// Record appends one span, evicting the oldest when the ring is full.
+// Record appends one span, evicting the oldest when the ring is full. A
+// span of a retained trace is kept with its trace instead.
 func (t *TraceStore) Record(rec SpanRecord) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if kept, ok := t.retained[rec.TraceID]; ok {
+		t.retained[rec.TraceID] = append(kept, rec)
+		return
+	}
 	if len(t.spans) < spanRingSize {
 		t.spans = append(t.spans, rec)
 	} else {
 		t.spans[t.spanNext] = rec
 	}
 	t.spanNext = (t.spanNext + 1) % spanRingSize
+}
+
+// Release returns the spans of a trace begun with StartTrace, ordered by
+// start time as /v1/traces serves a trace, and forgets the trace.
+func (t *TraceStore) Release(traceID string) []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	spans := t.retained[traceID]
+	delete(t.retained, traceID)
 	t.mu.Unlock()
+	sortByStart(spans)
+	return spans
+}
+
+// sortByStart orders spans by start time, keeping the given order among
+// equal starts. A parent starts before its children, so this is the order
+// traces are served and rendered in.
+func sortByStart(spans []SpanRecord) {
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 }
 
 // RecordSlow appends one slow-query entry, evicting the oldest when full.
@@ -200,9 +289,14 @@ func (t *TraceStore) RecordSlow(q SlowQuery) {
 	t.mu.Unlock()
 }
 
-// Spans returns every retained span of one trace, oldest first.
+// Spans returns every span the store holds of one trace, oldest first.
 func (t *TraceStore) Spans(traceID string) []SpanRecord {
-	var out []SpanRecord
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	out := append([]SpanRecord(nil), t.retained[traceID]...)
+	t.mu.Unlock()
 	for _, s := range t.AllSpans() {
 		if s.TraceID == traceID {
 			out = append(out, s)
@@ -211,7 +305,7 @@ func (t *TraceStore) Spans(traceID string) []SpanRecord {
 	return out
 }
 
-// AllSpans returns every retained span, oldest first.
+// AllSpans returns the span ring, oldest first.
 func (t *TraceStore) AllSpans() []SpanRecord {
 	if t == nil {
 		return nil
@@ -248,7 +342,7 @@ func (t *TraceStore) SlowQueries() []SlowQuery {
 	return out
 }
 
-// Reset clears both rings (tests).
+// Reset clears both rings and every retained trace (tests).
 func (t *TraceStore) Reset() {
 	if t == nil {
 		return
@@ -256,6 +350,7 @@ func (t *TraceStore) Reset() {
 	t.mu.Lock()
 	t.spans, t.spanNext = nil, 0
 	t.slow, t.slowNext = nil, 0
+	t.retained = nil
 	t.mu.Unlock()
 }
 
@@ -279,11 +374,40 @@ func StartHop(tc TraceContext, name string) *Hop { return Traces.StartHop(tc, na
 // StartHop opens a span recorded into this store; see the package-level
 // StartHop.
 func (t *TraceStore) StartHop(tc TraceContext, name string) *Hop {
-	if tc.TraceID == "" {
+	if !tc.Valid() {
 		if !TracingOn() {
 			return nil
 		}
 		tc = TraceContext{TraceID: newID(16)}
+	}
+	return t.JoinHop(tc, name)
+}
+
+// JoinHop opens a span in the process-wide store only when tc belongs to a
+// trace, as a child of tc.SpanID; it never starts a trace, whatever the
+// process-wide tracing state. The knowledge cycle and the campaign
+// scheduler use it for their phases.
+func JoinHop(tc TraceContext, name string) *Hop { return Traces.JoinHop(tc, name) }
+
+// StartTrace starts a new trace unconditionally and returns its root hop.
+// The store keeps every span of the trace, however many, until Release —
+// the caller asked for this trace and reads it back whole (iokc --trace).
+func (t *TraceStore) StartTrace(name string) *Hop {
+	id := newID(16)
+	t.mu.Lock()
+	if t.retained == nil {
+		t.retained = map[string][]SpanRecord{}
+	}
+	t.retained[id] = nil
+	t.mu.Unlock()
+	return t.JoinHop(TraceContext{TraceID: id}, name)
+}
+
+// JoinHop opens a span recorded into this store; see the package-level
+// JoinHop.
+func (t *TraceStore) JoinHop(tc TraceContext, name string) *Hop {
+	if !tc.Valid() {
+		return nil
 	}
 	return &Hop{
 		store: t,
@@ -346,7 +470,7 @@ func (h *Hop) AttrInt(key string, v int64) {
 	if key == "rows" {
 		h.rows = v
 	}
-	h.Attr(key, formatInt(v))
+	h.Attr(key, strconv.FormatInt(v, 10))
 }
 
 // AttrFloat annotates the span with a float value.
@@ -370,11 +494,19 @@ func (h *Hop) Fail(err error) {
 // End records the span (first call wins). A root hop that crossed the
 // slow-query threshold is also logged as a slow query.
 func (h *Hop) End() {
+	if h != nil {
+		h.EndAfter(time.Since(h.rec.Start))
+	}
+}
+
+// EndAfter is End with the duration supplied by a caller that has already
+// measured it, so one clock reading serves the span, the latency histogram
+// and the phase-timing list alike.
+func (h *Hop) EndAfter(dur time.Duration) {
 	if h == nil || h.ended {
 		return
 	}
 	h.ended = true
-	dur := time.Since(h.rec.Start)
 	h.rec.Seconds = dur.Seconds()
 	h.store.Record(h.rec)
 	if h.rec.ParentID != "" {
@@ -392,25 +524,60 @@ func (h *Hop) End() {
 	}
 }
 
-func formatInt(v int64) string {
-	// Avoid strconv import churn here; hex ids aside, attr values are small.
-	if v == 0 {
-		return "0"
+// TreeRow is one span positioned in its trace's tree.
+type TreeRow struct {
+	Span  SpanRecord
+	Depth int
+}
+
+// SpanTree orders spans depth-first from the roots, siblings by start time,
+// assigning each its depth. Spans whose parent is missing (ring wrapped,
+// unreachable node) are treated as roots so they still render.
+func SpanTree(spans []SpanRecord) []TreeRow {
+	spans = append([]SpanRecord(nil), spans...)
+	sortByStart(spans)
+	byID := make(map[string]bool, len(spans))
+	for _, s := range spans {
+		byID[s.SpanID] = true
 	}
-	neg := v < 0
-	if neg {
-		v = -v
+	children := map[string][]SpanRecord{}
+	var roots []SpanRecord
+	for _, s := range spans {
+		if s.ParentID == "" || !byID[s.ParentID] {
+			roots = append(roots, s)
+		} else {
+			children[s.ParentID] = append(children[s.ParentID], s)
+		}
 	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
+	out := make([]TreeRow, 0, len(spans))
+	var walk func(s SpanRecord, depth int)
+	walk = func(s SpanRecord, depth int) {
+		out = append(out, TreeRow{Span: s, Depth: depth})
+		for _, c := range children[s.SpanID] {
+			walk(c, depth+1)
+		}
 	}
-	if neg {
-		i--
-		buf[i] = '-'
+	for _, r := range roots {
+		walk(r, 0)
 	}
-	return string(buf[i:])
+	return out
+}
+
+// TreeText renders SpanTree as a flame-style indented listing, each line
+// showing the span's duration and its share of the first root.
+func TreeText(spans []SpanRecord) string {
+	rows := SpanTree(spans)
+	if len(rows) == 0 {
+		return ""
+	}
+	total := rows[0].Span.Seconds
+	if total <= 0 {
+		total = 1
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s%-*s %12.6fs %5.1f%%\n", strings.Repeat("  ", r.Depth),
+			28-2*r.Depth, r.Span.Name, r.Span.Seconds, 100*r.Span.Seconds/total)
+	}
+	return b.String()
 }

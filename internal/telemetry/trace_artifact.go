@@ -4,7 +4,7 @@ package telemetry
 // through the extraction pipeline, the same way phase-timing artifacts do
 // for campaign telemetry: a line format the TraceExtractor can sniff by
 // prefix and parse back into a knowledge object. Values that may contain
-// spaces (SQL, span names, node names) are strconv-quoted.
+// spaces (SQL, span names, node names, the attrs text) are strconv-quoted.
 
 import (
 	"bufio"
@@ -26,7 +26,7 @@ const TraceArtifactPrefix = "# iokc-trace"
 //	span name="coordinator.scatter" id=a1 parent= node="coordinator" seconds=0.41 attrs="fanout=4 rows=128"
 func WriteTraceArtifact(w io.Writer, run string, slow SlowQuery, spans []SpanRecord) error {
 	if _, err := fmt.Fprintf(w, "%s run=%s trace_id=%s node=%s seconds=%s rows=%d\n",
-		TraceArtifactPrefix, run, slow.TraceID, strconv.Quote(slow.Node),
+		TraceArtifactPrefix, quoteIfNeeded(run), quoteIfNeeded(slow.TraceID), strconv.Quote(slow.Node),
 		formatFloat(slow.Seconds), slow.Rows); err != nil {
 		return err
 	}
@@ -35,7 +35,7 @@ func WriteTraceArtifact(w io.Writer, run string, slow SlowQuery, spans []SpanRec
 	}
 	for _, s := range spans {
 		if _, err := fmt.Fprintf(w, "span name=%s id=%s parent=%s node=%s seconds=%s attrs=%s\n",
-			strconv.Quote(s.Name), s.SpanID, s.ParentID, strconv.Quote(s.Node),
+			strconv.Quote(s.Name), quoteIfNeeded(s.SpanID), quoteIfNeeded(s.ParentID), strconv.Quote(s.Node),
 			formatFloat(s.Seconds), strconv.Quote(s.AttrsText())); err != nil {
 			return err
 		}
@@ -90,15 +90,9 @@ func ParseTraceArtifact(data []byte) (run string, slow SlowQuery, spans []SpanRe
 				ParentID: fields["parent"],
 				Name:     fields["name"],
 				Node:     fields["node"],
+				Attrs:    ParseAttrs(fields["attrs"]),
 			}
 			rec.Seconds, _ = strconv.ParseFloat(fields["seconds"], 64)
-			if attrs := fields["attrs"]; attrs != "" {
-				for _, kv := range strings.Fields(attrs) {
-					if k, v, ok := strings.Cut(kv, "="); ok {
-						rec.Attrs = append(rec.Attrs, Attr{Key: k, Value: v})
-					}
-				}
-			}
 			spans = append(spans, rec)
 		}
 	}

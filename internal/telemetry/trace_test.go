@@ -1,12 +1,17 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 // resetTracing restores every piece of process-wide tracing state after a
@@ -108,13 +113,19 @@ func TestHopTreeAndAttrs(t *testing.T) {
 	if got := r.AttrsText(); got != "fanout=2" {
 		t.Fatalf("root attrs = %q", got)
 	}
+	edge := StartHop(root.Context(), "edge")
+	edge.AttrInt("delta", math.MinInt64)
+	edge.End()
+	if got := Traces.Spans(root.TraceID())[2].AttrsText(); got != "delta=-9223372036854775808" {
+		t.Fatalf("MinInt64 attr = %q", got)
+	}
 	if r.Seconds <= 0 || c.Seconds < 0 {
 		t.Fatalf("durations: root=%v child=%v", r.Seconds, c.Seconds)
 	}
 
 	// End is idempotent: a second End must not duplicate the record.
 	root.End()
-	if got := Traces.Spans(root.TraceID()); len(got) != 2 {
+	if got := Traces.Spans(root.TraceID()); len(got) != 3 {
 		t.Fatalf("double End duplicated span: %d records", len(got))
 	}
 }
@@ -155,80 +166,137 @@ func TestSlowQueryLog(t *testing.T) {
 func TestTraceStoreRingEviction(t *testing.T) {
 	store := NewTraceStore()
 	for i := 0; i < spanRingSize+10; i++ {
-		store.Record(SpanRecord{TraceID: "t", SpanID: formatInt(int64(i))})
+		store.Record(SpanRecord{TraceID: "t", SpanID: strconv.Itoa(i)})
 	}
 	spans := store.AllSpans()
 	if len(spans) != spanRingSize {
 		t.Fatalf("span ring size = %d, want %d", len(spans), spanRingSize)
 	}
-	if spans[0].SpanID != "10" || spans[len(spans)-1].SpanID != formatInt(spanRingSize+9) {
+	if spans[0].SpanID != "10" || spans[len(spans)-1].SpanID != strconv.Itoa(spanRingSize+9) {
 		t.Fatalf("eviction order wrong: first=%s last=%s", spans[0].SpanID, spans[len(spans)-1].SpanID)
 	}
 
 	for i := 0; i < slowRingSize+5; i++ {
-		store.RecordSlow(SlowQuery{TraceID: formatInt(int64(i))})
+		store.RecordSlow(SlowQuery{TraceID: strconv.Itoa(i)})
 	}
 	slow := store.SlowQueries()
 	if len(slow) != slowRingSize {
 		t.Fatalf("slow ring size = %d, want %d", len(slow), slowRingSize)
 	}
-	if slow[0].TraceID != "5" || slow[len(slow)-1].TraceID != formatInt(slowRingSize+4) {
+	if slow[0].TraceID != "5" || slow[len(slow)-1].TraceID != strconv.Itoa(slowRingSize+4) {
 		t.Fatalf("slow eviction order wrong: first=%s last=%s", slow[0].TraceID, slow[len(slow)-1].TraceID)
 	}
 }
 
-// PhaseTimings edge cases: an empty (nil) trace, a single root with no
-// children, and the same phase name repeating across sibling units.
-func TestPhaseTimingsEdgeCases(t *testing.T) {
-	var nilSpan *Span
-	if got := nilSpan.PhaseTimings(); got != nil {
-		t.Fatalf("nil span timings = %+v", got)
+// TestRetainedTrace: a trace begun with StartTrace is kept whole however
+// many spans it has and whatever else the ring is doing, reads back in
+// start order, and leaves nothing behind once released.
+func TestRetainedTrace(t *testing.T) {
+	store := NewTraceStore()
+	root := store.StartTrace("iokc campaign")
+	const n = 3 * spanRingSize
+	for i := 0; i < n; i++ {
+		store.JoinHop(root.Context(), "unit "+strconv.Itoa(i)).End()
+		store.JoinHop(TraceContext{TraceID: "other"}, "db.select").End()
 	}
-
-	// A root that is not itself a phase and has no children yields nothing.
-	root := StartSpan("campaign")
 	root.End()
-	if got := root.PhaseTimings(); len(got) != 0 {
-		t.Fatalf("childless root timings = %+v", got)
-	}
 
-	// A root that IS a phase still counts, attributed to no unit.
-	phase := StartSpan("generation")
-	phase.End()
-	got := phase.PhaseTimings()
-	if len(got) != 1 || got[0].Phase != "generation" || got[0].Unit != -1 {
-		t.Fatalf("phase-root timings = %+v", got)
+	if got := store.AllSpans(); len(got) != spanRingSize || got[0].TraceID != "other" {
+		t.Fatalf("ring holds %d spans, first of trace %q; the retained trace leaked into it", len(got), got[0].TraceID)
 	}
-
-	// Duplicate phase names across sibling units stay distinct rows with
-	// the right unit attribution, and unit scoping does not leak between
-	// siblings.
-	root = StartSpan("campaign")
-	for _, unit := range []int{0, 1, 2} {
-		u := root.StartChild(fmt.Sprintf("unit %d", unit))
-		u.StartChild("generation").End()
-		u.StartChild("persistence").End()
-		u.End()
+	if got := store.Spans(root.TraceID()); len(got) != n+1 {
+		t.Fatalf("Spans sees %d of the retained trace, want %d", len(got), n+1)
 	}
-	root.StartChild("analysis").End() // outside any unit
-	root.End()
-	got = root.PhaseTimings()
-	if len(got) != 7 {
-		t.Fatalf("timings = %+v", got)
+	spans := store.Release(root.TraceID())
+	if len(spans) != n+1 || spans[0].Name != "iokc campaign" {
+		t.Fatalf("released %d spans, first %q", len(spans), spans[0].Name)
 	}
-	perPhase := map[string][]int{}
-	for _, tm := range got {
-		perPhase[tm.Phase] = append(perPhase[tm.Phase], tm.Unit)
-	}
-	for _, phase := range []string{"generation", "persistence"} {
-		units := perPhase[phase]
-		if len(units) != 3 || units[0] != 0 || units[1] != 1 || units[2] != 2 {
-			t.Fatalf("%s units = %v", phase, units)
+	for i, s := range spans[1:] {
+		if s.Name != "unit "+strconv.Itoa(i) || s.ParentID != spans[0].SpanID {
+			t.Fatalf("span %d = %+v", i+1, s)
 		}
 	}
-	if units := perPhase["analysis"]; len(units) != 1 || units[0] != -1 {
-		t.Fatalf("analysis outside units got unit %v", units)
+	if got := store.Spans(root.TraceID()); len(got) != 0 {
+		t.Fatalf("%d spans left after Release", len(got))
 	}
+	// Once released the id is an ordinary trace again: ring-bound.
+	store.JoinHop(root.Context(), "late").End()
+	if got := store.Release(root.TraceID()); len(got) != 0 {
+		t.Fatalf("released trace still retained: %+v", got)
+	}
+}
+
+func TestAttrsRoundTrip(t *testing.T) {
+	rec := SpanRecord{Attrs: []Attr{
+		{Key: "rows", Value: "4"},
+		{Key: "error", Value: "kdb: no such table t"},
+		{Key: "plan", Value: `index(a="x")`},
+		{Key: "empty", Value: ""},
+		{Key: "path", Value: `C:\tmp`},
+	}}
+	text := rec.AttrsText()
+	want := `rows=4 error="kdb: no such table t" plan="index(a=\"x\")" empty= path=C:\tmp`
+	if text != want {
+		t.Fatalf("AttrsText = %s\nwant        %s", text, want)
+	}
+	if got := ParseAttrs(text); !reflect.DeepEqual(got, rec.Attrs) {
+		t.Fatalf("ParseAttrs = %+v", got)
+	}
+	// What a peer from before the quoting emits parses as it always did:
+	// whitespace-split fields, cut at the first '=', the rest dropped.
+	legacy := ParseAttrs("rows=4  path=scan error=kdb: no such k=a=b")
+	wantLegacy := []Attr{{"rows", "4"}, {"path", "scan"}, {"error", "kdb:"}, {"k", "a=b"}}
+	if !reflect.DeepEqual(legacy, wantLegacy) {
+		t.Fatalf("legacy parse = %+v", legacy)
+	}
+	// An unterminated quote is not an error either: the value is taken bare.
+	if got := ParseAttrs(`k="open v=1`); !reflect.DeepEqual(got, []Attr{{"k", `"open`}, {"v", "1"}}) {
+		t.Fatalf("unterminated quote parse = %+v", got)
+	}
+}
+
+// FuzzParseAttrs: any key=value pair round-trips through the text form, and
+// arbitrary text parses without panicking to something that round-trips.
+func FuzzParseAttrs(f *testing.F) {
+	f.Add("error", "kdb: no such table t", `rows=4 plan="index(a)" junk k=`)
+	f.Add("k", `"`, `k="unterminated`)
+	f.Add("k", "a=b", "=v  \t x=\"\\q\"y")
+	f.Fuzz(func(t *testing.T, key, value, raw string) {
+		if key != "" && !strings.ContainsAny(key, "=") && strings.IndexFunc(key, unicode.IsSpace) < 0 {
+			in := []Attr{{Key: key, Value: value}, {Key: "rows", Value: "1"}}
+			if got := ParseAttrs(SpanRecord{Attrs: in}.AttrsText()); !reflect.DeepEqual(got, in) {
+				t.Fatalf("round trip of %+v = %+v", in, got)
+			}
+		}
+		parsed := ParseAttrs(raw)
+		if again := ParseAttrs(SpanRecord{Attrs: parsed}.AttrsText()); !reflect.DeepEqual(again, parsed) {
+			t.Fatalf("ParseAttrs(%q) = %+v, re-parsed as %+v", raw, parsed, again)
+		}
+	})
+}
+
+// FuzzParseTraceArtifact: arbitrary input never panics, and whatever is
+// accepted re-renders to a fixed point.
+func FuzzParseTraceArtifact(f *testing.F) {
+	f.Add(TraceArtifact("nightly sweep", SlowQuery{TraceID: "abc", SQL: "SELECT 1", Node: "n", Seconds: 1.5, Rows: 9},
+		[]SpanRecord{{SpanID: "s1", Name: "db.select", Seconds: 1.5,
+			Attrs: []Attr{{Key: "error", Value: "kdb: no such table t"}}}}))
+	f.Add([]byte("# iokc-trace run=\"a b\" trace_id=t\nsql `x`\nspan id=1 attrs=\"k=\\\"v w\\\"\"\n"))
+	f.Add([]byte("# iokc-trace\nspan name=bare id=\"i d\" parent== seconds=NaN attrs=k"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, slow, spans, err := ParseTraceArtifact(data)
+		if err != nil {
+			return
+		}
+		first := TraceArtifact(run, slow, spans)
+		run, slow, spans, err = ParseTraceArtifact(first)
+		if err != nil {
+			t.Fatalf("re-rendered artifact rejected: %v\n%s", err, first)
+		}
+		if second := TraceArtifact(run, slow, spans); !bytes.Equal(first, second) {
+			t.Fatalf("not a fixed point:\n%s\nthen:\n%s", first, second)
+		}
+	})
 }
 
 func TestTraceArtifactRoundTrip(t *testing.T) {
@@ -269,6 +337,29 @@ func TestTraceArtifactRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := ParseTraceArtifact([]byte("not a trace")); err == nil {
 		t.Fatal("ParseTraceArtifact accepted junk")
+	}
+}
+
+// A failed hop's error text — spaces, colons, quotes and all — and a run
+// name with a space survive the artifact, where whitespace-split attrs used
+// to keep only "error=kdb:".
+func TestTraceArtifactKeepsErrorText(t *testing.T) {
+	store := NewTraceStore()
+	h := store.StartTrace("db.select")
+	h.AttrInt("rows", 0)
+	h.Fail(fmt.Errorf(`kdb: no such table "t"`))
+	spans := store.Release(h.TraceID())
+
+	run, _, got, err := ParseTraceArtifact(TraceArtifact("nightly sweep", SlowQuery{TraceID: h.TraceID()}, spans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run != "nightly sweep" {
+		t.Errorf("run = %q", run)
+	}
+	want := []Attr{{"rows", "0"}, {"error", `kdb: no such table "t"`}}
+	if len(got) != 1 || !reflect.DeepEqual(got[0].Attrs, want) {
+		t.Fatalf("attrs = %+v, want %+v", got, want)
 	}
 }
 

@@ -16,7 +16,8 @@ GO=${GO:-go}
 # schema's batched saves, the campaign scheduler's worker pool, core's
 # shared-store cycle runs, telemetry's lock-free metric registry, vcs's
 # commit/checkout/merge paths racing store writers, the api's
-# LSN-invalidated cache racing ingest, and loadgen's concurrent clients.
+# LSN-invalidated cache racing ingest, loadgen's concurrent clients, and the
+# explorer, whose /traces walks the shared trace store while hops record.
 RACE_PKGS="
 ./internal/kdb/...
 ./internal/colstore/...
@@ -29,6 +30,7 @@ RACE_PKGS="
 ./internal/vcs/...
 ./internal/api/...
 ./internal/loadgen/...
+./internal/explorer/...
 "
 
 # fmt fails if any file is not gofmt-clean (prints the offenders).
