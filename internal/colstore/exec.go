@@ -267,6 +267,25 @@ func (q *query) selection(seg *segment, sel []int) []int {
 	return sel
 }
 
+// scan visits, in order, every segment the zone maps cannot rule out, with
+// the segment-local indexes of its matching rows (sel is reused between
+// visits). It is the one place a segment is counted as skipped or scanned:
+// per store for Stats, process-wide for /metrics.
+func (q *query) scan(visit func(seg *segment, sel []int)) {
+	var sel []int
+	for _, seg := range q.ct.segs {
+		if q.prune(seg) {
+			q.store.segsSkipped.Add(1)
+			metSegsSkipped.Inc()
+			continue
+		}
+		q.store.segsScanned.Add(1)
+		metSegsScanned.Inc()
+		sel = q.selection(seg, sel)
+		visit(seg, sel)
+	}
+}
+
 // aggAcc accumulates one aggregate over one (group's) value stream,
 // reproducing the engine's exact arithmetic: count counts non-NULL cells
 // of any type, the numeric accumulators see only float-convertible
@@ -378,24 +397,15 @@ func (q *query) runGlobal() (*kdb.Rows, bool) {
 			slots[i].it.ci = ci
 		}
 	}
-	var sel []int
 	var total int64
-	for _, seg := range q.ct.segs {
-		if q.prune(seg) {
-			q.store.segsSkipped.Add(1)
-			metSegsSkipped.Inc()
-			continue
-		}
-		q.store.segsScanned.Add(1)
-		metSegsScanned.Inc()
-		sel = q.selection(seg, sel)
+	q.scan(func(seg *segment, sel []int) {
 		total += int64(len(sel))
 		for si := range slots {
 			if !slots[si].it.star {
 				accumulate(q.ct, seg, sel, slots[si].it.ci, &slots[si].acc)
 			}
 		}
-	}
+	})
 	row := make([]any, len(slots))
 	for i := range slots {
 		if slots[i].it.star {
@@ -544,16 +554,7 @@ func (q *query) groupByDict(items []item, ci int) []*group {
 	const nullCode = ^uint32(0)
 	groups := make(map[uint32]*group)
 	var order []*group
-	var sel []int
-	for _, seg := range q.ct.segs {
-		if q.prune(seg) {
-			q.store.segsSkipped.Add(1)
-			metSegsSkipped.Inc()
-			continue
-		}
-		q.store.segsScanned.Add(1)
-		metSegsScanned.Inc()
-		sel = q.selection(seg, sel)
+	q.scan(func(seg *segment, sel []int) {
 		v := seg.cols[ci]
 		for _, i := range sel {
 			code := nullCode
@@ -571,7 +572,7 @@ func (q *query) groupByDict(items []item, ci int) []*group {
 			}
 			q.feed(g, items, seg, i)
 		}
-	}
+	})
 	return order
 }
 
@@ -581,17 +582,8 @@ func (q *query) groupByDict(items []item, ci int) []*group {
 func (q *query) groupGeneric(items []item, keyIdx []int) []*group {
 	groups := make(map[string]*group)
 	var order []*group
-	var sel []int
 	key := make([]any, len(keyIdx))
-	for _, seg := range q.ct.segs {
-		if q.prune(seg) {
-			q.store.segsSkipped.Add(1)
-			metSegsSkipped.Inc()
-			continue
-		}
-		q.store.segsScanned.Add(1)
-		metSegsScanned.Inc()
-		sel = q.selection(seg, sel)
+	q.scan(func(seg *segment, sel []int) {
 		for _, i := range sel {
 			for k, ci := range keyIdx {
 				key[k] = seg.value(q.ct, i, ci)
@@ -605,6 +597,6 @@ func (q *query) groupGeneric(items []item, keyIdx []int) []*group {
 			}
 			q.feed(g, items, seg, i)
 		}
-	}
+	})
 	return order
 }

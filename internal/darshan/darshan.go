@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Magic is the log file signature.
@@ -400,7 +401,7 @@ func sortedKeys(m map[string]int64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	return keys
 }
 
@@ -409,18 +410,8 @@ func sortedKeysF(m map[string]float64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	return keys
-}
-
-// sortStrings is an insertion sort; counter maps are small and this keeps
-// encoding deterministic without importing sort for two helpers.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Marshal encodes the log to a byte slice.

@@ -1,9 +1,5 @@
 package kdb
 
-import (
-	"fmt"
-)
-
 // Columnar routing. An attached analytics backend (internal/colstore) can
 // serve the read-heavy analytical shape — aggregates and GROUP BY over a
 // single table — from typed column vectors instead of the row store. The
@@ -35,25 +31,26 @@ func (db *DB) SetColumnar(b ColumnarBackend) {
 	db.columnar.Store(&columnarHook{backend: b})
 }
 
-// ParseSnapshotTables replays a snapshot stream into a detached table
-// set — how the version-control layer reads a stored commit's chunks back
-// into tables. Keys are lowercased table names; the returned tables are
-// private copies and safe to read without locking.
-func ParseSnapshotTables(data []byte) (map[string]*Table, error) {
-	entries, err := parseWALRecords("snapshot", data)
-	if err != nil {
-		return nil, err
+// selectColumnar is the third read source: analytical SELECTs (aggregates
+// or GROUP BY over a single table) that the attached backend serves. It
+// runs before the read lock is taken, because the backend re-enters the
+// database through TableVersion/View. A backend error is a decline like any
+// other, so this source never fails a statement.
+func (db *DB) selectColumnar(sel *selectStmt, args []any, st *selectStats) (*Rows, bool) {
+	h := db.columnar.Load()
+	if h == nil {
+		return nil, false
 	}
-	scratch := &DB{tables: map[string]*Table{}}
-	for i, e := range entries {
-		if e.Meta {
-			continue
-		}
-		if _, _, err := scratch.applyLocked(e.SQL, e.Args); err != nil {
-			return nil, fmt.Errorf("kdb: snapshot entry %d (%q): %w", i, e.SQL, err)
-		}
+	plan, ok := compileAnalytic(sel)
+	if !ok {
+		return nil, false
 	}
-	return scratch.tables, nil
+	rows, served, err := h.backend.AnalyticQuery(plan, args)
+	if err != nil || !served {
+		return nil, false
+	}
+	st.path = "columnar"
+	return rows, true
 }
 
 // NormalizeArg converts a caller-supplied placeholder value into the

@@ -80,10 +80,14 @@ type DB struct {
 	// walErr records a failed log reopen (Compact's last resort); while
 	// set, mutations fail rather than silently skipping durability.
 	walErr error
+	// undos and recs are the write step in progress (commitLocked): the
+	// undo of, and the log record for, each statement staged so far. Empty
+	// between steps; guarded by db.mu held for writing.
+	undos []func()
+	recs  [][]byte
 
 	// lsn is the monotonically increasing commit sequence number: one per
-	// committed log record, restored across restarts (record count plus
-	// any snapshot BaseLSN meta record).
+	// committed log record, restored across restarts by replay.
 	lsn int64
 	// replBuf retains the most recent committed records for replication
 	// catch-up; followers older than its head must take a full snapshot.
@@ -162,29 +166,9 @@ func OpenWithOptions(path string, opts DBOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, e := range entries {
-		if e.Meta {
-			// Snapshot meta entry: restore auto-increment high-water
-			// marks so deleted-then-compacted primary keys are not
-			// reused, and jump the LSN to the snapshot's commit point.
-			// Buffered records below the jump describe snapshot rows,
-			// not real history, so they cannot serve catch-up.
-			for name, id := range e.AutoIDs {
-				if t, ok := db.tables[strings.ToLower(name)]; ok && id > t.autoID {
-					t.autoID = id
-				}
-			}
-			if e.BaseLSN > db.lsn {
-				db.lsn = e.BaseLSN
-				db.replBuf = nil
-			}
-			continue
-		}
-		if _, err := db.exec(e.SQL, e.Args, false); err != nil {
-			w.Close()
-			return nil, fmt.Errorf("kdb: replay entry %d (%q): %w", i, e.SQL, err)
-		}
-		db.commitLocked(e.Raw)
+	if err := db.replay("replay", entries); err != nil {
+		w.Close()
+		return nil, err
 	}
 	db.wal = w
 	return db, nil
@@ -206,6 +190,12 @@ func (db *DB) Close() error {
 func (db *DB) Tables() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.tablesSorted()
+}
+
+// tablesSorted lists the lowercased table names in snapshot order; db.mu
+// must be held (read or write).
+func (db *DB) tablesSorted() []string {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
@@ -234,7 +224,7 @@ func (db *DB) Exec(query string, args ...any) (Result, error) {
 func (db *DB) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (Result, error) {
 	hop := telemetry.StartHop(tc, "db.exec")
 	hop.SetSQL(query)
-	res, err := db.exec(query, args, true)
+	res, err := db.exec(query, args)
 	if err != nil {
 		hop.Fail(err)
 		return Result{}, err
@@ -244,51 +234,96 @@ func (db *DB) ExecTraced(tc telemetry.TraceContext, query string, args ...any) (
 	return res, nil
 }
 
-func (db *DB) exec(query string, args []any, log bool) (Result, error) {
+// exec is a write step of one statement.
+func (db *DB) exec(query string, args []any) (res Result, err error) {
 	lockStart := time.Now()
 	db.mu.Lock()
 	metLockWaitSeconds.Observe(sinceSeconds(lockStart))
 	defer db.mu.Unlock()
 	start := time.Now()
 	defer func() { metExecSeconds.Observe(sinceSeconds(start)) }()
-	if log && db.wal == nil && db.walErr != nil {
-		return Result{}, fmt.Errorf("kdb: log unavailable after failed compaction: %w", db.walErr)
+	err = db.commitLocked(func() (err error) {
+		res, err = db.stageStmt(query, args)
+		return err
+	})
+	return res, err
+}
+
+// commitLocked is the write step, the one way a mutation becomes visible
+// and durable: Exec, Batch and ApplyRecord all run their statements through
+// it. run stages the caller's statements (stageStmt, stageRecord); if it or
+// the log append fails, every staged statement is undone newest first and
+// nothing is written, so memory never diverges from disk. Otherwise all the
+// staged records reach the log in exactly one append and flush, and only
+// then does each take its LSN. db.mu must be held for writing.
+func (db *DB) commitLocked(run func() error) error {
+	if db.wal == nil && db.walErr != nil {
+		return fmt.Errorf("kdb: log unavailable after failed compaction: %w", db.walErr)
 	}
+	defer func() {
+		// Keep the arrays for the next step, not their contents: an undo
+		// closure pins the pre-image of everything its statement touched.
+		clear(db.undos)
+		clear(db.recs)
+		db.undos, db.recs = db.undos[:0], db.recs[:0]
+	}()
+	err := run()
+	if err == nil && db.wal != nil && len(db.recs) > 0 {
+		data := db.recs[0]
+		if len(db.recs) > 1 {
+			data = bytes.Join(db.recs, nil)
+		}
+		if werr := db.wal.AppendRaw(data); werr != nil {
+			err = fmt.Errorf("kdb: write log: %w", werr)
+		}
+	}
+	if err != nil {
+		for i := len(db.undos) - 1; i >= 0; i-- {
+			db.undos[i]()
+		}
+		return err
+	}
+	for _, rec := range db.recs {
+		db.noteCommit(rec)
+	}
+	return nil
+}
+
+// stageStmt stages one statement of the write step in progress, encoding
+// its log record first: an unloggable argument must fail before the
+// mutation touches memory — on in-memory databases too, where the record
+// still feeds the replication buffer.
+func (db *DB) stageStmt(query string, args []any) (Result, error) {
+	rec, err := encodeWalEntry(query, args)
+	if err != nil {
+		return Result{}, err
+	}
+	return db.stageRecord(query, args, rec)
+}
+
+// stageRecord applies one statement in memory and queues its undo and its
+// newline-terminated log record for commitLocked, which must be running.
+func (db *DB) stageRecord(query string, args []any, rec []byte) (Result, error) {
 	res, undo, err := db.applyLocked(query, args)
 	if err != nil {
 		return Result{}, err
 	}
-	if log {
-		// Encode even for in-memory databases: the record feeds the
-		// replication buffer, and an unloggable argument must fail the
-		// same way everywhere.
-		raw, err := encodeWalEntry(query, args)
-		if err != nil {
-			if undo != nil {
-				undo()
-			}
-			return Result{}, err
-		}
-		if db.wal != nil {
-			if err := db.wal.AppendRaw(raw); err != nil {
-				if undo != nil {
-					undo()
-				}
-				return Result{}, fmt.Errorf("kdb: write log: %w", err)
-			}
-		}
-		db.commitLocked(raw)
-		res.LSN = db.lsn
+	if undo != nil {
+		db.undos = append(db.undos, undo)
 	}
+	db.recs = append(db.recs, rec)
+	// The lock is held for the whole step, so if the step commits this is
+	// exactly the LSN the record gets.
+	res.LSN = db.lsn + int64(len(db.recs))
 	return res, nil
 }
 
-// commitLocked assigns the next LSN to one freshly logged record, retains
-// it for replication catch-up, and wakes any streams waiting for commits.
-// db.mu must be held (or the DB not yet shared, as during replay).
-func (db *DB) commitLocked(raw []byte) {
+// noteCommit gives one logged record the next LSN, retains it for
+// replication catch-up, and wakes any streams waiting for commits. db.mu
+// must be held for writing (or the DB not yet shared, as during replay).
+func (db *DB) noteCommit(rec []byte) {
 	db.lsn++
-	line := raw
+	line := rec
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
@@ -304,9 +339,9 @@ func (db *DB) commitLocked(raw []byte) {
 }
 
 // applyLocked parses and applies one mutation in memory; db.mu must be
-// held. Each exec* returns an undo closure alongside its result. If the
-// mutation succeeds in memory but the log append later fails, the undo
-// puts memory back so it never diverges from disk.
+// held (or the DB not yet shared). Each exec* returns an undo closure
+// alongside its result, which commitLocked runs if the step fails; replay,
+// the only other caller, has nothing to roll back to.
 func (db *DB) applyLocked(query string, args []any) (Result, func(), error) {
 	stmt, err := parseCached(query)
 	if err != nil {
@@ -377,7 +412,7 @@ func BatchKeyed(c Conn, key uint64, fn func(exec ExecFunc) error) error {
 // batched-ingestion path persists per flush. If fn (or any exec call made
 // after earlier execs succeeded) returns an error, every applied mutation
 // is rolled back in reverse order and nothing reaches the log, so a batch
-// is all-or-nothing both in memory and on disk.
+// is all-or-nothing both in memory and on disk: a write step of N.
 //
 // fn must not call other DB methods (Exec, Query, Batch): the write lock
 // is already held and they would deadlock.
@@ -387,50 +422,11 @@ func (db *DB) Batch(fn func(exec ExecFunc) error) error {
 	metLockWaitSeconds.Observe(sinceSeconds(lockStart))
 	metBatchesTotal.Inc()
 	defer db.mu.Unlock()
-	if db.wal == nil && db.walErr != nil {
-		return fmt.Errorf("kdb: log unavailable after failed compaction: %w", db.walErr)
-	}
-	var undos []func()
-	var pending [][]byte
-	rollback := func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-	}
-	exec := func(query string, args ...any) (Result, error) {
-		// Encode the log record first: an unloggable argument must fail
-		// before the mutation touches memory.
-		entry, err := encodeWalEntry(query, args)
-		if err != nil {
-			return Result{}, err
-		}
-		res, undo, err := db.applyLocked(query, args)
-		if err != nil {
-			return Result{}, err
-		}
-		if undo != nil {
-			undos = append(undos, undo)
-		}
-		pending = append(pending, entry)
-		// Provisional LSN: the lock is held for the whole batch, so if
-		// the batch commits this is exactly the LSN the record gets.
-		res.LSN = db.lsn + int64(len(pending))
-		return res, nil
-	}
-	if err := fn(exec); err != nil {
-		rollback()
-		return err
-	}
-	if db.wal != nil && len(pending) > 0 {
-		if err := db.wal.AppendRaw(bytes.Join(pending, nil)); err != nil {
-			rollback()
-			return fmt.Errorf("kdb: write log: %w", err)
-		}
-	}
-	for _, entry := range pending {
-		db.commitLocked(entry)
-	}
-	return nil
+	return db.commitLocked(func() error {
+		return fn(func(query string, args ...any) (Result, error) {
+			return db.stageStmt(query, args)
+		})
+	})
 }
 
 // Query runs a SELECT statement.
@@ -438,12 +434,21 @@ func (db *DB) Query(query string, args ...any) (*Rows, error) {
 	return db.QueryTraced(telemetry.TraceContext{}, query, args...)
 }
 
-// QueryTraced implements Conn: the same SELECT path as Query, with
-// the work recorded as a "db.select" span annotated with the execution path
-// taken ("system", "columnar", or the row engine's plan — see
-// selectStats.path), rows returned and examined, and lock wait. Query
-// delegates here with an empty context, so when tracing is off the hop is
-// nil and every annotation is a no-op.
+// QueryTraced implements Conn: the same SELECT path as Query, with the
+// work recorded as a "db.select" span. Query delegates here with an empty
+// context, so when tracing is off the hop is nil and every annotation is a
+// no-op.
+//
+// A SELECT is offered to an ordered list of sources: the attached
+// system-table provider, the built-in trace tables, the attached columnar
+// backend, and last the row engine, which serves everything and is the
+// reference the others must equal. The first three run before the read
+// lock is taken, because they re-enter the database through its public
+// surface. One rule moves down the list: a source that declines
+// (served=false) hands the statement to the next one; an error from a
+// source that claimed the table fails the statement. Whichever source
+// serves names itself in selectStats.path, and the span is annotated here
+// and nowhere else.
 func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*Rows, error) {
 	hop := telemetry.StartHop(tc, "db.select")
 	hop.SetSQL(query)
@@ -458,58 +463,41 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 		hop.Fail(err)
 		return nil, err
 	}
-	// Virtual system tables ("__log", "__diff", ...) are materialized by an
-	// attached provider, then run through the regular row engine so every
-	// SELECT feature works on them. Like the columnar hook, this happens
-	// before the read lock: the provider re-enters the database through its
-	// public query surface.
-	if strings.HasPrefix(sel.Table, "__") {
-		if rows, served, err := db.querySystem(sel, args); served {
-			if err != nil {
-				hop.Fail(err)
-				return rows, err
-			}
-			hop.Attr("path", "system")
-			hop.AttrInt("rows", int64(rows.Len()))
-			hop.End()
-			return rows, nil
-		}
-	}
-	// Analytical SELECTs (aggregates / GROUP BY over a single table) may be
-	// served by an attached columnar backend. The hook runs before the read
-	// lock is taken: the backend re-enters the database through
-	// TableVersion/View, which acquire their own read locks. A
-	// backend that declines (or fails) falls through to the row engine,
-	// which stays authoritative.
-	if h := db.columnar.Load(); h != nil {
-		if plan, ok := compileAnalytic(sel); ok {
-			if rows, served, err := h.backend.AnalyticQuery(plan, args); err == nil && served {
-				hop.Attr("path", "columnar")
-				hop.AttrInt("rows", int64(rows.Len()))
-				hop.End()
-				return rows, nil
-			}
-		}
-	}
-	lockStart := time.Now()
-	db.mu.RLock()
-	lockWait := sinceSeconds(lockStart)
-	metLockWaitSeconds.Observe(lockWait)
-	defer db.mu.RUnlock()
-	start := time.Now()
 	var st selectStats
-	rows, err := db.execSelectStats(sel, args, &st)
-	metQuerySeconds.ObserveEx(sinceSeconds(start), hop.TraceID())
+	rows, served, err := db.selectProvider(sel, args, &st)
+	if !served {
+		rows, served, err = selectTraceTable(sel, args, &st)
+	}
+	if !served {
+		rows, served = db.selectColumnar(sel, args, &st)
+	}
+	if !served {
+		rows, err = db.selectRows(sel, args, hop.TraceID(), &st)
+	}
 	if err != nil {
 		hop.Fail(err)
 		return nil, err
 	}
 	hop.Attr("path", st.path)
-	hop.AttrFloat("lock_wait_seconds", lockWait)
+	hop.AttrFloat("lock_wait_seconds", st.lockWait)
 	hop.AttrInt("rows", int64(rows.Len()))
 	hop.AttrInt("rows_examined", int64(st.examined))
 	hop.End()
 	return rows, nil
+}
+
+// selectRows is the last read source: the row engine under the read lock.
+// traceID becomes the exemplar of the statement's kdb_query_seconds sample.
+func (db *DB) selectRows(sel *selectStmt, args []any, traceID string, st *selectStats) (*Rows, error) {
+	lockStart := time.Now()
+	db.mu.RLock()
+	st.lockWait = sinceSeconds(lockStart)
+	metLockWaitSeconds.Observe(st.lockWait)
+	defer db.mu.RUnlock()
+	start := time.Now()
+	rows, err := db.execSelectStats(sel, args, st)
+	metQuerySeconds.ObserveEx(sinceSeconds(start), traceID)
+	return rows, err
 }
 
 // QueryRow runs a SELECT and returns its single row, returning ErrNoRows
@@ -903,20 +891,22 @@ func (e *env) resolve(ref colRef) (int, error) {
 	return idx, nil
 }
 
-func (db *DB) execSelect(s *selectStmt, args []any) (*Rows, error) {
-	return db.execSelectStats(s, args, nil)
-}
-
 // selectStats reports how a SELECT executed, for trace-span annotation.
 type selectStats struct {
-	// path names the plan taken: the base table's access path ("index",
-	// "range" or "scan"), then "+index-join", "+hash-join" or "+loop-join"
-	// per join step.
+	// path names the source that served the statement: "system",
+	// "columnar", or the row engine's plan — the base table's access path
+	// ("index", "range" or "scan"), then "+index-join", "+hash-join" or
+	// "+loop-join" per join step.
 	path string
-	// examined counts the table rows read to produce the result: the base
-	// rows the access path yielded (up to where a LIMIT stopped the filter)
-	// plus the joined-table rows compared at each join step.
+	// examined counts the row-store rows read to produce the result: the
+	// base rows the access path yielded (up to where a LIMIT stopped the
+	// filter) plus the joined-table rows compared at each join step. A
+	// system table counts the rows materialized for it; the columnar path
+	// reads no rows.
 	examined int
+	// lockWait is the time spent waiting for the read lock, in seconds;
+	// only the row engine takes it.
+	lockWait float64
 }
 
 // joinStep is one planned inner join: the joined table and the positions of
@@ -1071,9 +1061,7 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 			}
 		}
 	}
-	if st != nil {
-		st.path, st.examined = path, examined
-	}
+	st.path, st.examined = path, examined
 	// Grouped aggregation?
 	if len(s.GroupBy) > 0 {
 		return evalGrouped(s, e, filtered)
@@ -1298,50 +1286,7 @@ func evalGrouped(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
 				row[pi] = int64(len(g.rows))
 				continue
 			}
-			var vals []float64
-			var count int64
-			for _, r := range g.rows {
-				v := r[p.srcIdx]
-				if v == nil {
-					continue
-				}
-				count++
-				if f, ok := toFloat(v); ok {
-					vals = append(vals, f)
-				}
-			}
-			switch p.agg {
-			case "COUNT":
-				row[pi] = count
-			default:
-				if len(vals) == 0 {
-					row[pi] = nil
-					continue
-				}
-				agg := vals[0]
-				var sum float64
-				for _, v := range vals {
-					sum += v
-					switch p.agg {
-					case "MIN":
-						if v < agg {
-							agg = v
-						}
-					case "MAX":
-						if v > agg {
-							agg = v
-						}
-					}
-				}
-				switch p.agg {
-				case "AVG":
-					row[pi] = sum / float64(len(vals))
-				case "SUM":
-					row[pi] = sum
-				default:
-					row[pi] = agg
-				}
-			}
+			row[pi] = foldAggregate(p.agg, g.rows, p.srcIdx)
 		}
 		out.rows = append(out.rows, row)
 		if s.Limit >= 0 && len(out.rows) >= s.Limit {
@@ -1374,54 +1319,58 @@ func evalAggregates(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		var vals []float64
-		var count int64
-		for _, row := range rows {
-			v := row[idx]
-			if v == nil {
-				continue
-			}
-			count++
-			f, ok := toFloat(v)
-			if ok {
-				vals = append(vals, f)
-			}
-		}
-		switch it.Agg {
-		case "COUNT":
-			result[i] = count
-		case "MIN", "MAX", "AVG", "SUM":
-			if len(vals) == 0 {
-				result[i] = nil
-				continue
-			}
-			agg := vals[0]
-			var sum float64
-			for _, v := range vals {
-				sum += v
-				switch it.Agg {
-				case "MIN":
-					if v < agg {
-						agg = v
-					}
-				case "MAX":
-					if v > agg {
-						agg = v
-					}
-				}
-			}
-			switch it.Agg {
-			case "AVG":
-				result[i] = sum / float64(len(vals))
-			case "SUM":
-				result[i] = sum
-			default:
-				result[i] = agg
-			}
-		}
+		result[i] = foldAggregate(it.Agg, rows, idx)
 	}
 	out.rows = [][]any{result}
 	return out, nil
+}
+
+// foldAggregate computes COUNT, SUM, AVG, MIN or MAX of column idx over
+// rows (COUNT(*) is the callers', who know the row count). NULLs are
+// skipped; COUNT counts every non-NULL value, the others fold the numeric
+// ones in row order — the first value seeds MIN and MAX, so a leading NaN
+// stays — and yield NULL when there are none.
+func foldAggregate(agg string, rows [][]any, idx int) any {
+	var vals []float64
+	var count int64
+	for _, row := range rows {
+		v := row[idx]
+		if v == nil {
+			continue
+		}
+		count++
+		if f, ok := toFloat(v); ok {
+			vals = append(vals, f)
+		}
+	}
+	if agg == "COUNT" {
+		return count
+	}
+	if len(vals) == 0 {
+		return nil
+	}
+	best := vals[0]
+	var sum float64
+	for _, v := range vals {
+		sum += v
+		switch agg {
+		case "MIN":
+			if v < best {
+				best = v
+			}
+		case "MAX":
+			if v > best {
+				best = v
+			}
+		}
+	}
+	switch agg {
+	case "AVG":
+		return sum / float64(len(vals))
+	case "SUM":
+		return sum
+	}
+	return best
 }
 
 func matchWhere(w expr, e *env, row []any, args []any) (bool, error) {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"time"
 )
@@ -30,7 +29,7 @@ import (
 var ErrLSNGap = errors.New("kdb: replication LSN gap")
 
 // replBufCap bounds the in-memory catch-up buffer (records kept after the
-// amortized trim in commitLocked).
+// amortized trim in noteCommit).
 const replBufCap = 8192
 
 // replRecord is one committed log record retained for catch-up.
@@ -99,10 +98,11 @@ func (db *DB) entriesSince(after int64) (recs []replRecord, ok bool) {
 	return append([]replRecord(nil), db.replBuf[start:]...), true
 }
 
-// ApplyRecord applies one replicated log record at the given LSN: the
-// engine's normal apply path runs the mutation, the identical bytes are
-// appended to the local log, and the local LSN advances to match. A record
-// that does not directly follow the local sequence returns ErrLSNGap.
+// ApplyRecord applies one replicated log record at the given LSN: a write
+// step of one statement whose log record is the primary's own bytes, so the
+// follower's file stays byte-identical to the primary's, and whose
+// precondition is that the record directly follows the local sequence
+// (ErrLSNGap otherwise).
 func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
 	var e walEntry
 	if err := json.Unmarshal(entry, &e); err != nil {
@@ -115,109 +115,52 @@ func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
 	if err != nil {
 		return err
 	}
+	rec := make([]byte, 0, len(entry)+1)
+	rec = append(append(rec, entry...), '\n')
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if lsn != db.lsn+1 {
 		return fmt.Errorf("%w: record %d onto local %d", ErrLSNGap, lsn, db.lsn)
 	}
-	if db.wal == nil && db.walErr != nil {
-		return fmt.Errorf("kdb: log unavailable after failed compaction: %w", db.walErr)
-	}
-	_, undo, err := db.applyLocked(e.SQL, args)
-	if err != nil {
+	return db.commitLocked(func() error {
+		_, err := db.stageRecord(e.SQL, args, rec)
 		return err
-	}
-	if db.wal != nil {
-		line := make([]byte, 0, len(entry)+1)
-		line = append(append(line, entry...), '\n')
-		if err := db.wal.AppendRaw(line); err != nil {
-			if undo != nil {
-				undo()
-			}
-			return fmt.Errorf("kdb: write log: %w", err)
-		}
-	}
-	db.commitLocked(entry)
-	return nil
+	})
 }
 
 // RestoreSnapshot replaces the database's entire contents with a snapshot
 // previously produced by WriteSnapshot (or the "snapshot" wire verb). The
 // new state is built off to the side first, so a malformed snapshot leaves
-// the live database untouched; for file-backed databases the snapshot is
-// written to a temp file and atomically renamed over the log, exactly like
-// Compact.
+// the live database untouched; for file-backed databases the snapshot
+// replaces the log file exactly as Compact's does.
 func (db *DB) RestoreSnapshot(data []byte) error {
-	entries, err := parseWALRecords("snapshot", data)
+	scratch, err := replaySnapshot(data)
 	if err != nil {
 		return err
-	}
-	scratch := &DB{tables: map[string]*Table{}}
-	var baseLSN int64
-	for i, e := range entries {
-		if e.Meta {
-			for name, id := range e.AutoIDs {
-				if t, ok := scratch.tables[strings.ToLower(name)]; ok && id > t.autoID {
-					t.autoID = id
-				}
-			}
-			if e.BaseLSN > baseLSN {
-				baseLSN = e.BaseLSN
-			}
-			continue
-		}
-		if _, _, err := scratch.applyLocked(e.SQL, e.Args); err != nil {
-			return fmt.Errorf("kdb: snapshot entry %d (%q): %w", i, e.SQL, err)
-		}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.path != "" {
-		tmp := db.path + ".restore"
-		f, err := os.Create(tmp)
+		replaced, err := db.replaceLogLocked(func(w *bufio.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
 		if err != nil {
+			if replaced {
+				// The snapshot on disk is complete, so memory follows it;
+				// writes are refused until reopen.
+				db.adoptLocked(scratch)
+			}
 			return err
 		}
-		if _, err := f.Write(data); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if err := os.Rename(tmp, db.path); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-		if db.wal != nil {
-			db.wal.Close() // old handle points at the unlinked file
-		}
-		nf, err := os.OpenFile(db.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			// The snapshot on disk is complete; adopt it in memory but
-			// refuse further mutations until reopen, as Compact does.
-			db.adoptLocked(scratch, baseLSN)
-			db.wal = nil
-			db.walErr = err
-			return err
-		}
-		db.wal = &wal{f: nf, w: bufio.NewWriter(nf)}
-		db.walErr = nil
 	}
-	db.adoptLocked(scratch, baseLSN)
+	db.adoptLocked(scratch)
 	return nil
 }
 
 // adoptLocked swaps in a freshly restored state and wakes replication
 // streams so chained followers notice the new world; db.mu must be held.
-func (db *DB) adoptLocked(scratch *DB, lsn int64) {
+func (db *DB) adoptLocked(scratch *DB) {
 	// The scratch tables drew their versions while the live ones could
 	// still move past them; stamp again under the lock so every replaced
 	// table reads as rewritten after anything derived from its predecessor.
@@ -225,7 +168,7 @@ func (db *DB) adoptLocked(scratch *DB, lsn int64) {
 		t.noteRewrite()
 	}
 	db.tables = scratch.tables
-	db.lsn = lsn
+	db.lsn = scratch.lsn
 	db.replBuf = nil
 	if db.commitCh != nil {
 		close(db.commitCh)

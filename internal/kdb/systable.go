@@ -1,18 +1,15 @@
 package kdb
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // System-table routing. A provider (internal/vcs) can serve virtual
 // tables whose names start with "__" — commit history (__log), branch
 // heads (__branches), commit diffs (__diff) — so the explorer and the
-// analytics tier query versioned knowledge with plain SQL. The hook runs
-// before the read lock is taken, like the columnar hook: the provider
-// materializes the virtual table's rows (re-entering the database through
-// its public query surface as needed), and the engine then executes the
-// original SELECT against that table with its full WHERE / ORDER BY /
+// analytics tier query versioned knowledge with plain SQL. The provider is
+// the first of QueryTraced's read sources and runs before the read lock is
+// taken: it materializes the virtual table's rows (re-entering the database
+// through its public query surface as needed), and the engine then executes
+// the original SELECT against that table with its full WHERE / ORDER BY /
 // aggregate semantics, so a system table behaves exactly like a real one.
 
 // SystemTableProvider materializes virtual "__"-prefixed tables. filters
@@ -20,8 +17,9 @@ import (
 // → bound value) so providers whose tables are parameterized — __diff
 // needs its from/to refs — can see them; the provider must still emit
 // those values as row columns, since the engine re-applies the full WHERE
-// clause afterwards. claimed=false declines the name (the query then
-// fails with "no such table", as without a provider).
+// clause afterwards. claimed=false declines the name (the built-in trace
+// tables answer next; any other name then fails with "no such table", as
+// without a provider).
 type SystemTableProvider interface {
 	SystemTable(name string, filters map[string]any) (cols []ColumnDef, rows [][]any, claimed bool, err error)
 }
@@ -39,15 +37,13 @@ func (db *DB) SetSystemTables(p SystemTableProvider) {
 	db.system.Store(&systemHook{p: p})
 }
 
-// querySystem serves one SELECT whose FROM table a provider claims. The
-// attached provider gets first refusal; the built-in tracing tables
-// (__slow_queries, __trace_spans) answer next, so they coexist with a
-// versioning provider's __log family. served=false falls through to the
-// row engine.
-func (db *DB) querySystem(sel *selectStmt, args []any) (rows *Rows, served bool, err error) {
-	name := strings.ToLower(sel.Table)
+// selectProvider is the first read source: a SELECT whose FROM table the
+// attached provider claims. A provider error fails the statement; anything
+// the provider cannot be asked (no provider, no "__" prefix, an equality
+// filter whose argument is missing or unusable) declines to the next source.
+func (db *DB) selectProvider(sel *selectStmt, args []any, st *selectStats) (rows *Rows, served bool, err error) {
 	h := db.system.Load()
-	if h == nil && !isTraceTable(name) {
+	if h == nil || !strings.HasPrefix(sel.Table, "__") {
 		return nil, false, nil
 	}
 	filters := map[string]any{}
@@ -59,36 +55,34 @@ func (db *DB) querySystem(sel *selectStmt, args []any) (rows *Rows, served bool,
 			v := f.Lit
 			if f.Arg >= 0 {
 				if f.Arg >= len(args) {
-					return nil, false, fmt.Errorf("kdb: missing argument %d", f.Arg+1)
+					return nil, false, nil
 				}
 				v = args[f.Arg]
 			}
 			n, err := normalizeArg(v)
 			if err != nil {
-				return nil, false, err
+				return nil, false, nil
 			}
 			filters[strings.ToLower(f.Col.Name)] = n
 		}
 	}
-	var (
-		cols    []ColumnDef
-		data    [][]any
-		claimed bool
-	)
-	if h != nil {
-		cols, data, claimed, err = h.p.SystemTable(name, filters)
-		if err != nil {
-			return nil, true, err
-		}
-	}
-	if !claimed {
-		cols, data, claimed = traceSystemTable(name)
+	cols, data, claimed, err := h.p.SystemTable(strings.ToLower(sel.Table), filters)
+	if err != nil {
+		return nil, true, err
 	}
 	if !claimed {
 		return nil, false, nil
 	}
-	t := &Table{Name: sel.Table, Columns: cols, Rows: data, pkIndex: -1}
-	scratch := &DB{tables: map[string]*Table{name: t}}
-	rows, err = scratch.execSelect(sel, args)
+	rows, err = selectVirtual(sel, args, cols, data, st)
 	return rows, true, err
+}
+
+// selectVirtual runs sel over a materialized virtual table through the
+// regular row engine, so every SELECT feature works on system tables.
+func selectVirtual(sel *selectStmt, args []any, cols []ColumnDef, data [][]any, st *selectStats) (*Rows, error) {
+	t := &Table{Name: sel.Table, Columns: cols, Rows: data, pkIndex: -1}
+	scratch := &DB{tables: map[string]*Table{strings.ToLower(sel.Table): t}}
+	rows, err := scratch.execSelectStats(sel, args, st)
+	st.path = "system"
+	return rows, err
 }

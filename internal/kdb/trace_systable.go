@@ -1,17 +1,18 @@
 package kdb
 
 // Built-in system tables over the process-wide trace store, served through
-// the same materialize-then-execSelect path as provider tables, so the
-// slow-query log and span rings get full SELECT semantics:
+// the same materialize-then-select path as provider tables (selectVirtual),
+// so the slow-query log and span rings get full SELECT semantics:
 //
 //	SELECT * FROM __slow_queries WHERE seconds > 0.1 ORDER BY seconds DESC
 //	SELECT name, node, seconds FROM __trace_spans WHERE trace_id = ?
 //
 // They are available on every database (and, via the wire protocol, on
 // every served node); an attached SystemTableProvider that claims these
-// names wins, since providers get first refusal in querySystem.
+// names wins, since the provider is the read source before this one.
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/telemetry"
@@ -22,8 +23,18 @@ const (
 	traceSpansTable  = "__trace_spans"
 )
 
-func isTraceTable(name string) bool {
-	return name == slowQueriesTable || name == traceSpansTable
+// selectTraceTable is the second read source: the built-in tracing tables,
+// declining every other name.
+func selectTraceTable(sel *selectStmt, args []any, st *selectStats) (*Rows, bool, error) {
+	if !strings.HasPrefix(sel.Table, "__") {
+		return nil, false, nil
+	}
+	cols, data, claimed := traceSystemTable(strings.ToLower(sel.Table))
+	if !claimed {
+		return nil, false, nil
+	}
+	rows, err := selectVirtual(sel, args, cols, data, st)
+	return rows, true, err
 }
 
 // traceSystemTable materializes one of the built-in tracing tables from

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 )
 
 // walEntry is one logged mutation: the SQL text plus its arguments with
@@ -95,6 +96,9 @@ type replayEntry struct {
 	AutoIDs map[string]int64
 	BaseLSN int64
 	Meta    bool
+	// Tagged is set when a meta record carries the explicit tag rather
+	// than being inferred from its fields (see walEntry.isMeta).
+	Tagged bool
 	// Raw is the record's exact log line (no trailing newline); replayed
 	// mutations keep it so the replication buffer can re-ship the very
 	// bytes that are on disk.
@@ -130,10 +134,71 @@ func parseWALRecords(src string, data []byte) ([]replayEntry, error) {
 			AutoIDs: e.AutoIDs,
 			BaseLSN: e.BaseLSN,
 			Meta:    e.isMeta(),
+			Tagged:  e.Meta,
 			Raw:     append([]byte(nil), line...),
 		})
 	}
 	return entries, nil
+}
+
+// replay applies decoded log records, in order, to a database nobody else
+// can reach yet — one being opened, or a scratch one a snapshot is restored
+// into — so it takes no lock and ticks no statement metric. It is the only
+// reader of a log's history: every mutation record is one commit (the next
+// LSN, retained for replication catch-up), and a meta record restores the
+// auto-increment high-water marks, so deleted-then-compacted primary keys
+// are not reused, and repositions the LSN. The records before an explicitly
+// tagged meta record are snapshot rows, one INSERT per row however many
+// commits wrote them: the LSN becomes the record's base_lsn, even 0, and
+// the catch-up buffer is emptied, because those records are not history a
+// follower may be sent. An untagged meta record (logs older than the tag)
+// can only move the LSN up. what names the stream in errors.
+func (db *DB) replay(what string, entries []replayEntry) error {
+	for i, e := range entries {
+		if !e.Meta {
+			if _, _, err := db.applyLocked(e.SQL, e.Args); err != nil {
+				return fmt.Errorf("kdb: %s entry %d (%q): %w", what, i, e.SQL, err)
+			}
+			db.noteCommit(e.Raw)
+			continue
+		}
+		if e.BaseLSN < 0 {
+			return fmt.Errorf("kdb: %s entry %d: negative base_lsn %d", what, i, e.BaseLSN)
+		}
+		for name, id := range e.AutoIDs {
+			if t, ok := db.tables[strings.ToLower(name)]; ok && id > t.autoID {
+				t.autoID = id
+			}
+		}
+		if e.Tagged || e.BaseLSN > db.lsn {
+			db.lsn = e.BaseLSN
+			db.replBuf = nil
+		}
+	}
+	return nil
+}
+
+// replaySnapshot replays a snapshot stream into a scratch database, built
+// off to the side so a malformed stream leaves nothing half-applied.
+func replaySnapshot(data []byte) (*DB, error) {
+	entries, err := parseWALRecords("snapshot", data)
+	if err != nil {
+		return nil, err
+	}
+	scratch := &DB{tables: map[string]*Table{}}
+	return scratch, scratch.replay("snapshot", entries)
+}
+
+// ParseSnapshotTables replays a snapshot stream into a detached table
+// set — how the version-control layer reads a stored commit's chunks back
+// into tables. Keys are lowercased table names; the returned tables are
+// private copies and safe to read without locking.
+func ParseSnapshotTables(data []byte) (map[string]*Table, error) {
+	scratch, err := replaySnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	return scratch.tables, nil
 }
 
 // wal is the append-only mutation log.
@@ -218,50 +283,53 @@ func (db *DB) Compact() error {
 	if db.path == "" {
 		return fmt.Errorf("kdb: in-memory database has no file to compact")
 	}
+	_, err := db.replaceLogLocked(db.snapshotLocked)
+	return err
+}
+
+// replaceLogLocked atomically replaces the log file with what write
+// produces and points the append handle at the new file: write goes to a
+// temp file that is flushed, synced, closed and renamed over the log. Until
+// the rename succeeds the old log and its handle stay fully valid and the
+// temp file is removed on every error path, so replaced=false means nothing
+// changed. After it, a failure to reopen for append leaves a complete,
+// consistent file that further mutations cannot be logged to: walErr is set
+// and commitLocked refuses writes until the database is reopened. db.mu
+// must be held for writing and db.path set.
+func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool, err error) {
 	tmp := db.path + ".compact"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	w := bufio.NewWriter(f)
-	if err := db.snapshotLocked(w); err != nil {
-		return fail(err)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, db.path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
-	}
-	// Atomically replace the log, then swap handles. If the rename fails
-	// the old log and its handle remain fully valid.
-	if err := os.Rename(tmp, db.path); err != nil {
-		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	if db.wal != nil {
 		db.wal.Close() // old handle points at the unlinked file; best effort
 	}
 	nf, err := os.OpenFile(db.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		// The snapshot on disk is complete and consistent, but further
-		// mutations cannot be logged; exec refuses them until reopen.
-		db.wal = nil
-		db.walErr = err
-		return err
+		db.wal, db.walErr = nil, err
+		return true, err
 	}
-	db.wal = &wal{f: nf, w: bufio.NewWriter(nf)}
-	db.walErr = nil
-	return nil
+	db.wal, db.walErr = &wal{f: nf, w: bufio.NewWriter(nf)}, nil
+	return true, nil
 }
 
 // snapshotLocked serializes the database as a minimal, deterministic
@@ -308,21 +376,4 @@ func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	return db.lsn, nil
-}
-
-func (db *DB) tablesSorted() []string {
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -8,34 +8,51 @@ import (
 	"testing"
 )
 
-// applyRandomOps drives db through a pseudo-random mutation history:
-// table creation, typed inserts (including NULLs), updates, deletes, and
-// secondary indexes. Failed statements (e.g. a delete on a table not yet
-// created) are fine — only committed mutations reach the log.
-func applyRandomOps(db *DB, rng *rand.Rand, n int) {
+// randomOp is one generated mutation statement.
+type randomOp struct {
+	sql  string
+	args []any
+}
+
+// randomOps generates a pseudo-random mutation history: table creation,
+// typed inserts (including NULLs), updates, deletes, and secondary indexes.
+// Some statements fail when run (a duplicate index, say), which is fine —
+// only committed mutations reach the log.
+func randomOps(rng *rand.Rand, n int) []randomOp {
+	ops := make([]randomOp, 0, n)
+	add := func(sql string, args ...any) { ops = append(ops, randomOp{sql, args}) }
 	tables := 0
 	for i := 0; i < n; i++ {
 		switch op := rng.Intn(10); {
 		case op == 0 || tables == 0:
-			db.Exec(fmt.Sprintf(
+			add(fmt.Sprintf(
 				"CREATE TABLE t%d (id INTEGER PRIMARY KEY, n INTEGER, r REAL, s TEXT)", tables))
 			tables++
 		case op == 1 && tables > 0:
-			db.Exec(fmt.Sprintf("CREATE INDEX ix%d_n ON t%d (n)", rng.Intn(tables), rng.Intn(tables)))
+			add(fmt.Sprintf("CREATE INDEX ix%d_n ON t%d (n)", rng.Intn(tables), rng.Intn(tables)))
 		case op <= 6:
 			var sv any = fmt.Sprintf("s-%d", rng.Intn(1000))
 			if rng.Intn(5) == 0 {
 				sv = nil
 			}
-			db.Exec(fmt.Sprintf("INSERT INTO t%d (n, r, s) VALUES (?, ?, ?)", rng.Intn(tables)),
+			add(fmt.Sprintf("INSERT INTO t%d (n, r, s) VALUES (?, ?, ?)", rng.Intn(tables)),
 				int64(rng.Intn(100)), rng.Float64()*1e3, sv)
 		case op == 7:
-			db.Exec(fmt.Sprintf("UPDATE t%d SET n = ? WHERE n = ?", rng.Intn(tables)),
+			add(fmt.Sprintf("UPDATE t%d SET n = ? WHERE n = ?", rng.Intn(tables)),
 				int64(rng.Intn(100)), int64(rng.Intn(100)))
 		default:
-			db.Exec(fmt.Sprintf("DELETE FROM t%d WHERE n = ?", rng.Intn(tables)),
+			add(fmt.Sprintf("DELETE FROM t%d WHERE n = ?", rng.Intn(tables)),
 				int64(rng.Intn(100)))
 		}
+	}
+	return ops
+}
+
+// applyRandomOps drives db through randomOps statement by statement,
+// ignoring the failures.
+func applyRandomOps(db *DB, rng *rand.Rand, n int) {
+	for _, op := range randomOps(rng, n) {
+		db.Exec(op.sql, op.args...)
 	}
 }
 

@@ -190,6 +190,64 @@ func TestFollowerResyncsAfterPrimaryRestart(t *testing.T) {
 	}
 }
 
+// TestFollowerSurvivesPrimaryCompactRestart: a follower caught up before
+// the primary compacts and restarts must converge byte-identically on the
+// next commit. The compacted log holds one INSERT per row, more records than
+// the history had commits; a primary that counted them as commits came back
+// at an inflated LSN with the snapshot rows in its catch-up buffer and
+// streamed them to the follower as history.
+func TestFollowerSurvivesPrimaryCompactRestart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "primary.kdb")
+	primary, err := kdb.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &kdb.Server{DB: primary, HeartbeatInterval: 50 * time.Millisecond}
+	l, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	mustExec(t, primary, "CREATE TABLE p (id INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, primary, "INSERT INTO p (v) VALUES ('a'), ('b'), ('c'), ('d'), ('e')")
+
+	f := NewFollower(openDB(t, ""), addr, fastOpts())
+	f.Start(context.Background())
+	defer f.Stop()
+	waitLSN(t, f.DB(), primary.LSN())
+
+	if err := primary.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	primary = openDB(t, path)
+	if got := primary.LSN(); got != 2 {
+		t.Errorf("restarted primary LSN = %d, want 2", got)
+	}
+	srv = &kdb.Server{DB: primary, HeartbeatInterval: 50 * time.Millisecond}
+	if _, err := srv.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	mustExec(t, primary, "INSERT INTO p (v) VALUES ('f')")
+	waitLSN(t, f.DB(), primary.LSN())
+	if d1, d2 := dump(t, primary), dump(t, f.DB()); d1 != d2 {
+		t.Errorf("follower diverged:\n--- primary ---\n%s--- follower ---\n%s", d1, d2)
+	}
+}
+
 func TestFollowerDivergenceForcesSnapshot(t *testing.T) {
 	// A follower with unrelated local history has the same LSNs as the
 	// primary but different records; its first applied record either gaps
