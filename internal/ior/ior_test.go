@@ -2,6 +2,7 @@ package ior
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -484,5 +485,71 @@ func TestParseOutputLineDropRobustness(t *testing.T) {
 			}()
 			_, _ = ParseOutput(strings.NewReader(strings.Join(mutated, "\n")))
 		}()
+	}
+}
+
+// benchOutput renders the text of one bench-sized run (the paper's command,
+// 3 iterations): what every campaign unit's extraction phase parses.
+func benchOutput(tb testing.TB) []byte {
+	tb.Helper()
+	r, cfg := paperRunner(3)
+	run, err := r.Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteOutput(&buf, run); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestParseOutputAllocatesLittle: parsing a few-KiB output must not pay for
+// the 1 MiB line limit up front — a zeroed megabyte per parse was 72% of all
+// bytes the served-ingest path allocated.
+func TestParseOutputAllocatesLittle(t *testing.T) {
+	data := benchOutput(t)
+	const parses = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < parses; i++ {
+		if _, err := ParseOutput(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / parses; per > 64*1024 {
+		t.Errorf("ParseOutput of a %d-byte output allocates %d bytes, want under 64 KiB", len(data), per)
+	}
+}
+
+// TestParseOutputLineLimit keeps the 1 MiB line limit honest now that the
+// buffer no longer starts at it.
+func TestParseOutputLineLimit(t *testing.T) {
+	data := benchOutput(t)
+	long := func(n int) []byte {
+		return append(append([]byte(nil), data...), []byte("\n# "+strings.Repeat("x", n)+"\n")...)
+	}
+	p, err := ParseOutput(bytes.NewReader(long(900 * 1024)))
+	if err != nil {
+		t.Fatalf("a 900 KiB line must still parse: %v", err)
+	}
+	if len(p.Results) == 0 {
+		t.Error("results lost beside a long line")
+	}
+	if _, err := ParseOutput(bytes.NewReader(long(2 * 1024 * 1024))); err == nil {
+		t.Error("a 2 MiB line must still exceed the line limit")
+	}
+}
+
+func BenchmarkParseOutput(b *testing.B) {
+	data := benchOutput(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseOutput(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

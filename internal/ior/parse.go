@@ -69,7 +69,9 @@ type ParsedRun struct {
 // format-compatible with real IOR-3.3). It tolerates unknown lines.
 func ParseOutput(r io.Reader) (*ParsedRun, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines up to 1 MiB parse, but the buffer starts at the scanner's own
+	// 4 KiB and grows on demand: a whole output is a few KiB.
+	sc.Buffer(nil, 1024*1024)
 	p := &ParsedRun{Options: map[string]string{}}
 	section := ""
 	for sc.Scan() {

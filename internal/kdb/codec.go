@@ -1,0 +1,651 @@
+package kdb
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// This file owns the record format — {"sql":…,"args":[{"k":…,"v":…}]} — and
+// the three messages built around it: the exec/query exchange of the kdb://
+// protocol and the replicate-record frame. The format is the one
+// encoding/json derives from walEntry, wireRequest, wireResponse and
+// replMsg; those structs remain its definition. What is here is a second,
+// reflection-free way to say the same bytes on the statement path:
+//
+//   - append-style encoders that emit exactly what json.Marshal emits for
+//     the structs (key order, omitempty, string escaping), and
+//   - a strict scanner that accepts only what those encoders write, byte
+//     for byte in shape, decoding straight into engine values.
+//
+// The decline rule: whatever the scanner does not recognise — a meta
+// record, reordered or unknown keys, interior whitespace, an escape the
+// encoder never emits, a cold verb, an error or heartbeat frame — it
+// refuses without judging, and the caller hands the same bytes to
+// encoding/json and the structs. So the accept set, every error message and
+// mixed-version peers are exactly what they were; a declined message only
+// costs what every message used to cost.
+
+// maxScratch bounds the per-connection buffers kept between messages. One
+// multi-megabyte snapshot response must not pin its buffer for the life of
+// the connection.
+const maxScratch = 64 << 10
+
+// keepScratch returns b for the next message to reuse, or nothing once it
+// has grown past maxScratch.
+func keepScratch(b []byte) []byte {
+	if cap(b) > maxScratch {
+		return nil
+	}
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// plainByte marks the bytes a JSON string carries as themselves in both
+// directions: printable ASCII except the quote, the backslash and the three
+// characters encoding/json escapes for HTML safety.
+var plainByte = func() (t [utf8.RuneSelf]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
+// appendString appends s as the JSON string encoding/json writes for it.
+func appendString(dst []byte, s string) []byte {
+	mark := len(dst)
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if plainByte[c] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			case '<', '>', '&':
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			default:
+				// The remaining control bytes are spelled differently by
+				// different Go releases (\b or \u0008); let the library this
+				// binary links say it.
+				q, _ := json.Marshal(s) // a string always marshals
+				return append(dst[:mark], q...)
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// appendArg appends one typed value cell: {"k":kind} or {"k":kind,"v":text}.
+func appendArg(dst []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case nil:
+		return append(dst, `{"k":"n"}`...), nil
+	case int64:
+		return append(strconv.AppendInt(append(dst, `{"k":"i","v":"`...), x, 10), `"}`...), nil
+	case float64:
+		return append(strconv.AppendFloat(append(dst, `{"k":"r","v":"`...), x, 'g', -1, 64), `"}`...), nil
+	case string:
+		if x == "" {
+			return append(dst, `{"k":"t"}`...), nil
+		}
+		return append(appendString(append(dst, `{"k":"t","v":`...), x), '}'), nil
+	}
+	n, err := normalizeArg(v) // a caller's int, bool, float32, …: one of the four above, or an error
+	if err != nil {
+		return dst, err
+	}
+	return appendArg(dst, n)
+}
+
+// appendArgs appends a JSON array of value cells.
+func appendArgs(dst []byte, args []any) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, a := range args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendArg(dst, a); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendKey starts the next field of the object being written: key is the
+// quoted name and its colon.
+func appendKey(dst []byte, key string) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return append(dst, key...)
+}
+
+// appendRecord appends one mutation's log record, without a newline.
+func appendRecord(dst []byte, sql string, args []any) ([]byte, error) {
+	dst = append(dst, '{')
+	if sql != "" {
+		dst = appendString(appendKey(dst, `"sql":`), sql)
+	}
+	if len(args) > 0 {
+		var err error
+		if dst, err = appendArgs(appendKey(dst, `"args":`), args); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// isStatement reports whether op is one of the two verbs of the statement
+// path. Their requests, and their answers when they succeed, are the only
+// messages the codec writes; every other goes through the structs.
+func isStatement(op string) bool { return op == "exec" || op == "query" }
+
+// appendRequest appends req's line. A statement's arguments are args, in
+// place of req.Args.
+func appendRequest(dst []byte, req *wireRequest, args []any) ([]byte, error) {
+	if !isStatement(req.Op) {
+		return appendJSONLine(dst, req)
+	}
+	dst = appendString(append(dst, `{"op":`...), req.Op)
+	if req.SQL != "" {
+		dst = appendString(appendKey(dst, `"sql":`), req.SQL)
+	}
+	if len(args) > 0 {
+		var err error
+		if dst, err = appendArgs(appendKey(dst, `"args":`), args); err != nil {
+			return dst, err
+		}
+	}
+	if req.TraceID != "" {
+		dst = appendString(appendKey(dst, `"trace_id":`), req.TraceID)
+	}
+	if req.SpanID != "" {
+		dst = appendString(appendKey(dst, `"span_id":`), req.SpanID)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendResponse appends the line answering an exec or query. A query's
+// result is rows, in place of resp.Rows; a row holding a value the wire
+// cannot carry turns the answer into that error.
+func appendResponse(dst []byte, resp *wireResponse, rows [][]any) ([]byte, error) {
+	if resp.Err != "" {
+		return appendJSONLine(dst, resp)
+	}
+	mark := len(dst)
+	dst = append(dst, '{')
+	if resp.LastInsertID != 0 {
+		dst = strconv.AppendInt(appendKey(dst, `"last_id":`), resp.LastInsertID, 10)
+	}
+	if resp.RowsAffected != 0 {
+		dst = strconv.AppendInt(appendKey(dst, `"affected":`), int64(resp.RowsAffected), 10)
+	}
+	if len(resp.Columns) > 0 {
+		dst = append(appendKey(dst, `"cols":`), '[')
+		for i, c := range resp.Columns {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	if len(rows) > 0 {
+		dst = append(appendKey(dst, `"rows":`), '[')
+		for i, row := range rows {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = appendArgs(dst, row); err != nil {
+				return appendJSONLine(dst[:mark], &wireResponse{Err: err.Error()})
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if resp.LSN != 0 {
+		dst = strconv.AppendInt(appendKey(dst, `"lsn":`), resp.LSN, 10)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendReplFrame appends the stream line carrying one committed record.
+// encoding/json compacts and HTML-escapes a RawMessage on its way into the
+// frame; a record the scanner accepts is already in that form, so its bytes
+// go in verbatim, and any other is left to the library.
+func appendReplFrame(dst []byte, lsn int64, raw []byte, primaryLSN int64) ([]byte, error) {
+	if _, _, ok := scanRecord(raw, false); !ok || lsn == 0 {
+		return appendJSONLine(dst, &replMsg{LSN: lsn, Entry: raw, PrimaryLSN: primaryLSN})
+	}
+	dst = strconv.AppendInt(append(dst, `{"lsn":`...), lsn, 10)
+	dst = append(append(dst, `,"entry":`...), raw...)
+	if primaryLSN != 0 {
+		dst = strconv.AppendInt(append(dst, `,"primary_lsn":`...), primaryLSN, 10)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendJSONLine appends v as encoding/json marshals it, plus the newline
+// that ends a message: the encoder of everything off the statement path.
+func appendJSONLine(dst []byte, v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, data...), '\n'), nil
+}
+
+// The scanner. A cursor walks one message; a method that does not find what
+// it expects sets failed, after which every method does nothing, so a caller
+// asks once at the end whether the whole input was what it expected.
+type cursor struct {
+	b      []byte
+	i      int
+	failed bool
+	// decode materialises strings and cells; unset, the walk only validates
+	// and allocates nothing.
+	decode bool
+}
+
+// ok reports whether everything was recognised and nothing is left over.
+func (c *cursor) ok() bool { return !c.failed && c.i == len(c.b) }
+
+func (c *cursor) fail() string {
+	c.failed = true
+	return ""
+}
+
+// has consumes the literal s if it comes next.
+func (c *cursor) has(s string) bool {
+	if c.failed || len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
+		return false
+	}
+	c.i += len(s)
+	return true
+}
+
+// must consumes the literal s.
+func (c *cursor) must(s string) {
+	if !c.has(s) {
+		c.failed = true
+	}
+}
+
+// field consumes an object key if it comes next. key is written with the
+// comma every key but an object's first needs.
+func (c *cursor) field(key string) bool {
+	if c.i > 0 && c.b[c.i-1] == '{' {
+		key = key[1:]
+	}
+	return c.has(key)
+}
+
+// str consumes a JSON string in the encoder's spelling: plain bytes, valid
+// UTF-8, and the escapes \" \\ \n \r \t \b \f \uXXXX (no surrogates). It
+// declines the raw characters the encoder would have escaped, which also
+// makes an accepted string a fixed point of encoding/json's compaction.
+func (c *cursor) str() string {
+	b, i := c.b, c.i
+	if c.failed || i >= len(b) || b[i] != '"' {
+		return c.fail()
+	}
+	i++
+	start := i
+	for i < len(b) && b[i] < utf8.RuneSelf && plainByte[b[i]] {
+		i++
+	}
+	if i < len(b) && b[i] == '"' {
+		c.i = i + 1
+		if !c.decode {
+			return ""
+		}
+		return string(b[start:i])
+	}
+	end := i // the closing quote, so the decoded text can be sized once
+	for end < len(b) && b[end] != '"' {
+		if b[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	if end >= len(b) {
+		return c.fail()
+	}
+	var sb strings.Builder
+	if c.decode {
+		sb.Grow(end - start)
+		sb.Write(b[start:i])
+	}
+	for i < end {
+		ch := b[i]
+		switch {
+		case ch >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(b[i:end])
+			if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+				return c.fail()
+			}
+			if c.decode {
+				sb.Write(b[i : i+size])
+			}
+			i += size
+			continue
+		case plainByte[ch]:
+		case ch != '\\':
+			return c.fail()
+		default:
+			i++ // the escaped byte lies before end: the quote search stepped over it
+			switch ch = b[i]; ch {
+			case '"', '\\':
+			case 'n':
+				ch = '\n'
+			case 'r':
+				ch = '\r'
+			case 't':
+				ch = '\t'
+			case 'b':
+				ch = '\b'
+			case 'f':
+				ch = '\f'
+			case 'u':
+				if end-i < 5 {
+					return c.fail()
+				}
+				r, err := strconv.ParseUint(string(b[i+1:i+5]), 16, 16)
+				if err != nil || utf8.RuneLen(rune(r)) < 0 {
+					return c.fail()
+				}
+				if c.decode {
+					sb.WriteRune(rune(r))
+				}
+				i += 5
+				continue
+			default:
+				return c.fail()
+			}
+		}
+		if c.decode {
+			sb.WriteByte(ch)
+		}
+		i++
+	}
+	c.i = end + 1
+	return sb.String()
+}
+
+// int consumes a JSON integer that fits int64.
+func (c *cursor) int() int64 {
+	b, i := c.b, c.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	digits := i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	if c.failed || i == digits || (b[digits] == '0' && i-digits > 1) || i-c.i > 20 {
+		c.failed = true
+		return 0
+	}
+	v, err := strconv.ParseInt(string(b[c.i:i]), 10, 64)
+	c.i, c.failed = i, err != nil
+	return v
+}
+
+// numberText consumes the rest of an integer or real cell — its text, free
+// of escapes, and the closing quote and brace — and returns the text. A
+// number's text is a few dozen bytes at most, so converting it to a string
+// for strconv stays on the stack.
+func (c *cursor) numberText() []byte {
+	start := c.i
+	for c.i < len(c.b) && c.b[c.i] < utf8.RuneSelf && plainByte[c.b[c.i]] && c.i-start <= 32 {
+		c.i++
+	}
+	text := c.b[start:c.i]
+	c.must(`"}`)
+	return text
+}
+
+// args consumes a non-empty array of value cells. hint sizes the result.
+func (c *cursor) args(hint int) (args []any) {
+	c.must(`[`)
+	if c.decode && !c.failed {
+		args = make([]any, 0, hint)
+	}
+	for !c.failed {
+		c.must(`{"k":"`)
+		switch {
+		case c.has(`n"}`):
+			if c.decode {
+				args = append(args, nil)
+			}
+		case c.has(`t"}`):
+			if c.decode {
+				args = append(args, "")
+			}
+		case c.has(`t","v":`):
+			at := c.i
+			s := c.str()
+			if c.i-at <= 2 { // the encoder omits an empty text
+				c.failed = true
+			}
+			c.must(`}`)
+			if c.decode {
+				args = append(args, s)
+			}
+		case c.has(`i","v":"`):
+			n, err := strconv.ParseInt(string(c.numberText()), 10, 64)
+			c.failed = c.failed || err != nil
+			if c.decode {
+				args = append(args, n)
+			}
+		case c.has(`r","v":"`):
+			f, err := strconv.ParseFloat(string(c.numberText()), 64)
+			c.failed = c.failed || err != nil
+			if c.decode {
+				args = append(args, f)
+			}
+		default:
+			c.failed = true
+		}
+		if c.has(`]`) {
+			return args
+		}
+		c.must(`,`)
+	}
+	return nil
+}
+
+// record consumes one mutation record: {"sql":…} or {"sql":…,"args":[…]}.
+func (c *cursor) record() (sql string, args []any) {
+	c.must(`{"sql":`)
+	at := c.i
+	sql = c.str()
+	if c.i-at <= 2 { // the encoder omits an empty statement
+		c.failed = true
+	}
+	if c.has(`,"args":`) {
+		args = c.args(8)
+	}
+	c.must(`}`)
+	return sql, args
+}
+
+// scanRecord decodes a log record in the shape appendRecord writes. With
+// decode unset it only reports whether line is one.
+func scanRecord(line []byte, decode bool) (sql string, args []any, ok bool) {
+	c := cursor{b: line, decode: decode}
+	sql, args = c.record()
+	return sql, args, c.ok()
+}
+
+// scanStatementRequest decodes an exec or query request line in the shape
+// appendRequest writes; args are the decoded cells, not req.Args.
+func scanStatementRequest(line []byte) (req wireRequest, args []any, ok bool) {
+	c := cursor{b: line, decode: true}
+	switch {
+	case c.has(`{"op":"exec"`):
+		req.Op = "exec"
+	case c.has(`{"op":"query"`):
+		req.Op = "query"
+	default:
+		return wireRequest{}, nil, false
+	}
+	if c.has(`,"sql":`) {
+		req.SQL = c.str()
+	}
+	if c.has(`,"args":`) {
+		args = c.args(8)
+	}
+	if c.has(`,"trace_id":`) {
+		req.TraceID = c.str()
+	}
+	if c.has(`,"span_id":`) {
+		req.SpanID = c.str()
+	}
+	c.must(`}`)
+	if !c.ok() {
+		return wireRequest{}, nil, false
+	}
+	return req, args, true
+}
+
+// scanStatementResponse decodes a response line in the shape appendResponse
+// writes for a statement; rows are the decoded cells, not resp.Rows.
+func scanStatementResponse(line []byte) (resp wireResponse, rows [][]any, ok bool) {
+	c := cursor{b: line, decode: true}
+	c.must(`{`)
+	if c.field(`,"last_id":`) {
+		resp.LastInsertID = c.int()
+	}
+	if c.field(`,"affected":`) {
+		n := c.int()
+		resp.RowsAffected = int(n)
+		c.failed = c.failed || int64(resp.RowsAffected) != n
+	}
+	if c.field(`,"cols":[`) {
+		for !c.failed {
+			resp.Columns = append(resp.Columns, c.str())
+			if c.has(`]`) {
+				break
+			}
+			c.must(`,`)
+		}
+	}
+	if c.field(`,"rows":[`) {
+		for !c.failed {
+			rows = append(rows, c.args(len(resp.Columns)))
+			if c.has(`]`) {
+				break
+			}
+			c.must(`,`)
+		}
+	}
+	if c.field(`,"lsn":`) {
+		resp.LSN = c.int()
+	}
+	c.must(`}`)
+	if !c.ok() {
+		return wireResponse{}, nil, false
+	}
+	return resp, rows, true
+}
+
+// scanReplFrame decodes a record frame in the shape appendReplFrame
+// splices. The event's Entry is a copy: line belongs to the reader.
+func scanReplFrame(line []byte) (ReplEvent, bool) {
+	c := cursor{b: line}
+	var ev ReplEvent
+	c.must(`{"lsn":`)
+	ev.LSN = c.int()
+	c.must(`,"entry":`)
+	at := c.i
+	c.record()
+	entry := line[at:c.i]
+	if c.has(`,"primary_lsn":`) {
+		ev.PrimaryLSN = c.int()
+	}
+	c.must(`}`)
+	if !c.ok() {
+		return ReplEvent{}, false
+	}
+	ev.Entry = append([]byte(nil), entry...)
+	return ev, true
+}
+
+// lineReader frames the protocol: one message per line, of any length; the
+// last line before end of stream may lack its newline, and blank lines are
+// not messages (a JSON stream decoder skipped the whitespace between values).
+type lineReader struct {
+	br *bufio.Reader
+	// long holds a line that did not fit br's buffer, until the next call;
+	// its array is kept for the next such line (keepScratch).
+	long []byte
+}
+
+// next returns the next message without its newline. The slice is only
+// valid until the following call.
+func (r *lineReader) next() ([]byte, error) {
+	for {
+		r.long = keepScratch(r.long)
+		line, err := r.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			r.long = append(r.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.br.ReadSlice('\n')
+				if len(r.long)+len(line) > cap(r.long) {
+					// Double, which append stops doing past small sizes: a
+					// multi-megabyte line then leaves garbage of its own
+					// size behind, not four times that.
+					r.long = append(make([]byte, 0, 2*cap(r.long)+len(line)), r.long...)
+				}
+				r.long = append(r.long, line...)
+			}
+			line = r.long
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if n := len(line); n > 0 && line[n-1] == '\n' {
+			line = line[:n-1]
+		}
+		if len(bytes.TrimSpace(line)) > 0 {
+			return line, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -303,30 +302,49 @@ func (s *Server) handle(sc *serverConn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(sc.c))
+	in := lineReader{br: bufio.NewReader(sc.c)}
 	enc := json.NewEncoder(sc.c)
+	var out []byte // the statement answer being written; kept between requests while small
+	// respond writes one response and reports whether the connection is
+	// still good. Only a statement's answer is built in out: a cold verb's
+	// — a snapshot is megabytes — goes from the library's buffer to the
+	// socket without a copy of it being made here.
+	respond := func(op string, resp *wireResponse, rows [][]any) bool {
+		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		if !isStatement(op) {
+			return enc.Encode(resp) == nil
+		}
+		var err error
+		if out, err = appendResponse(out[:0], resp, rows); err != nil {
+			return false
+		}
+		_, err = sc.c.Write(out)
+		out = keepScratch(out)
+		return err == nil
+	}
 	for {
 		sc.c.SetReadDeadline(time.Now().Add(s.idleTimeout()))
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			if err == io.EOF || errors.Is(err, net.ErrClosed) {
+		line, err := in.next()
+		if err != nil {
+			return // end of stream, timeout or transport failure; nothing to tell the peer
+		}
+		req, args, ok := scanStatementRequest(line)
+		if !ok {
+			// Not an exec or query as this package's client writes them:
+			// the structs decide what it is, as they always did.
+			req = wireRequest{}
+			if err := json.Unmarshal(line, &req); err != nil {
+				// Malformed request: report the error instead of hanging up
+				// silently. Where the next message starts is anyone's guess
+				// after a syntax error, so the connection closes after the
+				// response.
+				respond("", &wireResponse{Err: "kdb: malformed request: " + err.Error()}, nil)
 				return
 			}
-			var ne net.Error
-			if errors.As(err, &ne) {
-				return // timeout or transport failure; nothing to tell the peer
-			}
-			// Malformed request: report the error instead of hanging up
-			// silently. The decoder's state is unreliable after a syntax
-			// error, so the connection closes after the response.
-			sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-			enc.Encode(wireResponse{Err: "kdb: malformed request: " + err.Error()})
-			return
 		}
 		if req.Op == "replicate" {
 			if s.DB == nil {
-				sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-				enc.Encode(wireResponse{Err: "kdb: this node serves no local database to replicate"})
+				respond("", &wireResponse{Err: "kdb: this node serves no local database to replicate"}, nil)
 				return
 			}
 			// The connection becomes a one-way stream; it stays "idle"
@@ -338,14 +356,13 @@ func (s *Server) handle(sc *serverConn) {
 		sc.mu.Lock()
 		sc.inFlight = true
 		sc.mu.Unlock()
-		resp := s.dispatch(req)
-		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		err := enc.Encode(resp)
+		resp, rows := s.dispatch(&req, args)
+		good := respond(req.Op, &resp, rows)
 		sc.mu.Lock()
 		sc.inFlight = false
 		drained := sc.closeAfter
 		sc.mu.Unlock()
-		if err != nil || drained {
+		if !good || drained {
 			return
 		}
 	}
@@ -369,16 +386,22 @@ func (s *Server) traceNode() string {
 	return s.role()
 }
 
-func (s *Server) dispatch(req wireRequest) wireResponse {
+// dispatch answers one request. args are its decoded arguments when the
+// scanner read it; a request the structs decoded still carries them as
+// req.Args. A query's rows come back beside the response as engine values,
+// for the response encoder to write straight from.
+func (s *Server) dispatch(req *wireRequest, args []any) (wireResponse, [][]any) {
 	metServerRequests.Inc()
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		return wireResponse{Err: err.Error()}
+	if req.Args != nil {
+		var err error
+		if args, err = decodeArgs(req.Args); err != nil {
+			return wireResponse{Err: err.Error()}, nil
+		}
 	}
 	switch req.Op {
 	case "exec":
 		if s.ReadOnly {
-			return wireResponse{Err: "kdb: read-only replica rejects mutations"}
+			return wireResponse{Err: "kdb: read-only replica rejects mutations"}, nil
 		}
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.exec")
 		hop.SetNode(s.traceNode())
@@ -386,11 +409,11 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		res, err := s.conn().ExecTraced(hop.Context(), req.SQL, args...)
 		if err != nil {
 			hop.Fail(err)
-			return wireResponse{Err: err.Error()}
+			return wireResponse{Err: err.Error()}, nil
 		}
 		hop.AttrInt("rows_affected", int64(res.RowsAffected))
 		hop.End()
-		return wireResponse{LastInsertID: res.LastInsertID, RowsAffected: res.RowsAffected, LSN: res.LSN}
+		return wireResponse{LastInsertID: res.LastInsertID, RowsAffected: res.RowsAffected, LSN: res.LSN}, nil
 	case "status":
 		st := wireResponse{Role: s.role(), Addr: s.Advertise}
 		if s.DB != nil {
@@ -398,18 +421,18 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		} else if s.Backend != nil {
 			st.LSN = s.Backend.LSN()
 		}
-		return st
+		return st, nil
 	case "snapshot":
 		if s.DB == nil {
-			return wireResponse{Err: "kdb: this node serves no local database to snapshot"}
+			return wireResponse{Err: "kdb: this node serves no local database to snapshot"}, nil
 		}
 		var buf bytes.Buffer
 		lsn, err := s.DB.WriteSnapshot(&buf)
 		if err != nil {
-			return wireResponse{Err: err.Error()}
+			return wireResponse{Err: err.Error()}, nil
 		}
 		metReplSnapshotBytes.Add(int64(buf.Len()))
-		return wireResponse{Snapshot: buf.Bytes(), LSN: lsn}
+		return wireResponse{Snapshot: buf.Bytes(), LSN: lsn}, nil
 	case "delta":
 		// Incremental snapshot: the full manifest of the current snapshot's
 		// content-addressed chunks, with bytes only for the segments the
@@ -417,16 +440,16 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		// the exact WriteSnapshot stream, so delta catch-up converges
 		// byte-identically to a full snapshot transfer.
 		if s.DB == nil {
-			return wireResponse{Err: "kdb: this node serves no local database to snapshot"}
+			return wireResponse{Err: "kdb: this node serves no local database to snapshot"}, nil
 		}
 		var buf bytes.Buffer
 		lsn, err := s.DB.WriteSnapshot(&buf)
 		if err != nil {
-			return wireResponse{Err: err.Error()}
+			return wireResponse{Err: err.Error()}, nil
 		}
 		chunks, err := ChunkSnapshot(buf.Bytes(), 0)
 		if err != nil {
-			return wireResponse{Err: err.Error()}
+			return wireResponse{Err: err.Error()}, nil
 		}
 		have := make(map[string]bool, len(req.Have))
 		for _, h := range req.Have {
@@ -442,7 +465,7 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 			}
 		}
 		metReplSnapshotBytes.Add(int64(shipped))
-		return resp
+		return resp, nil
 	case "query":
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.query")
 		hop.SetNode(s.traceNode())
@@ -450,29 +473,21 @@ func (s *Server) dispatch(req wireRequest) wireResponse {
 		rows, err := s.conn().QueryTraced(hop.Context(), req.SQL, args...)
 		if err != nil {
 			hop.Fail(err)
-			return wireResponse{Err: err.Error()}
+			return wireResponse{Err: err.Error()}, nil
 		}
 		hop.AttrInt("rows", int64(rows.Len()))
 		hop.End()
-		resp := wireResponse{Columns: rows.Columns}
-		for _, row := range rows.All() {
-			wr, err := encodeArgs(row)
-			if err != nil {
-				return wireResponse{Err: err.Error()}
-			}
-			resp.Rows = append(resp.Rows, wr)
-		}
-		return resp
+		return wireResponse{Columns: rows.Columns}, rows.All()
 	case "tables":
-		return wireResponse{Tables: s.conn().Tables()}
+		return wireResponse{Tables: s.conn().Tables()}, nil
 	case "shardmap":
 		if s.ShardMapFunc == nil {
-			return wireResponse{Err: "kdb: this node serves no shard map"}
+			return wireResponse{Err: "kdb: this node serves no shard map"}, nil
 		}
 		epoch, data := s.ShardMapFunc()
-		return wireResponse{Epoch: epoch, ShardMap: data}
+		return wireResponse{Epoch: epoch, ShardMap: data}, nil
 	}
-	return wireResponse{Err: fmt.Sprintf("kdb: unknown wire op %q", req.Op)}
+	return wireResponse{Err: fmt.Sprintf("kdb: unknown wire op %q", req.Op)}, nil
 }
 
 // Listen serves the database on addr in a background goroutine. It returns
@@ -540,8 +555,8 @@ type Remote struct {
 	mu     sync.Mutex
 	addr   string // host:port retained for reconnects
 	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
+	in     lineReader
+	out    []byte // the request being written; kept between requests while small
 	closed bool
 	// lsn is the highest server LSN observed on any response — a passive
 	// high-water mark (no extra round trips) used for cache validity.
@@ -582,8 +597,7 @@ func Dial(addr string) (*Remote, error) {
 // reset installs a fresh connection; callers hold r.mu (or own r solely).
 func (r *Remote) reset(conn net.Conn) {
 	r.conn = conn
-	r.enc = json.NewEncoder(conn)
-	r.dec = json.NewDecoder(bufio.NewReader(conn))
+	r.in = lineReader{br: bufio.NewReader(conn)}
 }
 
 // reconnect redials the server after a broken pipe; callers hold r.mu.
@@ -607,26 +621,34 @@ type wireError struct{ msg string }
 
 func (e wireError) Error() string { return e.msg }
 
-func (r *Remote) roundTrip(req wireRequest, idempotent bool) (wireResponse, error) {
+// roundTrip sends req — with args as its arguments when it is an exec or
+// query — and returns the response; a query's rows come back beside it as
+// engine values, or in resp.Rows when the structs had to decode them.
+func (r *Remote) roundTrip(req wireRequest, args []any, idempotent bool) (wireResponse, [][]any, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return wireResponse{}, fmt.Errorf("kdb: remote connection closed")
+		return wireResponse{}, nil, fmt.Errorf("kdb: remote connection closed")
 	}
+	var err error
+	if r.out, err = appendRequest(r.out[:0], &req, args); err != nil {
+		return wireResponse{}, nil, err // an argument the wire cannot carry; nothing was sent
+	}
+	defer func() { r.out = keepScratch(r.out) }()
 	if r.conn == nil {
 		// A previous request broke the connection; restore it now.
 		if err := r.reconnect(); err != nil {
-			return wireResponse{}, err
+			return wireResponse{}, nil, err
 		}
 	}
-	resp, err := r.try(req)
+	resp, rows, err := r.try()
 	if err == nil {
 		r.noteLSN(resp.LSN)
-		return resp, nil
+		return resp, rows, nil
 	}
 	var we wireError
 	if errors.As(err, &we) {
-		return wireResponse{}, err // the server answered; keep the connection
+		return wireResponse{}, nil, err // the server answered; keep the connection
 	}
 	// Transport failure: drop the connection. Idempotent requests retry
 	// once on a fresh dial; mutations surface the error (retrying could
@@ -634,32 +656,41 @@ func (r *Remote) roundTrip(req wireRequest, idempotent bool) (wireResponse, erro
 	r.conn.Close()
 	r.conn = nil
 	if !idempotent {
-		return wireResponse{}, err
+		return wireResponse{}, nil, err
 	}
 	if rerr := r.reconnect(); rerr != nil {
-		return wireResponse{}, err
+		return wireResponse{}, nil, err
 	}
-	resp, err = r.try(req)
+	resp, rows, err = r.try()
 	if err == nil {
 		r.noteLSN(resp.LSN)
 	}
-	return resp, err
+	return resp, rows, err
 }
 
-// try sends one request and reads one response on the current connection;
-// callers hold r.mu.
-func (r *Remote) try(req wireRequest) (wireResponse, error) {
-	if err := r.enc.Encode(req); err != nil {
-		return wireResponse{}, fmt.Errorf("kdb: send: %w", err)
+// try sends the request line in r.out and reads one response on the current
+// connection; callers hold r.mu.
+func (r *Remote) try() (wireResponse, [][]any, error) {
+	if _, err := r.conn.Write(r.out); err != nil {
+		return wireResponse{}, nil, fmt.Errorf("kdb: send: %w", err)
 	}
-	var resp wireResponse
-	if err := r.dec.Decode(&resp); err != nil {
-		return wireResponse{}, fmt.Errorf("kdb: receive: %w", err)
+	line, err := r.in.next()
+	if err != nil {
+		return wireResponse{}, nil, fmt.Errorf("kdb: receive: %w", err)
+	}
+	resp, rows, ok := scanStatementResponse(line)
+	if !ok {
+		// An error, a cold verb's answer, or a peer that spells its
+		// responses differently.
+		resp, rows = wireResponse{}, nil
+		if err := json.Unmarshal(line, &resp); err != nil {
+			return wireResponse{}, nil, fmt.Errorf("kdb: receive: %w", err)
+		}
 	}
 	if resp.Err != "" {
-		return wireResponse{}, wireError{resp.Err}
+		return wireResponse{}, nil, wireError{resp.Err}
 	}
-	return resp, nil
+	return resp, rows, nil
 }
 
 // Exec implements Conn.
@@ -674,13 +705,8 @@ func (r *Remote) ExecTraced(tc telemetry.TraceContext, query string, args ...any
 	hop := telemetry.StartHop(tc, "rpc.exec")
 	hop.SetSQL(query)
 	hop.Attr("addr", r.addr)
-	wa, err := encodeArgs(args)
-	if err != nil {
-		hop.Fail(err)
-		return Result{}, err
-	}
 	wtc := hop.Context()
-	resp, err := r.roundTrip(wireRequest{Op: "exec", SQL: query, Args: wa, TraceID: wtc.TraceID, SpanID: wtc.SpanID}, false)
+	resp, _, err := r.roundTrip(wireRequest{Op: "exec", SQL: query, TraceID: wtc.TraceID, SpanID: wtc.SpanID}, args, false)
 	if err != nil {
 		hop.Fail(err)
 		return Result{}, err
@@ -700,19 +726,14 @@ func (r *Remote) QueryTraced(tc telemetry.TraceContext, query string, args ...an
 	hop := telemetry.StartHop(tc, "rpc.query")
 	hop.SetSQL(query)
 	hop.Attr("addr", r.addr)
-	wa, err := encodeArgs(args)
-	if err != nil {
-		hop.Fail(err)
-		return nil, err
-	}
 	wtc := hop.Context()
-	resp, err := r.roundTrip(wireRequest{Op: "query", SQL: query, Args: wa, TraceID: wtc.TraceID, SpanID: wtc.SpanID}, true)
+	resp, cells, err := r.roundTrip(wireRequest{Op: "query", SQL: query, TraceID: wtc.TraceID, SpanID: wtc.SpanID}, args, true)
 	if err != nil {
 		hop.Fail(err)
 		return nil, err
 	}
-	rows := &Rows{Columns: resp.Columns}
-	for _, wr := range resp.Rows {
+	rows := &Rows{Columns: resp.Columns, rows: cells}
+	for _, wr := range resp.Rows { // only a response the structs decoded has these
 		vals, err := decodeArgs(wr)
 		if err != nil {
 			hop.Fail(err)
@@ -733,7 +754,7 @@ func (r *Remote) QueryRow(query string, args ...any) ([]any, error) {
 
 // Tables implements Conn.
 func (r *Remote) Tables() []string {
-	resp, err := r.roundTrip(wireRequest{Op: "tables"}, true)
+	resp, _, err := r.roundTrip(wireRequest{Op: "tables"}, nil, true)
 	if err != nil {
 		return nil
 	}

@@ -104,16 +104,20 @@ func (db *DB) entriesSince(after int64) (recs []replRecord, ok bool) {
 // precondition is that the record directly follows the local sequence
 // (ErrLSNGap otherwise).
 func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
-	var e walEntry
-	if err := json.Unmarshal(entry, &e); err != nil {
-		return fmt.Errorf("kdb: corrupt replicated record: %w", err)
-	}
-	if e.isMeta() {
-		return fmt.Errorf("kdb: unexpected meta record in replication stream")
-	}
-	args, err := decodeArgs(e.Args)
-	if err != nil {
-		return err
+	sql, args, ok := scanRecord(entry, true)
+	if !ok {
+		var e walEntry
+		if err := json.Unmarshal(entry, &e); err != nil {
+			return fmt.Errorf("kdb: corrupt replicated record: %w", err)
+		}
+		if e.isMeta() {
+			return fmt.Errorf("kdb: unexpected meta record in replication stream")
+		}
+		var err error
+		if args, err = decodeArgs(e.Args); err != nil {
+			return err
+		}
+		sql = e.SQL
 	}
 	rec := make([]byte, 0, len(entry)+1)
 	rec = append(append(rec, entry...), '\n')
@@ -123,7 +127,7 @@ func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
 		return fmt.Errorf("%w: record %d onto local %d", ErrLSNGap, lsn, db.lsn)
 	}
 	return db.commitLocked(func() error {
-		_, err := db.stageRecord(e.SQL, args, rec)
+		_, err := db.stageRecord(sql, args, rec)
 		return err
 	})
 }
@@ -190,6 +194,7 @@ func (s *Server) serveReplicate(sc *serverConn, req wireRequest) {
 		return enc.Encode(m) == nil
 	}
 	cursor := req.AfterLSN
+	var out []byte // the frames of one drained batch
 	for {
 		// Fetch the signal before scanning so a commit between the scan
 		// and the wait cannot be lost.
@@ -214,14 +219,23 @@ func (s *Server) serveReplicate(sc *serverConn, req wireRequest) {
 			}
 			continue
 		}
+		// Everything the buffer returned goes out in one write; the cursor
+		// moves only once the follower's socket has taken it.
 		primaryLSN := s.DB.LSN()
+		out = out[:0]
 		for _, rec := range recs {
-			if !send(replMsg{LSN: rec.lsn, Entry: rec.raw, PrimaryLSN: primaryLSN}) {
+			var err error
+			if out, err = appendReplFrame(out, rec.lsn, rec.raw, primaryLSN); err != nil {
 				return
 			}
-			metReplRecordsSent.Inc()
-			cursor = rec.lsn
 		}
+		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		if _, err := sc.c.Write(out); err != nil {
+			return
+		}
+		metReplRecordsSent.Add(int64(len(recs)))
+		cursor = recs[len(recs)-1].lsn
+		out = keepScratch(out)
 	}
 }
 
@@ -238,7 +252,7 @@ type ReplEvent struct {
 // used by a single goroutine (the follower apply loop).
 type ReplStream struct {
 	conn    net.Conn
-	dec     *json.Decoder
+	in      lineReader
 	timeout time.Duration
 }
 
@@ -256,7 +270,7 @@ func DialReplication(addr string, afterLSN int64, recvTimeout time.Duration) (*R
 		conn.Close()
 		return nil, fmt.Errorf("kdb: start replication: %w", err)
 	}
-	return &ReplStream{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn)), timeout: recvTimeout}, nil
+	return &ReplStream{conn: conn, in: lineReader{br: bufio.NewReader(conn)}, timeout: recvTimeout}, nil
 }
 
 // Recv blocks for the next stream message.
@@ -264,8 +278,17 @@ func (s *ReplStream) Recv() (ReplEvent, error) {
 	if s.timeout > 0 {
 		s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 	}
+	line, err := s.in.next()
+	if err != nil {
+		return ReplEvent{}, fmt.Errorf("kdb: replication receive: %w", err)
+	}
+	if ev, ok := scanReplFrame(line); ok {
+		return ev, nil
+	}
+	// Heartbeats, snapshot-required, errors and any frame a peer spelled
+	// differently.
 	var m replMsg
-	if err := s.dec.Decode(&m); err != nil {
+	if err := json.Unmarshal(line, &m); err != nil {
 		return ReplEvent{}, fmt.Errorf("kdb: replication receive: %w", err)
 	}
 	if m.Err != "" {
@@ -286,7 +309,7 @@ func (s *ReplStream) Close() error { return s.conn.Close() }
 // Status reports the served database's role and LSN — the read router's
 // staleness probe.
 func (r *Remote) Status() (NodeStatus, error) {
-	resp, err := r.roundTrip(wireRequest{Op: "status"}, true)
+	resp, _, err := r.roundTrip(wireRequest{Op: "status"}, nil, true)
 	if err != nil {
 		return NodeStatus{}, err
 	}
@@ -296,7 +319,7 @@ func (r *Remote) Status() (NodeStatus, error) {
 // Snapshot fetches a full snapshot of the served database and the LSN it
 // represents — the follower's bootstrap and re-sync transfer.
 func (r *Remote) Snapshot() ([]byte, int64, error) {
-	resp, err := r.roundTrip(wireRequest{Op: "snapshot"}, true)
+	resp, _, err := r.roundTrip(wireRequest{Op: "snapshot"}, nil, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -310,7 +333,7 @@ func (r *Remote) Snapshot() ([]byte, int64, error) {
 // otherwise) reproduces the WriteSnapshot stream byte-for-byte; see
 // ReassembleSnapshot.
 func (r *Remote) SnapshotDelta(have []string) ([]ChunkRef, [][]byte, int64, error) {
-	resp, err := r.roundTrip(wireRequest{Op: "delta", Have: have}, true)
+	resp, _, err := r.roundTrip(wireRequest{Op: "delta", Have: have}, nil, true)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -354,7 +377,7 @@ func ReassembleSnapshot(manifest []ChunkRef, shipped [][]byte, lookup func(hash 
 // coordinator node. The bytes are opaque to kdb; the shard package owns
 // their JSON shape.
 func (r *Remote) ShardMap() (epoch int64, data []byte, err error) {
-	resp, err := r.roundTrip(wireRequest{Op: "shardmap"}, true)
+	resp, _, err := r.roundTrip(wireRequest{Op: "shardmap"}, nil, true)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -106,11 +106,12 @@ func (tv TableView) headerRecords() int {
 // grew by appends keeps every earlier record byte-identical.
 func (tv TableView) EncodeRecords(w io.Writer, from, to int) error {
 	t := tv.t
-	write := func(sql string, args []any) error {
-		rec, err := encodeWalEntry(sql, args)
-		if err != nil {
+	var rec []byte
+	write := func(sql string, args []any) (err error) {
+		if rec, err = appendRecord(rec[:0], sql, args); err != nil {
 			return err
 		}
+		rec = append(rec, '\n')
 		_, err = w.Write(rec)
 		return err
 	}

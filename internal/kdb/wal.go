@@ -40,29 +40,6 @@ type walArg struct {
 	Value string `json:"v,omitempty"`
 }
 
-func encodeArgs(args []any) ([]walArg, error) {
-	out := make([]walArg, len(args))
-	for i, a := range args {
-		n, err := normalizeArg(a)
-		if err != nil {
-			return nil, err
-		}
-		switch x := n.(type) {
-		case nil:
-			out[i] = walArg{Kind: "n"}
-		case int64:
-			out[i] = walArg{Kind: "i", Value: strconv.FormatInt(x, 10)}
-		case float64:
-			out[i] = walArg{Kind: "r", Value: strconv.FormatFloat(x, 'g', -1, 64)}
-		case string:
-			out[i] = walArg{Kind: "t", Value: x}
-		default:
-			return nil, fmt.Errorf("kdb: cannot log argument of type %T", a)
-		}
-	}
-	return out, nil
-}
-
 func decodeArgs(in []walArg) ([]any, error) {
 	out := make([]any, len(in))
 	for i, a := range in {
@@ -107,15 +84,21 @@ type replayEntry struct {
 
 // parseWALRecords decodes newline-delimited log records. It is shared by
 // log replay and snapshot restore, so both paths accept exactly the bytes
-// the engine writes.
+// the engine writes. A mutation record in the shape the engine writes is
+// scanned straight into engine values; every other line — a meta record, a
+// hand-edited or padded one, a corrupt one — goes to encoding/json.
 func parseWALRecords(src string, data []byte) ([]replayEntry, error) {
-	var entries []replayEntry
+	entries := make([]replayEntry, 0, bytes.Count(data, []byte{'\n'})+1)
 	for len(data) > 0 {
 		var line []byte
 		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 			line, data = data[:nl], data[nl+1:]
 		} else {
 			line, data = data, nil
+		}
+		if sql, args, ok := scanRecord(line, true); ok {
+			entries = append(entries, replayEntry{SQL: sql, Args: args, Raw: append([]byte(nil), line...)})
+			continue
 		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
@@ -230,15 +213,11 @@ func openWAL(path string) (*wal, []replayEntry, error) {
 // without touching the file, so batches can validate and buffer every
 // record before any byte is written.
 func encodeWalEntry(sql string, args []any) ([]byte, error) {
-	ea, err := encodeArgs(args)
+	rec, err := appendRecord(make([]byte, 0, len(sql)+48*len(args)+16), sql, args)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(walEntry{SQL: sql, Args: ea})
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return append(rec, '\n'), nil
 }
 
 // AppendRaw writes pre-encoded log records (one or many) and flushes them

@@ -67,10 +67,11 @@ step_tier1() {
 }
 
 # benchsmoke compiles and runs every benchmark exactly once so a broken
-# benchmark cannot hide until someone runs the full suite.
+# benchmark cannot hide until someone runs the full suite; -benchmem puts
+# B/op and allocs/op for each in the gate log.
 step_benchsmoke() {
 	echo "== bench smoke (1 iteration) =="
-	$GO test -run='^$' -bench=. -benchtime=1x ./...
+	$GO test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 }
 
 # fuzzsmoke runs every fuzz target for a few seconds, so the gate exercises
