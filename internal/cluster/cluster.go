@@ -129,7 +129,9 @@ func FuchsCSC() *Machine {
 		WriteCongestion:    1,
 		FS:                 pfs.NewBeeGFS(pfs.DefaultConfig()),
 	}
-	for i := 0; i < 198; i++ {
+	const nodes = 198
+	m.Nodes = make([]Node, 0, nodes) // one machine per generated unit: not 2.5x its size in regrown arrays
+	for i := 0; i < nodes; i++ {
 		m.Nodes = append(m.Nodes, Node{ID: i + 1, State: Healthy, WriteFactor: 1, ReadFactor: 1})
 	}
 	return m

@@ -365,3 +365,15 @@ func TestDirectIODefeatsCache(t *testing.T) {
 		t.Errorf("O_DIRECT read (%.0f) should lose the cache boost (%.0f)", rd.BandwidthMiBps, rc.BandwidthMiBps)
 	}
 }
+
+// BenchmarkFuchsCSC is the machine every generated unit builds. Before the
+// node slice was preallocated: 20,802 B/op in 21 allocations, nine of them
+// the slice regrown; after: 10,977 B/op in 13.
+func BenchmarkFuchsCSC(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m := FuchsCSC(); len(m.Nodes) != 198 {
+			b.Fatal("wrong machine")
+		}
+	}
+}

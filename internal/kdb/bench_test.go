@@ -119,6 +119,23 @@ func BenchmarkWireExec(b *testing.B) {
 	}
 }
 
+// BenchmarkWireBatch is one 16-object save — 240 nine-argument inserts, the
+// children naming their parents' ids by reference — as one "batch" exchange:
+// the served-ingest unit of work. Divide by 240 to compare a statement with
+// BenchmarkWireExec's.
+func BenchmarkWireBatch(b *testing.B) {
+	_, r := benchServed(b)
+	benchWireTable(b, r)
+	save := saveShaped(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Batch(r, save); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWireQuery is one 20-row, 10-column select over the same exchange.
 func BenchmarkWireQuery(b *testing.B) {
 	_, r := benchServed(b)
@@ -159,6 +176,35 @@ func BenchmarkApplyRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := db.ApplyRecord(db.lsn+1, rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyRecords is a follower applying a shipped group of 240
+// records to its file-backed log as one write step.
+func BenchmarkApplyRecords(b *testing.B) {
+	db, err := Open(filepath.Join(b.TempDir(), "follower.kdb"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	benchWireTable(b, db)
+	rec, err := encodeWalEntry(wireInsert, wireInsertArgs(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	group := make([]ReplEvent, 240)
+	for i := range group {
+		group[i].Entry = rec[:len(rec)-1]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range group {
+			group[j].LSN = db.lsn + 1 + int64(j)
+		}
+		if err := db.ApplyRecords(group); err != nil {
 			b.Fatal(err)
 		}
 	}

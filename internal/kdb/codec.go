@@ -11,8 +11,8 @@ import (
 )
 
 // This file owns the record format — {"sql":…,"args":[{"k":…,"v":…}]} — and
-// the three messages built around it: the exec/query exchange of the kdb://
-// protocol and the replicate-record frame. The format is the one
+// the messages built around it: the exec/query and batch exchanges of the
+// kdb:// protocol and the replicate-record frame. The format is the one
 // encoding/json derives from walEntry, wireRequest, wireResponse and
 // replMsg; those structs remain its definition. What is here is a second,
 // reflection-free way to say the same bytes on the statement path:
@@ -30,10 +30,13 @@ import (
 // mixed-version peers are exactly what they were; a declined message only
 // costs what every message used to cost.
 
-// maxScratch bounds the per-connection buffers kept between messages. One
-// multi-megabyte snapshot response must not pin its buffer for the life of
-// the connection.
-const maxScratch = 64 << 10
+// maxScratch bounds the buffers kept between messages and between write
+// steps: room for a unit of work — a 16-object save is one line of a hundred
+// kilobytes, which every hop would otherwise allocate anew, several times
+// over as it grows, thousands of times a campaign — but not for a snapshot:
+// one multi-megabyte response must not pin its buffer for the life of the
+// connection.
+const maxScratch = 256 << 10
 
 // keepScratch returns b for the next message to reuse, or nothing once it
 // has grown past maxScratch.
@@ -42,6 +45,23 @@ func keepScratch(b []byte) []byte {
 		return nil
 	}
 	return b
+}
+
+// roomFor returns b with room for one more statement in the record's shape,
+// growing it by doubling. A buffer that collects a whole unit of work must
+// not be left to append's own growth: past a few kilobytes that is a quarter
+// at a time, and every step copies all the statements already in it.
+func roomFor(b []byte, sql string, args []any) []byte {
+	need := len(sql) + 48*len(args) + 16
+	for _, a := range args {
+		if s, ok := a.(string); ok {
+			need += len(s)
+		}
+	}
+	if cap(b)-len(b) >= need {
+		return b
+	}
+	return append(make([]byte, 0, 2*cap(b)+need), b...)
 }
 
 const hexDigits = "0123456789abcdef"
@@ -129,12 +149,21 @@ func appendArg(dst []byte, v any) ([]byte, error) {
 	return appendArg(dst, n)
 }
 
-// appendArgs appends a JSON array of value cells.
-func appendArgs(dst []byte, args []any) ([]byte, error) {
+// appendArgs appends a JSON array of value cells. Inside the batch request
+// being recorded (refs), the id of one of its earlier statements is the one
+// cell that is not a value: {"k":"ref","v":"<statement index>"}, for the
+// server to fill in. Everywhere else refs is nil and a Ref is the id it holds.
+func appendArgs(dst []byte, args []any, refs *recording) ([]byte, error) {
 	dst = append(dst, '[')
 	for i, a := range args {
 		if i > 0 {
 			dst = append(dst, ',')
+		}
+		if refs != nil {
+			if r, ok := a.(Ref); ok && r.rec == refs && refs.ids == nil {
+				dst = append(strconv.AppendInt(append(dst, `{"k":"ref","v":"`...), int64(r.stmt), 10), `"}`...)
+				continue
+			}
 		}
 		var err error
 		if dst, err = appendArg(dst, a); err != nil {
@@ -155,13 +184,19 @@ func appendKey(dst []byte, key string) []byte {
 
 // appendRecord appends one mutation's log record, without a newline.
 func appendRecord(dst []byte, sql string, args []any) ([]byte, error) {
+	return appendStmt(dst, sql, args, nil)
+}
+
+// appendStmt appends one statement in the record's shape: a log record
+// (refs nil), or a statement of the batch request refs is recording.
+func appendStmt(dst []byte, sql string, args []any, refs *recording) ([]byte, error) {
 	dst = append(dst, '{')
 	if sql != "" {
 		dst = appendString(appendKey(dst, `"sql":`), sql)
 	}
 	if len(args) > 0 {
 		var err error
-		if dst, err = appendArgs(appendKey(dst, `"args":`), args); err != nil {
+		if dst, err = appendArgs(appendKey(dst, `"args":`), args, refs); err != nil {
 			return dst, err
 		}
 	}
@@ -185,7 +220,7 @@ func appendRequest(dst []byte, req *wireRequest, args []any) ([]byte, error) {
 	}
 	if len(args) > 0 {
 		var err error
-		if dst, err = appendArgs(appendKey(dst, `"args":`), args); err != nil {
+		if dst, err = appendArgs(appendKey(dst, `"args":`), args, nil); err != nil {
 			return dst, err
 		}
 	}
@@ -198,7 +233,31 @@ func appendRequest(dst []byte, req *wireRequest, args []any) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendResponse appends the line answering an exec or query. A query's
+// appendBatchHead starts a batch request's line: everything before its first
+// statement. The recorder appends the statements (appendStmt, comma between)
+// as they are made, then appendBatchTail. key is the placement key of a keyed
+// batch.
+func appendBatchHead(dst []byte, key *uint64) []byte {
+	dst = append(dst, `{"op":"batch"`...)
+	if key != nil {
+		dst = strconv.AppendUint(append(dst, `,"key":`...), *key, 10)
+	}
+	return append(dst, `,"stmts":[`...)
+}
+
+// appendBatchTail ends the line appendBatchHead started.
+func appendBatchTail(dst []byte, traceID, spanID string) []byte {
+	dst = append(dst, ']')
+	if traceID != "" {
+		dst = appendString(append(dst, `,"trace_id":`...), traceID)
+	}
+	if spanID != "" {
+		dst = appendString(append(dst, `,"span_id":`...), spanID)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendResponse appends the line answering an exec, a query or a batch. A query's
 // result is rows, in place of resp.Rows; a row holding a value the wire
 // cannot carry turns the answer into that error.
 func appendResponse(dst []byte, resp *wireResponse, rows [][]any) ([]byte, error) {
@@ -230,9 +289,19 @@ func appendResponse(dst []byte, resp *wireResponse, rows [][]any) ([]byte, error
 				dst = append(dst, ',')
 			}
 			var err error
-			if dst, err = appendArgs(dst, row); err != nil {
+			if dst, err = appendArgs(dst, row, nil); err != nil {
 				return appendJSONLine(dst[:mark], &wireResponse{Err: err.Error()})
 			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(resp.IDs) > 0 {
+		dst = append(appendKey(dst, `"ids":`), '[')
+		for i, id := range resp.IDs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, id, 10)
 		}
 		dst = append(dst, ']')
 	}
@@ -278,6 +347,9 @@ type cursor struct {
 	// decode materialises strings and cells; unset, the walk only validates
 	// and allocates nothing.
 	decode bool
+	// refs admits the back-reference cell of a batch statement, decoded as a
+	// refArg. A log record never holds one.
+	refs bool
 }
 
 // ok reports whether everything was recognised and nothing is left over.
@@ -405,22 +477,37 @@ func (c *cursor) str() string {
 	return sb.String()
 }
 
-// int consumes a JSON integer that fits int64.
-func (c *cursor) int() int64 {
+// digits consumes the text of a JSON integer — a minus sign only where signed
+// allows one, no leading zeros — short enough to fit 64 bits.
+func (c *cursor) digits(signed bool) []byte {
 	b, i := c.b, c.i
-	if i < len(b) && b[i] == '-' {
+	if signed && i < len(b) && b[i] == '-' {
 		i++
 	}
-	digits := i
+	first := i
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
-	if c.failed || i == digits || (b[digits] == '0' && i-digits > 1) || i-c.i > 20 {
+	if c.failed || i == first || (b[first] == '0' && i-first > 1) || i-c.i > 20 {
 		c.failed = true
-		return 0
+		return nil
 	}
-	v, err := strconv.ParseInt(string(b[c.i:i]), 10, 64)
-	c.i, c.failed = i, err != nil
+	text := b[c.i:i]
+	c.i = i
+	return text
+}
+
+// int consumes a JSON integer that fits int64.
+func (c *cursor) int() int64 {
+	v, err := strconv.ParseInt(string(c.digits(true)), 10, 64)
+	c.failed = c.failed || err != nil
+	return v
+}
+
+// uint consumes a JSON integer that fits uint64.
+func (c *cursor) uint() uint64 {
+	v, err := strconv.ParseUint(string(c.digits(false)), 10, 64)
+	c.failed = c.failed || err != nil
 	return v
 }
 
@@ -476,6 +563,12 @@ func (c *cursor) args(hint int) (args []any) {
 			c.failed = c.failed || err != nil
 			if c.decode {
 				args = append(args, f)
+			}
+		case c.refs && c.has(`ref","v":"`):
+			n, err := strconv.ParseInt(string(c.numberText()), 10, 64)
+			c.failed = c.failed || err != nil
+			if c.decode {
+				args = append(args, refArg(n))
 			}
 		default:
 			c.failed = true
@@ -542,8 +635,44 @@ func scanStatementRequest(line []byte) (req wireRequest, args []any, ok bool) {
 	return req, args, true
 }
 
+// scanBatchRequest decodes a batch request line in the shape the recorder
+// writes (appendBatchHead, appendStmt, appendBatchTail). stmts are the decoded
+// statements, not req.Stmts; their references are not yet checked.
+func scanBatchRequest(line []byte) (req wireRequest, stmts []batchStmt, ok bool) {
+	c := cursor{b: line, decode: true, refs: true}
+	if !c.has(`{"op":"batch"`) {
+		return wireRequest{}, nil, false
+	}
+	req.Op = "batch"
+	if c.has(`,"key":`) {
+		key := c.uint()
+		req.Key = &key
+	}
+	c.must(`,"stmts":[`)
+	for !c.failed {
+		sql, args := c.record()
+		stmts = append(stmts, batchStmt{sql, args})
+		if c.has(`]`) {
+			break
+		}
+		c.must(`,`)
+	}
+	if c.has(`,"trace_id":`) {
+		req.TraceID = c.str()
+	}
+	if c.has(`,"span_id":`) {
+		req.SpanID = c.str()
+	}
+	c.must(`}`)
+	if !c.ok() {
+		return wireRequest{}, nil, false
+	}
+	return req, stmts, true
+}
+
 // scanStatementResponse decodes a response line in the shape appendResponse
-// writes for a statement; rows are the decoded cells, not resp.Rows.
+// writes for a statement or a batch; rows are the decoded cells, not
+// resp.Rows.
 func scanStatementResponse(line []byte) (resp wireResponse, rows [][]any, ok bool) {
 	c := cursor{b: line, decode: true}
 	c.must(`{`)
@@ -567,6 +696,15 @@ func scanStatementResponse(line []byte) (resp wireResponse, rows [][]any, ok boo
 	if c.field(`,"rows":[`) {
 		for !c.failed {
 			rows = append(rows, c.args(len(resp.Columns)))
+			if c.has(`]`) {
+				break
+			}
+			c.must(`,`)
+		}
+	}
+	if c.field(`,"ids":[`) {
+		for !c.failed {
+			resp.IDs = append(resp.IDs, c.int())
 			if c.has(`]`) {
 				break
 			}

@@ -46,6 +46,17 @@ func encodeArgs(args []any) ([]walArg, error) {
 	return out, nil
 }
 
+// encodeWalEntry renders one mutation as its newline-terminated log record,
+// as a follower receives it; the engine itself stages records straight into
+// its write step's buffer.
+func encodeWalEntry(sql string, args []any) ([]byte, error) {
+	rec, err := appendRecord(nil, sql, args)
+	if err != nil {
+		return nil, err
+	}
+	return append(rec, '\n'), nil
+}
+
 func mustEncodeArgs(t testing.TB, args []any) []walArg {
 	t.Helper()
 	wa, err := encodeArgs(args)
@@ -137,9 +148,10 @@ func checkRecordScan(t testing.TB, line []byte) bool {
 	return true
 }
 
-// checkWireScan does the same for the three message scanners.
+// checkWireScan does the same for the message scanners.
 func checkWireScan(t testing.TB, line []byte) {
 	t.Helper()
+	checkBatchScan(t, line)
 	if req, args, ok := scanStatementRequest(line); ok {
 		var want wireRequest
 		if err := json.Unmarshal(line, &want); err != nil {
@@ -185,9 +197,10 @@ func checkWireScan(t testing.TB, line []byte) {
 }
 
 // checkStatement encodes one statement as a record, an exec request, a
-// query response row and a replication frame, demands the oracle's bytes
-// from each encoder and acceptance of each by its scanner, and returns the
-// four lines for the caller to mutate.
+// query response row, a replication frame and (three times over, with a
+// reference where an argument allows one) a batch request, demands the
+// oracle's bytes from each encoder and acceptance of each by its scanner, and
+// returns the lines for the caller to mutate.
 func checkStatement(t testing.TB, sql string, args []any) [][]byte {
 	t.Helper()
 	wa := mustEncodeArgs(t, args)
@@ -221,6 +234,9 @@ func checkStatement(t testing.TB, sql string, args []any) [][]byte {
 	}
 
 	resp := wireResponse{LastInsertID: int64(len(sql)), RowsAffected: len(args), LSN: math.MaxInt64 - int64(len(args))}
+	if len(args)%3 == 2 { // a batch's answer
+		resp = wireResponse{IDs: []int64{int64(len(sql)), 0, math.MinInt64, math.MaxInt64}[:len(args)%5], LSN: resp.LSN}
+	}
 	rows := [][]any{args, args}
 	wrows := [][]walArg{wa, wa}
 	if len(args) == 0 {
@@ -253,10 +269,18 @@ func checkStatement(t testing.TB, sql string, args []any) [][]byte {
 		t.Fatalf("frame scanner declines its own encoder's %s", frame)
 	}
 
-	for _, line := range [][]byte{reqLine, respLine, frame} {
+	var key *uint64
+	if len(args)%2 == 1 {
+		key = new(uint64)
+		*key = math.MaxUint64 - uint64(len(sql))
+	}
+	stmt := batchStmt{sql, args}
+	batchLine := checkBatchRequest(t, key, req.TraceID, req.SpanID, []batchStmt{stmt, {"INSERT INTO t VALUES (?)", []any{int64(0)}}, stmt})
+
+	for _, line := range [][]byte{reqLine, respLine, frame, batchLine} {
 		checkWireScan(t, line)
 	}
-	return [][]byte{rec, reqLine, respLine, frame}
+	return [][]byte{rec, reqLine, respLine, frame, batchLine}
 }
 
 // hostileStrings are the texts an escaping bug would show on.
@@ -403,11 +427,19 @@ func TestScannerDeclines(t *testing.T) {
 		`{"sql":"x","op":"exec"}`, `{"op":"exec","args":[{"k":"n"}],"sql":"x"}`, `{"op":"exec","span_id":"b","trace_id":"a"}`,
 		`{"op":"exec","sql":"x","future":true}`, `{"op": "exec","sql":"x"}`, `{"op":"exec", "sql":"x"}`, `{"op":"exec","sql":"x"} `,
 		`{"op":"execute","sql":"x"}`, `{"op":"exec","sql":"x"`, `{"op":"exec""sql":"x"}`, `{"op":"exec","sql":"x",}`,
+		// batches: no statements, misplaced or misspelt keys, references outside a batch
+		`{"op":"batch"}`, `{"op":"batch","stmts":[]}`, `{"op":"batch","stmts":[{}]}`, `{"op":"batch","stmts":[{"sql":"x"},]}`,
+		`{"op":"batch","stmts":[{"sql":"x"}],"key":1}`, `{"op":"batch","key":-1,"stmts":[{"sql":"x"}]}`, `{"op":"batch","key":01,"stmts":[{"sql":"x"}]}`,
+		`{"op":"batch","key":18446744073709551616,"stmts":[{"sql":"x"}]}`, `{"op":"batch","key":1.0,"stmts":[{"sql":"x"}]}`,
+		`{"op":"batch","sql":"x","stmts":[{"sql":"x"}]}`, `{"op":"batch","stmts":[{"sql":"x","args":[{"k":"ref"}]}]}`,
+		`{"op":"batch","stmts":[{"sql":"x","args":[{"k":"ref","v":"1.5"}]}]}`, `{"op":"batch","stmts":[{"sql":"x","args":[{"k":"ref","v":1}]}]}`,
+		`{"op":"exec","sql":"x","args":[{"k":"ref","v":"0"}]}`, `{"op":"query","sql":"x","args":[{"k":"ref","v":"0"}]}`,
 		// responses: errors, cold answers, number spellings
 		`{"err":"boom"}`, `{"err":"boom","lsn":3}`, `{"tables":["a"]}`, `{"lsn":3,"role":"primary"}`, `{"snapshot":"e30K","lsn":1}`,
 		`{"lsn":3,"last_id":1}`, `{"last_id":1"affected":1}`, `{"last_id":01}`, `{"last_id":1.0}`, `{"last_id":1e2}`, `{"last_id":-}`,
 		`{"last_id":92233720368547758070}`, `{"affected":9223372036854775808}`, `{"last_id": 1}`, `{"cols":[]}`, `{"rows":[]}`, `{"rows":[[]]}`,
 		`{"cols":["a"],"rows":[[{"k":"n"}],]}`, `{"cols":["a",]}`, `{"cols":["a"]"rows":[[{"k":"n"}]]}`, `{,"lsn":1}`, `{"lsn":1,}`,
+		`{"ids":[]}`, `{"ids":[1,]}`, `{"ids":[1.0]}`, `{"ids":["1"]}`, `{"lsn":3,"ids":[1]}`, `{"ids":[1],"rows":[[{"k":"n"}]]}`, `{"ids":[01]}`,
 		// frames: heartbeats, snapshot-required, errors, bad entries
 		`{"primary_lsn":5,"hb":true}`, `{"snap":true}`, `{"err":"gone"}`, `{"lsn":1,"primary_lsn":2}`,
 		`{"lsn":1,"entry":{"meta":true},"primary_lsn":2}`, `{"lsn":1,"entry":{"sql":"x"},"primary_lsn":2,"hb":true}`,
@@ -418,11 +450,22 @@ func TestScannerDeclines(t *testing.T) {
 		line := []byte(m)
 		checkWireScan(t, line)
 		_, _, reqOK := scanStatementRequest(line)
+		_, _, batchOK := scanBatchRequest(line)
 		_, _, respOK := scanStatementResponse(line)
 		_, frameOK := scanReplFrame(line)
-		if reqOK || respOK || frameOK {
-			t.Errorf("a scanner accepted %q (request %v, response %v, frame %v)", m, reqOK, respOK, frameOK)
+		if reqOK || batchOK || respOK || frameOK {
+			t.Errorf("a scanner accepted %q (request %v, batch %v, response %v, frame %v)", m, reqOK, batchOK, respOK, frameOK)
 		}
+	}
+	// A record never holds a reference, whatever a batch statement may.
+	if _, _, ok := scanRecord([]byte(`{"sql":"x","args":[{"k":"ref","v":"0"}]}`), true); ok {
+		t.Error("scanRecord accepted a reference cell")
+	}
+	if _, _, ok := scanBatchRequest([]byte(`{"op":"batch","key":7,"stmts":[{"sql":"x"},{"sql":"y","args":[{"k":"ref","v":"0"}]}]}`)); !ok {
+		t.Error("canonical batch request declined")
+	}
+	if _, _, ok := scanStatementResponse([]byte(`{"ids":[1,0],"lsn":3}`)); !ok {
+		t.Error("canonical batch response declined")
 	}
 	// The minimal canonical messages, so the list above is known to fail for
 	// its stated reason and not for a typo.

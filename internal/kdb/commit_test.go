@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -99,9 +100,11 @@ func TestCommitFailureRollsBack(t *testing.T) {
 
 // TestCommitPathsAgree drives one generated history through each entry
 // point of the write step — N× Exec, one Batch, ApplyRecord of the first
-// database's shipped records — and demands the same bytes everywhere: log
-// file, snapshot, LSN, catch-up buffer. A statement failing in the middle
-// leaves Exec and ApplyRecord at the same prefix and Batch at nothing.
+// database's shipped records, "batch" requests over the wire with ids sent
+// as references, ApplyRecords of the shipped records in groups — and demands
+// the same bytes everywhere: log file, snapshot, LSN, catch-up buffer. A
+// statement failing in the middle leaves Exec and ApplyRecord at the same
+// prefix and Batch, the wire batch and ApplyRecords at nothing.
 func TestCommitPathsAgree(t *testing.T) {
 	type node struct {
 		db   *DB
@@ -134,6 +137,7 @@ func TestCommitPathsAgree(t *testing.T) {
 			t.Errorf("%s: catch-up buffers differ", what)
 		}
 	}
+	asRef := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		execd := open(t, "exec.kdb")
 		var ops []randomOp // the statements that committed
@@ -173,6 +177,36 @@ func TestCommitPathsAgree(t *testing.T) {
 		}
 		same(t, "ApplyRecord", applied, execd)
 
+		wired := open(t, "wire.kdb")
+		remote := dialServed(t, &Server{DB: wired.db})
+		ids := make([]int64, len(results))
+		for i, res := range results {
+			ids[i] = res.LastInsertID
+		}
+		refs, n := wireBatches(t, remote, ops, ids, 7+int(seed)*9)
+		asRef += n
+		for i, ref := range refs {
+			if ref.ID() != ids[i] {
+				t.Fatalf("seed %d: wire batch statement %d answered id %d, Exec %d", seed, i, ref.ID(), ids[i])
+			}
+		}
+		if remote.LSN() != execd.db.LSN() {
+			t.Errorf("seed %d: wire client saw LSN %d, want %d", seed, remote.LSN(), execd.db.LSN())
+		}
+		same(t, "wire batches", wired, execd)
+
+		grouped := open(t, "group.kdb")
+		for at, size := 0, 1; at < len(recs); at, size = at+size, size%5+int(seed) {
+			var evs []ReplEvent
+			for _, r := range recs[at:min(at+size, len(recs))] {
+				evs = append(evs, ReplEvent{LSN: r.lsn, Entry: r.raw})
+			}
+			if err := grouped.db.ApplyRecords(evs); err != nil {
+				t.Fatalf("seed %d: apply group at %d: %v", seed, at, err)
+			}
+		}
+		same(t, "ApplyRecords", grouped, execd)
+
 		// The same history with a failing statement in the middle.
 		k := len(ops) / 2
 		const bad = "INSERT INTO missing (n) VALUES (1)"
@@ -209,6 +243,36 @@ func TestCommitPathsAgree(t *testing.T) {
 			t.Fatal("batch with a bad statement committed")
 		}
 		same(t, "failed Batch", batched, open(t, "empty.kdb"))
+
+		broken := append(append(ops[:k:k], randomOp{sql: bad}), ops[k:]...)
+		wired = open(t, "wire2.kdb")
+		err = Batch(dialServed(t, &Server{DB: wired.db}), func(exec ExecFunc) error {
+			for _, op := range broken {
+				if _, err := exec(op.sql, op.args...); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("wire batch with a bad statement committed")
+		}
+		same(t, "failed wire batch", wired, open(t, "empty2.kdb"))
+		grouped = open(t, "group2.kdb")
+		var evs []ReplEvent
+		for i, op := range broken {
+			evs = append(evs, ReplEvent{LSN: int64(i + 1), Entry: record(t, op.sql, op.args...)})
+		}
+		if err := grouped.db.ApplyRecords(evs); err == nil {
+			t.Fatal("group with a bad record applied")
+		}
+		same(t, "failed ApplyRecords", grouped, open(t, "empty3.kdb"))
+		if err := grouped.db.ApplyRecords(evs[k+1:]); !errors.Is(err, ErrLSNGap) {
+			t.Errorf("seed %d: a group that does not follow the local sequence: err = %v", seed, err)
+		}
+	}
+	if asRef < 20 {
+		t.Errorf("only %d arguments travelled as references; the wire path was not exercised with them", asRef)
 	}
 }
 

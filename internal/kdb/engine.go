@@ -80,11 +80,14 @@ type DB struct {
 	// walErr records a failed log reopen (Compact's last resort); while
 	// set, mutations fail rather than silently skipping durability.
 	walErr error
-	// undos and recs are the write step in progress (commitLocked): the
-	// undo of, and the log record for, each statement staged so far. Empty
-	// between steps; guarded by db.mu held for writing.
+	// undos, step and ends are the write step in progress (commitLocked):
+	// the undo of each statement staged so far, their newline-terminated log
+	// records end to end, and where in step each record ends. Empty between
+	// steps, the arrays kept for the next one; guarded by db.mu held for
+	// writing.
 	undos []func()
-	recs  [][]byte
+	step  []byte
+	ends  []int
 
 	// lsn is the monotonically increasing commit sequence number: one per
 	// committed log record, restored across restarts by replay.
@@ -113,6 +116,11 @@ type Result struct {
 	// LSN is the commit sequence number the mutation received (the last
 	// one for multi-record batches); 0 for unlogged no-ops.
 	LSN int64
+	// rec and stmt are set on the placeholder a wire batch's recorder returns:
+	// the statement's outcome is not known until the batch is answered, and
+	// Ref is how its id is named before then and read after.
+	rec  *recording
+	stmt int
 }
 
 // Rows is a forward-only result set.
@@ -250,7 +258,7 @@ func (db *DB) exec(query string, args []any) (res Result, err error) {
 }
 
 // commitLocked is the write step, the one way a mutation becomes visible
-// and durable: Exec, Batch and ApplyRecord all run their statements through
+// and durable: Exec, Batch and ApplyRecords all run their statements through
 // it. run stages the caller's statements (stageStmt, stageRecord); if it or
 // the log append fails, every staged statement is undone newest first and
 // nothing is written, so memory never diverges from disk. Otherwise all the
@@ -264,16 +272,11 @@ func (db *DB) commitLocked(run func() error) error {
 		// Keep the arrays for the next step, not their contents: an undo
 		// closure pins the pre-image of everything its statement touched.
 		clear(db.undos)
-		clear(db.recs)
-		db.undos, db.recs = db.undos[:0], db.recs[:0]
+		db.undos, db.step, db.ends = db.undos[:0], keepScratch(db.step[:0]), db.ends[:0]
 	}()
 	err := run()
-	if err == nil && db.wal != nil && len(db.recs) > 0 {
-		data := db.recs[0]
-		if len(db.recs) > 1 {
-			data = bytes.Join(db.recs, nil)
-		}
-		if werr := db.wal.AppendRaw(data); werr != nil {
+	if err == nil && db.wal != nil && len(db.ends) > 0 {
+		if werr := db.wal.AppendRaw(db.step); werr != nil {
 			err = fmt.Errorf("kdb: write log: %w", werr)
 		}
 	}
@@ -283,8 +286,21 @@ func (db *DB) commitLocked(run func() error) error {
 		}
 		return err
 	}
-	for _, rec := range db.recs {
+	// The catch-up buffer keeps the records: a unit of work's in one array of
+	// exactly their size, a bulk load's each in its own, so that the last few
+	// of them still buffered do not hold on to all the megabytes.
+	unit := len(db.step) <= maxScratch
+	kept, start := db.step, 0
+	if unit {
+		kept = bytes.Clone(kept)
+	}
+	for _, end := range db.ends {
+		rec := kept[start:end:end]
+		if !unit {
+			rec = bytes.Clone(rec)
+		}
 		db.noteCommit(rec)
+		start = end
 	}
 	return nil
 }
@@ -294,27 +310,33 @@ func (db *DB) commitLocked(run func() error) error {
 // mutation touches memory — on in-memory databases too, where the record
 // still feeds the replication buffer.
 func (db *DB) stageStmt(query string, args []any) (Result, error) {
-	rec, err := encodeWalEntry(query, args)
+	mark := len(db.step)
+	db.step = roomFor(db.step, query, args)
+	rec, err := appendRecord(db.step, query, args)
 	if err != nil {
 		return Result{}, err
 	}
-	return db.stageRecord(query, args, rec)
+	db.step = append(rec, '\n')
+	return db.stageRecord(query, args, mark)
 }
 
-// stageRecord applies one statement in memory and queues its undo and its
-// newline-terminated log record for commitLocked, which must be running.
-func (db *DB) stageRecord(query string, args []any, rec []byte) (Result, error) {
+// stageRecord applies in memory the statement whose newline-terminated log
+// record the caller has just appended to db.step at mark, and queues its undo
+// for commitLocked, which must be running. A statement that cannot be applied
+// takes its record back out.
+func (db *DB) stageRecord(query string, args []any, mark int) (Result, error) {
 	res, undo, err := db.applyLocked(query, args)
 	if err != nil {
+		db.step = db.step[:mark]
 		return Result{}, err
 	}
 	if undo != nil {
 		db.undos = append(db.undos, undo)
 	}
-	db.recs = append(db.recs, rec)
+	db.ends = append(db.ends, len(db.step))
 	// The lock is held for the whole step, so if the step commits this is
 	// exactly the LSN the record gets.
-	res.LSN = db.lsn + int64(len(db.recs))
+	res.LSN = db.lsn + int64(len(db.ends))
 	return res, nil
 }
 
@@ -328,9 +350,13 @@ func (db *DB) noteCommit(rec []byte) {
 		line = line[:n-1]
 	}
 	db.replBuf = append(db.replBuf, replRecord{lsn: db.lsn, raw: line})
-	if len(db.replBuf) > 2*replBufCap {
-		// Amortized trim: keep the newest replBufCap records.
-		db.replBuf = append(db.replBuf[:0:0], db.replBuf[len(db.replBuf)-replBufCap:]...)
+	if n := len(db.replBuf); n > 2*replBufCap {
+		// Amortized trim: keep the newest replBufCap records, moved to the
+		// front of the same array (entriesSince hands out copies), and let
+		// go of the record bytes behind them.
+		copy(db.replBuf, db.replBuf[n-replBufCap:])
+		clear(db.replBuf[replBufCap:])
+		db.replBuf = db.replBuf[:replBufCap]
 	}
 	if db.commitCh != nil {
 		close(db.commitCh)
@@ -371,9 +397,10 @@ func (db *DB) applyLocked(query string, args []any) (Result, func(), error) {
 // ExecFunc applies one mutation inside a Batch.
 type ExecFunc func(query string, args ...any) (Result, error)
 
-// Batcher is implemented by connections that can apply several mutations
-// atomically under one lock with a single log flush. *DB implements it; a
-// wire client cannot, so callers holding a Conn go through Batch.
+// Batcher is implemented by connections that run a batch themselves: *DB
+// applies it under one lock with a single log flush, a router or coordinator
+// hands it whole to the backend it picks. Callers holding a Conn go through
+// Batch, which also knows the wire client's way.
 type Batcher interface {
 	Batch(fn func(exec ExecFunc) error) error
 }
@@ -388,23 +415,42 @@ type KeyedBatcher interface {
 	BatchKeyed(key uint64, fn func(exec ExecFunc) error) error
 }
 
-// Batch runs fn as one atomic batch when c is a Batcher and statement at a
-// time through c.Exec otherwise — c's own Exec, so a wrapper embedding a
-// connection still sees every statement of the fallback.
+// wireBatcher is the wire client's way to take a batch: fn's statements are
+// recorded and sent as one "batch" request (Remote.wireBatch). The method is
+// unexported so that Batch and BatchKeyed are the only door to it, and a
+// wrapper embedding a *Remote goes through the same door as the bare client.
+type wireBatcher interface {
+	wireBatch(key *uint64, fn func(exec ExecFunc) error) error
+}
+
+// Batch runs fn as one all-or-nothing unit of work on c: a write step on an
+// embedded database, one request over a wire connection, whatever a router
+// or coordinator makes of it. A statement that needs the id an earlier one
+// inserted takes that statement's Result.Ref() as its argument. Only a
+// connection that is none of these — a test double embedding the interface —
+// gets fn statement at a time through its own Exec, with no atomicity.
 func Batch(c Conn, fn func(exec ExecFunc) error) error {
-	if b, ok := c.(Batcher); ok {
+	switch b := c.(type) {
+	case Batcher:
 		return b.Batch(fn)
+	case wireBatcher:
+		return b.wireBatch(nil, fn)
 	}
 	return fn(c.Exec)
 }
 
 // BatchKeyed pins the batch to a placement key when c routes batches by
-// key, and is Batch otherwise.
+// key — or is a wire client, whose server may — and is Batch otherwise.
 func BatchKeyed(c Conn, key uint64, fn func(exec ExecFunc) error) error {
-	if kb, ok := c.(KeyedBatcher); ok {
-		return kb.BatchKeyed(key, fn)
+	switch b := c.(type) {
+	case KeyedBatcher:
+		return b.BatchKeyed(key, fn)
+	case Batcher:
+		return b.Batch(fn)
+	case wireBatcher:
+		return b.wireBatch(&key, fn)
 	}
-	return Batch(c, fn)
+	return fn(c.Exec)
 }
 
 // Batch runs fn with an exec function that applies mutations under one
@@ -1604,17 +1650,16 @@ func toFloat(v any) (float64, bool) {
 }
 
 // normalizeArg converts caller-supplied Go values into the engine's value
-// set (int64, float64, string, bool, nil).
+// set (int64, float64, string, bool, nil). A Ref is the id it names, so by
+// the time a statement is staged or logged its references are plain integers.
 func normalizeArg(v any) (any, error) {
 	switch x := v.(type) {
-	case nil:
-		return nil, nil
+	case nil, int64, float64, string:
+		return v, nil // already one of the engine's values: hand back the same box, not a new one
 	case int:
 		return int64(x), nil
 	case int32:
 		return int64(x), nil
-	case int64:
-		return x, nil
 	case uint:
 		if uint64(x) > math.MaxInt64 {
 			return nil, fmt.Errorf("kdb: uint value %d overflows int64", x)
@@ -1627,15 +1672,13 @@ func normalizeArg(v any) (any, error) {
 		return int64(x), nil
 	case float32:
 		return float64(x), nil
-	case float64:
-		return x, nil
-	case string:
-		return x, nil
 	case bool:
 		if x {
 			return int64(1), nil
 		}
 		return int64(0), nil
+	case Ref:
+		return x.value()
 	}
 	return nil, fmt.Errorf("kdb: unsupported argument type %T", v)
 }
@@ -1649,7 +1692,7 @@ func coerce(v any, t ColType) (any, error) {
 	case TInteger:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case float64:
 			if x == float64(int64(x)) {
 				return int64(x), nil
@@ -1658,13 +1701,16 @@ func coerce(v any, t ColType) (any, error) {
 		}
 		return nil, fmt.Errorf("cannot store %T in INTEGER column", v)
 	case TReal:
+		if _, ok := v.(float64); ok {
+			return v, nil
+		}
 		if f, ok := toFloat(v); ok {
 			return f, nil
 		}
 		return nil, fmt.Errorf("cannot store %T in REAL column", v)
 	default:
-		if s, ok := v.(string); ok {
-			return s, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 		return nil, fmt.Errorf("cannot store %T in TEXT column", v)
 	}

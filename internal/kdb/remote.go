@@ -51,8 +51,9 @@ import (
 // write for a router session, the per-shard maximum for a coordinator. It
 // never costs a round trip.
 //
-// Atomic batching is the one optional capability (a wire client cannot
-// batch atomically); reach it through Batch and BatchKeyed below.
+// Batching is reached through Batch and BatchKeyed (engine.go), which give
+// every connection here an all-or-nothing unit of work: one write step on an
+// embedded database, one "batch" request over the wire.
 type Conn interface {
 	TracedConn
 	Exec(query string, args ...any) (Result, error)
@@ -78,9 +79,16 @@ var (
 
 // wireRequest is one client->server message.
 type wireRequest struct {
-	Op   string   `json:"op"` // "exec", "query", "tables", "status", "snapshot", "delta", "replicate", "shardmap"
+	Op   string   `json:"op"` // "exec", "query", "batch", "tables", "status", "snapshot", "delta", "replicate", "shardmap"
 	SQL  string   `json:"sql,omitempty"`
 	Args []walArg `json:"args,omitempty"`
+	// Key and Stmts are the "batch" op: the statements of one unit of work,
+	// applied all or none, and the placement key when the client gave one
+	// (BatchKeyed) — omitted otherwise, so an unkeyed batch's bytes do not
+	// depend on it. A statement's argument may be {"k":"ref","v":"i"}: the
+	// last_id of statement i of the same batch, i below its own index.
+	Key   *uint64    `json:"key,omitempty"`
+	Stmts []wireStmt `json:"stmts,omitempty"`
 	// AfterLSN is the replication offset for the "replicate" op: the
 	// stream delivers every committed record with a greater LSN.
 	AfterLSN int64 `json:"after_lsn,omitempty"`
@@ -97,6 +105,12 @@ type wireRequest struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
+// wireStmt is one statement of a batch request, in the log record's shape.
+type wireStmt struct {
+	SQL  string   `json:"sql,omitempty"`
+	Args []walArg `json:"args,omitempty"`
+}
+
 // wireResponse is one server->client message.
 type wireResponse struct {
 	Err          string     `json:"err,omitempty"`
@@ -104,11 +118,14 @@ type wireResponse struct {
 	RowsAffected int        `json:"affected,omitempty"`
 	Columns      []string   `json:"cols,omitempty"`
 	Rows         [][]walArg `json:"rows,omitempty"`
-	Tables       []string   `json:"tables,omitempty"`
-	LSN          int64      `json:"lsn,omitempty"`
-	Role         string     `json:"role,omitempty"`
-	Addr         string     `json:"addr,omitempty"`
-	Snapshot     []byte     `json:"snapshot,omitempty"`
+	// IDs answers the "batch" op: each statement's last_id, in order; LSN is
+	// then the batch's last record.
+	IDs      []int64  `json:"ids,omitempty"`
+	Tables   []string `json:"tables,omitempty"`
+	LSN      int64    `json:"lsn,omitempty"`
+	Role     string   `json:"role,omitempty"`
+	Addr     string   `json:"addr,omitempty"`
+	Snapshot []byte   `json:"snapshot,omitempty"`
 	// Epoch and ShardMap answer the "shardmap" verb: an opaque,
 	// epoch-versioned partition map (the shard package defines its JSON
 	// shape; kdb only transports it).
@@ -311,7 +328,7 @@ func (s *Server) handle(sc *serverConn) {
 	// socket without a copy of it being made here.
 	respond := func(op string, resp *wireResponse, rows [][]any) bool {
 		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		if !isStatement(op) {
+		if !isStatement(op) && op != "batch" {
 			return enc.Encode(resp) == nil
 		}
 		var err error
@@ -329,9 +346,13 @@ func (s *Server) handle(sc *serverConn) {
 			return // end of stream, timeout or transport failure; nothing to tell the peer
 		}
 		req, args, ok := scanStatementRequest(line)
+		var stmts []batchStmt
 		if !ok {
-			// Not an exec or query as this package's client writes them:
-			// the structs decide what it is, as they always did.
+			req, stmts, ok = scanBatchRequest(line)
+		}
+		if !ok {
+			// Not an exec, query or batch as this package's client writes
+			// them: the structs decide what it is, as they always did.
 			req = wireRequest{}
 			if err := json.Unmarshal(line, &req); err != nil {
 				// Malformed request: report the error instead of hanging up
@@ -356,7 +377,7 @@ func (s *Server) handle(sc *serverConn) {
 		sc.mu.Lock()
 		sc.inFlight = true
 		sc.mu.Unlock()
-		resp, rows := s.dispatch(&req, args)
+		resp, rows := s.dispatch(&req, args, stmts)
 		good := respond(req.Op, &resp, rows)
 		sc.mu.Lock()
 		sc.inFlight = false
@@ -386,11 +407,12 @@ func (s *Server) traceNode() string {
 	return s.role()
 }
 
-// dispatch answers one request. args are its decoded arguments when the
-// scanner read it; a request the structs decoded still carries them as
-// req.Args. A query's rows come back beside the response as engine values,
-// for the response encoder to write straight from.
-func (s *Server) dispatch(req *wireRequest, args []any) (wireResponse, [][]any) {
+// dispatch answers one request. args are its decoded arguments, and stmts a
+// batch's statements, when the scanner read it; a request the structs decoded
+// still carries them as req.Args and req.Stmts. A query's rows come back
+// beside the response as engine values, for the response encoder to write
+// straight from.
+func (s *Server) dispatch(req *wireRequest, args []any, stmts []batchStmt) (wireResponse, [][]any) {
 	metServerRequests.Inc()
 	if req.Args != nil {
 		var err error
@@ -399,6 +421,14 @@ func (s *Server) dispatch(req *wireRequest, args []any) (wireResponse, [][]any) 
 		}
 	}
 	switch req.Op {
+	case "batch":
+		if req.Stmts != nil {
+			var err error
+			if stmts, err = decodeStmts(req.Stmts); err != nil {
+				return wireResponse{Err: err.Error()}, nil
+			}
+		}
+		return s.batch(req, stmts), nil
 	case "exec":
 		if s.ReadOnly {
 			return wireResponse{Err: "kdb: read-only replica rejects mutations"}, nil
@@ -552,15 +582,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // redials so subsequent requests work, but reports the original error,
 // since the server may or may not have applied the lost mutation.
 type Remote struct {
-	mu     sync.Mutex
-	addr   string // host:port retained for reconnects
-	conn   net.Conn
-	in     lineReader
-	out    []byte // the request being written; kept between requests while small
+	mu   sync.Mutex
+	addr string // host:port retained for reconnects
+	conn net.Conn
+	in   lineReader
+	out  []byte // the request being written; kept between requests while small
+	// batch is the last batch's request line, kept like out for the next one
+	// to be recorded into; it is not out, because a batch is recorded without
+	// holding mu.
+	batch  []byte
 	closed bool
 	// lsn is the highest server LSN observed on any response — a passive
 	// high-water mark (no extra round trips) used for cache validity.
 	lsn atomic.Int64
+	// noBatch is set once the server on this connection has answered that it
+	// does not know the "batch" op; batches are then replayed as execs.
+	noBatch atomic.Bool
 }
 
 // LSN returns the highest log sequence number this client has observed
@@ -598,6 +635,7 @@ func Dial(addr string) (*Remote, error) {
 func (r *Remote) reset(conn net.Conn) {
 	r.conn = conn
 	r.in = lineReader{br: bufio.NewReader(conn)}
+	r.noBatch.Store(false) // whoever answers the new connection may know the op
 }
 
 // reconnect redials the server after a broken pipe; callers hold r.mu.
@@ -627,21 +665,26 @@ func (e wireError) Error() string { return e.msg }
 func (r *Remote) roundTrip(req wireRequest, args []any, idempotent bool) (wireResponse, [][]any, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return wireResponse{}, nil, fmt.Errorf("kdb: remote connection closed")
-	}
 	var err error
 	if r.out, err = appendRequest(r.out[:0], &req, args); err != nil {
 		return wireResponse{}, nil, err // an argument the wire cannot carry; nothing was sent
 	}
 	defer func() { r.out = keepScratch(r.out) }()
+	return r.exchange(r.out, idempotent)
+}
+
+// exchange sends one request line and returns its answer; callers hold r.mu.
+func (r *Remote) exchange(line []byte, idempotent bool) (wireResponse, [][]any, error) {
+	if r.closed {
+		return wireResponse{}, nil, fmt.Errorf("kdb: remote connection closed")
+	}
 	if r.conn == nil {
 		// A previous request broke the connection; restore it now.
 		if err := r.reconnect(); err != nil {
 			return wireResponse{}, nil, err
 		}
 	}
-	resp, rows, err := r.try()
+	resp, rows, err := r.try(line)
 	if err == nil {
 		r.noteLSN(resp.LSN)
 		return resp, rows, nil
@@ -661,17 +704,17 @@ func (r *Remote) roundTrip(req wireRequest, args []any, idempotent bool) (wireRe
 	if rerr := r.reconnect(); rerr != nil {
 		return wireResponse{}, nil, err
 	}
-	resp, rows, err = r.try()
+	resp, rows, err = r.try(line)
 	if err == nil {
 		r.noteLSN(resp.LSN)
 	}
 	return resp, rows, err
 }
 
-// try sends the request line in r.out and reads one response on the current
+// try sends the request line and reads one response on the current
 // connection; callers hold r.mu.
-func (r *Remote) try() (wireResponse, [][]any, error) {
-	if _, err := r.conn.Write(r.out); err != nil {
+func (r *Remote) try(line []byte) (wireResponse, [][]any, error) {
+	if _, err := r.conn.Write(line); err != nil {
 		return wireResponse{}, nil, fmt.Errorf("kdb: send: %w", err)
 	}
 	line, err := r.in.next()

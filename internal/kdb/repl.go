@@ -98,38 +98,60 @@ func (db *DB) entriesSince(after int64) (recs []replRecord, ok bool) {
 	return append([]replRecord(nil), db.replBuf[start:]...), true
 }
 
-// ApplyRecord applies one replicated log record at the given LSN: a write
-// step of one statement whose log record is the primary's own bytes, so the
-// follower's file stays byte-identical to the primary's, and whose
-// precondition is that the record directly follows the local sequence
-// (ErrLSNGap otherwise).
-func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
-	sql, args, ok := scanRecord(entry, true)
-	if !ok {
-		var e walEntry
-		if err := json.Unmarshal(entry, &e); err != nil {
-			return fmt.Errorf("kdb: corrupt replicated record: %w", err)
+// ApplyRecords applies a run of replicated log records, each at the LSN its
+// event names: one write step whose log records are the primary's own bytes,
+// so the follower's file stays byte-identical to the primary's, and whose
+// precondition is that the run directly follows the local sequence
+// (ErrLSNGap otherwise). However many records the primary shipped together,
+// the follower pays one append and one flush for them, and applies all or
+// none.
+func (db *DB) ApplyRecords(recs []ReplEvent) error {
+	stmts := make([]batchStmt, len(recs))
+	size := 0
+	for i, r := range recs {
+		size += len(r.Entry) + 1
+		sql, args, ok := scanRecord(r.Entry, true)
+		if !ok {
+			var e walEntry
+			if err := json.Unmarshal(r.Entry, &e); err != nil {
+				return fmt.Errorf("kdb: corrupt replicated record: %w", err)
+			}
+			if e.isMeta() {
+				return fmt.Errorf("kdb: unexpected meta record in replication stream")
+			}
+			var err error
+			if args, err = decodeArgs(e.Args); err != nil {
+				return err
+			}
+			sql = e.SQL
 		}
-		if e.isMeta() {
-			return fmt.Errorf("kdb: unexpected meta record in replication stream")
-		}
-		var err error
-		if args, err = decodeArgs(e.Args); err != nil {
-			return err
-		}
-		sql = e.SQL
+		stmts[i] = batchStmt{sql, args}
 	}
-	rec := make([]byte, 0, len(entry)+1)
-	rec = append(append(rec, entry...), '\n')
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if lsn != db.lsn+1 {
-		return fmt.Errorf("%w: record %d onto local %d", ErrLSNGap, lsn, db.lsn)
+	for i, r := range recs {
+		if want := db.lsn + 1 + int64(i); r.LSN != want {
+			return fmt.Errorf("%w: record %d onto local %d", ErrLSNGap, r.LSN, want-1)
+		}
 	}
 	return db.commitLocked(func() error {
-		_, err := db.stageRecord(sql, args, rec)
-		return err
+		if cap(db.step) < size {
+			db.step = make([]byte, 0, size)
+		}
+		for i, st := range stmts {
+			mark := len(db.step)
+			db.step = append(append(db.step, recs[i].Entry...), '\n')
+			if _, err := db.stageRecord(st.sql, st.args, mark); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
+}
+
+// ApplyRecord is ApplyRecords' step of one.
+func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
+	return db.ApplyRecords([]ReplEvent{{LSN: lsn, Entry: entry}})
 }
 
 // RestoreSnapshot replaces the database's entire contents with a snapshot
@@ -222,7 +244,13 @@ func (s *Server) serveReplicate(sc *serverConn, req wireRequest) {
 		// Everything the buffer returned goes out in one write; the cursor
 		// moves only once the follower's socket has taken it.
 		primaryLSN := s.DB.LSN()
-		out = out[:0]
+		need := 0
+		for _, rec := range recs {
+			need += len(rec.raw) + 64 // a frame is its record and two numbers
+		}
+		if out = out[:0]; cap(out) < need {
+			out = make([]byte, 0, need)
+		}
 		for _, rec := range recs {
 			var err error
 			if out, err = appendReplFrame(out, rec.lsn, rec.raw, primaryLSN); err != nil {
@@ -254,7 +282,17 @@ type ReplStream struct {
 	conn    net.Conn
 	in      lineReader
 	timeout time.Duration
+	// group is RecvGroup's result, reused from call to call. ahead is the
+	// message it read past the end of a group, for the next receive; err the
+	// failure that ended one, after which the stream is not read again.
+	group []ReplEvent
+	ahead *ReplEvent
+	err   error
 }
+
+// maxGroupBytes bounds the records RecvGroup hands over as one group, so a
+// follower catching up on a long backlog applies it in steps.
+const maxGroupBytes = 1 << 20
 
 // DialReplication opens a replication stream delivering every committed
 // record after afterLSN. recvTimeout bounds each Recv; with heartbeats
@@ -270,11 +308,50 @@ func DialReplication(addr string, afterLSN int64, recvTimeout time.Duration) (*R
 		conn.Close()
 		return nil, fmt.Errorf("kdb: start replication: %w", err)
 	}
-	return &ReplStream{conn: conn, in: lineReader{br: bufio.NewReader(conn)}, timeout: recvTimeout}, nil
+	// The primary ships a drained batch in one write; a reader as large as
+	// the scratch buffers takes it in few reads.
+	return &ReplStream{conn: conn, in: lineReader{br: bufio.NewReaderSize(conn, maxScratch)}, timeout: recvTimeout}, nil
+}
+
+// RecvGroup blocks for the next stream message and, when it is a record,
+// for the records known to follow it: every record frame carries the
+// primary's LSN as of the write that shipped it, so a record below that LSN
+// has successors already on their way, and a run the primary shipped
+// together comes back together, for ApplyRecords to apply as one write step.
+// Any other message comes back alone. The slice is only valid until the next
+// call.
+func (s *ReplStream) RecvGroup() ([]ReplEvent, error) {
+	ev, err := s.Recv()
+	if err != nil {
+		return nil, err
+	}
+	s.group = append(s.group[:0], ev)
+	for size := len(ev.Entry); len(ev.Entry) > 0 && ev.LSN < ev.PrimaryLSN && size < maxGroupBytes; size += len(ev.Entry) {
+		next, err := s.Recv()
+		if err != nil {
+			s.err = err // the records already here are good; the failure is the next call's answer
+			break
+		}
+		if len(next.Entry) == 0 || next.LSN != ev.LSN+1 {
+			s.ahead = &next
+			break
+		}
+		ev = next
+		s.group = append(s.group, ev)
+	}
+	return s.group, nil
 }
 
 // Recv blocks for the next stream message.
 func (s *ReplStream) Recv() (ReplEvent, error) {
+	if s.ahead != nil {
+		ev := *s.ahead
+		s.ahead = nil
+		return ev, nil
+	}
+	if s.err != nil {
+		return ReplEvent{}, s.err
+	}
 	if s.timeout > 0 {
 		s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 	}

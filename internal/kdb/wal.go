@@ -43,28 +43,35 @@ type walArg struct {
 func decodeArgs(in []walArg) ([]any, error) {
 	out := make([]any, len(in))
 	for i, a := range in {
-		switch a.Kind {
-		case "n":
-			out[i] = nil
-		case "i":
-			v, err := strconv.ParseInt(a.Value, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("kdb: corrupt log integer %q", a.Value)
-			}
-			out[i] = v
-		case "r":
-			v, err := strconv.ParseFloat(a.Value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("kdb: corrupt log real %q", a.Value)
-			}
-			out[i] = v
-		case "t":
-			out[i] = a.Value
-		default:
-			return nil, fmt.Errorf("kdb: corrupt log argument kind %q", a.Kind)
+		v, err := decodeArg(a)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = v
 	}
 	return out, nil
+}
+
+func decodeArg(a walArg) (any, error) {
+	switch a.Kind {
+	case "n":
+		return nil, nil
+	case "i":
+		v, err := strconv.ParseInt(a.Value, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("kdb: corrupt log integer %q", a.Value)
+		}
+		return v, nil
+	case "r":
+		v, err := strconv.ParseFloat(a.Value, 64)
+		if err != nil {
+			return nil, fmt.Errorf("kdb: corrupt log real %q", a.Value)
+		}
+		return v, nil
+	case "t":
+		return a.Value, nil
+	}
+	return nil, fmt.Errorf("kdb: corrupt log argument kind %q", a.Kind)
 }
 
 type replayEntry struct {
@@ -207,17 +214,6 @@ func openWAL(path string) (*wal, []replayEntry, error) {
 		return nil, nil, fmt.Errorf("kdb: open log for append: %w", err)
 	}
 	return &wal{f: f, w: bufio.NewWriter(f)}, entries, nil
-}
-
-// encodeWalEntry renders one mutation as its newline-terminated log record
-// without touching the file, so batches can validate and buffer every
-// record before any byte is written.
-func encodeWalEntry(sql string, args []any) ([]byte, error) {
-	rec, err := appendRecord(make([]byte, 0, len(sql)+48*len(args)+16), sql, args)
-	if err != nil {
-		return nil, err
-	}
-	return append(rec, '\n'), nil
 }
 
 // AppendRaw writes pre-encoded log records (one or many) and flushes them

@@ -154,21 +154,24 @@ func (f *Follower) syncOnce(ctx context.Context) (progressed bool, err error) {
 	stop := context.AfterFunc(ctx, func() { stream.Close() })
 	defer stop()
 	for {
-		ev, err := stream.Recv()
+		evs, err := stream.RecvGroup()
 		if err != nil {
 			return progressed, err
 		}
-		f.noteContact(ev.PrimaryLSN)
+		last := evs[len(evs)-1]
+		f.noteContact(last.PrimaryLSN)
 		switch {
-		case ev.SnapshotRequired:
+		case last.SnapshotRequired:
 			if serr := f.snapshot(ctx); serr != nil {
 				return progressed, serr
 			}
 			return true, nil
-		case ev.Heartbeat:
+		case last.Heartbeat:
 			f.updateLag()
 		default:
-			if aerr := f.db.ApplyRecord(ev.LSN, ev.Entry); aerr != nil {
+			// The records the primary shipped together are one write step
+			// here too: one append, one flush.
+			if aerr := f.db.ApplyRecords(evs); aerr != nil {
 				// Any apply failure (LSN gap from divergence, corrupt
 				// record) is unrecoverable by streaming; fall back to a
 				// full snapshot.
@@ -178,8 +181,8 @@ func (f *Follower) syncOnce(ctx context.Context) (progressed bool, err error) {
 				return true, nil
 			}
 			progressed = true
-			metAppliedTotal.Inc()
-			f.noteApply(ev.PrimaryLSN)
+			metAppliedTotal.Add(int64(len(evs)))
+			f.noteApply(last.PrimaryLSN)
 		}
 	}
 }

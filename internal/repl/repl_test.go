@@ -415,6 +415,59 @@ func TestRouterBatchTracksLSN(t *testing.T) {
 	}
 }
 
+// TestRouterBatchOverWireTracksLSN is TestRouterBatchTracksLSN with the
+// primary behind a kdb:// connection: the batch's execs are only recorded, so
+// they report no LSN, and the session has to learn the batch's last one from
+// the answer. No read after the batch may come from a replica below it.
+func TestRouterBatchOverWireTracksLSN(t *testing.T) {
+	primary := openDB(t, "")
+	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+	remote, err := kdb.Dial(servePrimary(t, primary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &fakeReplica{db: primary}
+	rep.lsn.Store(primary.LSN()) // caught up with everything before the batch
+	rt := NewRouter(remote, rep)
+	defer rt.Close()
+	sess := rt.Session()
+	err = sess.Batch(func(exec kdb.ExecFunc) error {
+		for i := 0; i < 5; i++ {
+			res, err := exec("INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("b%d", i))
+			if err != nil {
+				return err
+			}
+			if res.LSN != 0 {
+				t.Errorf("a recorded exec reported LSN %d before the batch was sent", res.LSN)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.LSN() != primary.LSN() || remote.LSN() != primary.LSN() || primary.LSN() != 6 {
+		t.Errorf("after the batch: session LSN %d, connection LSN %d, primary LSN %d; want 6 everywhere", sess.LSN(), remote.LSN(), primary.LSN())
+	}
+	for lag := int64(5); lag > 0; lag-- {
+		rep.lsn.Store(primary.LSN() - lag)
+		rows, err := sess.Query("SELECT * FROM kv")
+		if err != nil || rows.Len() != 5 {
+			t.Fatalf("read after the batch = %v, %v", rows, err)
+		}
+	}
+	if p, r := rt.Stats(); p != 5 || r != 0 {
+		t.Errorf("a replica below the batch's last LSN served a read: primary=%d replica=%d", p, r)
+	}
+	rep.lsn.Store(primary.LSN())
+	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+		t.Fatal(err)
+	}
+	if _, r := rt.Stats(); r != 1 {
+		t.Errorf("caught-up replica unused after batch: replica reads = %d", r)
+	}
+}
+
 func TestRouterFailsOverToHealthyReplica(t *testing.T) {
 	primary := openDB(t, "")
 	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")

@@ -135,9 +135,9 @@ func (rt *Router) QueryRow(query string, args ...any) ([]any, error) {
 
 func (rt *Router) Tables() []string { return rt.primary.Tables() }
 
-// Batch applies fn on the primary through kdb.Batch — atomically when the
-// primary can, statement at a time over a wire connection — tracking the
-// LSNs the execs report so read-your-writes covers batched ingest.
+// Batch applies fn on the primary through kdb.Batch — one write step on an
+// embedded primary, one request to a served one — and notes the batch's last
+// LSN so read-your-writes covers batched ingest.
 func (rt *Router) Batch(fn func(exec kdb.ExecFunc) error) error {
 	return rt.def.Batch(fn)
 }
@@ -299,16 +299,24 @@ func (s *Session) Tables() []string { return s.rt.primary.Tables() }
 // Router.Close is the single teardown path.
 func (s *Session) Close() error { return nil }
 
-// Batch applies fn on the primary (see Router.Batch), recording each
-// exec's LSN for read-your-writes.
+// Batch applies fn on the primary (see Router.Batch). An embedded primary's
+// execs report their LSNs as they go; a wire primary's are placeholders
+// until the batch is answered, so then the connection's own position — which
+// that answer advanced — is what the session must wait for.
 func (s *Session) Batch(fn func(exec kdb.ExecFunc) error) error {
-	return kdb.Batch(s.rt.primary, func(exec kdb.ExecFunc) error {
+	var last int64
+	err := kdb.Batch(s.rt.primary, func(exec kdb.ExecFunc) error {
 		return fn(func(query string, args ...any) (kdb.Result, error) {
 			res, err := exec(query, args...)
-			if err == nil {
-				s.noteWrite(res.LSN)
+			if err == nil && res.LSN > last {
+				last = res.LSN
 			}
 			return res, err
 		})
 	})
+	if last == 0 {
+		last = s.rt.primary.LSN()
+	}
+	s.noteWrite(last)
+	return err
 }

@@ -61,8 +61,8 @@ func (s *Store) FinishCampaign(id int64, status string, finished time.Time, wall
 	return err
 }
 
-// AddCampaignRuns persists the per-unit outcome rows of a campaign in one
-// batch (row at a time over a remote connection; see kdb.Batch).
+// AddCampaignRuns persists the per-unit outcome rows of a campaign as one
+// batch (kdb.Batch).
 func (s *Store) AddCampaignRuns(campaignID int64, runs []CampaignRun) error {
 	return kdb.Batch(s.DB, func(exec kdb.ExecFunc) error {
 		for _, r := range runs {

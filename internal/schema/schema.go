@@ -311,15 +311,15 @@ const timeLayout = time.RFC3339
 // summaries, results, filesystems, and systeminfos, returning the new
 // knowledge id.
 func (s *Store) SaveObject(o *knowledge.Object) (int64, error) {
-	return s.saveObject(s.DB.Exec, o)
+	ref, err := s.saveObject(s.DB.Exec, o)
+	return ref.ID(), err
 }
 
-// SaveObjects persists several knowledge objects in one transaction-sized
-// batch when the connection supports it (local kdb databases do): all
-// inserts apply under a single lock with a single log flush, and a failure
-// rolls the whole batch back. Connections without batch support (remote
-// kdb:// stores) save statement at a time (kdb.Batch). IDs are returned in
-// input order.
+// SaveObjects persists several knowledge objects as one unit of work
+// (kdb.Batch): on a local database all inserts apply under a single lock
+// with a single log flush, on a remote kdb:// store they travel as one
+// request, and either way a failure leaves none of them behind. IDs are
+// returned in input order.
 func (s *Store) SaveObjects(objs []*knowledge.Object) ([]int64, error) {
 	return saveAll(objs, s.saveObject, func(fn batchFn) error { return kdb.Batch(s.DB, fn) })
 }
@@ -337,32 +337,42 @@ func (s *Store) SaveObjectsKeyed(key uint64, objs []*knowledge.Object) ([]int64,
 type batchFn = func(exec kdb.ExecFunc) error
 
 // saveAll saves every object inside one batch and returns their ids in
-// input order — or none if the batch failed.
-func saveAll[T any](objs []T, save func(kdb.ExecFunc, T) (int64, error), batch func(batchFn) error) ([]int64, error) {
-	ids := make([]int64, 0, len(objs))
+// input order — or none if the batch failed. Inside the batch an id is a
+// kdb.Ref (over the wire nobody knows it yet); once the batch has returned,
+// every Ref can say its id.
+func saveAll[T any](objs []T, save func(kdb.ExecFunc, T) (kdb.Ref, error), batch func(batchFn) error) ([]int64, error) {
+	refs := make([]kdb.Ref, 0, len(objs))
 	err := batch(func(exec kdb.ExecFunc) error {
 		for _, o := range objs {
-			id, err := save(exec, o)
+			ref, err := save(exec, o)
 			if err != nil {
 				return err
 			}
-			ids = append(ids, id)
+			refs = append(refs, ref)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	ids := make([]int64, len(refs))
+	for i, ref := range refs {
+		ids[i] = ref.ID()
+	}
 	return ids, nil
 }
 
-func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (int64, error) {
+// saveObject and saveIO500 thread each parent row's id into its children as
+// a kdb.Ref, never as a number: the same code then runs statement by
+// statement, inside an embedded database's write step, and as a recorded
+// wire batch whose ids only the server will know.
+func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (kdb.Ref, error) {
 	if err := o.Validate(); err != nil {
-		return 0, err
+		return kdb.Ref{}, err
 	}
 	patternJSON, err := json.Marshal(o.Pattern)
 	if err != nil {
-		return 0, fmt.Errorf("schema: encode pattern: %w", err)
+		return kdb.Ref{}, fmt.Errorf("schema: encode pattern: %w", err)
 	}
 	fpp := 0
 	if o.Pattern["filePerProc"] == "true" || o.Pattern["access"] == "file-per-process" {
@@ -377,12 +387,13 @@ func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (int64, error
 		fpp, tasks, string(patternJSON),
 		o.Began.UTC().Format(timeLayout), o.Finished.UTC().Format(timeLayout))
 	if err != nil {
-		return 0, err
+		return kdb.Ref{}, err
 	}
-	perfID := res.LastInsertID
+	perf := res.Ref()
+	var perfID any = perf // boxed once for the statements that take it
 
 	// Summaries, and results keyed to the matching summary.
-	sumIDs := map[string]int64{}
+	sumIDs := map[string]any{}
 	for _, sm := range o.Summaries {
 		r, err := exec(
 			`INSERT INTO summaries (performance_id, operation, api, max_mib, min_mib, mean_mib, stddev_mib,
@@ -391,20 +402,20 @@ func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (int64, error
 			perfID, sm.Operation, sm.API, sm.MaxMiBps, sm.MinMiBps, sm.MeanMiBps, sm.StdDevMiB,
 			sm.MaxOps, sm.MinOps, sm.MeanOps, sm.StdDevOps, sm.MeanSec, sm.Iterations)
 		if err != nil {
-			return 0, err
+			return kdb.Ref{}, err
 		}
-		sumIDs[sm.Operation] = r.LastInsertID
+		sumIDs[sm.Operation] = r.Ref()
 	}
 	for _, rr := range o.Results {
 		sid, ok := sumIDs[rr.Operation]
 		if !ok {
-			return 0, fmt.Errorf("schema: result operation %q has no summary", rr.Operation)
+			return kdb.Ref{}, fmt.Errorf("schema: result operation %q has no summary", rr.Operation)
 		}
 		if _, err := exec(
 			`INSERT INTO results (summaries_id, iteration, bw_mib, ops, latency_sec, open_sec, wrrd_sec, close_sec, total_sec)
 			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)`,
 			sid, rr.Iteration, rr.BwMiBps, rr.OpsPerSec, rr.LatencySec, rr.OpenSec, rr.WrRdSec, rr.CloseSec, rr.TotalSec); err != nil {
-			return 0, err
+			return kdb.Ref{}, err
 		}
 	}
 	if fs := o.FileSystem; fs != nil {
@@ -412,18 +423,20 @@ func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (int64, error
 			`INSERT INTO filesystems (performance_id, fstype, entry_type, entry_id, metadata_node, stripe_pattern, chunk_size, num_targets, raid_scheme, storage_pool)
 			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
 			perfID, fs.Type, fs.EntryType, fs.EntryID, fs.MetadataNode, fs.Pattern, fs.ChunkSize, fs.NumTargets, fs.RAIDScheme, fs.StoragePool); err != nil {
-			return 0, err
+			return kdb.Ref{}, err
 		}
 	}
 	if sys := o.System; sys != nil {
-		if err := s.saveSystem(exec, sys, perfID, 0); err != nil {
-			return 0, err
+		if err := s.saveSystem(exec, sys, perfID, int64(0)); err != nil {
+			return kdb.Ref{}, err
 		}
 	}
-	return perfID, nil
+	return perf, nil
 }
 
-func (s *Store) saveSystem(exec kdb.ExecFunc, sys *knowledge.SystemInfo, perfID, iofhID int64) error {
+// saveSystem hangs a systeminfos row off a knowledge object or an IO500 run:
+// the owner's id (a kdb.Ref) in its column, 0 in the other.
+func (s *Store) saveSystem(exec kdb.ExecFunc, sys *knowledge.SystemInfo, perfID, iofhID any) error {
 	_, err := exec(
 		`INSERT INTO systeminfos (performance_id, iofh_id, hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb)
 		 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
@@ -561,7 +574,8 @@ func (s *Store) ListObjectsPage(afterID int64, limit int) ([]Meta, error) {
 
 // SaveIO500 persists an IO500 knowledge object across the IOFHs* tables.
 func (s *Store) SaveIO500(o *knowledge.IO500Object) (int64, error) {
-	return s.saveIO500(s.DB.Exec, o)
+	ref, err := s.saveIO500(s.DB.Exec, o)
+	return ref.ID(), err
 }
 
 // SaveIO500s persists several IO500 knowledge objects in one
@@ -576,31 +590,32 @@ func (s *Store) SaveIO500sKeyed(key uint64, objs []*knowledge.IO500Object) ([]in
 	return saveAll(objs, s.saveIO500, func(fn batchFn) error { return kdb.BatchKeyed(s.DB, key, fn) })
 }
 
-func (s *Store) saveIO500(exec kdb.ExecFunc, o *knowledge.IO500Object) (int64, error) {
+func (s *Store) saveIO500(exec kdb.ExecFunc, o *knowledge.IO500Object) (kdb.Ref, error) {
 	if err := o.Validate(); err != nil {
-		return 0, err
+		return kdb.Ref{}, err
 	}
 	res, err := exec(
 		"INSERT INTO IOFHsRuns (command, began, finished) VALUES (?, ?, ?)",
 		o.Command, o.Began.UTC().Format(timeLayout), o.Finished.UTC().Format(timeLayout))
 	if err != nil {
-		return 0, err
+		return kdb.Ref{}, err
 	}
-	runID := res.LastInsertID
+	run := res.Ref()
+	var runID any = run
 	if _, err := exec(
 		"INSERT INTO IOFHsScores (IOFH_id, bw_gib, md_kiops, total) VALUES (?, ?, ?, ?)",
 		runID, o.ScoreBW, o.ScoreMD, o.ScoreTotal); err != nil {
-		return 0, err
+		return kdb.Ref{}, err
 	}
 	for _, tc := range o.TestCases {
 		r, err := exec("INSERT INTO IOFHsTestcases (IOFH_id, name) VALUES (?, ?)", runID, tc.Name)
 		if err != nil {
-			return 0, err
+			return kdb.Ref{}, err
 		}
 		if _, err := exec(
 			"INSERT INTO IOFHsResults (testcase_id, value, unit, seconds) VALUES (?, ?, ?, ?)",
-			r.LastInsertID, tc.Value, tc.Unit, tc.Seconds); err != nil {
-			return 0, err
+			r.Ref(), tc.Value, tc.Unit, tc.Seconds); err != nil {
+			return kdb.Ref{}, err
 		}
 	}
 	// Options insert in sorted key order so a saved database is
@@ -614,15 +629,15 @@ func (s *Store) saveIO500(exec kdb.ExecFunc, o *knowledge.IO500Object) (int64, e
 		if _, err := exec(
 			"INSERT INTO IOFHsOptions (IOFH_id, testcase_id, optkey, optvalue) VALUES (?, NULL, ?, ?)",
 			runID, k, o.Options[k]); err != nil {
-			return 0, err
+			return kdb.Ref{}, err
 		}
 	}
 	if o.System != nil {
-		if err := s.saveSystem(exec, o.System, 0, runID); err != nil {
-			return 0, err
+		if err := s.saveSystem(exec, o.System, int64(0), runID); err != nil {
+			return kdb.Ref{}, err
 		}
 	}
-	return runID, nil
+	return run, nil
 }
 
 // LoadIO500 reconstructs an IO500 knowledge object by run id.

@@ -278,9 +278,9 @@ func (c *Coordinator) Close() error {
 }
 
 // Batch pins the whole batch to one shard (round-robin), so multi-table
-// object graphs built from LastInsertID stay colocated. The shard applies
-// it through kdb.Batch: atomically when it can, statement at a time over a
-// wire connection.
+// object graphs threaded by Result.Ref stay colocated. The shard takes it
+// through kdb.Batch, all or nothing: a write step on an embedded shard, one
+// request to a served one.
 func (c *Coordinator) Batch(fn func(exec kdb.ExecFunc) error) error {
 	return c.batchOn(c.shardFor(c.rr.Add(1)), fn)
 }

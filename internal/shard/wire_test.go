@@ -127,3 +127,72 @@ func TestShardMapVerbUnconfigured(t *testing.T) {
 		t.Error("shardmap verb on a plain server should error")
 	}
 }
+
+// TestServedCoordinatorTakesBatchWhole: a keyed batch sent to a coordinator's
+// kdb:// address is routed as one unit to the shard its key picks — itself a
+// wire connection, so the batch's references travel on as references — and a
+// child row carries the id its parent got on that shard. Before the batch verb
+// the key never left the client and every INSERT was routed on its own.
+func TestServedCoordinatorTakesBatchWhole(t *testing.T) {
+	const n = 2
+	var dbs []*kdb.DB
+	var conns []kdb.Conn
+	for i := 0; i < n; i++ {
+		db, err := kdb.OpenWithOptions("", kdb.DBOptions{AutoIDOffset: int64(i), AutoIDStride: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		r, err := kdb.Dial(serveBackend(t, &kdb.Server{DB: db}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		dbs, conns = append(dbs, db), append(conns, r)
+	}
+	coord, err := New(conns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := kdb.Dial(serveBackend(t, &kdb.Server{Backend: coord}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Exec("CREATE TABLE node (id INTEGER PRIMARY KEY, parent INTEGER, v TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(0); key < 2*n; key++ {
+		var parent, child kdb.Ref
+		err := kdb.BatchKeyed(client, key, func(exec kdb.ExecFunc) error {
+			res, err := exec("INSERT INTO node (parent, v) VALUES (?, ?)", int64(0), fmt.Sprintf("root %d", key))
+			if err != nil {
+				return err
+			}
+			parent = res.Ref()
+			for i := 0; i < 3; i++ {
+				if res, err = exec("INSERT INTO node (parent, v) VALUES (?, ?)", parent, fmt.Sprintf("leaf %d.%d", key, i)); err != nil {
+					return err
+				}
+			}
+			child = res.Ref()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := dbs[key%n]
+		rows, err := shard.Query("SELECT id FROM node WHERE parent = ?", parent)
+		if err != nil || rows.Len() != 3 {
+			t.Fatalf("key %d: shard %d holds %v leaves under root %d (err %v), want 3", key, key%n, rows.Len(), parent.ID(), err)
+		}
+		if (parent.ID()-1)%n != int64(key%n) || child.ID() != parent.ID()+3*n {
+			t.Errorf("key %d: root id %d and last leaf id %d are not consecutive ids of shard %d", key, parent.ID(), child.ID(), key%n)
+		}
+	}
+	for i, db := range dbs {
+		if row, err := db.QueryRow("SELECT COUNT(*) FROM node"); err != nil || row[0] != int64(8) {
+			t.Errorf("shard %d holds %v rows (err %v), want the 8 of its two batches", i, row, err)
+		}
+	}
+}
