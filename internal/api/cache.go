@@ -131,10 +131,6 @@ func newValidity(conn kdb.Conn, probeEvery time.Duration) *validity {
 		// so other writers' commits are noticed even while every read this
 		// process issues is routed to replicas.
 		v.poll(probeEvery, func() int64 { return c.ProbePrimaryLSN() })
-	case interface{ PrimaryLSN() int64 }:
-		// Router without an active probe: poll the passive view so commits
-		// observed through this process's own traffic still invalidate.
-		v.poll(probeEvery, func() int64 { return c.PrimaryLSN() })
 	case interface {
 		Status() (kdb.NodeStatus, error)
 	}:

@@ -465,19 +465,14 @@ func (s *Server) dispatch(req *wireRequest, args []any, stmts []batchStmt) (wire
 		return wireResponse{Snapshot: buf.Bytes(), LSN: lsn}, nil
 	case "delta":
 		// Incremental snapshot: the full manifest of the current snapshot's
-		// content-addressed chunks, with bytes only for the segments the
-		// client does not already hold. Reassembling manifest order yields
-		// the exact WriteSnapshot stream, so delta catch-up converges
-		// byte-identically to a full snapshot transfer.
+		// content-addressed chunks, cut from the live tables, with bytes only
+		// for the segments the client does not already hold. Reassembling
+		// manifest order yields the exact WriteSnapshot stream, so delta
+		// catch-up converges byte-identically to a full snapshot transfer.
 		if s.DB == nil {
 			return wireResponse{Err: "kdb: this node serves no local database to snapshot"}, nil
 		}
-		var buf bytes.Buffer
-		lsn, err := s.DB.WriteSnapshot(&buf)
-		if err != nil {
-			return wireResponse{Err: err.Error()}, nil
-		}
-		chunks, err := ChunkSnapshot(buf.Bytes(), 0)
+		chunks, lsn, err := s.DB.SnapshotChunks()
 		if err != nil {
 			return wireResponse{Err: err.Error()}, nil
 		}

@@ -110,22 +110,14 @@ func (db *DB) ApplyRecords(recs []ReplEvent) error {
 	size := 0
 	for i, r := range recs {
 		size += len(r.Entry) + 1
-		sql, args, ok := scanRecord(r.Entry, true)
-		if !ok {
-			var e walEntry
-			if err := json.Unmarshal(r.Entry, &e); err != nil {
-				return fmt.Errorf("kdb: corrupt replicated record: %w", err)
-			}
-			if e.isMeta() {
-				return fmt.Errorf("kdb: unexpected meta record in replication stream")
-			}
-			var err error
-			if args, err = decodeArgs(e.Args); err != nil {
-				return err
-			}
-			sql = e.SQL
+		e, err := decodeRecord(r.Entry)
+		if err != nil {
+			return fmt.Errorf("kdb: corrupt replicated record: %w", err)
 		}
-		stmts[i] = batchStmt{sql, args}
+		if e.Meta {
+			return fmt.Errorf("kdb: unexpected meta record in replication stream")
+		}
+		stmts[i] = batchStmt{e.SQL, e.Args}
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -1,12 +1,9 @@
 package kdb
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"strings"
 )
 
 // Snapshot chunking. A WriteSnapshot stream is a deterministic sequence of
@@ -16,7 +13,9 @@ import (
 // every table boundary, so two snapshots that differ in one table still
 // share every other table's chunks. Chunks are the storage unit of the
 // vcs commit graph and the transfer unit of delta replication: a follower
-// (or a new commit) only needs the segments it does not already hold.
+// (or a new commit) only needs the segments it does not already hold. They
+// are cut from the live tables (TableView.AppendChunks), never by
+// re-reading the stream.
 
 // DefaultChunkLines is the number of log records per content chunk. The
 // first chunk of a table also carries its CREATE TABLE / CREATE INDEX
@@ -37,73 +36,36 @@ type SnapshotChunk struct {
 	// Data is the exact byte range of the stream: whole newline-terminated
 	// log records.
 	Data []byte
-	// Lines is the number of log records in the chunk.
-	Lines int
 }
 
-// ChunkSnapshot splits a WriteSnapshot stream into content-addressed
-// chunks. linesPerChunk bounds the records per chunk (0 means
-// DefaultChunkLines); boundaries additionally reset at every CREATE TABLE
-// record, and meta records always get their own chunk. Concatenating the
-// chunks' Data in order reproduces the input byte-for-byte.
-func ChunkSnapshot(data []byte, linesPerChunk int) ([]SnapshotChunk, error) {
-	if linesPerChunk <= 0 {
-		linesPerChunk = DefaultChunkLines
-	}
-	var chunks []SnapshotChunk
-	var cur SnapshotChunk
-	var buf bytes.Buffer
-	flush := func() {
-		if buf.Len() == 0 {
-			return
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		cur.Hash = hex.EncodeToString(sum[:])
-		cur.Data = append([]byte(nil), buf.Bytes()...)
-		chunks = append(chunks, cur)
-		buf.Reset()
-		cur = SnapshotChunk{Table: cur.Table}
-	}
-	rest := data
-	for len(rest) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(rest, '\n'); nl >= 0 {
-			line, rest = rest[:nl+1], rest[nl+1:]
-		} else {
-			// A snapshot stream is newline-terminated; a trailing partial
-			// line means the input was truncated.
-			return nil, fmt.Errorf("kdb: chunk snapshot: truncated record %q", rest)
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e walEntry
-		if err := json.Unmarshal(bytes.TrimSpace(line), &e); err != nil {
-			return nil, fmt.Errorf("kdb: chunk snapshot: corrupt record: %w", err)
-		}
-		switch {
-		case e.isMeta():
-			flush()
-			cur = SnapshotChunk{Meta: true}
-		case strings.HasPrefix(e.SQL, "CREATE TABLE "):
-			flush()
-			name := e.SQL[len("CREATE TABLE "):]
-			if i := strings.IndexAny(name, " ("); i >= 0 {
-				name = name[:i]
+// newChunk hashes data and keeps a copy of it as a table's chunk.
+func newChunk(table string, data []byte) SnapshotChunk {
+	sum := sha256.Sum256(data)
+	return SnapshotChunk{Table: table, Hash: hex.EncodeToString(sum[:]), Data: append([]byte(nil), data...)}
+}
+
+// SnapshotChunks cuts the database's snapshot into its content-addressed
+// chunks from one View: every table's chunks in snapshot order, then the
+// meta record as a chunk of its own, and the LSN they represent.
+// Concatenating the chunks' Data reproduces WriteSnapshot's stream byte for
+// byte.
+func (db *DB) SnapshotChunks() (chunks []SnapshotChunk, lsn int64, err error) {
+	err = db.View(func(v *View) error {
+		for _, tv := range v.Tables() {
+			if chunks, err = tv.AppendChunks(chunks, 0); err != nil {
+				return err
 			}
-			cur = SnapshotChunk{Table: name}
-		case cur.Lines >= linesPerChunk:
-			flush()
 		}
-		buf.Write(line)
-		cur.Lines++
-		if cur.Meta {
-			flush()
-			cur = SnapshotChunk{}
+		rec, err := db.snapshotMetaLocked()
+		if err != nil {
+			return err
 		}
-	}
-	flush()
-	return chunks, nil
+		meta := newChunk("", rec)
+		meta.Meta = true
+		chunks, lsn = append(chunks, meta), v.LSN()
+		return nil
+	})
+	return chunks, lsn, err
 }
 
 // SnapshotRecord is one decoded record of a snapshot (or WAL) stream, in

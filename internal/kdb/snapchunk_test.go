@@ -2,6 +2,9 @@ package kdb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -25,8 +28,8 @@ func chunkFixture(t *testing.T) (*DB, []byte) {
 }
 
 func TestChunkSnapshotConcatenationIsIdentity(t *testing.T) {
-	_, data := chunkFixture(t)
-	chunks, err := ChunkSnapshot(data, 0)
+	db, data := chunkFixture(t)
+	chunks, _, err := db.SnapshotChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +51,8 @@ func TestChunkSnapshotConcatenationIsIdentity(t *testing.T) {
 		}
 		tables[c.Table]++
 	}
-	if metas != 1 {
-		t.Fatalf("meta chunks = %d, want 1", metas)
+	if metas != 1 || !chunks[len(chunks)-1].Meta {
+		t.Fatalf("meta chunks = %d, want 1 and last", metas)
 	}
 	if tables["alpha"] < 2 {
 		t.Fatalf("alpha chunks = %d, want >= 2 (700 rows over %d-line chunks)", tables["alpha"], DefaultChunkLines)
@@ -57,7 +60,7 @@ func TestChunkSnapshotConcatenationIsIdentity(t *testing.T) {
 	if tables["beta"] != 1 {
 		t.Fatalf("beta chunks = %d, want 1", tables["beta"])
 	}
-	again, err := ChunkSnapshot(data, 0)
+	again, _, err := db.SnapshotChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,20 +71,9 @@ func TestChunkSnapshotConcatenationIsIdentity(t *testing.T) {
 	}
 }
 
-func TestChunkSnapshotRejectsCorruptStream(t *testing.T) {
-	_, data := chunkFixture(t)
-	if _, err := ChunkSnapshot(data[:len(data)-3], 0); err == nil {
-		t.Error("truncated stream must error")
-	}
-	bad := append([]byte("{not json\n"), data...)
-	if _, err := ChunkSnapshot(bad, 0); err == nil {
-		t.Error("corrupt record must error")
-	}
-}
-
 func TestReassembleSnapshot(t *testing.T) {
-	_, data := chunkFixture(t)
-	chunks, err := ChunkSnapshot(data, 0)
+	db, data := chunkFixture(t)
+	chunks, _, err := db.SnapshotChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +129,7 @@ func TestSnapshotDeltaWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := ChunkSnapshot(want.Bytes(), 0)
+	chunks, _, err := db.SnapshotChunks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,5 +179,58 @@ func TestSnapshotDeltaWire(t *testing.T) {
 	}
 	if !bytes.Equal(out, want.Bytes()) {
 		t.Fatal("warm delta did not reassemble the snapshot")
+	}
+}
+
+// TestGoldenDeltaResponse pins the "delta" verb's answer byte for byte — the
+// manifest, the shipped chunks and the LSN — for a scripted database: once
+// to a client holding nothing, and once to one holding two of its chunks
+// and a hash the server has never cut. The constants predate cutting the
+// chunks from the live tables instead of from the snapshot text.
+func TestGoldenDeltaResponse(t *testing.T) {
+	const (
+		wantCold = "919cbdb8756f9c2e93bd11b4847d1de1a12ae36f9b0da9c28b267a801dff261c" // 225,649 bytes
+		wantWarm = "2e57c40249192e25adeea71c7da6c4faa12d464a7b218da54c4bd635571d9129" // 129,655 bytes
+	)
+	db, addr := startServer(t)
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE runs (id INTEGER PRIMARY KEY, app TEXT, gbps REAL, nodes INTEGER)")
+	mustExec(t, db, "CREATE INDEX idx_runs_app ON runs (app)")
+	for i := 0; i < 1200; i++ {
+		var nodes any = int64(i % 64)
+		if i%9 == 0 {
+			nodes = nil
+		}
+		mustExec(t, db, "INSERT INTO runs (app, gbps, nodes) VALUES (?, ?, ?)", fmt.Sprintf("app-%d ✓", i%7), float64(i)*0.25, nodes)
+	}
+	mustExec(t, db, "DELETE FROM runs WHERE id > ?", int64(1190))
+	mustExec(t, db, "UPDATE runs SET gbps = ? WHERE app = ?", -1.5, "app-3 ✓")
+	mustExec(t, db, "CREATE TABLE empty_t (id INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, db, "CREATE TABLE notes (k TEXT, v TEXT)")
+	mustExec(t, db, "INSERT INTO notes (k, v) VALUES (?, ?)", "quote", "line1\nline2 \"q\" <&>")
+
+	cold := rawExchange(t, addr, `{"op":"delta"}`+"\n", false)
+	var resp wireResponse
+	if err := json.Unmarshal([]byte(cold), &resp); err != nil || resp.Err != "" {
+		t.Fatalf("cold delta: %v %s", err, resp.Err)
+	}
+	// empty_t, notes, runs in three chunks (1,192 records), the meta record.
+	if len(resp.Manifest) != 6 || len(resp.Chunks) != 6 {
+		t.Fatalf("cold delta: %d manifest entries, %d chunks; want 6 and 6", len(resp.Manifest), len(resp.Chunks))
+	}
+	have, err := json.Marshal([]string{resp.Manifest[0].Hash, resp.Manifest[2].Hash, strings.Repeat("0", 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := rawExchange(t, addr, `{"op":"delta","have":`+string(have)+"}\n", false)
+	resp = wireResponse{}
+	if err := json.Unmarshal([]byte(warm), &resp); err != nil || len(resp.Chunks) != 4 {
+		t.Fatalf("warm delta: %v, %d chunks shipped, want 4", err, len(resp.Chunks))
+	}
+	for _, c := range []struct{ name, line, want string }{{"cold", cold, wantCold}, {"warm", warm, wantWarm}} {
+		sum := sha256.Sum256([]byte(c.line))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s delta response sha256 = %s (%d bytes), want %s", c.name, got, len(c.line), c.want)
+		}
 	}
 }

@@ -1,17 +1,20 @@
 package kdb
 
 import (
+	"bytes"
 	"io"
 	"strings"
+	"sync"
 )
 
 // The typed read side. View hands a callback the live tables under one
 // read lock: per table its schema, versions, rows and the encoder of its
 // snapshot records, plus the commit LSN — one consistent cut of the
 // database without serializing it. The columnar store copies rows into
-// vectors from it, the version-control layer encodes and hashes chunk
-// bytes from it, and snapshotLocked writes the snapshot stream through
-// the very same encoder, so there is one serializer of table records.
+// vectors from it, snapshot chunks are cut from it (AppendChunks) for the
+// version-control layer and delta transfer, and snapshotLocked writes the
+// snapshot stream through the very same encoder, so there is one
+// serializer of table records and one chunk cutter.
 //
 // Nothing reachable from a View may be used after the callback returns:
 // UPDATE assigns into the row slices in place and INSERT appends into the
@@ -161,6 +164,31 @@ func (tv TableView) EncodeRecords(w io.Writer, from, to int) error {
 	}
 	return nil
 }
+
+// AppendChunks cuts the table's snapshot records into content chunks, from
+// chunk first on, and appends them to dst: chunk i is records
+// [i·DefaultChunkLines, (i+1)·DefaultChunkLines) counted from the CREATE
+// TABLE, the last one short. Each is encoded by EncodeRecords, hashed, and
+// copied out of the view.
+func (tv TableView) AppendChunks(dst []SnapshotChunk, first int) ([]SnapshotChunk, error) {
+	buf := chunkScratch.Get().(*bytes.Buffer)
+	defer chunkScratch.Put(buf)
+	n := tv.Records()
+	for from := first * DefaultChunkLines; from < n; from += DefaultChunkLines {
+		to := min(from+DefaultChunkLines, n)
+		buf.Reset()
+		if err := tv.EncodeRecords(buf, from, to); err != nil {
+			return dst, err
+		}
+		dst = append(dst, newChunk(tv.Name(), buf.Bytes()))
+	}
+	return dst, nil
+}
+
+// chunkScratch holds the buffers chunks are encoded into before their
+// exact-size copy, so a commit that cuts the tails of a few tables grows
+// one buffer, not one per table.
+var chunkScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // TableVersion reports one table's current mutation version; ok is false
 // when the table does not exist. It is the cheap per-query freshness

@@ -89,11 +89,30 @@ type replayEntry struct {
 	Raw []byte
 }
 
-// parseWALRecords decodes newline-delimited log records. It is shared by
-// log replay and snapshot restore, so both paths accept exactly the bytes
-// the engine writes. A mutation record in the shape the engine writes is
-// scanned straight into engine values; every other line — a meta record, a
-// hand-edited or padded one, a corrupt one — goes to encoding/json.
+// decodeRecord decodes one log record, the one reader of the record format
+// for log replay, snapshot restore and follower apply. A mutation record in
+// the shape the engine writes is scanned straight into engine values; every
+// other line — a meta record, a hand-edited or padded one, a corrupt one —
+// goes to encoding/json. The caller says where a failure happened, and
+// fills in the entry's Raw if it keeps one.
+func decodeRecord(line []byte) (replayEntry, error) {
+	if sql, args, ok := scanRecord(line, true); ok {
+		return replayEntry{SQL: sql, Args: args}, nil
+	}
+	var e walEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return replayEntry{}, err
+	}
+	args, err := decodeArgs(e.Args)
+	if err != nil {
+		return replayEntry{}, err
+	}
+	return replayEntry{SQL: e.SQL, Args: args, AutoIDs: e.AutoIDs, BaseLSN: e.BaseLSN, Meta: e.isMeta(), Tagged: e.Meta}, nil
+}
+
+// parseWALRecords decodes newline-delimited log records, skipping blank
+// lines. It is shared by log replay and snapshot restore, so both paths
+// accept exactly the bytes the engine writes.
 func parseWALRecords(src string, data []byte) ([]replayEntry, error) {
 	entries := make([]replayEntry, 0, bytes.Count(data, []byte{'\n'})+1)
 	for len(data) > 0 {
@@ -103,30 +122,15 @@ func parseWALRecords(src string, data []byte) ([]replayEntry, error) {
 		} else {
 			line, data = data, nil
 		}
-		if sql, args, ok := scanRecord(line, true); ok {
-			entries = append(entries, replayEntry{SQL: sql, Args: args, Raw: append([]byte(nil), line...)})
-			continue
-		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var e walEntry
-		if err := json.Unmarshal(line, &e); err != nil {
+		e, err := decodeRecord(line)
+		if err != nil {
 			return nil, fmt.Errorf("kdb: corrupt log %s: %w", src, err)
 		}
-		args, err := decodeArgs(e.Args)
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, replayEntry{
-			SQL:     e.SQL,
-			Args:    args,
-			AutoIDs: e.AutoIDs,
-			BaseLSN: e.BaseLSN,
-			Meta:    e.isMeta(),
-			Tagged:  e.Meta,
-			Raw:     append([]byte(nil), line...),
-		})
+		e.Raw = append([]byte(nil), line...)
+		entries = append(entries, e)
 	}
 	return entries, nil
 }
@@ -316,25 +320,33 @@ func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool
 // byte-identical convergence checks use. db.mu must be held (read or
 // write).
 func (db *DB) snapshotLocked(w *bufio.Writer) error {
-	autoIDs := map[string]int64{}
 	for _, name := range db.tablesSorted() {
 		tv := TableView{t: db.tables[name]}
 		if err := tv.EncodeRecords(w, 0, tv.Records()); err != nil {
 			return err
 		}
-		if id := tv.AutoID(); id > 0 {
-			autoIDs[tv.Name()] = id
-		}
 	}
-	// The meta record is written unconditionally and tagged explicitly:
-	// a snapshot taken at LSN 0 with no auto-increment high-water marks
-	// must still restore as "no history", not replay as a mutation.
-	meta, err := EncodeSnapshotMeta(autoIDs, db.lsn)
+	meta, err := db.snapshotMetaLocked()
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(meta)
 	return err
+}
+
+// snapshotMetaLocked encodes a snapshot's trailing meta record: every
+// table's auto-increment high-water mark and the commit LSN. It is written
+// unconditionally and tagged explicitly: a snapshot taken at LSN 0 with no
+// high-water marks must still restore as "no history", not replay as a
+// mutation. db.mu must be held (read or write).
+func (db *DB) snapshotMetaLocked() ([]byte, error) {
+	autoIDs := map[string]int64{}
+	for _, t := range db.tables {
+		if id := (TableView{t: t}).AutoID(); id > 0 {
+			autoIDs[t.Name] = id
+		}
+	}
+	return EncodeSnapshotMeta(autoIDs, db.lsn)
 }
 
 // WriteSnapshot streams a consistent snapshot of the database to w and

@@ -12,7 +12,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"sync"
@@ -227,11 +226,7 @@ func (f *Follower) snapshot(ctx context.Context) error {
 // changed since.
 func (f *Follower) deltaSnapshot(r *kdb.Remote) ([]byte, int64, error) {
 	have := map[string][]byte{}
-	var buf bytes.Buffer
-	if _, err := f.db.WriteSnapshot(&buf); err != nil {
-		return nil, 0, err
-	}
-	chunks, err := kdb.ChunkSnapshot(buf.Bytes(), 0)
+	chunks, _, err := f.db.SnapshotChunks()
 	if err != nil {
 		return nil, 0, err
 	}

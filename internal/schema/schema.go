@@ -309,10 +309,13 @@ const timeLayout = time.RFC3339
 
 // SaveObject persists a benchmark knowledge object across performances,
 // summaries, results, filesystems, and systeminfos, returning the new
-// knowledge id.
+// knowledge id. It is SaveObjects of one: all of its rows or none.
 func (s *Store) SaveObject(o *knowledge.Object) (int64, error) {
-	ref, err := s.saveObject(s.DB.Exec, o)
-	return ref.ID(), err
+	ids, err := s.SaveObjects([]*knowledge.Object{o})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // SaveObjects persists several knowledge objects as one unit of work
@@ -362,10 +365,11 @@ func saveAll[T any](objs []T, save func(kdb.ExecFunc, T) (kdb.Ref, error), batch
 	return ids, nil
 }
 
-// saveObject and saveIO500 thread each parent row's id into its children as
-// a kdb.Ref, never as a number: the same code then runs statement by
-// statement, inside an embedded database's write step, and as a recorded
-// wire batch whose ids only the server will know.
+// saveObject and saveIO500 are the bodies saveAll batches. They thread each
+// parent row's id into its children as a kdb.Ref, never as a number: the
+// same code then runs inside an embedded database's write step, as a
+// recorded wire batch whose ids only the server will know, and statement by
+// statement on a connection that cannot batch.
 func (s *Store) saveObject(exec kdb.ExecFunc, o *knowledge.Object) (kdb.Ref, error) {
 	if err := o.Validate(); err != nil {
 		return kdb.Ref{}, err
@@ -572,10 +576,14 @@ func (s *Store) ListObjectsPage(afterID int64, limit int) ([]Meta, error) {
 	return out, nil
 }
 
-// SaveIO500 persists an IO500 knowledge object across the IOFHs* tables.
+// SaveIO500 persists an IO500 knowledge object across the IOFHs* tables,
+// as SaveIO500s of one.
 func (s *Store) SaveIO500(o *knowledge.IO500Object) (int64, error) {
-	ref, err := s.saveIO500(s.DB.Exec, o)
-	return ref.ID(), err
+	ids, err := s.SaveIO500s([]*knowledge.IO500Object{o})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // SaveIO500s persists several IO500 knowledge objects in one

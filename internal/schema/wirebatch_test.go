@@ -229,3 +229,85 @@ func TestWireBatchAllOrNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestSingleSaveAllOrNothing: SaveObject and SaveIO500 are saves of one, so
+// an object whose later statements cannot be applied leaves nothing behind
+// either — no performances row without its results, no IO500 run without
+// its options — through a bare client, a router or a coordinator. Before,
+// they ran statement at a time and the leading rows stayed.
+func TestSingleSaveAllOrNothing(t *testing.T) {
+	forms := []struct {
+		name  string
+		table string // recreated without the columns the save writes
+		save  func(*Store) (int64, error)
+	}{
+		{"SaveObject", "results", func(s *Store) (int64, error) { return s.SaveObject(sampleObject()) }},
+		{"SaveIO500", "IOFHsOptions", func(s *Store) (int64, error) { return s.SaveIO500(sampleIO500()) }},
+	}
+	for _, via := range []struct {
+		name string
+		open func(primary, replica string) (kdb.Conn, error)
+	}{
+		{"Remote", func(primary, _ string) (kdb.Conn, error) { return kdb.Dial(primary) }},
+		{"Router", func(primary, replica string) (kdb.Conn, error) { return repl.Dial(primary, replica) }},
+		{"Coordinator", func(primary, replica string) (kdb.Conn, error) {
+			return shard.Dial(&shard.Map{Epoch: 1, Shards: []shard.Spec{{Primary: primary, Replicas: []string{replica}}}})
+		}},
+	} {
+		for _, form := range forms {
+			t.Run(via.name+"/"+form.name, func(t *testing.T) {
+				primary, path := fileDB(t, "primary.kdb")
+				url := kdbtest.Serve(t, &kdb.Server{DB: primary, HeartbeatInterval: 50 * time.Millisecond})
+				fdb := kdbtest.MemDB(t, kdb.DBOptions{})
+				f := repl.NewFollower(fdb, url, repl.Options{})
+				f.Start(context.Background())
+				t.Cleanup(f.Stop)
+				replica := kdbtest.Serve(t, &kdb.Server{DB: fdb, Role: "replica", ReadOnly: true})
+				conn, err := via.open(url, replica)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store, err := Wrap(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				if id, err := form.save(store); err != nil || id != 1 {
+					t.Fatalf("first save = %d, %v", id, err)
+				}
+				for _, ddl := range []string{"DROP TABLE " + form.table, "CREATE TABLE " + form.table + " (id INTEGER PRIMARY KEY)"} {
+					if _, err := store.DB.Exec(ddl); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitFor(t, fdb, primary)
+				lsn, dump := primary.LSN(), snapshot(t, fdb)
+				log, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				if id, err := form.save(store); err == nil || id != 0 || !strings.Contains(err.Error(), "has no column") {
+					t.Fatalf("save into %s without its columns = %d, %v", form.table, id, err)
+				}
+				if primary.LSN() != lsn {
+					t.Errorf("a failed save moved the primary from LSN %d to %d", lsn, primary.LSN())
+				}
+				if now, _ := os.ReadFile(path); !bytes.Equal(now, log) {
+					t.Errorf("a failed save grew the log from %d to %d bytes", len(log), len(now))
+				}
+				if !bytes.Equal(snapshot(t, fdb), dump) {
+					t.Error("a failed save changed the follower's dump")
+				}
+				// The next write is the very next record, for the follower too.
+				if _, err := store.DB.Exec("DELETE FROM summaries WHERE id = ?", -1); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, fdb, primary)
+				if primary.LSN() != lsn+1 || !bytes.Equal(snapshot(t, fdb), snapshot(t, primary)) {
+					t.Errorf("primary at LSN %d (want %d) or follower diverged", primary.LSN(), lsn+1)
+				}
+			})
+		}
+	}
+}

@@ -10,20 +10,21 @@ import (
 	"testing"
 
 	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 )
 
 var errBoom = errors.New("boom")
 
 // snapshotManifest is the reference the incremental commit path must
-// reproduce: the content chunks ChunkSnapshot cuts from the full
-// WriteSnapshot stream.
+// reproduce: the content chunks the text cutter (kdbtest.ChunkStream)
+// cuts from the full WriteSnapshot stream.
 func snapshotManifest(t testing.TB, db *kdb.DB) []ManifestChunk {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := db.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	chunks, err := kdb.ChunkSnapshot(buf.Bytes(), 0)
+	chunks, err := kdbtest.ChunkStream(buf.Bytes())
 	if err != nil {
 		t.Fatalf("chunk: %v", err)
 	}
@@ -48,7 +49,7 @@ func checkWorking(t testing.TB, r *Repo, when string) *working {
 		t.Fatalf("%s: working manifest: %v", when, err)
 	}
 	if want := snapshotManifest(t, r.db); !reflect.DeepEqual(w.manifest.Chunks, want) {
-		t.Fatalf("%s: incremental manifest differs from ChunkSnapshot(WriteSnapshot):\n got %v\nwant %v", when, w.manifest.Chunks, want)
+		t.Fatalf("%s: incremental manifest differs from the text cutter:\n got %v\nwant %v", when, w.manifest.Chunks, want)
 	}
 	return w
 }
@@ -123,7 +124,7 @@ func TestIndexDDLRechunksTable(t *testing.T) {
 			t.Fatalf("commit after %q: created=%v err=%v", stmt, created, err)
 		}
 		if got, want := headManifest(t, r, "main"), snapshotManifest(t, db); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after %q the committed manifest differs from ChunkSnapshot(WriteSnapshot):\n got %v\nwant %v", stmt, got, want)
+			t.Fatalf("after %q the committed manifest differs from the text cutter:\n got %v\nwant %v", stmt, got, want)
 		}
 	}
 }
@@ -351,6 +352,6 @@ func TestCommitsRaceWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := headManifest(t, r, "main"), snapshotManifest(t, db); !reflect.DeepEqual(got, want) {
-		t.Fatal("the commit after the writers stopped differs from ChunkSnapshot(WriteSnapshot)")
+		t.Fatal("the commit after the writers stopped differs from the text cutter")
 	}
 }

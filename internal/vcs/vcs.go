@@ -5,11 +5,12 @@
 // rounds, and combine their ingested knowledge.
 //
 // A commit is the content tables' deterministic snapshot records split
-// into content-addressed chunks — the very chunks kdb.ChunkSnapshot cuts
-// from a WriteSnapshot stream: boundaries are counted from each table's
-// start, so committing after appending to one table encodes, hashes and
-// stores only that table's new tail. Chunk bytes, commit metadata (parents,
-// author, message, campaign id, LSN), and branch heads all live in the
+// into content-addressed chunks — kdb's one chunk rule, cut from the live
+// tables by kdb.TableView.AppendChunks, so a commit's chunks are the ones
+// the delta verb ships. Boundaries are counted from each table's start, so
+// committing after appending to one table encodes, hashes and stores only
+// that table's new tail. Chunk bytes, commit metadata (parents, author,
+// message, campaign id, LSN), and branch heads all live in the
 // store itself — ordinary vcs_* tables, which are excluded from commit
 // content (a commit cannot contain itself) but replicate, shard, and
 // back up exactly like knowledge tables. Because the snapshot serializer
@@ -160,16 +161,14 @@ func IsVersionTable(name string) bool {
 
 // workingManifest cuts the current working state into chunks from one
 // kdb.View: the content tables (vcs_* skipped before anything is encoded)
-// in snapshot order, each split every kdb.DefaultChunkLines records from
-// its CREATE TABLE, plus their auto-id high-water marks. A table whose
-// version has not moved since Repo.chunked saw it costs nothing; one that
-// only grew by appends keeps its full chunks and has its tail chunk
-// re-encoded and re-hashed; anything else (UPDATE, DELETE, rollback, index
-// DDL, checkout) is cut afresh. The result is chunk-for-chunk what
-// ChunkSnapshot makes of the WriteSnapshot stream. All bytes are copied
-// out of the view before it closes.
+// in snapshot order, each cut by kdb.TableView.AppendChunks, plus their
+// auto-id high-water marks. A table whose version has not moved since
+// Repo.chunked saw it costs nothing; one that only grew by appends keeps
+// its full chunks and has only its tail cut again; anything else (UPDATE,
+// DELETE, rollback, index DDL, checkout) is cut afresh. The result is
+// chunk-for-chunk kdb.DB.SnapshotChunks without the vcs_* tables and the
+// meta record.
 func (r *Repo) workingManifest() (*working, error) {
-	const chunkLines = kdb.DefaultChunkLines
 	w := &working{tables: map[string]*tableChunks{}}
 	err := r.db.View(func(v *kdb.View) error {
 		w.lsn = v.LSN()
@@ -180,7 +179,6 @@ func (r *Repo) workingManifest() (*working, error) {
 		if w.storeStamp != r.chunkStoreStamp {
 			known = nil
 		}
-		var buf bytes.Buffer
 		for _, tv := range v.Tables() {
 			if IsVersionTable(tv.Name()) {
 				continue
@@ -202,28 +200,17 @@ func (r *Repo) workingManifest() (*working, error) {
 			cut := &tableChunks{version: tv.Version(), records: tv.Records()}
 			if have != nil && tv.Rewritten() <= have.version && cut.records >= have.records {
 				// Only grew: every full chunk stands, the tail is cut again.
-				cut.chunks = append(cut.chunks, have.chunks[:have.records/chunkLines]...)
+				cut.chunks = append(cut.chunks, have.chunks[:have.records/kdb.DefaultChunkLines]...)
 				w.extended++
 			} else {
 				w.rechunked++
 			}
-			for from := len(cut.chunks) * chunkLines; from < cut.records; from += chunkLines {
-				to := from + chunkLines
-				if to > cut.records {
-					to = cut.records
-				}
-				buf.Reset()
-				if err := tv.EncodeRecords(&buf, from, to); err != nil {
-					return err
-				}
-				sum := sha256.Sum256(buf.Bytes())
-				c := kdb.SnapshotChunk{
-					Table: tv.Name(),
-					Hash:  hex.EncodeToString(sum[:]),
-					Data:  append([]byte(nil), buf.Bytes()...),
-					Lines: to - from,
-				}
-				w.fresh = append(w.fresh, c)
+			cutFrom := len(w.fresh)
+			var err error
+			if w.fresh, err = tv.AppendChunks(w.fresh, len(cut.chunks)); err != nil {
+				return err
+			}
+			for _, c := range w.fresh[cutFrom:] {
 				cut.chunks = append(cut.chunks, ManifestChunk{Table: c.Table, Hash: c.Hash, Size: len(c.Data)})
 			}
 			w.tables[key] = cut

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 )
 
 func newRepo(t testing.TB) (*kdb.DB, *Repo) {
@@ -48,7 +49,7 @@ func contentDump(t testing.TB, db *kdb.DB) []byte {
 	if _, err := db.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	chunks, err := kdb.ChunkSnapshot(buf.Bytes(), 0)
+	chunks, err := kdbtest.ChunkStream(buf.Bytes())
 	if err != nil {
 		t.Fatalf("chunk: %v", err)
 	}
