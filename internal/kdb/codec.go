@@ -350,7 +350,25 @@ type cursor struct {
 	// refs admits the back-reference cell of a batch statement, decoded as a
 	// refArg. A log record never holds one.
 	refs bool
+	// texts and cells, when set, carry over from one record of a stream to
+	// the next (decodeRecord). texts interns statement text: a statement's
+	// raw quoted bytes, once str has accepted them, map to their decoded
+	// text, so a log that repeats a handful of statements decodes each once.
+	// cells is the unused rest of an array that argument lists are cut
+	// from, in place of one allocation per record.
+	texts map[string]string
+	cells []any
 }
+
+const (
+	// maxTexts bounds a cursor's intern table: a log's repeated statements
+	// are a few dozen, and one that never repeats (values spelled into the
+	// SQL) must not keep every statement it has read.
+	maxTexts = 1024
+	// cellsLen is the length of the arrays a cursor's cells are cut from:
+	// the argument lists of a few hundred records.
+	cellsLen = 4096
+)
 
 // ok reports whether everything was recognised and nothing is left over.
 func (c *cursor) ok() bool { return !c.failed && c.i == len(c.b) }
@@ -406,13 +424,7 @@ func (c *cursor) str() string {
 		}
 		return string(b[start:i])
 	}
-	end := i // the closing quote, so the decoded text can be sized once
-	for end < len(b) && b[end] != '"' {
-		if b[end] == '\\' {
-			end++
-		}
-		end++
-	}
+	end := closingQuote(b, i) // so the decoded text can be sized once
 	if end >= len(b) {
 		return c.fail()
 	}
@@ -477,6 +489,48 @@ func (c *cursor) str() string {
 	return sb.String()
 }
 
+// closingQuote returns the position of the first unescaped quote in b from
+// i on, or len(b) if there is none; b[i-1] must not be a backslash. A quote
+// is escaped when an odd run of backslashes ends just before it.
+func closingQuote(b []byte, i int) int {
+	for {
+		q := bytes.IndexByte(b[i:], '"')
+		if q < 0 {
+			return len(b)
+		}
+		q += i
+		run := q
+		for run > i && b[run-1] == '\\' {
+			run--
+		}
+		if (q-run)%2 == 0 {
+			return q
+		}
+		i = q + 1
+	}
+}
+
+// text consumes a record's statement string: str, through the intern table
+// when the cursor has one. A hit is the very bytes str accepted before, so
+// it is accepted again, and decodes to the same text.
+func (c *cursor) text() string {
+	if c.texts == nil || c.failed || c.i >= len(c.b) {
+		return c.str()
+	}
+	at := c.i
+	if end := closingQuote(c.b, at+1); end < len(c.b) {
+		if s, ok := c.texts[string(c.b[at:end+1])]; ok {
+			c.i = end + 1
+			return s
+		}
+	}
+	s := c.str()
+	if !c.failed && len(c.texts) < maxTexts {
+		c.texts[string(c.b[at:c.i])] = s
+	}
+	return s
+}
+
 // digits consumes the text of a JSON integer — a minus sign only where signed
 // allows one, no leading zeros — short enough to fit 64 bits.
 func (c *cursor) digits(signed bool) []byte {
@@ -529,20 +583,31 @@ func (c *cursor) numberText() []byte {
 func (c *cursor) args(hint int) (args []any) {
 	c.must(`[`)
 	if c.decode && !c.failed {
-		args = make([]any, 0, hint)
+		if c.cells == nil {
+			args = make([]any, 0, hint)
+		} else {
+			if cap(c.cells) < 8*hint {
+				c.cells = make([]any, 0, cellsLen)
+			}
+			args = c.cells
+		}
 	}
 	for !c.failed {
 		c.must(`{"k":"`)
+		var kind byte // tried first, so that a cell costs one literal compare
+		if c.i < len(c.b) {
+			kind = c.b[c.i]
+		}
 		switch {
-		case c.has(`n"}`):
+		case kind == 'n' && c.has(`n"}`):
 			if c.decode {
 				args = append(args, nil)
 			}
-		case c.has(`t"}`):
+		case kind == 't' && c.has(`t"}`):
 			if c.decode {
 				args = append(args, "")
 			}
-		case c.has(`t","v":`):
+		case kind == 't' && c.has(`t","v":`):
 			at := c.i
 			s := c.str()
 			if c.i-at <= 2 { // the encoder omits an empty text
@@ -552,19 +617,19 @@ func (c *cursor) args(hint int) (args []any) {
 			if c.decode {
 				args = append(args, s)
 			}
-		case c.has(`i","v":"`):
+		case kind == 'i' && c.has(`i","v":"`):
 			n, err := strconv.ParseInt(string(c.numberText()), 10, 64)
 			c.failed = c.failed || err != nil
 			if c.decode {
 				args = append(args, n)
 			}
-		case c.has(`r","v":"`):
+		case kind == 'r' && c.has(`r","v":"`):
 			f, err := strconv.ParseFloat(string(c.numberText()), 64)
 			c.failed = c.failed || err != nil
 			if c.decode {
 				args = append(args, f)
 			}
-		case c.refs && c.has(`ref","v":"`):
+		case kind == 'r' && c.refs && c.has(`ref","v":"`):
 			n, err := strconv.ParseInt(string(c.numberText()), 10, 64)
 			c.failed = c.failed || err != nil
 			if c.decode {
@@ -574,6 +639,10 @@ func (c *cursor) args(hint int) (args []any) {
 			c.failed = true
 		}
 		if c.has(`]`) {
+			if n := len(args); c.cells != nil && cap(args) == cap(c.cells) { // not outgrown
+				c.cells = c.cells[n:n]
+				return args[:n:n]
+			}
 			return args
 		}
 		c.must(`,`)
@@ -585,7 +654,7 @@ func (c *cursor) args(hint int) (args []any) {
 func (c *cursor) record() (sql string, args []any) {
 	c.must(`{"sql":`)
 	at := c.i
-	sql = c.str()
+	sql = c.text()
 	if c.i-at <= 2 { // the encoder omits an empty statement
 		c.failed = true
 	}

@@ -1,10 +1,12 @@
 package kdb
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -170,15 +172,16 @@ func OpenWithOptions(path string, opts DBOptions) (*DB, error) {
 	if path == "" {
 		return db, nil
 	}
-	w, entries, err := openWAL(path)
+	// One handle reads the log for replay and then appends to it.
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("kdb: open log: %w", err)
+	}
+	if err := db.replayFrom("replay", path, f); err != nil {
+		f.Close()
 		return nil, err
 	}
-	if err := db.replay("replay", entries); err != nil {
-		w.Close()
-		return nil, err
-	}
-	db.wal = w
+	db.wal = &wal{f: f, w: bufio.NewWriter(f)}
 	return db, nil
 }
 
@@ -317,15 +320,15 @@ func (db *DB) stageStmt(query string, args []any) (Result, error) {
 		return Result{}, err
 	}
 	db.step = append(rec, '\n')
-	return db.stageRecord(query, args, mark)
+	return db.stageRecord(query, args, mark, true)
 }
 
 // stageRecord applies in memory the statement whose newline-terminated log
 // record the caller has just appended to db.step at mark, and queues its undo
 // for commitLocked, which must be running. A statement that cannot be applied
-// takes its record back out.
-func (db *DB) stageRecord(query string, args []any, mark int) (Result, error) {
-	res, undo, err := db.applyLocked(query, args)
+// takes its record back out. live is as for applyLocked.
+func (db *DB) stageRecord(query string, args []any, mark int, live bool) (Result, error) {
+	res, undo, err := db.applyLocked(query, args, live)
 	if err != nil {
 		db.step = db.step[:mark]
 		return Result{}, err
@@ -367,8 +370,11 @@ func (db *DB) noteCommit(rec []byte) {
 // applyLocked parses and applies one mutation in memory; db.mu must be
 // held (or the DB not yet shared). Each exec* returns an undo closure
 // alongside its result, which commitLocked runs if the step fails; replay,
-// the only other caller, has nothing to roll back to.
-func (db *DB) applyLocked(query string, args []any) (Result, func(), error) {
+// the only other caller, has nothing to roll back to. live is set for a new
+// statement and unset for committed history — log replay, a snapshot
+// restore, a follower's apply — which must go in as it was written even
+// where today's rules would refuse it (see execInsert).
+func (db *DB) applyLocked(query string, args []any, live bool) (Result, func(), error) {
 	stmt, err := parseCached(query)
 	if err != nil {
 		return Result{}, nil, err
@@ -377,7 +383,7 @@ func (db *DB) applyLocked(query string, args []any) (Result, func(), error) {
 	case *createStmt:
 		return db.execCreate(s)
 	case *insertStmt:
-		return db.execInsert(s, args)
+		return db.execInsert(s, args, live)
 	case *updateStmt:
 		return db.execUpdate(s, args)
 	case *deleteStmt:
@@ -653,7 +659,10 @@ func (db *DB) execDropIndex(s *dropIndexStmt) (Result, func(), error) {
 	return Result{}, nil, fmt.Errorf("kdb: no such index %q", s.Name)
 }
 
-func (db *DB) execInsert(s *insertStmt, args []any) (Result, func(), error) {
+// execInsert appends rows. An explicit INTEGER PRIMARY KEY that some row
+// already holds fails a live statement; in committed history (live unset),
+// written before that rule, it is counted and kept.
+func (db *DB) execInsert(s *insertStmt, args []any, live bool) (Result, func(), error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
 		return Result{}, nil, fmt.Errorf("kdb: no such table %q", s.Table)
@@ -702,8 +711,15 @@ func (db *DB) execInsert(s *insertStmt, args []any) (Result, func(), error) {
 			if row[t.pkIndex] == nil {
 				t.autoID = db.nextAutoID(t.autoID)
 				row[t.pkIndex] = t.autoID
-			} else if id, ok := row[t.pkIndex].(int64); ok && id > t.autoID {
-				t.autoID = id
+			} else if id, ok := row[t.pkIndex].(int64); ok {
+				if t.pkTaken(id) {
+					if live {
+						undo()
+						return Result{}, nil, fmt.Errorf("kdb: table %q: duplicate primary key %d", s.Table, id)
+					}
+					metReplayDuplicatePK.Inc()
+				}
+				t.autoID = max(t.autoID, id)
 			}
 			res.LastInsertID = row[t.pkIndex].(int64)
 		}

@@ -166,6 +166,22 @@ func (t *Table) freshBuckets(ix *hashIndex) map[any][]int {
 	return ix.buckets
 }
 
+// pkTaken reports whether some row holds id as its INTEGER PRIMARY KEY. An
+// id above the last key of rows sorted by key is free without a probe — the
+// case of every append and every snapshot row, which so need no hash index
+// built; anything else probes the automatic primary-key index.
+func (t *Table) pkTaken(id int64) bool {
+	if n := len(t.Rows); t.pkSorted() && (n == 0 || t.Rows[n-1][t.pkIndex].(int64) < id) {
+		return false
+	}
+	for _, pos := range t.freshBuckets(t.indexOn(t.pkIndex))[hashKey(id)] {
+		if v, ok := t.Rows[pos][t.pkIndex].(int64); ok && v == id {
+			return true
+		}
+	}
+	return false
+}
+
 // pkOrder records whether Table.Rows is non-decreasing in the INTEGER
 // PRIMARY KEY. The zero value means "recompute on next use".
 type pkOrder uint8

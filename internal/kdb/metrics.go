@@ -31,6 +31,7 @@ var (
 	metReplStreams       *telemetry.Gauge
 	metReplRecordsSent   *telemetry.Counter
 	metReplSnapshotBytes *telemetry.Counter
+	metReplayDuplicatePK *telemetry.Counter // rows history inserted under a taken primary key (execInsert)
 )
 
 func init() {
@@ -55,6 +56,7 @@ func init() {
 	metReplStreams = reg.Gauge("kdb_repl_streams")
 	metReplRecordsSent = reg.Counter("kdb_repl_records_sent_total")
 	metReplSnapshotBytes = reg.Counter("kdb_repl_snapshot_bytes_total")
+	metReplayDuplicatePK = reg.Counter("kdb_replay_duplicate_pk_total")
 }
 
 // sinceSeconds is the one conversion every instrumented path shares.

@@ -108,9 +108,10 @@ func (db *DB) entriesSince(after int64) (recs []replRecord, ok bool) {
 func (db *DB) ApplyRecords(recs []ReplEvent) error {
 	stmts := make([]batchStmt, len(recs))
 	size := 0
+	var c cursor
 	for i, r := range recs {
 		size += len(r.Entry) + 1
-		e, err := decodeRecord(r.Entry)
+		e, err := decodeRecord(&c, r.Entry)
 		if err != nil {
 			return fmt.Errorf("kdb: corrupt replicated record: %w", err)
 		}
@@ -133,7 +134,7 @@ func (db *DB) ApplyRecords(recs []ReplEvent) error {
 		for i, st := range stmts {
 			mark := len(db.step)
 			db.step = append(append(db.step, recs[i].Entry...), '\n')
-			if _, err := db.stageRecord(st.sql, st.args, mark); err != nil {
+			if _, err := db.stageRecord(st.sql, st.args, mark, false); err != nil {
 				return err
 			}
 		}

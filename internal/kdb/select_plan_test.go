@@ -483,9 +483,10 @@ var (
 )
 
 type planGen struct {
-	t  *testing.T
-	r  *rand.Rand
-	db *DB
+	t     *testing.T
+	r     *rand.Rand
+	db    *DB
+	keyed [planTables]bool // whose id is its INTEGER PRIMARY KEY
 }
 
 func (g *planGen) must(_ Result, err error) {
@@ -507,6 +508,7 @@ func newPlanGen(t *testing.T, seed int64) *planGen {
 		if i == planTables-1 && g.r.Intn(3) == 0 {
 			pk = ""
 		}
+		g.keyed[i] = pk != ""
 		mustExec(t, g.db, fmt.Sprintf("CREATE TABLE %s (id INTEGER%s, k INTEGER, f REAL, s TEXT, v INTEGER, u%d INTEGER)", planTable(i), pk, i))
 		for n := g.r.Intn(14); n > 0; n-- {
 			g.insert(g.db.Exec, i)
@@ -536,13 +538,37 @@ func (g *planGen) value(col string) any {
 	return int64(g.r.Intn(4)) // v and u<i>
 }
 
+// refKeyTaken is the reference's reading of a primary key: whether some
+// stored row of a keyed table holds id in its id column.
+func refKeyTaken(rows [][]any, id any) bool {
+	for _, row := range rows {
+		if row[0] != nil && row[0] == id {
+			return true
+		}
+	}
+	return false
+}
+
+// insert adds a row — or, given an explicit id some row of a keyed table
+// already holds, must be refused and leave the table as it was.
 func (g *planGen) insert(exec ExecFunc, table int) {
+	g.t.Helper()
 	var id any // NULL draws the next automatic id
 	if g.r.Intn(4) == 0 {
-		id = g.value("id") // explicit: out of order, duplicate or negative
+		id = g.value("id") // explicit: out of order, taken or negative
 	}
-	g.must(exec(fmt.Sprintf("INSERT INTO %s (id, k, f, s, v, u%d) VALUES (?, ?, ?, ?, ?, ?)", planTable(table), table),
-		id, g.value("k"), g.value("f"), g.value("s"), g.value("v"), g.value("u")))
+	rows := g.db.tables[planTable(table)].Rows
+	taken := g.keyed[table] && id != nil && refKeyTaken(rows, id)
+	_, err := exec(fmt.Sprintf("INSERT INTO %s (id, k, f, s, v, u%d) VALUES (?, ?, ?, ?, ?, ?)", planTable(table), table),
+		id, g.value("k"), g.value("f"), g.value("s"), g.value("v"), g.value("u"))
+	switch after := g.db.tables[planTable(table)].Rows; {
+	case !taken:
+		g.must(Result{}, err)
+	case err == nil || !strings.Contains(err.Error(), "duplicate primary key"):
+		g.t.Fatalf("INSERT of taken id %v into %s: err %v, want a duplicate key refusal", id, planTable(table), err)
+	case len(after) != len(rows):
+		g.t.Fatalf("refused INSERT into %s left %d rows, had %d", planTable(table), len(after), len(rows))
+	}
 }
 
 func (g *planGen) toggleIndex() {
@@ -974,13 +1000,15 @@ func TestPrimaryKeyOrderTracking(t *testing.T) {
 	}
 	expect("appended", pkOrderSorted, "range", "[[2] [3] [4]]")
 	mustExec(t, db, "INSERT INTO t (id, v) VALUES (9, 9)")
-	mustExec(t, db, "INSERT INTO t (id, v) VALUES (9, 10)") // equal keys keep the order
+	if _, err := db.Exec("INSERT INTO t (id, v) VALUES (9, 10)"); err == nil { // a refused key leaves the order
+		t.Error("a second row with primary key 9 was accepted")
+	}
 	expect("explicit ids in order", pkOrderSorted, "range", "[[2] [3] [4]]")
-	mustExec(t, db, "INSERT INTO t (id, v) VALUES (3, 11)")
+	mustExec(t, db, "INSERT INTO t (id, v) VALUES (6, 11)")
 	if tbl().pkOrder != pkOrderUnsorted {
 		t.Errorf("an id below its predecessor left order %d", tbl().pkOrder)
 	}
-	expect("out of order", pkOrderUnsorted, "scan", "[[2] [3] [3]]")
+	expect("out of order", pkOrderUnsorted, "scan", "[[2] [3] [4]]")
 	mustExec(t, db, "DELETE FROM t WHERE v = 11")
 	if tbl().pkOrder != pkOrderUnknown {
 		t.Errorf("DELETE left order %d", tbl().pkOrder)
@@ -993,7 +1021,7 @@ func TestPrimaryKeyOrderTracking(t *testing.T) {
 	mustExec(t, db, "UPDATE t SET id = 5 WHERE v = 4")
 	expect("key restored", pkOrderSorted, "range", "[[2] [3] [4]]")
 	err := db.Batch(func(exec ExecFunc) error {
-		if _, err := exec("INSERT INTO t (id, v) VALUES (1, 12)"); err != nil {
+		if _, err := exec("INSERT INTO t (id, v) VALUES (0, 12)"); err != nil {
 			return err
 		}
 		return errPlanAbort
@@ -1005,7 +1033,7 @@ func TestPrimaryKeyOrderTracking(t *testing.T) {
 	if err := db.RestoreSnapshot(snapshotBytes(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	if tbl().pkOrder != pkOrderUnknown {
+	if tbl().pkOrder != pkOrderSorted { // replay's key checks track it row by row
 		t.Errorf("restored table starts with order %d", tbl().pkOrder)
 	}
 	expect("restored", pkOrderSorted, "range", "[[2] [3] [4]]")

@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -83,12 +84,8 @@ type SnapshotRecord struct {
 // DecodeSnapshotRecords decodes a snapshot (or chunk) byte range into its
 // records.
 func DecodeSnapshotRecords(data []byte) ([]SnapshotRecord, error) {
-	entries, err := parseWALRecords("chunk", data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SnapshotRecord, 0, len(entries))
-	for _, e := range entries {
+	out := make([]SnapshotRecord, 0, bytes.Count(data, []byte{'\n'})+1)
+	err := readRecords("chunk", bytes.NewReader(data), func(_ int, e *replayEntry) error {
 		out = append(out, SnapshotRecord{
 			SQL:     e.SQL,
 			Args:    e.Args,
@@ -96,6 +93,10 @@ func DecodeSnapshotRecords(data []byte) ([]SnapshotRecord, error) {
 			AutoIDs: e.AutoIDs,
 			BaseLSN: e.BaseLSN,
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

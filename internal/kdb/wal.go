@@ -83,9 +83,9 @@ type replayEntry struct {
 	// Tagged is set when a meta record carries the explicit tag rather
 	// than being inferred from its fields (see walEntry.isMeta).
 	Tagged bool
-	// Raw is the record's exact log line (no trailing newline); replayed
-	// mutations keep it so the replication buffer can re-ship the very
-	// bytes that are on disk.
+	// Raw is the record's exact log line (no trailing newline), in the block
+	// of its batch (readRecords); replayed mutations keep it so the
+	// replication buffer can re-ship the very bytes that are on disk.
 	Raw []byte
 }
 
@@ -93,10 +93,13 @@ type replayEntry struct {
 // for log replay, snapshot restore and follower apply. A mutation record in
 // the shape the engine writes is scanned straight into engine values; every
 // other line — a meta record, a hand-edited or padded one, a corrupt one —
-// goes to encoding/json. The caller says where a failure happened, and
-// fills in the entry's Raw if it keeps one.
-func decodeRecord(line []byte) (replayEntry, error) {
-	if sql, args, ok := scanRecord(line, true); ok {
+// goes to encoding/json. c is the cursor to scan with: what it carries from
+// one record to the next (cursor.texts, cursor.cells) it keeps for the
+// next call. The caller says where a failure happened, and fills in the
+// entry's Raw if it keeps one.
+func decodeRecord(c *cursor, line []byte) (replayEntry, error) {
+	c.b, c.i, c.failed, c.decode = line, 0, false, true
+	if sql, args := c.record(); c.ok() {
 		return replayEntry{SQL: sql, Args: args}, nil
 	}
 	var e walEntry
@@ -110,64 +113,151 @@ func decodeRecord(line []byte) (replayEntry, error) {
 	return replayEntry{SQL: e.SQL, Args: args, AutoIDs: e.AutoIDs, BaseLSN: e.BaseLSN, Meta: e.isMeta(), Tagged: e.Meta}, nil
 }
 
-// parseWALRecords decodes newline-delimited log records, skipping blank
-// lines. It is shared by log replay and snapshot restore, so both paths
-// accept exactly the bytes the engine writes.
-func parseWALRecords(src string, data []byte) ([]replayEntry, error) {
-	entries := make([]replayEntry, 0, bytes.Count(data, []byte{'\n'})+1)
-	for len(data) > 0 {
-		var line []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			line, data = data[:nl], data[nl+1:]
-		} else {
-			line, data = data, nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		e, err := decodeRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("kdb: corrupt log %s: %w", src, err)
-		}
-		e.Raw = append([]byte(nil), line...)
-		entries = append(entries, e)
-	}
-	return entries, nil
+const (
+	// recordBatchLen is how many records the decoder hands the applier at a
+	// time: enough that a channel operation per batch is noise, few enough
+	// that the two sides overlap from the first batch on.
+	recordBatchLen = 512
+	// recordBatchesAhead is how many decoded batches may wait for the
+	// applier: the decoder works on the next while one waits and one is
+	// applied, and a slow applier holds no more than that.
+	recordBatchesAhead = 2
+)
+
+// recordBatch is the next run of a stream's records, in file order. err,
+// when set, is why the record after them could not be read, and ends the
+// stream.
+type recordBatch struct {
+	recs []replayEntry
+	err  error
 }
 
-// replay applies decoded log records, in order, to a database nobody else
-// can reach yet — one being opened, or a scratch one a snapshot is restored
-// into — so it takes no lock and ticks no statement metric. It is the only
-// reader of a log's history: every mutation record is one commit (the next
-// LSN, retained for replication catch-up), and a meta record restores the
-// auto-increment high-water marks, so deleted-then-compacted primary keys
-// are not reused, and repositions the LSN. The records before an explicitly
-// tagged meta record are snapshot rows, one INSERT per row however many
-// commits wrote them: the LSN becomes the record's base_lsn, even 0, and
-// the catch-up buffer is emptied, because those records are not history a
-// follower may be sent. An untagged meta record (logs older than the tag)
-// can only move the LSN up. what names the stream in errors.
-func (db *DB) replay(what string, entries []replayEntry) error {
-	for i, e := range entries {
-		if !e.Meta {
-			if _, _, err := db.applyLocked(e.SQL, e.Args); err != nil {
-				return fmt.Errorf("kdb: %s entry %d (%q): %w", what, i, e.SQL, err)
+// readRecords is the one reader of a log or snapshot stream: log replay,
+// snapshot restore and the vcs layer's chunk decoding all go through it. A
+// goroutine cuts r into lines (blank lines skipped, the last one's newline
+// optional) and decodes them a batch at a time, while each runs on the
+// caller's goroutine over the records of the batches already decoded, in
+// file order, with each record's index among them. Each batch copies its
+// lines into one block it owns, and every record's Raw points there, so the
+// few records the catch-up buffer keeps pin only their batches' blocks.
+//
+// The first failure ends the stream, and readRecords returns it: an error
+// from each, or a record that cannot be read, once each has had every
+// record before it — so the error names the first failing record in file
+// order, whichever way it failed. src names the stream in read errors.
+// Before returning, readRecords stops the decoder and waits for it.
+func readRecords(src string, r io.Reader, each func(i int, e *replayEntry) error) error {
+	batches := make(chan recordBatch, recordBatchesAhead)
+	stop := make(chan struct{})
+	go decodeRecords(src, r, batches, stop)
+	defer func() {
+		close(stop)
+		for range batches { // the decoder closes it as it returns
+		}
+	}()
+	i := 0
+	for b := range batches {
+		for j := range b.recs {
+			if err := each(i, &b.recs[j]); err != nil {
+				return err
 			}
-			db.noteCommit(e.Raw)
-			continue
+			i++
 		}
-		if e.BaseLSN < 0 {
-			return fmt.Errorf("kdb: %s entry %d: negative base_lsn %d", what, i, e.BaseLSN)
+		if b.err != nil {
+			return b.err
 		}
-		for name, id := range e.AutoIDs {
-			if t, ok := db.tables[strings.ToLower(name)]; ok && id > t.autoID {
-				t.autoID = id
+	}
+	return nil
+}
+
+// decodeRecords is readRecords' decoder: it sends the records of r in
+// batches on out until the stream ends, fails, or stop is closed, and then
+// closes out.
+func decodeRecords(src string, r io.Reader, out chan<- recordBatch, stop <-chan struct{}) {
+	defer close(out)
+	lines := lineReader{br: bufio.NewReaderSize(r, 64<<10)}
+	c := cursor{texts: map[string]string{}, cells: make([]any, 0, cellsLen)}
+	var block []byte
+	ends := make([]int, 0, recordBatchLen)
+	n := 0 // records read before this batch
+	for {
+		b := recordBatch{recs: make([]replayEntry, 0, recordBatchLen)}
+		// The last batch's size, with room to spare, is the best guess at
+		// this one's.
+		block, ends = make([]byte, 0, len(block)+len(block)/4), ends[:0]
+		end := false
+		for len(b.recs) < recordBatchLen {
+			line, err := lines.next()
+			if err != nil {
+				if err != io.EOF {
+					b.err = fmt.Errorf("kdb: read log %s: %w", src, err)
+				}
+				end = true
+				break
 			}
+			e, err := decodeRecord(&c, line)
+			if err != nil {
+				b.err, end = fmt.Errorf("kdb: corrupt log %s entry %d: %w", src, n+len(b.recs), err), true
+				break
+			}
+			block = append(block, line...)
+			ends = append(ends, len(block))
+			b.recs = append(b.recs, e)
 		}
-		if e.Tagged || e.BaseLSN > db.lsn {
-			db.lsn = e.BaseLSN
-			db.replBuf = nil
+		start := 0
+		for j, off := range ends {
+			b.recs[j].Raw = block[start:off:off]
+			start = off
 		}
+		n += len(b.recs)
+		select {
+		case out <- b:
+		case <-stop:
+			return
+		}
+		if end {
+			return
+		}
+	}
+}
+
+// replayFrom replays the log or snapshot stream r (readRecords; src names
+// it in read errors) into a database nobody else can reach yet — one being
+// opened, or a scratch one a snapshot is restored into — so it takes no lock
+// and ticks no statement metric. It is the only reader of a log's history.
+// what names the stream in apply errors.
+func (db *DB) replayFrom(what, src string, r io.Reader) error {
+	return readRecords(src, r, func(i int, e *replayEntry) error { return db.replayRecord(what, i, e) })
+}
+
+// replayRecord applies the i-th record of a replayed stream. Every mutation
+// record is one commit (the next LSN, retained for replication catch-up),
+// and a meta record restores the auto-increment high-water marks, so
+// deleted-then-compacted primary keys are not reused, and repositions the
+// LSN. The records before an explicitly tagged meta record are snapshot
+// rows, one INSERT per row however many commits wrote them: the LSN becomes
+// the record's base_lsn, even 0, and the catch-up buffer is emptied, because
+// those records are not history a follower may be sent. An untagged meta
+// record (logs older than the tag) can only move the LSN up.
+func (db *DB) replayRecord(what string, i int, e *replayEntry) error {
+	if !e.Meta {
+		if _, _, err := db.applyLocked(e.SQL, e.Args, false); err != nil {
+			return fmt.Errorf("kdb: %s entry %d (%q): %w", what, i, e.SQL, err)
+		}
+		db.noteCommit(e.Raw)
+		return nil
+	}
+	if e.BaseLSN < 0 {
+		return fmt.Errorf("kdb: %s entry %d: negative base_lsn %d", what, i, e.BaseLSN)
+	}
+	for name, id := range e.AutoIDs {
+		if t, ok := db.tables[strings.ToLower(name)]; ok && id > t.autoID {
+			t.autoID = id
+		}
+	}
+	if e.Tagged || e.BaseLSN > db.lsn {
+		db.lsn = e.BaseLSN
+		db.replBuf = nil
 	}
 	return nil
 }
@@ -175,12 +265,8 @@ func (db *DB) replay(what string, entries []replayEntry) error {
 // replaySnapshot replays a snapshot stream into a scratch database, built
 // off to the side so a malformed stream leaves nothing half-applied.
 func replaySnapshot(data []byte) (*DB, error) {
-	entries, err := parseWALRecords("snapshot", data)
-	if err != nil {
-		return nil, err
-	}
 	scratch := &DB{tables: map[string]*Table{}}
-	return scratch, scratch.replay("snapshot", entries)
+	return scratch, scratch.replayFrom("snapshot", "snapshot", bytes.NewReader(data))
 }
 
 // ParseSnapshotTables replays a snapshot stream into a detached table
@@ -199,25 +285,6 @@ func ParseSnapshotTables(data []byte) (map[string]*Table, error) {
 type wal struct {
 	f *os.File
 	w *bufio.Writer
-}
-
-// openWAL opens or creates the log and returns the decoded entries for
-// replay.
-func openWAL(path string) (*wal, []replayEntry, error) {
-	var entries []replayEntry
-	if data, err := os.ReadFile(path); err == nil {
-		entries, err = parseWALRecords(path, data)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("kdb: open log: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("kdb: open log for append: %w", err)
-	}
-	return &wal{f: f, w: bufio.NewWriter(f)}, entries, nil
 }
 
 // AppendRaw writes pre-encoded log records (one or many) and flushes them
