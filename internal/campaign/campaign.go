@@ -263,14 +263,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 		persistErr = err
 	}
 	if s.SelfObserve && persistErr == nil {
-		if err := s.persistTelemetry(reg, res); err != nil {
-			persistErr = err
-		}
-	}
-	if s.SelfObserve && persistErr == nil {
-		if err := s.persistSlowTraces(spec.Name, began, reg, res); err != nil {
-			persistErr = err
-		}
+		persistErr = s.persistSelfObservation(spec.Name, began, reg, res)
 	}
 	res.FinalLSN = s.Store.DB.LSN()
 	if persistErr != nil {
@@ -282,41 +275,21 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	return res, nil
 }
 
-// persistTelemetry closes the knowledge cycle on the campaign itself: the
-// collected phase timings are serialized as a telemetry artifact and
-// pushed through the same extraction/persistence path as benchmark output.
-func (s *Scheduler) persistTelemetry(reg *extract.Registry, res *Result) error {
-	if len(res.Timings) == 0 {
-		return nil
-	}
-	ex, err := reg.Extract(telemetry.Artifact(res.Name, res.Timings))
-	if err != nil {
-		return fmt.Errorf("campaign: extract self-telemetry: %w", err)
-	}
-	if ex.Object == nil {
-		return fmt.Errorf("campaign: self-telemetry produced no knowledge object")
-	}
-	id, err := s.Store.SaveObject(ex.Object)
-	if err != nil {
-		return fmt.Errorf("campaign: persist self-telemetry: %w", err)
-	}
-	ex.Object.ID = id
-	res.TelemetryID = id
-	return nil
-}
-
 // maxSlowTraces bounds how many of a campaign's slow traces persist as
 // knowledge: only the slowest few carry diagnostic weight.
 const maxSlowTraces = 3
 
-// persistSlowTraces extends self-observation to distributed tracing: the
-// slowest requests the slow-query log captured while this campaign ran are
-// serialized as trace artifacts (SQL + full span tree) and persisted
-// through the same extraction path, so p99 forensics survive the run.
-func (s *Scheduler) persistSlowTraces(name string, began time.Time, reg *extract.Registry, res *Result) error {
-	slow := telemetry.Traces.SlowQueries()
+// persistSelfObservation closes the knowledge cycle on the campaign itself.
+// The collected phase timings become a telemetry artifact, and the slowest
+// requests the slow-query log captured while the campaign ran become trace
+// artifacts (SQL and full span tree), so p99 forensics survive the run.
+// Both go through the same extraction path as benchmark output. Everything
+// is read before anything is written, and the objects — telemetry first,
+// then the traces, slowest first — are persisted as one save: all of them,
+// or on any failure none.
+func (s *Scheduler) persistSelfObservation(name string, began time.Time, reg *extract.Registry, res *Result) error {
 	var ours []telemetry.SlowQuery
-	for _, q := range slow {
+	for _, q := range telemetry.Traces.SlowQueries() {
 		if !q.Start.Before(began) {
 			ours = append(ours, q)
 		}
@@ -325,6 +298,18 @@ func (s *Scheduler) persistSlowTraces(name string, began time.Time, reg *extract
 	if len(ours) > maxSlowTraces {
 		ours = ours[:maxSlowTraces]
 	}
+	var objs []*knowledge.Object
+	if len(res.Timings) > 0 {
+		ex, err := reg.Extract(telemetry.Artifact(res.Name, res.Timings))
+		if err != nil {
+			return fmt.Errorf("campaign: extract self-telemetry: %w", err)
+		}
+		if ex.Object == nil {
+			return fmt.Errorf("campaign: self-telemetry produced no knowledge object")
+		}
+		objs = append(objs, ex.Object)
+	}
+	withTelemetry := len(objs) == 1
 	for _, q := range ours {
 		spans := telemetry.Traces.Spans(q.TraceID)
 		if len(spans) == 0 {
@@ -334,16 +319,21 @@ func (s *Scheduler) persistSlowTraces(name string, began time.Time, reg *extract
 		if err != nil {
 			return fmt.Errorf("campaign: extract slow trace %s: %w", q.TraceID, err)
 		}
-		if ex.Object == nil {
-			continue
+		if ex.Object != nil {
+			objs = append(objs, ex.Object)
 		}
-		id, err := s.Store.SaveObject(ex.Object)
-		if err != nil {
-			return fmt.Errorf("campaign: persist slow trace %s: %w", q.TraceID, err)
-		}
-		ex.Object.ID = id
-		res.SlowTraceIDs = append(res.SlowTraceIDs, id)
 	}
+	if len(objs) == 0 {
+		return nil
+	}
+	ids, err := s.Store.SaveObjects(objs)
+	if err != nil {
+		return fmt.Errorf("campaign: persist self-observation: %w", err)
+	}
+	if withTelemetry {
+		res.TelemetryID, ids = ids[0], ids[1:]
+	}
+	res.SlowTraceIDs = append(res.SlowTraceIDs, ids...)
 	return nil
 }
 

@@ -3,15 +3,16 @@ package colstore
 // Vectorized execution. A query runs in three stages: (1) zone-map
 // pruning decides per segment whether any row can possibly match; (2) the
 // filter stage evaluates the AND-conjuncts over the surviving segments'
-// typed vectors into a selection list; (3) the aggregate stage consumes
-// the selection column-by-column. Every numeric comparison and float
-// accumulation happens in the same order, with the same operations, as
-// the row engine — that is what makes the answers byte-identical rather
-// than merely approximately equal.
+// typed vectors into a selection list; (3) the aggregate stage feeds the
+// selection, in row order, to the engine's own accumulator (kdb.Agg,
+// through its typed AddFloat and AddCount entry points) and, for GROUP BY,
+// to the engine's own grouping and pager (kdb.Groups). The filter stage
+// mirrors the engine's comparisons; the aggregation does not mirror the
+// engine, it is the engine's — that is what makes the answers
+// byte-identical rather than merely approximately equal.
 
 import (
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/kdb"
@@ -286,60 +287,6 @@ func (q *query) scan(visit func(seg *segment, sel []int)) {
 	}
 }
 
-// aggAcc accumulates one aggregate over one (group's) value stream,
-// reproducing the engine's exact arithmetic: count counts non-NULL cells
-// of any type, the numeric accumulators see only float-convertible
-// values in row order, and min/max start from the first value with
-// strict < / > updates (so a leading NaN sticks, as it does in the
-// engine's vals[0] seed).
-type aggAcc struct {
-	count  int64
-	n      int64
-	sum    float64
-	mn, mx float64
-}
-
-func (a *aggAcc) addFloat(f float64) {
-	a.count++
-	if a.n == 0 {
-		a.mn, a.mx = f, f
-	} else {
-		if f < a.mn {
-			a.mn = f
-		}
-		if f > a.mx {
-			a.mx = f
-		}
-	}
-	a.sum += f
-	a.n++
-}
-
-// addText records a non-NULL text cell: it counts, but contributes no
-// numeric value — exactly toFloat's behaviour on strings.
-func (a *aggAcc) addText() { a.count++ }
-
-// result finalizes the accumulator for one aggregate function.
-func (a *aggAcc) result(agg string) any {
-	if agg == "COUNT" {
-		return a.count
-	}
-	if a.n == 0 {
-		return nil
-	}
-	switch agg {
-	case "SUM":
-		return a.sum
-	case "AVG":
-		return a.sum / float64(a.n)
-	case "MIN":
-		return a.mn
-	case "MAX":
-		return a.mx
-	}
-	return nil
-}
-
 // item is a compiled projection column.
 type item struct {
 	agg  string
@@ -348,26 +295,31 @@ type item struct {
 	gi   int // group-key position for plain columns
 }
 
-// accumulate feeds a segment's selected rows of column ci into acc.
-func accumulate(ct *colTable, seg *segment, sel []int, ci int, acc *aggAcc) {
-	v := seg.cols[ci]
+// accumulate feeds a segment's selected rows of item it into acc, one
+// typed vector at a time.
+func accumulate(seg *segment, sel []int, it item, acc *kdb.Agg) {
+	if it.star {
+		acc.AddCount(int64(len(sel)))
+		return
+	}
+	v := seg.cols[it.ci]
 	switch {
 	case v.ints != nil:
 		for _, i := range sel {
 			if !v.isNull(i) {
-				acc.addFloat(float64(v.ints[i]))
+				acc.AddFloat(float64(v.ints[i]))
 			}
 		}
 	case v.floats != nil:
 		for _, i := range sel {
 			if !v.isNull(i) {
-				acc.addFloat(v.floats[i])
+				acc.AddFloat(v.floats[i])
 			}
 		}
 	default:
 		for _, i := range sel {
 			if !v.isNull(i) {
-				acc.addText()
+				acc.AddCount(1)
 			}
 		}
 	}
@@ -375,57 +327,27 @@ func accumulate(ct *colTable, seg *segment, sel []int, ci int, acc *aggAcc) {
 
 // runGlobal executes the single-row aggregate path. Like the engine's, it
 // ignores LIMIT and OFFSET. Every item must be an aggregate — a plain
-// column here is the engine's "requires GROUP BY" error, so decline.
+// column here is the engine's "requires GROUP BY" error, which
+// compileItems declines.
 func (q *query) runGlobal() (*kdb.Rows, bool) {
-	type slot struct {
-		it  item
-		acc aggAcc
+	items, names, ok := q.compileItems()
+	if !ok {
+		return nil, false
 	}
-	slots := make([]slot, len(q.plan.Items))
-	names := make([]string, len(q.plan.Items))
-	for i, pi := range q.plan.Items {
-		if pi.Agg == "" {
-			return nil, false
-		}
-		names[i] = pi.Name
-		slots[i].it = item{agg: pi.Agg, star: pi.Star, ci: -1}
-		if !pi.Star {
-			ci, ok := q.ct.colIndex(pi.Col)
-			if !ok {
-				return nil, false
-			}
-			slots[i].it.ci = ci
-		}
-	}
-	var total int64
+	aggs := make([]kdb.Agg, len(items))
 	q.scan(func(seg *segment, sel []int) {
-		total += int64(len(sel))
-		for si := range slots {
-			if !slots[si].it.star {
-				accumulate(q.ct, seg, sel, slots[si].it.ci, &slots[si].acc)
-			}
+		for i, it := range items {
+			accumulate(seg, sel, it, &aggs[i])
 		}
 	})
-	row := make([]any, len(slots))
-	for i := range slots {
-		if slots[i].it.star {
-			row[i] = total
-			continue
-		}
-		row[i] = slots[i].acc.result(slots[i].it.agg)
+	row := make([]any, len(items))
+	for i, it := range items {
+		row[i] = aggs[i].Result(it.agg)
 	}
 	return kdb.NewRows(names, [][]any{row}), true
 }
 
-// group is one GROUP BY bucket: the key tuple from the first row that
-// opened it, plus per-item accumulators.
-type group struct {
-	key  []any
-	rows int64
-	accs []aggAcc
-}
-
-// compileItems resolves the grouped projection. Plain columns must name a
+// compileItems resolves the projection. Plain columns must name a
 // grouping column under the engine's matching rule (unqualified, or
 // qualified identically to the GROUP BY reference); anything else is the
 // engine's error, so decline.
@@ -461,10 +383,10 @@ func (q *query) compileItems() ([]item, []string, bool) {
 	return items, names, true
 }
 
-// runGrouped executes the GROUP BY path: hash rows into groups (with a
-// dictionary-code fast path for the common single-text-key shape), then
-// emit in the engine's order — ascending key tuples, stable over first
-// appearance — honouring OFFSET and LIMIT over whole groups.
+// runGrouped executes the GROUP BY path: bucket the matching rows (with a
+// dictionary-code fast path for the common single-text-key shape), folding
+// each group's aggregates as the rows stream past, then page the groups as
+// the engine does.
 func (q *query) runGrouped() (*kdb.Rows, bool) {
 	items, names, ok := q.compileItems()
 	if !ok {
@@ -478,82 +400,56 @@ func (q *query) runGrouped() (*kdb.Rows, bool) {
 		}
 		keyIdx[i] = ci
 	}
-	var order []*group
+	groups := kdb.NewGroups(func() []kdb.Agg { return make([]kdb.Agg, len(items)) })
 	if len(keyIdx) == 1 && q.ct.cols[keyIdx[0]].Type == kdb.TText {
-		order = q.groupByDict(items, keyIdx[0])
+		q.groupByDict(groups, items, keyIdx[0])
 	} else {
-		order = q.groupGeneric(items, keyIdx)
+		q.groupGeneric(groups, items, keyIdx)
 	}
-	// The engine sorts its first-appearance group list stably by key
-	// tuple; CompareOrder is its exported comparator.
-	sort.SliceStable(order, func(a, b int) bool {
-		ga, gb := order[a], order[b]
-		for i := range ga.key {
-			if c := kdb.CompareOrder(ga.key[i], gb.key[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	var rows [][]any
-	skipped := 0
-	for _, g := range order {
-		if skipped < q.plan.Offset {
-			skipped++
-			continue
-		}
+	rows := groups.Page(q.plan.Offset, q.plan.Limit, func(key []any, aggs []kdb.Agg) []any {
 		row := make([]any, len(items))
 		for i, it := range items {
-			switch {
-			case it.agg == "":
-				row[i] = g.key[it.gi]
-			case it.star:
-				row[i] = g.rows
-			default:
-				row[i] = g.accs[i].result(it.agg)
+			if it.agg == "" {
+				row[i] = key[it.gi]
+			} else {
+				row[i] = aggs[i].Result(it.agg)
 			}
 		}
-		rows = append(rows, row)
-		if q.plan.Limit >= 0 && len(rows) >= q.plan.Limit {
-			break
-		}
-	}
-	if q.plan.Limit == 0 {
-		rows = nil
-	}
+		return row
+	})
 	return kdb.NewRows(names, rows), true
 }
 
-// feed adds one matching row to its group's accumulators.
-func (q *query) feed(g *group, items []item, seg *segment, i int) {
-	g.rows++
+// feed adds one matching row to its group's aggregates.
+func (q *query) feed(aggs []kdb.Agg, items []item, seg *segment, i int) {
 	for ii, it := range items {
-		if it.agg == "" || it.star {
-			continue
-		}
-		v := seg.cols[it.ci]
-		if v.isNull(i) {
-			continue
-		}
 		switch {
-		case v.ints != nil:
-			g.accs[ii].addFloat(float64(v.ints[i]))
-		case v.floats != nil:
-			g.accs[ii].addFloat(v.floats[i])
+		case it.agg == "":
+		case it.star:
+			aggs[ii].AddCount(1)
 		default:
-			g.accs[ii].addText()
+			v := seg.cols[it.ci]
+			switch {
+			case v.isNull(i):
+			case v.ints != nil:
+				aggs[ii].AddFloat(float64(v.ints[i]))
+			case v.floats != nil:
+				aggs[ii].AddFloat(v.floats[i])
+			default:
+				aggs[ii].AddCount(1)
+			}
 		}
 	}
 }
 
 // groupByDict groups by a single text column keyed on dictionary codes —
-// no key tuple materialization, no string encoding per row. The sentinel
+// no key tuple materialization, no key encoding per row. The sentinel
 // ^uint32(0) buckets NULLs, which the dictionary can never assign (codes
-// are dense from zero).
-func (q *query) groupByDict(items []item, ci int) []*group {
+// are dense from zero). Codes and the engine's key encoding split rows
+// into the same groups, opened in the same order.
+func (q *query) groupByDict(groups *kdb.Groups[[]kdb.Agg], items []item, ci int) {
 	const nullCode = ^uint32(0)
-	groups := make(map[uint32]*group)
-	var order []*group
+	byCode := make(map[uint32][]kdb.Agg)
 	q.scan(func(seg *segment, sel []int) {
 		v := seg.cols[ci]
 		for _, i := range sel {
@@ -561,42 +457,31 @@ func (q *query) groupByDict(items []item, ci int) []*group {
 			if !v.isNull(i) {
 				code = v.codes[i]
 			}
-			g, ok := groups[code]
+			aggs, ok := byCode[code]
 			if !ok {
-				g = &group{key: []any{nil}, accs: make([]aggAcc, len(items))}
+				var key any
 				if code != nullCode {
-					g.key[0] = q.ct.dict.strs[code]
+					key = q.ct.dict.strs[code]
 				}
-				groups[code] = g
-				order = append(order, g)
+				aggs = groups.Open([]any{key})
+				byCode[code] = aggs
 			}
-			q.feed(g, items, seg, i)
+			q.feed(aggs, items, seg, i)
 		}
 	})
-	return order
 }
 
-// groupGeneric groups by an arbitrary key tuple using the engine's own
-// type-tagged encoding, so bucket boundaries (NaN collapsing, -0 vs +0,
-// int vs float tags) are identical by construction.
-func (q *query) groupGeneric(items []item, keyIdx []int) []*group {
-	groups := make(map[string]*group)
-	var order []*group
+// groupGeneric groups by an arbitrary key tuple through the engine's own
+// bucketing, so group boundaries (NaN collapsing, -0 vs +0, int vs float
+// tags) are identical by construction.
+func (q *query) groupGeneric(groups *kdb.Groups[[]kdb.Agg], items []item, keyIdx []int) {
 	key := make([]any, len(keyIdx))
 	q.scan(func(seg *segment, sel []int) {
 		for _, i := range sel {
 			for k, ci := range keyIdx {
 				key[k] = seg.value(q.ct, i, ci)
 			}
-			ks := kdb.EncodeKey(key)
-			g, ok := groups[ks]
-			if !ok {
-				g = &group{key: append([]any(nil), key...), accs: make([]aggAcc, len(items))}
-				groups[ks] = g
-				order = append(order, g)
-			}
-			q.feed(g, items, seg, i)
+			q.feed(groups.Add(key), items, seg, i)
 		}
 	})
-	return order
 }

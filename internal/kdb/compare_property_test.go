@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// The engine's value ordering (compareOrder) and tuple encoding
-// (encodeGroupKey) are exported as CompareOrder/EncodeKey and reused by
-// the scatter-gather merge and the columnar store's sort keys and group
-// buckets. These tests pin the properties all three rely on: a total,
-// deterministic, antisymmetric order; bucket-equality implying
-// order-equality; and the documented mixed-type behaviours (int/float
-// compare numerically but encode apart; text vs numeric falls back to
-// type-name order).
+// The engine's value ordering (compareOrder, exported as CompareOrder) and
+// tuple encoding (appendGroupKey, exported as EncodeKey) order and bucket
+// every executor's results through shape.go. These tests pin the
+// properties that relies on: a total, deterministic, antisymmetric order;
+// bucket-equality implying order-equality; and the documented mixed-type
+// behaviours (int/float compare numerically but encode apart; text vs
+// numeric falls back to type-name order).
 
 // propCorpus is a value set spanning every engine type plus edge values.
 func propCorpus() []any {
@@ -52,7 +51,7 @@ func TestCompareOrderTotalOrderProperties(t *testing.T) {
 // TestCompareOrderTransitivity checks transitivity over the NaN-free
 // corpus. NaN is excluded by design: compareValues reports NaN equal to
 // every float (both < and > are false), so NaN breaks transitivity of
-// equality — columns containing NaN rely on encodeGroupKey (which tags all
+// equality — columns containing NaN rely on appendGroupKey (which tags all
 // NaNs identically) rather than ordering, and the columnar store must do
 // the same.
 func TestCompareOrderTransitivity(t *testing.T) {

@@ -373,7 +373,7 @@ func (db *DB) noteCommit(rec []byte) {
 // the only other caller, has nothing to roll back to. live is set for a new
 // statement and unset for committed history — log replay, a snapshot
 // restore, a follower's apply — which must go in as it was written even
-// where today's rules would refuse it (see execInsert).
+// where today's rules would refuse it (see execInsert and execUpdate).
 func (db *DB) applyLocked(query string, args []any, live bool) (Result, func(), error) {
 	stmt, err := parseCached(query)
 	if err != nil {
@@ -385,7 +385,7 @@ func (db *DB) applyLocked(query string, args []any, live bool) (Result, func(), 
 	case *insertStmt:
 		return db.execInsert(s, args, live)
 	case *updateStmt:
-		return db.execUpdate(s, args)
+		return db.execUpdate(s, args, live)
 	case *deleteStmt:
 		return db.execDelete(s, args)
 	case *dropStmt:
@@ -712,7 +712,7 @@ func (db *DB) execInsert(s *insertStmt, args []any, live bool) (Result, func(), 
 				t.autoID = db.nextAutoID(t.autoID)
 				row[t.pkIndex] = t.autoID
 			} else if id, ok := row[t.pkIndex].(int64); ok {
-				if t.pkTaken(id) {
+				if t.pkHolders(id) > 0 {
 					if live {
 						undo()
 						return Result{}, nil, fmt.Errorf("kdb: table %q: duplicate primary key %d", s.Table, id)
@@ -745,7 +745,10 @@ func (db *DB) nextAutoID(cur int64) int64 {
 	return cur + stride
 }
 
-func (db *DB) execUpdate(s *updateStmt, args []any) (Result, func(), error) {
+// execUpdate assigns in place. A row the statement moves onto an INTEGER
+// PRIMARY KEY another row holds fails a live statement, as execInsert's
+// explicit key does; in committed history it is counted and kept.
+func (db *DB) execUpdate(s *updateStmt, args []any, live bool) (Result, func(), error) {
 	t, ok := db.tables[strings.ToLower(s.Table)]
 	if !ok {
 		return Result{}, nil, fmt.Errorf("kdb: no such table %q", s.Table)
@@ -755,12 +758,14 @@ func (db *DB) execUpdate(s *updateStmt, args []any) (Result, func(), error) {
 		val expr
 	}
 	var sets []setOp
+	movesKey := false
 	for _, set := range s.Sets {
 		idx := t.colIndex(set.Col)
 		if idx < 0 {
 			return Result{}, nil, fmt.Errorf("kdb: table %q has no column %q", s.Table, set.Col)
 		}
 		sets = append(sets, setOp{idx, set.Val})
+		movesKey = movesKey || idx == t.pkIndex
 	}
 	env := singleTableEnv(t)
 	// Saved pre-images of every mutated row, for rollback.
@@ -818,6 +823,20 @@ func (db *DB) execUpdate(s *updateStmt, args []any) (Result, func(), error) {
 	}
 	if res.RowsAffected > 0 {
 		t.invalidateIndexes()
+	}
+	for _, p := range saved {
+		if !movesKey {
+			break
+		}
+		id, ok := p.row[t.pkIndex].(int64)
+		if !ok || p.row[t.pkIndex] == p.old[t.pkIndex] || t.pkHolders(id) < 2 {
+			continue
+		}
+		if live {
+			undo()
+			return Result{}, nil, fmt.Errorf("kdb: table %q: duplicate primary key %d", s.Table, id)
+		}
+		metReplayDuplicatePK.Inc()
 	}
 	return res, undo, nil
 }
@@ -1131,35 +1150,16 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 	if hasAgg {
 		return evalAggregates(s, e, filtered)
 	}
-	// ORDER BY.
+	var order []OrderKey
 	if !sorted {
-		type key struct {
-			idx  int
-			desc bool
-		}
-		var keys []key
 		for _, oc := range s.OrderBy {
 			idx, err := e.resolve(oc.Col)
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, key{idx, oc.Desc})
+			order = append(order, OrderKey{idx, oc.Desc})
 		}
-		sort.SliceStable(filtered, func(a, b int) bool {
-			for _, k := range keys {
-				c := compareOrder(filtered[a][k.idx], filtered[b][k.idx])
-				if c == 0 {
-					continue
-				}
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
 	}
-	// Projection.
 	var colNames []string
 	var colIdx []int
 	for _, it := range s.Items {
@@ -1174,42 +1174,10 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 		if err != nil {
 			return nil, err
 		}
-		name := it.Col.Name
-		if it.Alias != "" {
-			name = it.Alias
-		}
-		colNames = append(colNames, name)
+		colNames = append(colNames, itemName(it))
 		colIdx = append(colIdx, idx)
 	}
-	out := &Rows{Columns: colNames}
-	seen := map[string]bool{}
-	skipped := 0
-	for _, row := range filtered {
-		proj := make([]any, len(colIdx))
-		for i, idx := range colIdx {
-			proj[i] = row[idx]
-		}
-		if s.Distinct {
-			k := encodeGroupKey(proj)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		// OFFSET skips surviving (post-DISTINCT) rows before LIMIT counts.
-		if skipped < s.Offset {
-			skipped++
-			continue
-		}
-		out.rows = append(out.rows, proj)
-		if s.Limit >= 0 && len(out.rows) >= s.Limit {
-			break
-		}
-	}
-	if s.Limit == 0 {
-		out.rows = nil
-	}
-	return out, nil
+	return &Rows{Columns: colNames, rows: ShapeRows(filtered, order, colIdx, s.Distinct, s.Offset, s.Limit)}, nil
 }
 
 type colPair struct {
@@ -1241,9 +1209,39 @@ func orderedCols(e *env, base *Table, s *selectStmt) []colPair {
 	return out
 }
 
+// aggItem is one compiled output column of an aggregating SELECT: aggregate
+// fn of row column src (src -1: COUNT(*)), or with fn empty, the grouping
+// column at position src of the group key.
+type aggItem struct {
+	fn  string
+	src int
+}
+
+// fold feeds one row to the aggregates of items.
+func fold(aggs []Agg, items []aggItem, row []any) {
+	for i, it := range items {
+		switch {
+		case it.fn == "":
+		case it.src < 0:
+			aggs[i].AddCount(1)
+		default:
+			aggs[i].Add(row[it.src])
+		}
+	}
+}
+
+// compileAgg resolves an aggregate item's argument column.
+func compileAgg(it selectItem, e *env) (aggItem, error) {
+	if it.Agg == "COUNT" && it.Col.Name == "*" {
+		return aggItem{fn: it.Agg, src: -1}, nil
+	}
+	idx, err := e.resolve(it.Col)
+	return aggItem{fn: it.Agg, src: idx}, err
+}
+
 // evalGrouped implements GROUP BY: plain select items must be grouping
-// columns; aggregates run per group. Groups emit in ascending key order
-// for determinism; LIMIT applies to the grouped output.
+// columns; aggregates fold per group as the rows stream past. Groups emit
+// in ascending key order for determinism; OFFSET and LIMIT apply to them.
 func evalGrouped(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
 	keyIdx := make([]int, len(s.GroupBy))
 	for i, ref := range s.GroupBy {
@@ -1256,183 +1254,78 @@ func evalGrouped(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
 	isGroupCol := func(ref colRef) (int, bool) {
 		for i, g := range s.GroupBy {
 			if strings.EqualFold(g.Name, ref.Name) && (ref.Table == "" || strings.EqualFold(g.Table, ref.Table)) {
-				return keyIdx[i], true
+				return i, true
 			}
 		}
 		return 0, false
 	}
-	// Validate projection and pre-resolve per-item behaviour.
-	type proj struct {
-		agg    string
-		srcIdx int  // group column or aggregate argument index
-		star   bool // COUNT(*)
-	}
-	var projs []proj
-	out := &Rows{}
-	for _, it := range s.Items {
+	items := make([]aggItem, len(s.Items))
+	out := &Rows{Columns: make([]string, len(s.Items))}
+	for i, it := range s.Items {
 		if it.Star {
 			return nil, fmt.Errorf("kdb: SELECT * is not valid with GROUP BY")
 		}
-		name := it.Alias
 		if it.Agg == "" {
-			idx, ok := isGroupCol(it.Col)
+			k, ok := isGroupCol(it.Col)
 			if !ok {
 				return nil, fmt.Errorf("kdb: column %s must appear in GROUP BY or an aggregate", it.Col)
 			}
-			if name == "" {
-				name = it.Col.Name
-			}
-			out.Columns = append(out.Columns, name)
-			projs = append(projs, proj{srcIdx: idx})
+			out.Columns[i], items[i] = itemName(it), aggItem{src: k}
 			continue
 		}
-		if name == "" {
-			name = strings.ToLower(it.Agg) + "(" + it.Col.String() + ")"
-		}
-		out.Columns = append(out.Columns, name)
-		if it.Agg == "COUNT" && it.Col.Name == "*" {
-			projs = append(projs, proj{agg: "COUNT", star: true})
-			continue
-		}
-		idx, err := e.resolve(it.Col)
-		if err != nil {
+		out.Columns[i] = itemName(it)
+		var err error
+		if items[i], err = compileAgg(it, e); err != nil {
 			return nil, err
 		}
-		projs = append(projs, proj{agg: it.Agg, srcIdx: idx})
 	}
-	// Partition rows into groups keyed by the grouping tuple.
-	type group struct {
-		key  []any
-		rows [][]any
-	}
-	groups := map[string]*group{}
-	var order []string
+	groups := NewGroups(func() []Agg { return make([]Agg, len(items)) })
+	key := make([]any, len(keyIdx))
 	for _, row := range rows {
-		key := make([]any, len(keyIdx))
 		for i, idx := range keyIdx {
 			key[i] = row[idx]
 		}
-		ks := encodeGroupKey(key)
-		g, ok := groups[ks]
-		if !ok {
-			g = &group{key: key}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		g.rows = append(g.rows, row)
+		fold(groups.Add(key), items, row)
 	}
-	// Deterministic group order: sort by key tuple.
-	sort.SliceStable(order, func(a, b int) bool {
-		ga, gb := groups[order[a]], groups[order[b]]
-		for i := range ga.key {
-			if c := compareOrder(ga.key[i], gb.key[i]); c != 0 {
-				return c < 0
+	out.rows = groups.Page(s.Offset, s.Limit, func(key []any, aggs []Agg) []any {
+		row := make([]any, len(items))
+		for i, it := range items {
+			if it.fn == "" {
+				row[i] = key[it.src]
+			} else {
+				row[i] = aggs[i].Result(it.fn)
 			}
 		}
-		return false
+		return row
 	})
-	skipped := 0
-	for _, ks := range order {
-		g := groups[ks]
-		if skipped < s.Offset {
-			skipped++
-			continue
-		}
-		row := make([]any, len(projs))
-		for pi, p := range projs {
-			if p.agg == "" {
-				row[pi] = g.rows[0][p.srcIdx]
-				continue
-			}
-			if p.star {
-				row[pi] = int64(len(g.rows))
-				continue
-			}
-			row[pi] = foldAggregate(p.agg, g.rows, p.srcIdx)
-		}
-		out.rows = append(out.rows, row)
-		if s.Limit >= 0 && len(out.rows) >= s.Limit {
-			break
-		}
-	}
-	if s.Limit == 0 {
-		out.rows = nil
-	}
 	return out, nil
 }
 
+// evalAggregates folds the whole filtered input into one row; it ignores
+// OFFSET and LIMIT.
 func evalAggregates(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
-	out := &Rows{}
-	result := make([]any, len(s.Items))
+	items := make([]aggItem, len(s.Items))
+	out := &Rows{Columns: make([]string, len(s.Items))}
 	for i, it := range s.Items {
 		if it.Agg == "" {
 			return nil, fmt.Errorf("kdb: mixing aggregates and plain columns requires GROUP BY (unsupported)")
 		}
-		name := it.Alias
-		if name == "" {
-			name = strings.ToLower(it.Agg) + "(" + it.Col.String() + ")"
-		}
-		out.Columns = append(out.Columns, name)
-		if it.Agg == "COUNT" && it.Col.Name == "*" {
-			result[i] = int64(len(rows))
-			continue
-		}
-		idx, err := e.resolve(it.Col)
-		if err != nil {
+		out.Columns[i] = itemName(it)
+		var err error
+		if items[i], err = compileAgg(it, e); err != nil {
 			return nil, err
 		}
-		result[i] = foldAggregate(it.Agg, rows, idx)
+	}
+	aggs := make([]Agg, len(items))
+	for _, row := range rows {
+		fold(aggs, items, row)
+	}
+	result := make([]any, len(items))
+	for i, it := range items {
+		result[i] = aggs[i].Result(it.fn)
 	}
 	out.rows = [][]any{result}
 	return out, nil
-}
-
-// foldAggregate computes COUNT, SUM, AVG, MIN or MAX of column idx over
-// rows (COUNT(*) is the callers', who know the row count). NULLs are
-// skipped; COUNT counts every non-NULL value, the others fold the numeric
-// ones in row order — the first value seeds MIN and MAX, so a leading NaN
-// stays — and yield NULL when there are none.
-func foldAggregate(agg string, rows [][]any, idx int) any {
-	var vals []float64
-	var count int64
-	for _, row := range rows {
-		v := row[idx]
-		if v == nil {
-			continue
-		}
-		count++
-		if f, ok := toFloat(v); ok {
-			vals = append(vals, f)
-		}
-	}
-	if agg == "COUNT" {
-		return count
-	}
-	if len(vals) == 0 {
-		return nil
-	}
-	best := vals[0]
-	var sum float64
-	for _, v := range vals {
-		sum += v
-		switch agg {
-		case "MIN":
-			if v < best {
-				best = v
-			}
-		case "MAX":
-			if v > best {
-				best = v
-			}
-		}
-	}
-	switch agg {
-	case "AVG":
-		return sum / float64(len(vals))
-	case "SUM":
-		return sum
-	}
-	return best
 }
 
 func matchWhere(w expr, e *env, row []any, args []any) (bool, error) {

@@ -44,10 +44,8 @@ package kdb
 // bookkeeping they may never benefit from.
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -166,20 +164,21 @@ func (t *Table) freshBuckets(ix *hashIndex) map[any][]int {
 	return ix.buckets
 }
 
-// pkTaken reports whether some row holds id as its INTEGER PRIMARY KEY. An
-// id above the last key of rows sorted by key is free without a probe — the
+// pkHolders counts the rows holding id as their INTEGER PRIMARY KEY. An id
+// above the last key of rows sorted by key is free without a probe — the
 // case of every append and every snapshot row, which so need no hash index
 // built; anything else probes the automatic primary-key index.
-func (t *Table) pkTaken(id int64) bool {
+func (t *Table) pkHolders(id int64) int {
 	if n := len(t.Rows); t.pkSorted() && (n == 0 || t.Rows[n-1][t.pkIndex].(int64) < id) {
-		return false
+		return 0
 	}
+	holders := 0
 	for _, pos := range t.freshBuckets(t.indexOn(t.pkIndex))[hashKey(id)] {
 		if v, ok := t.Rows[pos][t.pkIndex].(int64); ok && v == id {
-			return true
+			holders++
 		}
 	}
-	return false
+	return holders
 }
 
 // pkOrder records whether Table.Rows is non-decreasing in the INTEGER
@@ -375,39 +374,4 @@ func (t *Table) selectAccess(w expr, e *env, args []any) (rows [][]any, path str
 	}
 	countAccess(path != "scan")
 	return rows, path
-}
-
-// encodeGroupKey renders a tuple as an unambiguous string key for DISTINCT
-// and GROUP BY: each field is type-tagged and strings are length-prefixed,
-// so ("ab","c") and ("a","bc") hash apart.
-func encodeGroupKey(vals []any) string {
-	var b strings.Builder
-	for _, v := range vals {
-		switch x := v.(type) {
-		case nil:
-			b.WriteString("n;")
-		case int64:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(x, 10))
-			b.WriteByte(';')
-		case float64:
-			b.WriteByte('r')
-			b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-			b.WriteByte(';')
-		case bool:
-			if x {
-				b.WriteString("b1;")
-			} else {
-				b.WriteString("b0;")
-			}
-		case string:
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(x)))
-			b.WriteByte(':')
-			b.WriteString(x)
-		default:
-			fmt.Fprintf(&b, "?%T:%v;", v, v)
-		}
-	}
-	return b.String()
 }

@@ -385,3 +385,94 @@ func TestExplicitPKDuplicateRejected(t *testing.T) {
 		t.Errorf("after replay: err %v, want a duplicate primary key refusal", err)
 	}
 }
+
+// TestUpdatePKDuplicateRejected: an UPDATE that moves a row onto a primary
+// key another row holds — or gives two rows one key — fails on every live
+// path and takes its whole write step with it; an UPDATE that keeps a row's
+// key or moves it to a free one goes through. History that already holds
+// such a move still replays and still applies on a follower, and each
+// moved row is counted.
+func TestUpdatePKDuplicateRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pk.kdb")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, db, "INSERT INTO t (v) VALUES ('a'), ('b'), ('c')") // ids 1, 2, 3
+	mustExec(t, db, "UPDATE t SET id = 3, v = 'c2' WHERE id = 3")   // its own key
+	mustExec(t, db, "UPDATE t SET id = 30 WHERE id = 3")            // a free key
+	before, lsn := snapshotBytes(t, db), db.LSN()
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "duplicate primary key") {
+			t.Errorf("%s: err %v, want a duplicate primary key refusal", what, err)
+		}
+		if !bytes.Equal(snapshotBytes(t, db), before) || db.LSN() != lsn {
+			t.Errorf("%s: the refused step changed the database", what)
+		}
+	}
+	_, err = db.Exec("UPDATE t SET id = ? WHERE id = ?", int64(1), int64(2))
+	refused("onto a taken key", err)
+	_, err = db.Exec("UPDATE t SET id = 7")
+	refused("two rows to one key", err)
+	_, err = db.Exec("UPDATE t SET id = 1, v = 'x' WHERE v != 'zzz'")
+	refused("one row keeps its key, the others take it", err)
+	refused("a batch", db.Batch(func(exec ExecFunc) error {
+		if _, err := exec("INSERT INTO t (id, v) VALUES (8, 'fresh')"); err != nil {
+			return err
+		}
+		_, err := exec("UPDATE t SET id = 8 WHERE id = 30")
+		return err
+	}))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// History written before the rule: row 2 moved onto key 1.
+	legacy := recordLines(t, randomOp{"UPDATE t SET id = ? WHERE id = ?", []any{int64(1), int64(2)}})
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dups := metReplayDuplicatePK.Value()
+	db, err = Open(path)
+	if err != nil {
+		t.Fatalf("a log holding a duplicate key must still open: %v", err)
+	}
+	defer db.Close()
+	if got := metReplayDuplicatePK.Value() - dups; got != 1 {
+		t.Errorf("replay: kdb_replay_duplicate_pk_total moved by %d, want 1", got)
+	}
+	if rows := queryAll(t, db, "SELECT v FROM t WHERE id = 1"); len(rows) != 2 {
+		t.Errorf("replayed rows under key 1: %v, want both", rows)
+	}
+
+	// A follower applies the same move as it was shipped.
+	follower := memDB(t)
+	var group []ReplEvent
+	for i, rec := range bytes.SplitAfter(recordLines(t,
+		randomOp{"CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)", nil},
+		randomOp{"INSERT INTO t (v) VALUES ('a'), ('b')", nil},
+		randomOp{"UPDATE t SET id = ? WHERE id = ?", []any{int64(1), int64(2)}}), []byte("\n")) {
+		if len(rec) > 0 {
+			group = append(group, ReplEvent{LSN: int64(i + 1), Entry: rec[:len(rec)-1]})
+		}
+	}
+	dups = metReplayDuplicatePK.Value()
+	if err := follower.ApplyRecords(group); err != nil {
+		t.Fatalf("a follower must apply a shipped duplicate key: %v", err)
+	}
+	if got := metReplayDuplicatePK.Value() - dups; got != 1 {
+		t.Errorf("follower: kdb_replay_duplicate_pk_total moved by %d, want 1", got)
+	}
+	if rows := queryAll(t, follower, "SELECT v FROM t WHERE id = 1"); len(rows) != 2 {
+		t.Errorf("applied rows under key 1: %v, want both", rows)
+	}
+}

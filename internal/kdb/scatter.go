@@ -81,16 +81,6 @@ func FirstInsertValue(sql string, args []any) (v any, ok bool, err error) {
 	return v, true, nil
 }
 
-// CompareOrder exposes the engine's ORDER BY comparison (NULLs first,
-// numerics numerically, text lexicographically) so a coordinator's merge
-// sorts exactly like a single node.
-func CompareOrder(l, r any) int { return compareOrder(l, r) }
-
-// EncodeKey exposes the engine's unambiguous tuple encoding so a
-// coordinator's GROUP BY / DISTINCT merge buckets exactly like a single
-// node.
-func EncodeKey(vals []any) string { return encodeGroupKey(vals) }
-
 // ScatterItem tells the coordinator how to produce one output column from
 // shard rows.
 type ScatterItem struct {

@@ -581,17 +581,46 @@ func (g *planGen) toggleIndex() {
 	}
 }
 
+// refKeyMoveClashes is the reference's reading of an UPDATE that sets id
+// on the rows whose v matches: it is refused when it changes some row's
+// key and, afterwards, another row holds that key too.
+func refKeyMoveClashes(rows [][]any, id, v any) bool {
+	moved, holders := false, 0
+	for _, row := range rows {
+		switch {
+		case row[4] == v:
+			moved = moved || row[0] != id
+			holders++
+		case row[0] == id:
+			holders++
+		}
+	}
+	return moved && holders > 1
+}
+
 // rewrite is one non-append mutation: it leaves hash buckets stale and the
 // primary-key order unknown.
 func (g *planGen) rewrite(exec ExecFunc) {
-	table := planTable(g.r.Intn(planTables))
+	ti := g.r.Intn(planTables)
+	table := planTable(ti)
 	switch g.r.Intn(4) {
 	case 0:
 		g.must(exec("DELETE FROM "+table+" WHERE v = ?", g.value("v")))
 	case 1:
 		g.must(exec("UPDATE "+table+" SET k = ?, f = ? WHERE v = ?", g.value("k"), g.value("f"), g.value("v")))
-	case 2: // move primary keys, sometimes to NULL
-		g.must(exec("UPDATE "+table+" SET id = ? WHERE v = ?", g.pick(nil, g.value("id"), g.value("id")), g.value("v")))
+	case 2: // move primary keys, sometimes to NULL, sometimes onto a taken one
+		id, v := g.pick(nil, g.value("id"), g.value("id")), g.value("v")
+		rows := g.db.tables[table].Rows
+		was := fmt.Sprint(rows)
+		_, err := exec("UPDATE "+table+" SET id = ? WHERE v = ?", id, v)
+		switch clash := g.keyed[ti] && id != nil && refKeyMoveClashes(rows, id, v); {
+		case !clash:
+			g.must(Result{}, err)
+		case err == nil || !strings.Contains(err.Error(), "duplicate primary key"):
+			g.t.Fatalf("UPDATE of %s moving v=%v onto taken id %v: err %v, want a duplicate key refusal", table, v, id, err)
+		case fmt.Sprint(g.db.tables[table].Rows) != was:
+			g.t.Fatalf("refused UPDATE of %s changed its rows", table)
+		}
 	default:
 		g.must(exec("UPDATE "+table+" SET s = ? WHERE id = ?", g.value("s"), g.value("id")))
 	}

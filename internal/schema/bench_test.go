@@ -79,3 +79,41 @@ func BenchmarkListObjectsPage(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGroupBy is the row engine's GROUP BY over 1,000 saved objects
+// (2,000 summaries rows): the api_churn workload's own per-operation query,
+// and a grouping on two keys. Its columnar twins are colstore's
+// BenchmarkRowEngine and BenchmarkColumnarEngine (EXPERIMENTS E11).
+func BenchmarkGroupBy(b *testing.B) {
+	s, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	apis := []string{"POSIX", "MPIIO", "HDF5"}
+	objs := make([]*knowledge.Object, 1000)
+	for i := range objs {
+		objs[i] = sampleObject()
+		for j := range objs[i].Summaries {
+			objs[i].Summaries[j].API = apis[(i+j)%len(apis)]
+		}
+	}
+	if _, err := s.SaveObjects(objs); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []struct{ name, sql string }{
+		{"one-key", "SELECT operation, COUNT(*), AVG(mean_mib) FROM summaries GROUP BY operation"},
+		{"two-key", "SELECT operation, api, COUNT(*), MAX(max_mib), AVG(mean_mib) FROM summaries GROUP BY operation, api"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := s.DB.Query(q.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += rows.Len()
+			}
+		})
+	}
+}

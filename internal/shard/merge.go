@@ -2,41 +2,39 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/kdb"
 )
 
 // The merge layer recombines per-shard result streams into the rows a
-// single node would have produced. It leans on two kdb exports to stay
-// semantically identical to the engine rather than approximately so:
-// CompareOrder (the engine's ORDER BY comparison) and EncodeKey (the
-// engine's type-tagged tuple encoding, used for GROUP BY buckets and
-// DISTINCT dedup). Three shapes exist, selected by the scatter plan:
+// single node would have produced. Everything a single node decides about
+// the shape of a result — ORDER BY, DISTINCT, OFFSET/LIMIT, GROUP BY
+// bucketing and group order — it leaves to kdb's own result shaping
+// (kdb.ShapeRows, kdb.Groups), the same code the engine runs. What is left
+// here is the one thing a single node never does: combine per-shard partial
+// aggregates. Three shapes exist, selected by the scatter plan:
 //
-//   - plain:     concatenate, re-sort, dedupe DISTINCT projections, LIMIT
-//   - aggregate: fold each shard's single partial row into one global row
-//   - grouped:   rebucket by group key, fold partials per bucket, emit in
-//     ascending key order, LIMIT
+//   - plain:     concatenate, then shape as the engine does
+//   - aggregate: combine each shard's single partial row into one row
+//   - grouped:   rebucket shard groups by key, combining their partials
 //
-// AVG arrives decomposed (per-shard SUM and COUNT) and is divided here;
-// every other aggregate distributes directly.
+// The combine algebra is acc: COUNTs and SUMs add up, MIN/MAX compare, and
+// AVG, which arrives decomposed into per-shard SUM and COUNT, divides here.
 func mergeRows(plan *kdb.ScatterPlan, parts []*kdb.Rows) (*kdb.Rows, error) {
 	switch {
 	case plan.Grouped:
-		return mergeGrouped(plan, parts)
+		return mergeGrouped(plan, parts), nil
 	case plan.HasAgg:
-		return mergeAggregate(plan, parts)
+		return mergeAggregate(plan, parts), nil
 	default:
 		return mergePlain(plan, parts)
 	}
 }
 
-// mergePlain: concatenate shard rows, re-sort with the engine's
-// comparison, strip planner-appended sort columns, dedupe DISTINCT
-// projections keeping the first in sort order, and apply the global
-// LIMIT — the same operation order as the engine's projection loop.
+// mergePlain concatenates shard rows and shapes them like the engine's
+// plain path: the shards ran with OFFSET stripped (folded into their
+// LIMIT), and planner-appended sort columns are projected away.
 func mergePlain(plan *kdb.ScatterPlan, parts []*kdb.Rows) (*kdb.Rows, error) {
 	cols := plan.Columns
 	if cols == nil { // SELECT *: adopt the shard schema
@@ -46,65 +44,26 @@ func mergePlain(plan *kdb.ScatterPlan, parts []*kdb.Rows) (*kdb.Rows, error) {
 	for _, p := range parts {
 		rows = append(rows, p.All()...)
 	}
-	order := plan.Order
-	for i := range order {
-		if order[i].Idx < 0 {
-			idx, err := resolveColumn(parts[0].Columns, order[i].Name)
-			if err != nil {
+	order := make([]kdb.OrderKey, len(plan.Order))
+	for i, o := range plan.Order {
+		idx := o.Idx
+		if idx < 0 {
+			var err error
+			if idx, err = resolveColumn(parts[0].Columns, o.Name); err != nil {
 				return nil, err
 			}
-			order[i].Idx = idx
 		}
-	}
-	if len(order) > 0 {
-		sort.SliceStable(rows, func(a, b int) bool {
-			for _, k := range order {
-				c := kdb.CompareOrder(rows[a][k.Idx], rows[b][k.Idx])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		order[i] = kdb.OrderKey{Idx: idx, Desc: o.Desc}
 	}
 	visible := plan.Visible
 	if visible < 0 {
 		visible = len(cols)
 	}
-	out := make([][]any, 0, len(rows))
-	var seen map[string]bool
-	if plan.Distinct {
-		seen = map[string]bool{}
+	proj := make([]int, visible)
+	for i := range proj {
+		proj[i] = i
 	}
-	skipped := 0
-	for _, row := range rows {
-		proj := row[:visible]
-		if plan.Distinct {
-			k := kdb.EncodeKey(proj)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		// OFFSET was stripped from the shard queries; skip the surviving
-		// prefix exactly once here, like the engine's projection loop.
-		if skipped < plan.Offset {
-			skipped++
-			continue
-		}
-		out = append(out, proj)
-		if plan.Limit >= 0 && len(out) >= plan.Limit {
-			break
-		}
-	}
-	if plan.Limit == 0 || len(out) == 0 {
-		out = nil // the engine's empty result is nil, not an empty slice
-	}
-	return kdb.NewRows(cols, out), nil
+	return kdb.NewRows(cols, kdb.ShapeRows(rows, order, proj, plan.Distinct, plan.Offset, plan.Limit)), nil
 }
 
 // resolveColumn finds an ORDER BY column by name in a shard's returned
@@ -119,9 +78,10 @@ func resolveColumn(cols []string, name string) (int, error) {
 	return 0, fmt.Errorf("shard: ORDER BY column %q not in shard result %v", name, cols)
 }
 
-// acc folds one output column's partials across shards. The zero value is
-// "no input seen", which merges to NULL exactly like the engine's
-// aggregates over empty input.
+// acc combines one output column's partials across shards: partial results,
+// not raw values, so it never restates the engine's fold (kdb.Agg). The
+// zero value is "no input seen", which merges to NULL exactly like the
+// engine's aggregates over empty input.
 type acc struct {
 	val   any
 	sum   float64
@@ -188,78 +148,49 @@ func (a *acc) result(item kdb.ScatterItem) any {
 	}
 }
 
-// mergeAggregate folds each shard's single partial row into the one
+// mergeAggregate combines each shard's single partial row into the one
 // global aggregate row.
-func mergeAggregate(plan *kdb.ScatterPlan, parts []*kdb.Rows) (*kdb.Rows, error) {
+func mergeAggregate(plan *kdb.ScatterPlan, parts []*kdb.Rows) *kdb.Rows {
 	accs := make([]acc, len(plan.Items))
 	for _, p := range parts {
 		for _, row := range p.All() {
-			for i, item := range plan.Items {
-				accs[i].fold(item, row)
-			}
+			combine(accs, plan.Items, row)
 		}
 	}
-	row := make([]any, len(plan.Items))
-	for i, item := range plan.Items {
-		row[i] = accs[i].result(item)
-	}
-	return kdb.NewRows(plan.Columns, [][]any{row}), nil
+	return kdb.NewRows(plan.Columns, [][]any{results(accs, plan.Items)})
 }
 
-// mergeGrouped rebuckets shard rows by their group key, folds each
-// bucket's partials, and emits groups in ascending key order — the
-// engine's deterministic group order — before applying the global LIMIT.
-func mergeGrouped(plan *kdb.ScatterPlan, parts []*kdb.Rows) (*kdb.Rows, error) {
-	type bucket struct {
-		key  []any
-		accs []acc
-	}
-	buckets := map[string]*bucket{}
-	var order []*bucket
+// mergeGrouped rebuckets shard rows by their group key, combining each
+// group's partials, and pages the groups as the engine does.
+func mergeGrouped(plan *kdb.ScatterPlan, parts []*kdb.Rows) *kdb.Rows {
+	groups := kdb.NewGroups(func() []acc { return make([]acc, len(plan.Items)) })
+	key := make([]any, len(plan.GroupIdx))
 	for _, p := range parts {
 		for _, row := range p.All() {
-			key := make([]any, len(plan.GroupIdx))
 			for i, idx := range plan.GroupIdx {
 				key[i] = row[idx]
 			}
-			ks := kdb.EncodeKey(key)
-			b, ok := buckets[ks]
-			if !ok {
-				b = &bucket{key: key, accs: make([]acc, len(plan.Items))}
-				buckets[ks] = b
-				order = append(order, b)
-			}
-			for i, item := range plan.Items {
-				b.accs[i].fold(item, row)
-			}
+			combine(groups.Add(key), plan.Items, row)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		for i := range order[a].key {
-			if c := kdb.CompareOrder(order[a].key[i], order[b].key[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
+	rows := groups.Page(plan.Offset, plan.Limit, func(_ []any, accs []acc) []any {
+		return results(accs, plan.Items)
 	})
-	var rows [][]any
-	skipped := 0
-	for _, b := range order {
-		if skipped < plan.Offset {
-			skipped++
-			continue
-		}
-		row := make([]any, len(plan.Items))
-		for i, item := range plan.Items {
-			row[i] = b.accs[i].result(item)
-		}
-		rows = append(rows, row)
-		if plan.Limit >= 0 && len(rows) >= plan.Limit {
-			break
-		}
+	return kdb.NewRows(plan.Columns, rows)
+}
+
+// combine folds one shard row's partials into accs.
+func combine(accs []acc, items []kdb.ScatterItem, row []any) {
+	for i, item := range items {
+		accs[i].fold(item, row)
 	}
-	if plan.Limit == 0 {
-		rows = nil
+}
+
+// results is the output row accs stand for.
+func results(accs []acc, items []kdb.ScatterItem) []any {
+	row := make([]any, len(items))
+	for i, item := range items {
+		row[i] = accs[i].result(item)
 	}
-	return kdb.NewRows(plan.Columns, rows), nil
+	return row
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/kdb"
@@ -148,6 +150,119 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	cl.exec(t, "DELETE FROM ev WHERE lat > ?", 6.5)
 	cl.check(t, "SELECT * FROM ev ORDER BY id")
 	cl.check(t, "SELECT region, COUNT(*), SUM(lat) FROM ev GROUP BY region")
+}
+
+// TestScatterGatherRandomQueries holds the coordinator to a single node over
+// generated queries — GROUP BY, global aggregates, DISTINCT, ORDER BY,
+// OFFSET and LIMIT — on one to four shards of rows that mix INTEGER, REAL
+// and TEXT columns with NULLs. The data keeps inside the merge's documented
+// limits: REAL values are multiples of 0.5, so partial sums are exact in any
+// association, and every plain query ends its ORDER BY with the primary key,
+// so ties cannot interleave. NaN stays out: which shard's NaN comes first
+// decides a MIN or MAX seeded by it (TestAggMatchesFoldOracle covers NaN in
+// the fold itself).
+func TestScatterGatherRandomQueries(t *testing.T) {
+	for shards := 1; shards <= 4; shards++ {
+		r := rand.New(rand.NewSource(int64(shards)))
+		cl := newCluster(t, shards)
+		cl.exec(t, "CREATE TABLE mix (id INTEGER PRIMARY KEY, k INTEGER, r REAL, s TEXT, t TEXT)")
+		orNull := func(v any) any {
+			if r.Intn(5) == 0 {
+				return nil
+			}
+			return v
+		}
+		for id := 1; id <= 80; id++ {
+			cl.exec(t, "INSERT INTO mix (id, k, r, s, t) VALUES (?, ?, ?, ?, ?)", int64(id),
+				orNull(int64(r.Intn(5)-2)), orNull(float64(r.Intn(9)-4)*0.5),
+				orNull([]string{"a", "b", "c"}[r.Intn(3)]), []string{"x", "y"}[r.Intn(2)])
+		}
+		for i := 0; i < 150; i++ {
+			sql, args := randomScatterQuery(r)
+			cl.check(t, sql, args...)
+		}
+	}
+}
+
+// randomScatterQuery draws one SELECT over the mix table of
+// TestScatterGatherRandomQueries, with its arguments.
+func randomScatterQuery(r *rand.Rand) (string, []any) {
+	pick := func(from ...string) string { return from[r.Intn(len(from))] }
+	// some draws 1..max distinct names from from, in random order.
+	some := func(max int, from ...string) []string {
+		perm := r.Perm(len(from))
+		out := make([]string, 1+r.Intn(max))
+		for i := range out {
+			out[i] = from[perm[i]]
+		}
+		return out
+	}
+	aggregates := func() []string {
+		out := make([]string, 1+r.Intn(3))
+		for i := range out {
+			if r.Intn(4) == 0 {
+				out[i] = "COUNT(*)"
+			} else {
+				out[i] = pick("COUNT", "SUM", "AVG", "MIN", "MAX") + "(" + pick("id", "k", "r", "s", "t") + ")"
+			}
+		}
+		return out
+	}
+	var where []string
+	var args []any
+	for n := r.Intn(3); n > 0; n-- {
+		switch r.Intn(4) {
+		case 0:
+			where, args = append(where, "k "+pick("=", "!=", "<", ">=")+" ?"), append(args, int64(r.Intn(5)-2))
+		case 1:
+			where, args = append(where, "r "+pick("<=", ">", "!=")+" ?"), append(args, float64(r.Intn(9)-4)*0.5)
+		case 2:
+			where, args = append(where, "s "+pick("=", "!=")+" ?"), append(args, []any{"a", "b", nil}[r.Intn(3)])
+		default:
+			where = append(where, "t = '"+pick("x", "y")+"'")
+		}
+	}
+	var items, tail []string
+	switch r.Intn(3) {
+	case 0: // grouped
+		keys := some(2, "k", "r", "s", "t")
+		items = append(some(len(keys), keys...), aggregates()...)
+		r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		tail = append(tail, "GROUP BY "+strings.Join(keys, ", "))
+	case 1: // one global aggregate row
+		items = aggregates()
+	default: // plain, totally ordered by the primary key last
+		if r.Intn(5) == 0 {
+			items = []string{"*"}
+		} else {
+			items = some(4, "id", "k", "r", "s", "t")
+		}
+		var order []string
+		if r.Intn(4) > 0 {
+			for _, c := range some(2, "k", "r", "s", "t") {
+				order = append(order, c+pick("", " DESC"))
+			}
+		}
+		tail = append(tail, "ORDER BY "+strings.Join(append(order, "id"+pick("", " DESC")), ", "))
+	}
+	sql := "SELECT "
+	if r.Intn(4) == 0 {
+		sql += "DISTINCT "
+	}
+	sql += strings.Join(items, ", ") + " FROM mix"
+	if len(where) > 0 {
+		sql += " WHERE " + strings.Join(where, " AND ")
+	}
+	if r.Intn(2) == 0 {
+		tail = append(tail, fmt.Sprintf("LIMIT %d", r.Intn(6)))
+	}
+	if r.Intn(3) == 0 {
+		tail = append(tail, fmt.Sprintf("OFFSET %d", r.Intn(5)))
+	}
+	if len(tail) > 0 {
+		sql += " " + strings.Join(tail, " ")
+	}
+	return sql, args
 }
 
 // TestMergeAVGAllNullGroups pins the AVG recomposition contract: when every
