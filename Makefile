@@ -5,7 +5,7 @@
 GO ?= go
 export GO
 
-GATE := check fmt vet build race tier1 fuzzsmoke benchsmoke benchtest loadsmoke
+GATE := check fmt vet build race tier1 fuzzsmoke benchsmoke benchtest benchab
 
 .PHONY: $(GATE) test bench
 

@@ -14,7 +14,6 @@
 //	iokc causes [--db FILE] --id N --sacct FILE [--exclude-user U]
 //	iokc tune [--tasks N] [--burst SIZE] [--seed N]
 //	iokc serve [--db FILE] [--addr :8080] [--replica ADDR]... [--demo] [--api] [--api-only] [--slow-query DUR] [--pprof]
-//	iokc loadgen {--url URL | --selftest} [--conns N] [--duration DUR] [--seed N] [--max-p99 DUR] [--json]
 //	iokc servedb [--db FILE] [--addr :7070] [--metrics-addr :9090] [--replica-of ADDR] [--advertise ADDR] [--slow-query DUR] [--pprof]
 //	iokc servedb --db FILE --shard-index I --shard-count N           (serve one shard of a partitioned store)
 //	iokc servedb --shard ADDR[,REPLICA...] --shard ADDR... [--epoch N] (serve a scatter-gather coordinator)
@@ -58,7 +57,6 @@ import (
 	"repro/internal/io500"
 	"repro/internal/ior"
 	"repro/internal/kdb"
-	"repro/internal/loadgen"
 	"repro/internal/recommend"
 	"repro/internal/repl"
 	"repro/internal/schema"
@@ -78,7 +76,7 @@ func main() {
 	}
 }
 
-const usage = "usage: iokc {generate|jube|campaign|extract|dxt|trace|list|show|analyze|analytics|recommend|configure|causes|tune|log|diff|branch|merge|serve|servedb|loadgen} [flags]"
+const usage = "usage: iokc {generate|jube|campaign|extract|dxt|trace|list|show|analyze|analytics|recommend|configure|causes|tune|log|diff|branch|merge|serve|servedb} [flags]"
 
 func run(args []string) error {
 	if len(args) == 0 {
@@ -126,8 +124,6 @@ func run(args []string) error {
 		return cmdServe(rest)
 	case "servedb":
 		return cmdServeDB(rest)
-	case "loadgen":
-		return cmdLoadgen(rest)
 	}
 	return fmt.Errorf("unknown subcommand %q\n%s", sub, usage)
 }
@@ -1138,55 +1134,4 @@ func serveGraceful(ctx context.Context, l net.Listener, handler http.Handler, dr
 		defer cancel()
 		return hs.Shutdown(sctx)
 	}
-}
-
-// cmdLoadgen drives the client-model load harness against an API endpoint
-// (or an in-process self-target) and optionally gates on the telemetry-
-// histogram-derived p99 — the CI smoke's regression check.
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	url := fs.String("url", "", "API base URL to drive, e.g. http://127.0.0.1:8080")
-	conns := fs.Int("conns", 1000, "concurrent client connections, one TCP connection each")
-	dur := fs.Duration("duration", 10*time.Second, "measured run duration")
-	seed := fs.Uint64("seed", 1, "base seed; each client derives its own request stream")
-	selftest := fs.Bool("selftest", false, "serve an in-process API over a synthetic corpus and drive that")
-	objects := fs.Int("objects", 200, "synthetic knowledge objects for --selftest")
-	io500N := fs.Int("io500", 200, "synthetic io500 runs for --selftest")
-	maxP99 := fs.Duration("max-p99", 0, "fail when the histogram-derived p99 exceeds this (0 = no gate)")
-	maxErrs := fs.Float64("max-error-rate", 0.01, "fail when errors/requests exceeds this fraction")
-	jsonOut := fs.Bool("json", false, "emit the result as JSON")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if (*url == "") == !*selftest {
-		return fmt.Errorf("loadgen: pass exactly one of --url or --selftest")
-	}
-	target := *url
-	if *selftest {
-		t, err := loadgen.StartSelfTarget(*objects, *io500N, *seed, api.Config{})
-		if err != nil {
-			return err
-		}
-		defer t.Close()
-		target = t.URL
-		fmt.Printf("self-target on %s (%d objects, %d io500 runs)\n", target, *objects, *io500N)
-	}
-	res, err := loadgen.Run(loadgen.Options{URL: target, Conns: *conns, Duration: *dur, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		out, _ := json.MarshalIndent(res, "", "  ")
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(res.String())
-	}
-	if res.Requests > 0 && float64(res.Errors)/float64(res.Requests) > *maxErrs {
-		return fmt.Errorf("loadgen: error rate %.2f%% exceeds %.2f%%",
-			100*float64(res.Errors)/float64(res.Requests), 100**maxErrs)
-	}
-	if *maxP99 > 0 && res.HistP99 > maxP99.Seconds() {
-		return fmt.Errorf("loadgen: histogram p99 %.1fms exceeds gate %s", res.HistP99*1e3, *maxP99)
-	}
-	return nil
 }

@@ -131,25 +131,6 @@ func TestServeDBMetricsListenerStopsWithServer(t *testing.T) {
 	}
 }
 
-// TestLoadgenSelfTestCLI runs the CLI smoke end to end at a small scale:
-// the same path `make loadsmoke` gates CI with.
-func TestLoadgenSelfTestCLI(t *testing.T) {
-	err := cmdLoadgen([]string{
-		"--selftest", "--conns", "16", "--duration", "300ms",
-		"--objects", "10", "--io500", "10", "--max-p99", "30s",
-	})
-	if err != nil {
-		t.Fatalf("loadgen selftest: %v", err)
-	}
-	// Exactly one of --url / --selftest.
-	if err := cmdLoadgen([]string{"--conns", "1"}); err == nil {
-		t.Fatal("loadgen without target accepted")
-	}
-	if err := cmdLoadgen([]string{"--url", "http://x", "--selftest"}); err == nil {
-		t.Fatal("loadgen with both targets accepted")
-	}
-}
-
 // TestServeAPIOnly ensures --api-only serves no HTML explorer.
 func TestServeAPIOnly(t *testing.T) {
 	dir := t.TempDir()

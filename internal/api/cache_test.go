@@ -116,3 +116,42 @@ func TestCacheInvalidationExactForEmbedded(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckoutInvalidatesCache checks out an earlier commit under a warm
+// cache: a checkout replaces state, so the same GET must miss and answer
+// with the checked-out body and a new ETag, and the old ETag must get a
+// 200, not a 304.
+func TestCheckoutInvalidatesCache(t *testing.T) {
+	s, store := newTestServer(t, 2, Config{})
+	repo, err := store.EnableVersioning()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, _, err := repo.Commit("main", "tester", "two runs", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := workloadgen.SynthesizeIO500Corpus(1, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.SaveIO500s(more); err != nil {
+		t.Fatal(err)
+	}
+	w1, _ := get(t, s, "/v1/io500", nil)
+	if w1.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w1.Code, w1.Body)
+	}
+	etag := w1.Header().Get("ETag")
+	if err := repo.Checkout(hash); err != nil {
+		t.Fatal(err)
+	}
+	w2, _ := get(t, s, "/v1/io500", nil)
+	if w2.Header().Get("X-Cache") != "miss" || w2.Header().Get("ETag") == etag || w2.Body.String() == w1.Body.String() {
+		t.Fatalf("after checkout: X-Cache %q, ETag %s (was %s), body changed %v",
+			w2.Header().Get("X-Cache"), w2.Header().Get("ETag"), etag, w2.Body.String() != w1.Body.String())
+	}
+	if w3, _ := get(t, s, "/v1/io500", map[string]string{"If-None-Match": etag}); w3.Code != http.StatusOK {
+		t.Fatalf("pre-checkout ETag revalidated with %d, want 200", w3.Code)
+	}
+}

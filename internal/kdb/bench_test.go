@@ -175,7 +175,7 @@ func BenchmarkApplyRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.ApplyRecord(db.lsn+1, rec); err != nil {
+		if err := db.ApplyRecords([]ReplEvent{{LSN: db.lsn + 1, Entry: rec}}); err != nil {
 			b.Fatal(err)
 		}
 	}

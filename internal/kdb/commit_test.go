@@ -69,7 +69,7 @@ func TestCommitFailureRollsBack(t *testing.T) {
 			})
 		}},
 		{"ApplyRecord", func(db *DB) error {
-			return db.ApplyRecord(db.LSN()+1, record(t, "INSERT INTO p (v) VALUES (?)", "lost"))
+			return db.ApplyRecords([]ReplEvent{{LSN: db.LSN() + 1, Entry: record(t, "INSERT INTO p (v) VALUES (?)", "lost")}})
 		}},
 	}
 	for _, c := range cases {
@@ -171,7 +171,7 @@ func TestCommitPathsAgree(t *testing.T) {
 		applied := open(t, "apply.kdb")
 		recs := shipped(t, execd.db)
 		for _, r := range recs {
-			if err := applied.db.ApplyRecord(r.lsn, r.raw); err != nil {
+			if err := applied.db.ApplyRecords([]ReplEvent{{LSN: r.lsn, Entry: r.raw}}); err != nil {
 				t.Fatalf("seed %d: apply %d: %v", seed, r.lsn, err)
 			}
 		}
@@ -219,11 +219,11 @@ func TestCommitPathsAgree(t *testing.T) {
 		}
 		applied = open(t, "apply2.kdb")
 		for _, r := range recs[:k] {
-			if err := applied.db.ApplyRecord(r.lsn, r.raw); err != nil {
+			if err := applied.db.ApplyRecords([]ReplEvent{{LSN: r.lsn, Entry: r.raw}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := applied.db.ApplyRecord(int64(k+1), record(t, bad)); err == nil {
+		if err := applied.db.ApplyRecords([]ReplEvent{{LSN: int64(k + 1), Entry: record(t, bad)}}); err == nil {
 			t.Fatal("bad record applied")
 		}
 		same(t, "ApplyRecord prefix", applied, execd)

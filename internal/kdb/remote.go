@@ -345,23 +345,14 @@ func (s *Server) handle(sc *serverConn) {
 		if err != nil {
 			return // end of stream, timeout or transport failure; nothing to tell the peer
 		}
-		req, args, ok := scanStatementRequest(line)
-		var stmts []batchStmt
+		req, ok := decodeRequest(line)
 		if !ok {
-			req, stmts, ok = scanBatchRequest(line)
-		}
-		if !ok {
-			// Not an exec, query or batch as this package's client writes
-			// them: the structs decide what it is, as they always did.
-			req = wireRequest{}
-			if err := json.Unmarshal(line, &req); err != nil {
-				// Malformed request: report the error instead of hanging up
-				// silently. Where the next message starts is anyone's guess
-				// after a syntax error, so the connection closes after the
-				// response.
-				respond("", &wireResponse{Err: "kdb: malformed request: " + err.Error()}, nil)
-				return
-			}
+			// Malformed request: report the error instead of hanging up
+			// silently. Where the next message starts is anyone's guess
+			// after a syntax error, so the connection closes after the
+			// response.
+			respond("", &wireResponse{Err: "kdb: malformed request: " + req.err.Error()}, nil)
+			return
 		}
 		if req.Op == "replicate" {
 			if s.DB == nil {
@@ -371,13 +362,13 @@ func (s *Server) handle(sc *serverConn) {
 			// The connection becomes a one-way stream; it stays "idle"
 			// from Shutdown's point of view, so shutdown closes it
 			// immediately and the follower re-syncs elsewhere.
-			s.serveReplicate(sc, req)
+			s.serveReplicate(sc, req.wireRequest)
 			return
 		}
 		sc.mu.Lock()
 		sc.inFlight = true
 		sc.mu.Unlock()
-		resp, rows := s.dispatch(&req, args, stmts)
+		resp, rows := s.dispatch(&req)
 		good := respond(req.Op, &resp, rows)
 		sc.mu.Lock()
 		sc.inFlight = false
@@ -407,28 +398,48 @@ func (s *Server) traceNode() string {
 	return s.role()
 }
 
-// dispatch answers one request. args are its decoded arguments, and stmts a
-// batch's statements, when the scanner read it; a request the structs decoded
-// still carries them as req.Args and req.Stmts. A query's rows come back
-// beside the response as engine values, for the response encoder to write
-// straight from.
-func (s *Server) dispatch(req *wireRequest, args []any, stmts []batchStmt) (wireResponse, [][]any) {
+// request is one request as the server reads it: the envelope, and a
+// statement's arguments or a batch's statements as engine values. err is
+// why those did not decode, answered in place of the request.
+type request struct {
+	wireRequest
+	args  []any
+	stmts []batchStmt
+	err   error
+}
+
+// decodeRequest reads one request line. exec, query and batch in this
+// package's own spelling go through the scanner; any other spelling or op
+// is decoded by the structs. ok is false only when the line is not JSON at
+// all (req.err says why).
+func decodeRequest(line []byte) (req request, ok bool) {
+	if req.wireRequest, req.args, ok = scanStatementRequest(line); ok {
+		return req, true
+	}
+	if req.wireRequest, req.stmts, ok = scanBatchRequest(line); ok {
+		return req, true
+	}
+	req = request{}
+	if req.err = json.Unmarshal(line, &req.wireRequest); req.err != nil {
+		return req, false
+	}
+	if req.args, req.err = decodeArgs(req.Args); req.err == nil && req.Op == "batch" {
+		req.stmts, req.err = decodeStmts(req.Stmts)
+	}
+	return req, true
+}
+
+// dispatch answers one request. A query's rows come back beside the
+// response as engine values, for the response encoder to write straight
+// from.
+func (s *Server) dispatch(req *request) (wireResponse, [][]any) {
 	metServerRequests.Inc()
-	if req.Args != nil {
-		var err error
-		if args, err = decodeArgs(req.Args); err != nil {
-			return wireResponse{Err: err.Error()}, nil
-		}
+	if req.err != nil {
+		return wireResponse{Err: req.err.Error()}, nil
 	}
 	switch req.Op {
 	case "batch":
-		if req.Stmts != nil {
-			var err error
-			if stmts, err = decodeStmts(req.Stmts); err != nil {
-				return wireResponse{Err: err.Error()}, nil
-			}
-		}
-		return s.batch(req, stmts), nil
+		return s.batch(req), nil
 	case "exec":
 		if s.ReadOnly {
 			return wireResponse{Err: "kdb: read-only replica rejects mutations"}, nil
@@ -436,7 +447,7 @@ func (s *Server) dispatch(req *wireRequest, args []any, stmts []batchStmt) (wire
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.exec")
 		hop.SetNode(s.traceNode())
 		hop.SetSQL(req.SQL)
-		res, err := s.conn().ExecTraced(hop.Context(), req.SQL, args...)
+		res, err := s.conn().ExecTraced(hop.Context(), req.SQL, req.args...)
 		if err != nil {
 			hop.Fail(err)
 			return wireResponse{Err: err.Error()}, nil
@@ -495,7 +506,7 @@ func (s *Server) dispatch(req *wireRequest, args []any, stmts []batchStmt) (wire
 		hop := telemetry.StartHop(telemetry.TraceContext{TraceID: req.TraceID, SpanID: req.SpanID}, "server.query")
 		hop.SetNode(s.traceNode())
 		hop.SetSQL(req.SQL)
-		rows, err := s.conn().QueryTraced(hop.Context(), req.SQL, args...)
+		rows, err := s.conn().QueryTraced(hop.Context(), req.SQL, req.args...)
 		if err != nil {
 			hop.Fail(err)
 			return wireResponse{Err: err.Error()}, nil

@@ -18,9 +18,11 @@ import (
 // most recent records are retained in an in-memory catch-up buffer. The
 // "replicate" wire verb turns a server connection into a one-way stream of
 // those records from a requested offset, interleaved with heartbeats; the
-// "snapshot" verb ships the full deterministic dump (snapshotLocked) for
-// followers too far behind the buffer. Followers apply records through
-// ApplyRecord, which reuses the engine's normal apply path and appends the
+// "delta" verb (chunks the follower lacks) and the "snapshot" verb (the full
+// deterministic dump) serve followers too far behind the buffer, which
+// restore at the primary's exact LSN with RestoreSnapshot. Followers apply
+// each group of records the primary shipped together through ApplyRecords,
+// one write step that reuses the engine's normal apply path and appends the
 // very same bytes to the follower's own log, so a replica's file replays —
 // and dumps — byte-identically to the primary's.
 
@@ -142,23 +144,44 @@ func (db *DB) ApplyRecords(recs []ReplEvent) error {
 	})
 }
 
-// ApplyRecord is ApplyRecords' step of one.
-func (db *DB) ApplyRecord(lsn int64, entry []byte) error {
-	return db.ApplyRecords([]ReplEvent{{LSN: lsn, Entry: entry}})
+// RestoreSnapshot replaces the database's entire contents with a snapshot
+// previously produced by WriteSnapshot (or the "snapshot" wire verb), at the
+// snapshot's own base LSN — a follower's bootstrap, whose bytes must match
+// its primary's. The new state is built off to the side first, so a
+// malformed snapshot leaves the live database untouched; for file-backed
+// databases the snapshot replaces the log file exactly as Compact's does.
+func (db *DB) RestoreSnapshot(data []byte) error {
+	return db.restore(data, false)
 }
 
-// RestoreSnapshot replaces the database's entire contents with a snapshot
-// previously produced by WriteSnapshot (or the "snapshot" wire verb). The
-// new state is built off to the side first, so a malformed snapshot leaves
-// the live database untouched; for file-backed databases the snapshot
-// replaces the log file exactly as Compact's does.
-func (db *DB) RestoreSnapshot(data []byte) error {
+// ReplaceState replaces the database's entire contents with a snapshot
+// stream from outside replication (a vcs checkout, a reseed). It lands at
+// one past the larger of the current LSN and the stream's base, decided
+// under the lock, so no reader has seen that LSN with other contents. Followers at any earlier LSN find the catch-up
+// buffer empty below it and re-sync by snapshot, and caches keyed on the
+// LSN miss. The log written ends with a tagged meta record naming the new
+// LSN, so a reopen agrees.
+func (db *DB) ReplaceState(data []byte) error {
+	return db.restore(data, true)
+}
+
+// restore is RestoreSnapshot and ReplaceState: advance moves the LSN past
+// everything seen instead of taking the snapshot's base.
+func (db *DB) restore(data []byte, advance bool) error {
 	scratch, err := replaySnapshot(data)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if advance {
+		scratch.lsn = max(db.lsn, scratch.lsn) + 1
+		meta, err := EncodeSnapshotMeta(nil, scratch.lsn)
+		if err != nil {
+			return err
+		}
+		data = append(data[:len(data):len(data)], meta...)
+	}
 	if db.path != "" {
 		replaced, err := db.replaceLogLocked(func(w *bufio.Writer) error {
 			_, err := w.Write(data)
@@ -288,8 +311,8 @@ type ReplStream struct {
 const maxGroupBytes = 1 << 20
 
 // DialReplication opens a replication stream delivering every committed
-// record after afterLSN. recvTimeout bounds each Recv; with heartbeats
-// arriving every Server.HeartbeatInterval, a Recv timeout means the
+// record after afterLSN. recvTimeout bounds each receive; with heartbeats
+// arriving every Server.HeartbeatInterval, a receive timeout means the
 // primary is unreachable and the follower should re-sync.
 func DialReplication(addr string, afterLSN int64, recvTimeout time.Duration) (*ReplStream, error) {
 	hostport := strings.TrimPrefix(addr, "kdb://")
@@ -314,13 +337,13 @@ func DialReplication(addr string, afterLSN int64, recvTimeout time.Duration) (*R
 // Any other message comes back alone. The slice is only valid until the next
 // call.
 func (s *ReplStream) RecvGroup() ([]ReplEvent, error) {
-	ev, err := s.Recv()
+	ev, err := s.recv()
 	if err != nil {
 		return nil, err
 	}
 	s.group = append(s.group[:0], ev)
 	for size := len(ev.Entry); len(ev.Entry) > 0 && ev.LSN < ev.PrimaryLSN && size < maxGroupBytes; size += len(ev.Entry) {
-		next, err := s.Recv()
+		next, err := s.recv()
 		if err != nil {
 			s.err = err // the records already here are good; the failure is the next call's answer
 			break
@@ -335,8 +358,8 @@ func (s *ReplStream) RecvGroup() ([]ReplEvent, error) {
 	return s.group, nil
 }
 
-// Recv blocks for the next stream message.
-func (s *ReplStream) Recv() (ReplEvent, error) {
+// recv blocks for the next stream message.
+func (s *ReplStream) recv() (ReplEvent, error) {
 	if s.ahead != nil {
 		ev := *s.ahead
 		s.ahead = nil

@@ -449,19 +449,19 @@ func TestWireLegacyReplication(t *testing.T) {
 		defer s.Close()
 		follower := memDB(t)
 		defer follower.Close()
-		if ev, err := s.Recv(); err != nil || !ev.Heartbeat || ev.PrimaryLSN != 3 {
+		if ev, err := s.recv(); err != nil || !ev.Heartbeat || ev.PrimaryLSN != 3 {
 			t.Fatalf("heartbeat = %+v, %v", ev, err)
 		}
 		for _, rec := range want {
-			ev, err := s.Recv()
+			ev, err := s.recv()
 			if err != nil || ev.LSN != rec.lsn || !bytes.Equal(ev.Entry, rec.raw) || ev.PrimaryLSN != 3 || ev.Heartbeat || ev.SnapshotRequired {
 				t.Fatalf("event = %+v, %v; want LSN %d entry %s", ev, err, rec.lsn, rec.raw)
 			}
-			if err := follower.ApplyRecord(ev.LSN, ev.Entry); err != nil {
+			if err := follower.ApplyRecords([]ReplEvent{{LSN: ev.LSN, Entry: ev.Entry}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if ev, err := s.Recv(); err != nil || !ev.SnapshotRequired {
+		if ev, err := s.recv(); err != nil || !ev.SnapshotRequired {
 			t.Fatalf("snapshot-required = %+v, %v", ev, err)
 		}
 		if !bytes.Equal(snapshotBytes(t, follower), snapshotBytes(t, db)) {
@@ -562,7 +562,7 @@ func TestApplyRecordAllocs(t *testing.T) {
 	benchWireTable(t, db)
 	rec := record(t, wireInsert, wireInsertArgs(1)...)
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := db.ApplyRecord(db.lsn+1, rec); err != nil {
+		if err := db.ApplyRecords([]ReplEvent{{LSN: db.lsn + 1, Entry: rec}}); err != nil {
 			t.Fatal(err)
 		}
 	})

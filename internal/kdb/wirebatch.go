@@ -152,10 +152,11 @@ func runStmts(stmts []batchStmt, exec ExecFunc) (refs []Ref, lsn int64, err erro
 // when the request carries a key) on the serving connection, so a database
 // takes them as one write step — one append, one flush, all or none — and a
 // coordinator routes them whole.
-func (s *Server) batch(req *wireRequest, stmts []batchStmt) wireResponse {
+func (s *Server) batch(req *request) wireResponse {
 	if s.ReadOnly {
 		return wireResponse{Err: "kdb: read-only replica rejects mutations"}
 	}
+	stmts := req.stmts
 	if err := checkRefs(stmts); err != nil {
 		return wireResponse{Err: err.Error()}
 	}

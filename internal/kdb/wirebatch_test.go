@@ -414,11 +414,9 @@ func FuzzWireBatch(f *testing.F) {
 	srv := &Server{DB: db}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkWireScan(t, line)
-		req, stmts, ok := scanBatchRequest(line)
-		if !ok && (json.Unmarshal(line, &req) != nil || req.Op != "batch") {
-			return
+		if req, ok := decodeRequest(line); ok && req.Op == "batch" {
+			srv.dispatch(&req)
 		}
-		srv.dispatch(&req, nil, stmts)
 	})
 }
 
@@ -513,7 +511,7 @@ func TestReplStreamGroups(t *testing.T) {
 	if evs, err := s.RecvGroup(); err == nil {
 		t.Fatalf("after the stream broke: %+v", evs)
 	}
-	if _, err := s.Recv(); err == nil {
+	if _, err := s.recv(); err == nil {
 		t.Fatal("a broken stream was read again")
 	}
 	if follower.LSN() != 8 || !reflect.DeepEqual(shipped(t, follower), recs[:8]) {

@@ -1,13 +1,11 @@
+// Package loadgen synthesizes IOR-shaped knowledge objects for load tests
+// and benchmarks: enough structure (two summaries per run, a few results)
+// that point reads return real payloads and analytics queries aggregate
+// over real rows.
 package loadgen
 
-// Synthetic IOR-shaped knowledge objects for the self-target: enough
-// structure (two summaries per run, a few results) that point reads return
-// real payloads and the analytics queries aggregate over real rows.
-
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
@@ -69,12 +67,4 @@ func SynthesizeObjects(n int, seed uint64) []*knowledge.Object {
 		objs = append(objs, o)
 	}
 	return objs
-}
-
-// decodeJSON decodes one JSON value and discards the rest of the body so
-// the connection returns to the keep-alive pool.
-func decodeJSON(r io.Reader, v any) error {
-	err := json.NewDecoder(r).Decode(v)
-	io.Copy(io.Discard, r)
-	return err
 }

@@ -1,76 +1,6 @@
 package loadgen
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/api"
-	"repro/internal/telemetry"
-)
-
-func TestSelfTargetRun(t *testing.T) {
-	target, err := StartSelfTarget(20, 20, 7, api.Config{Metrics: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer target.Close()
-
-	reg := telemetry.NewRegistry()
-	res, err := Run(Options{URL: target.URL, Conns: 8, Duration: 500 * time.Millisecond, Seed: 1, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 {
-		t.Fatal("no requests issued")
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors against a healthy self-target: %+v", res.Errors, res.Status)
-	}
-	if res.Conns != 8 {
-		t.Fatalf("connected %d clients, want 8", res.Conns)
-	}
-	if res.P99 < res.P50 || res.P999 < res.P99 || res.Max < res.P999 {
-		t.Fatalf("percentiles not monotone: p50=%v p99=%v p999=%v max=%v", res.P50, res.P99, res.P999, res.Max)
-	}
-	if res.Status[200] == 0 {
-		t.Fatalf("no 200s recorded: %+v", res.Status)
-	}
-	// Warm clients revalidate with If-None-Match; a half-second run is
-	// long enough that some hot URL repeats.
-	if res.NotModified == 0 {
-		t.Log("warning: no 304s observed in short run (timing-dependent)")
-	}
-	if res.HistP99 <= 0 {
-		t.Fatal("telemetry-histogram p99 not derived")
-	}
-	if hv, ok := reg.Snapshot().Histograms["loadgen_request_seconds"]; !ok || hv.Count != res.Requests {
-		t.Fatalf("histogram count %v, want %d", hv.Count, res.Requests)
-	}
-}
-
-func TestRunIsSeedDeterministicInShape(t *testing.T) {
-	// Two clients with the same index+seed must issue the same request
-	// stream; different indices must diverge (statistically).
-	a := newClient(1, "http://x", []int64{1, 2, 3}, []int64{4, 5}, 42)
-	b := newClient(1, "http://x", []int64{1, 2, 3}, []int64{4, 5}, 42)
-	c := newClient(2, "http://x", []int64{1, 2, 3}, []int64{4, 5}, 42)
-	same, diff := 0, 0
-	for i := 0; i < 64; i++ {
-		av, bv, cv := a.next(), b.next(), c.next()
-		if av == bv {
-			same++
-		}
-		if av != cv {
-			diff++
-		}
-	}
-	if same != 64 {
-		t.Fatalf("same-seed clients diverged: %d/64 equal", same)
-	}
-	if diff < 60 {
-		t.Fatalf("different-index clients too correlated: %d/64 differ", diff)
-	}
-}
+import "testing"
 
 func TestSynthesizeObjectsValidate(t *testing.T) {
 	objs := SynthesizeObjects(25, 9)

@@ -94,3 +94,61 @@ func TestFollowerDeltaCatchUpConverges(t *testing.T) {
 		t.Error("follower diverged after post-delta commit")
 	}
 }
+
+// TestCheckoutReachesFollower checks out an earlier commit on a served
+// primary with a live follower. A checkout replaces state from outside
+// replication, so it must land at an LSN the follower has not applied:
+// at quiescence the follower holds the checked-out rows, not the
+// pre-checkout ones, and the next write streams onto the same state.
+func TestCheckoutReachesFollower(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "primary.kdb")
+	primary := openDB(t, path)
+	repo, err := vcs.Attach(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := servePrimary(t, primary)
+	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+	for i := 0; i < 20; i++ {
+		mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("v%d", i))
+	}
+	hash, _, err := repo.Commit("main", "repl", "twenty rows", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := NewFollower(openDB(t, filepath.Join(dir, "replica.kdb")), addr, fastOpts())
+	f.Start(context.Background())
+	defer f.Stop()
+	mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", "uncommitted")
+	waitLSN(t, f.DB(), primary.LSN())
+
+	before := primary.LSN()
+	if err := repo.Checkout(hash); err != nil {
+		t.Fatal(err)
+	}
+	if primary.LSN() <= before {
+		t.Fatalf("checkout left the LSN at %d (was %d)", primary.LSN(), before)
+	}
+	converged := func(when string) {
+		t.Helper()
+		waitLSN(t, f.DB(), primary.LSN())
+		if p, r := dump(t, primary), dump(t, f.DB()); p != r {
+			t.Fatalf("%s: follower diverged at LSN %d:\n--- primary ---\n%s--- follower ---\n%s", when, primary.LSN(), p, r)
+		}
+	}
+	converged("after checkout")
+	mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", "after")
+	converged("after the next write")
+
+	// The primary's log reopens at the LSN the checkout landed at.
+	lsn := primary.LSN()
+	f.Stop()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if reopened := openDB(t, path); reopened.LSN() != lsn {
+		t.Fatalf("reopened at LSN %d, want %d", reopened.LSN(), lsn)
+	}
+}

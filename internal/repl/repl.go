@@ -4,11 +4,13 @@
 // without ever serving a session a state older than its own writes.
 //
 // The primary needs no cooperation beyond kdb.Server's "replicate",
-// "snapshot", and "status" verbs: a follower bootstraps from a full
-// snapshot when it is behind the primary's catch-up buffer, then applies
-// the exact committed log records in LSN order, appending the same bytes
-// to its own log — so replica database files replay, and dump,
-// byte-identically to the primary's.
+// "delta", "snapshot" and "status" verbs: a follower behind the primary's
+// catch-up buffer bootstraps from a snapshot — the chunks it lacks when the
+// primary serves a delta, the full dump otherwise — restored at the
+// primary's exact LSN, then applies each group of committed log records
+// the primary shipped together as one write step, in LSN order, appending
+// the same bytes to its own log — so replica database files replay, and
+// dump, byte-identically to the primary's.
 package repl
 
 import (

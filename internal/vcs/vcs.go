@@ -572,13 +572,11 @@ func (r *Repo) checkoutLocked(hash string) error {
 	}
 	// The version store rides along unchanged, followed by two meta
 	// records: the commit's content high-water marks and the current ones
-	// (content + vcs tables, current LSN). Restore merges them by maximum,
-	// so ids stay globally unique and the LSN keeps its position in the
-	// local history.
+	// (content + vcs tables). Restore merges them by maximum, so ids stay
+	// globally unique. ReplaceState moves the LSN past the current one, so
+	// followers and caches see the checkout as a new state.
 	curAutoIDs := map[string]int64{}
-	var lsn int64
 	err = r.db.View(func(v *kdb.View) error {
-		lsn = v.LSN()
 		for _, tv := range v.Tables() {
 			if id := tv.AutoID(); id > 0 {
 				curAutoIDs[tv.Name()] = id
@@ -596,13 +594,13 @@ func (r *Repo) checkoutLocked(hash string) error {
 		return err
 	}
 	for _, autoIDs := range []map[string]int64{c.Manifest.AutoIDs, curAutoIDs} {
-		meta, err := kdb.EncodeSnapshotMeta(autoIDs, lsn)
+		meta, err := kdb.EncodeSnapshotMeta(autoIDs, 0)
 		if err != nil {
 			return err
 		}
 		out.Write(meta)
 	}
-	return r.db.RestoreSnapshot(out.Bytes())
+	return r.db.ReplaceState(out.Bytes())
 }
 
 // Resolve turns a ref — branch name, full commit hash, or unique hash

@@ -16,8 +16,8 @@ GO=${GO:-go}
 # schema's batched saves, the campaign scheduler's worker pool, core's
 # shared-store cycle runs, telemetry's lock-free metric registry, vcs's
 # commit/checkout/merge paths racing store writers, the api's
-# LSN-invalidated cache racing ingest, loadgen's concurrent clients, and the
-# explorer, whose /traces walks the shared trace store while hops record.
+# LSN-invalidated cache racing ingest and its many keep-alive clients, and
+# the explorer, whose /traces walks the shared trace store while hops record.
 RACE_PKGS="
 ./internal/kdb/...
 ./internal/colstore/...
@@ -29,7 +29,6 @@ RACE_PKGS="
 ./internal/telemetry/...
 ./internal/vcs/...
 ./internal/api/...
-./internal/loadgen/...
 ./internal/explorer/...
 "
 
@@ -100,18 +99,26 @@ step_benchtest() {
 	(cd bench && $GO test ./...)
 }
 
-# loadsmoke drives the in-process self-test target with 1k concurrent
-# clients for 10s and fails if the telemetry-histogram p99 regresses past
-# the (deliberately generous) 750ms ceiling or errors exceed 1%. This is
-# the CI-sized slice of EXPERIMENTS E13; the full 10k-connection run uses
-# separate server and loadgen processes.
-step_loadsmoke() {
-	echo "== load smoke (1k conns, 10s, p99 gate) =="
-	$GO run ./cmd/iokc loadgen --selftest --conns 1000 --duration 10s --objects 200 --io500 200 --max-p99 750ms --max-error-rate 0.01
+# benchab gates the change on a same-host A/B of the repository benchmark
+# against the commit it branches from (scripts/benchab.sh): three seed pairs
+# of 3-second runs. A pass fails on a regressed end-to-end metric, a failed
+# correctness check or a larger failed-operation share, never on an
+# unresolved verdict. Three short pairs cannot tell a tail-latency burst
+# from a neighbour on a shared host from a regression, so a failed pass is
+# run once more and the step fails only when both do. Everything it writes
+# stays under .bench_build/.
+step_benchab() {
+	echo "== bench A/B against the merge-base with main (3 pairs, 3 s) =="
+	base=$(git merge-base HEAD main)
+	for pass in 1 2; do
+		bash scripts/benchab.sh "$base" --pairs 3 --seconds 3 --out ".bench_build/benchab-check-$pass.json" && return 0
+		echo "benchab: pass $pass failed"
+	done
+	return 1
 }
 
 step_check() {
-	for s in fmt vet build race tier1 fuzzsmoke benchsmoke benchtest loadsmoke; do
+	for s in fmt vet build race tier1 fuzzsmoke benchsmoke benchtest benchab; do
 		"step_$s"
 	done
 	echo "OK"
@@ -120,7 +127,7 @@ step_check() {
 [ $# -gt 0 ] || set -- check
 for s; do
 	case $s in
-	check | fmt | vet | build | race | tier1 | fuzzsmoke | benchsmoke | benchtest | loadsmoke) "step_$s" ;;
+	check | fmt | vet | build | race | tier1 | fuzzsmoke | benchsmoke | benchtest | benchab) "step_$s" ;;
 	*)
 		echo "check.sh: unknown step '$s'" >&2
 		exit 2
