@@ -14,9 +14,11 @@
 # `jq .old FILE` and `jq .new FILE` are ordinary result sets, every run
 # kept with its host.calib_*_ms, that `bench/run.sh compare` reads again.
 #
-# Exits 1 when an end-to-end metric regressed, when a correctness check of
-# the working tree failed, or when the working tree failed a larger share
-# of a workload's operations than BASE; an unresolved verdict never fails.
+# Exits 1 when an end-to-end metric regressed (compare's table says which),
+# or on a failure that is not a verdict — a correctness check of the
+# working tree failed, the working tree failed a larger share of a
+# workload's operations than BASE, a side wrote no result — each printed
+# as a "benchab: FAIL" line. An unresolved verdict never fails.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -61,7 +63,7 @@ run() {
 	else
 		echo "seed $3 $1: exit $? ($((SECONDS - t0)) s, log $log)"
 	fi
-	[ -s "$res" ] || { echo "benchab: $1 wrote no result for seed $3" >&2; tail -20 "$log" >&2; exit 1; }
+	[ -s "$res" ] || { echo "benchab: FAIL $1 wrote no result for seed $3" >&2; tail -20 "$log" >&2; exit 1; }
 }
 echo "benchab: base ${base:0:12} vs head ${head:0:12}, $pairs pairs of $seconds s"
 for k in $(seq 1 "$pairs"); do
@@ -97,7 +99,7 @@ failures=$(jq -r -n --slurpfile old "$work/old.json" --slurpfile new "$work/new.
 		| select(share($new[0]; $w) > share($old[0]; $w))
 		| "\($w): failed-operation share \(share($new[0]; $w)) > base \(share($old[0]; $w))")')
 if [ -n "$failures" ]; then
-	printf 'benchab: %s\n' "$failures"
+	sed 's/^/benchab: FAIL /' <<<"$failures"
 	status=1
 fi
 exit "$status"
