@@ -147,41 +147,17 @@ func (db *DB) ApplyRecords(recs []ReplEvent) error {
 // RestoreSnapshot replaces the database's entire contents with a snapshot
 // previously produced by WriteSnapshot (or the "snapshot" wire verb), at the
 // snapshot's own base LSN — a follower's bootstrap, whose bytes must match
-// its primary's. The new state is built off to the side first, so a
-// malformed snapshot leaves the live database untouched; for file-backed
-// databases the snapshot replaces the log file exactly as Compact's does.
+// its primary's, and the only restore. The new state is built off to the
+// side first, so a malformed snapshot leaves the live database untouched;
+// for file-backed databases the snapshot replaces the log file exactly as
+// Compact's does.
 func (db *DB) RestoreSnapshot(data []byte) error {
-	return db.restore(data, false)
-}
-
-// ReplaceState replaces the database's entire contents with a snapshot
-// stream from outside replication (a vcs checkout, a reseed). It lands at
-// one past the larger of the current LSN and the stream's base, decided
-// under the lock, so no reader has seen that LSN with other contents. Followers at any earlier LSN find the catch-up
-// buffer empty below it and re-sync by snapshot, and caches keyed on the
-// LSN miss. The log written ends with a tagged meta record naming the new
-// LSN, so a reopen agrees.
-func (db *DB) ReplaceState(data []byte) error {
-	return db.restore(data, true)
-}
-
-// restore is RestoreSnapshot and ReplaceState: advance moves the LSN past
-// everything seen instead of taking the snapshot's base.
-func (db *DB) restore(data []byte, advance bool) error {
 	scratch, err := replaySnapshot(data)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if advance {
-		scratch.lsn = max(db.lsn, scratch.lsn) + 1
-		meta, err := EncodeSnapshotMeta(nil, scratch.lsn)
-		if err != nil {
-			return err
-		}
-		data = append(data[:len(data):len(data)], meta...)
-	}
 	if db.path != "" {
 		replaced, err := db.replaceLogLocked(func(w *bufio.Writer) error {
 			_, err := w.Write(data)

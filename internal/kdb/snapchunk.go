@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 )
 
 // Snapshot chunking. A WriteSnapshot stream is a deterministic sequence of
@@ -99,18 +98,4 @@ func DecodeSnapshotRecords(data []byte) ([]SnapshotRecord, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// EncodeSnapshotMeta renders a snapshot meta record exactly as
-// snapshotLocked writes it (auto-increment high-water marks plus base
-// LSN, newline-terminated), so externally composed streams — a vcs
-// checkout, a delta-reassembled snapshot — restore through the same
-// parser with the same semantics. Map keys marshal sorted, so the
-// encoding is deterministic.
-func EncodeSnapshotMeta(autoIDs map[string]int64, baseLSN int64) ([]byte, error) {
-	data, err := json.Marshal(walEntry{AutoIDs: autoIDs, BaseLSN: baseLSN, Meta: true})
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

@@ -413,7 +413,12 @@ func (db *DB) snapshotMetaLocked() ([]byte, error) {
 			autoIDs[t.Name] = id
 		}
 	}
-	return EncodeSnapshotMeta(autoIDs, db.lsn)
+	// Map keys marshal sorted, so the encoding is deterministic.
+	data, err := json.Marshal(walEntry{AutoIDs: autoIDs, BaseLSN: db.lsn, Meta: true})
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // WriteSnapshot streams a consistent snapshot of the database to w and

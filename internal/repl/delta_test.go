@@ -3,10 +3,12 @@ package repl
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/colstore"
 	"repro/internal/kdb"
 	"repro/internal/vcs"
 )
@@ -150,5 +152,84 @@ func TestCheckoutReachesFollower(t *testing.T) {
 	}
 	if reopened := openDB(t, path); reopened.LSN() != lsn {
 		t.Fatalf("reopened at LSN %d, want %d", reopened.LSN(), lsn)
+	}
+}
+
+// TestCheckoutStreamsToFollower checks out an earlier commit on a
+// file-backed served primary with a live follower and an attached columnar
+// store. A checkout is one ordinary write step: the follower streams it
+// without a resync or a snapshot, the primary's log is appended to rather
+// than replaced, and a table the checkout did not touch keeps its columnar
+// image.
+func TestCheckoutStreamsToFollower(t *testing.T) {
+	dir := t.TempDir()
+	path, fpath := filepath.Join(dir, "primary.kdb"), filepath.Join(dir, "replica.kdb")
+	primary := openDB(t, path)
+	repo, err := vcs.Attach(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := colstore.Attach(primary)
+	addr := servePrimary(t, primary)
+	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+	mustExec(t, primary, "CREATE TABLE other (id INTEGER PRIMARY KEY, x REAL)")
+	for i := 0; i < 20; i++ {
+		mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("v%d", i))
+		mustExec(t, primary, "INSERT INTO other (x) VALUES (?)", float64(i))
+	}
+	hash, _, err := repo.Commit("main", "repl", "twenty rows each", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFollower(openDB(t, fpath), addr, fastOpts())
+	f.Start(context.Background())
+	defer f.Stop()
+	mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", "uncommitted")
+	waitLSN(t, f.DB(), primary.LSN())
+
+	sum := func() colstore.Stats {
+		t.Helper()
+		if _, err := primary.Query("SELECT SUM(x) FROM other"); err != nil {
+			t.Fatal(err)
+		}
+		return cols.Stats()
+	}
+	stat := func(p string) os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	cold := sum()
+	resyncs, snapBytes, deltaBytes := f.Health().Resyncs, metSnapshotBytes.Value(), metDeltaBytes.Value()
+	logs := map[string]os.FileInfo{path: stat(path), fpath: stat(fpath)}
+
+	before := primary.LSN()
+	if err := repo.Checkout(hash); err != nil {
+		t.Fatal(err)
+	}
+	if primary.LSN() <= before {
+		t.Fatalf("checkout left the LSN at %d (was %d)", primary.LSN(), before)
+	}
+	waitLSN(t, f.DB(), primary.LSN())
+	if p, r := dump(t, primary), dump(t, f.DB()); p != r {
+		t.Fatalf("follower diverged after checkout:\n--- primary ---\n%s--- follower ---\n%s", p, r)
+	}
+	if got := f.Health().Resyncs; got != resyncs {
+		t.Errorf("follower resynced %d times across the checkout", got-resyncs)
+	}
+	if metSnapshotBytes.Value() != snapBytes || metDeltaBytes.Value() != deltaBytes {
+		t.Error("follower took a snapshot across the checkout")
+	}
+	for p, was := range logs {
+		if now := stat(p); !os.SameFile(was, now) || now.Size() <= was.Size() {
+			t.Errorf("%s was replaced, not appended to (size %d -> %d)", filepath.Base(p), was.Size(), now.Size())
+		}
+	}
+	if warm := sum(); warm.Served <= cold.Served || warm.Rebuilds != cold.Rebuilds {
+		t.Errorf("untouched table's columnar image: served %d -> %d, rebuilds %d -> %d",
+			cold.Served, warm.Served, cold.Rebuilds, warm.Rebuilds)
 	}
 }

@@ -448,49 +448,6 @@ func TestBatchKeyedColocation(t *testing.T) {
 	}
 }
 
-func TestSeedCopiesServedShard(t *testing.T) {
-	src, err := kdb.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if _, err := src.Exec("CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := src.Exec("INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr := serveBackend(t, &kdb.Server{DB: src})
-
-	dst, err := kdb.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if _, err := dst.Exec("CREATE TABLE junk (id INTEGER PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := Seed("kdb://"+addr, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != src.LSN() {
-		t.Errorf("seed LSN = %d, want %d", lsn, src.LSN())
-	}
-	var a, b bytes.Buffer
-	if _, err := src.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dst.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("seeded shard's snapshot differs from source")
-	}
-}
-
 func TestMapParseRoundTrip(t *testing.T) {
 	sp, err := ParseSpec("kdb://a:1,kdb://b:2,kdb://c:3")
 	if err != nil {

@@ -3,6 +3,7 @@ package vcs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -43,13 +44,22 @@ type RowChange struct {
 // Diff compares two refs (branch names, commit hashes, or ""/"WORKING"
 // for the live state) and returns the row changes that turn from into to,
 // ordered by table, then deletes and modifies by primary key, then adds
-// in insertion order.
+// in insertion order. Only tables whose chunk lists differ are read.
 func (r *Repo) Diff(from, to string) ([]RowChange, error) {
-	a, err := r.resolveState(from)
+	ca, la, err := r.resolveLists(from)
 	if err != nil {
 		return nil, err
 	}
-	b, err := r.resolveState(to)
+	cb, lb, err := r.resolveLists(to)
+	if err != nil {
+		return nil, err
+	}
+	tables := changedTables(la, lb)
+	a, err := r.resolveState(ca, tables)
+	if err != nil {
+		return nil, err
+	}
+	b, err := r.resolveState(cb, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +68,7 @@ func (r *Repo) Diff(from, to string) ([]RowChange, error) {
 
 func diffStates(a, b map[string]*kdb.Table) ([]RowChange, error) {
 	var out []RowChange
-	for _, name := range sortedTableNames(a, b) {
+	for _, name := range sortedNames(a, b) {
 		ta, tb := a[name], b[name]
 		switch {
 		case ta == nil:
@@ -104,17 +114,7 @@ func wholeTable(t *kdb.Table, kind string) []RowChange {
 	return out
 }
 
-func sameColumns(a, b *kdb.Table) bool {
-	if len(a.Columns) != len(b.Columns) {
-		return false
-	}
-	for i := range a.Columns {
-		if a.Columns[i] != b.Columns[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameColumns(a, b *kdb.Table) bool { return slices.Equal(a.Columns, b.Columns) }
 
 func pkIndex(t *kdb.Table) int {
 	for i, c := range t.Columns {

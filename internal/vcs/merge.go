@@ -2,6 +2,7 @@ package vcs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,15 +10,20 @@ import (
 )
 
 // Three-way merge. Base is the nearest common ancestor of the two branch
-// heads; each row cell is compared base/ours/theirs. A cell changed on
-// only one side adopts that side; a cell changed identically on both is
-// clean; a cell changed differently on both is a conflict, reported with
-// its table, primary key, and column. Clean merges apply onto the working
-// state (which must equal ours' head) through the engine's atomic batch
-// path, then commit with both heads as parents. Because checkouts merge
-// auto-id high-water marks by maximum, rows ingested on different
-// branches from the same base occupy disjoint primary keys — so merging
-// two disjoint campaigns reproduces sequential ingestion exactly.
+// heads, and each table is decided from its chunk lists by one rule: a
+// table theirs left as base had it, or made equal to ours, needs nothing;
+// a table only theirs changed is adopted whole (rows in their order,
+// indexes, columns); only a table both sides changed is read back and
+// merged row by row. There each row cell is compared base/ours/theirs. A
+// cell changed on only one side adopts that side; a cell changed
+// identically on both is clean; a cell changed differently on both is a
+// conflict, reported with its table, primary key, and column. Clean merges
+// apply onto the working state (which must equal ours' head) as one write
+// step (replaceTables), then commit with both heads as parents. Because
+// checkouts keep auto-id high-water marks at their maximum, rows ingested
+// on different branches from the same base occupy disjoint primary keys —
+// so merging two disjoint campaigns reproduces sequential ingestion
+// exactly.
 
 // Conflict is one merge conflict, addressed by table, primary key, and
 // column.
@@ -28,7 +34,7 @@ type Conflict struct {
 	// Kind is "cell" (changed differently on both sides), "add-add"
 	// (both sides added the pk with different values), "delete-modify",
 	// "keyless" (a table without a primary key diverged), or "schema"
-	// (column sets diverged).
+	// (column sets diverged, or one side dropped a table the other changed).
 	Kind   string
 	Base   any
 	Ours   any
@@ -63,13 +69,6 @@ type tableOps struct {
 type rowUpdate struct {
 	pk   int64
 	cols []ColChange // New carries the adopted value
-}
-
-// mergeOps collects the mutations that adopt theirs-side changes.
-type mergeOps struct {
-	replayTables []string // tables only in theirs: replay their chunk records
-	dropTables   []string // tables deleted in theirs, unchanged in ours
-	tables       []*tableOps
 }
 
 // Merge merges branch theirs into branch ours. The working state must
@@ -109,32 +108,38 @@ func (r *Repo) Merge(ours, theirs, author, message string) (*MergeResult, error)
 		// Theirs is already contained in ours.
 		return &MergeResult{Commit: oursHead}, nil
 	}
-	sBase, err := r.commitState(base)
-	if err != nil {
-		return nil, err
+	var cs [3]*Commit // base, ours, theirs
+	var lists [3]map[string][]ManifestChunk
+	for i, h := range []string{base, oursHead, theirsHead} {
+		if cs[i], err = r.loadCommit(h); err != nil {
+			return nil, err
+		}
+		lists[i] = tableLists(cs[i].Manifest.Chunks)
 	}
-	sOurs, err := r.commitState(oursHead)
-	if err != nil {
-		return nil, err
+	lb, lo, lt := lists[0], lists[1], lists[2]
+	adopt, both := map[string]bool{}, map[string]bool{}
+	for _, name := range sortedNames(lb, lo, lt) {
+		switch {
+		case slices.Equal(lt[name], lo[name]) || slices.Equal(lt[name], lb[name]):
+		case slices.Equal(lo[name], lb[name]):
+			adopt[name] = true
+		default:
+			both[name] = true
+		}
 	}
-	sTheirs, err := r.commitState(theirsHead)
-	if err != nil {
-		return nil, err
+	var states [3]map[string]*kdb.Table
+	for i, c := range cs {
+		if states[i], err = r.commitState(c, both); err != nil {
+			return nil, err
+		}
 	}
-	ops, conflicts, err := mergeStates(sBase, sOurs, sTheirs)
-	if err != nil {
-		return nil, err
-	}
+	ops, conflicts := mergeStates(states[0], states[1], states[2])
 	r.conflicts = conflicts
 	if len(conflicts) > 0 {
 		metMergeConflicts.Add(int64(len(conflicts)))
 		return &MergeResult{Conflicts: conflicts}, nil
 	}
-	theirsCommit, err := r.loadCommit(theirsHead)
-	if err != nil {
-		return nil, err
-	}
-	changes, err := r.applyOps(ops, theirsCommit)
+	changes, err := r.replaceTables(cs[2], adopt, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -160,66 +165,39 @@ func (r *Repo) requireWorkingLocked(head, branch string) error {
 	if err != nil {
 		return err
 	}
-	root, err := rootHash(w.manifest)
-	if err != nil {
-		return err
-	}
 	c, err := r.loadCommit(head)
 	if err != nil {
 		return err
 	}
-	croot, err := rootHash(c.Manifest)
-	if err != nil {
-		return err
-	}
-	if root != croot {
+	if !slices.Equal(w.manifest.Chunks, c.Manifest.Chunks) {
 		return fmt.Errorf("vcs: working state differs from head of %q — commit or checkout first", branch)
 	}
 	return nil
 }
 
 // mergeStates computes the theirs-side operations and conflicts of a
-// three-way merge.
-func mergeStates(sBase, sOurs, sTheirs map[string]*kdb.Table) (*mergeOps, []Conflict, error) {
-	ops := &mergeOps{}
+// three-way merge over tables both sides changed.
+func mergeStates(sBase, sOurs, sTheirs map[string]*kdb.Table) ([]*tableOps, []Conflict) {
+	var ops []*tableOps
 	var conflicts []Conflict
-	for _, name := range sortedTableNames(sBase, sOurs, sTheirs) {
+	for _, name := range sortedNames(sBase, sOurs, sTheirs) {
 		b, o, t := sBase[name], sOurs[name], sTheirs[name]
 		switch {
-		case o == nil && t == nil:
-			continue // deleted everywhere (or never existed)
-		case o != nil && t == nil:
-			if b == nil {
-				continue // ours added it; theirs never had it
-			}
-			if tableEqual(b, o) {
-				ops.dropTables = append(ops.dropTables, o.Name)
-			} else {
-				conflicts = append(conflicts, Conflict{Table: o.Name, Kind: "schema", Ours: "modified", Theirs: "dropped"})
-			}
-			continue
-		case o == nil && t != nil:
-			if b == nil {
-				ops.replayTables = append(ops.replayTables, t.Name)
-				continue
-			}
-			if tableEqual(b, t) {
-				continue // ours dropped an unchanged table; stays dropped
-			}
+		case o == nil:
 			conflicts = append(conflicts, Conflict{Table: t.Name, Kind: "schema", Ours: "dropped", Theirs: "modified"})
-			continue
-		}
-		if !sameColumns(o, t) {
+		case t == nil:
+			conflicts = append(conflicts, Conflict{Table: o.Name, Kind: "schema", Ours: "modified", Theirs: "dropped"})
+		case !sameColumns(o, t):
 			conflicts = append(conflicts, Conflict{Table: o.Name, Kind: "schema", Ours: "columns differ", Theirs: "columns differ"})
-			continue
-		}
-		tc, cf := mergeTable(b, o, t)
-		conflicts = append(conflicts, cf...)
-		if tc != nil {
-			ops.tables = append(ops.tables, tc)
+		default:
+			tc, cf := mergeTable(b, o, t)
+			conflicts = append(conflicts, cf...)
+			if tc != nil {
+				ops = append(ops, tc)
+			}
 		}
 	}
-	return ops, conflicts, nil
+	return ops, conflicts
 }
 
 func mergeTable(b, o, t *kdb.Table) (*tableOps, []Conflict) {
@@ -351,93 +329,30 @@ func tableEqual(a, b *kdb.Table) bool {
 	return true
 }
 
-// applyOps executes the merge's mutations atomically through the batch
-// path. Table replays pull the theirs commit's chunk records so brand-new
-// tables arrive with their exact schema, indexes, and rows.
-func (r *Repo) applyOps(ops *mergeOps, theirs *Commit) (int, error) {
-	type replayRec struct {
-		sql  string
-		args []any
+// stmts renders the plan as the statements replaceTables stages.
+func (t *tableOps) stmts() []stmt {
+	var out []stmt
+	if t.clear {
+		out = append(out, stmt{"DELETE FROM " + t.name, nil})
 	}
-	var replays []replayRec
-	for _, name := range ops.replayTables {
-		for _, mc := range theirs.Manifest.Chunks {
-			if !strings.EqualFold(mc.Table, name) {
-				continue
-			}
-			data, err := r.chunkData(mc.Hash)
-			if err != nil {
-				return 0, err
-			}
-			recs, err := kdb.DecodeSnapshotRecords(data)
-			if err != nil {
-				return 0, err
-			}
-			for _, rec := range recs {
-				if rec.Meta {
-					continue
-				}
-				replays = append(replays, replayRec{sql: rec.SQL, args: rec.Args})
-			}
-		}
+	for _, id := range t.deletes {
+		out = append(out, stmt{"DELETE FROM " + t.name + " WHERE " + t.pkCol + " = ?", []any{id}})
 	}
-	changes := 0
-	err := r.db.Batch(func(exec kdb.ExecFunc) error {
-		for _, rec := range replays {
-			if _, err := exec(rec.sql, rec.args...); err != nil {
-				return err
-			}
-			changes++
+	for _, u := range t.updates {
+		sets := make([]string, 0, len(u.cols))
+		args := make([]any, 0, len(u.cols)+1)
+		for _, c := range u.cols {
+			sets = append(sets, c.Column+" = ?")
+			args = append(args, c.New)
 		}
-		for _, name := range ops.dropTables {
-			if _, err := exec("DROP TABLE " + name); err != nil {
-				return err
-			}
-			changes++
-		}
-		for _, t := range ops.tables {
-			if t.clear {
-				if _, err := exec("DELETE FROM " + t.name); err != nil {
-					return err
-				}
-				changes++
-			}
-			for _, id := range t.deletes {
-				if _, err := exec("DELETE FROM "+t.name+" WHERE "+t.pkCol+" = ?", id); err != nil {
-					return err
-				}
-				changes++
-			}
-			for _, u := range t.updates {
-				sets := make([]string, 0, len(u.cols))
-				args := make([]any, 0, len(u.cols)+1)
-				for _, c := range u.cols {
-					sets = append(sets, c.Column+" = ?")
-					args = append(args, c.New)
-				}
-				args = append(args, u.pk)
-				if _, err := exec("UPDATE "+t.name+" SET "+strings.Join(sets, ", ")+" WHERE "+t.pkCol+" = ?", args...); err != nil {
-					return err
-				}
-				changes++
-			}
-			for _, row := range t.inserts {
-				ph := make([]string, len(row))
-				for i := range ph {
-					ph[i] = "?"
-				}
-				if _, err := exec("INSERT INTO "+t.name+" VALUES ("+strings.Join(ph, ", ")+")", row...); err != nil {
-					return err
-				}
-				changes++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
+		args = append(args, u.pk)
+		out = append(out, stmt{"UPDATE " + t.name + " SET " + strings.Join(sets, ", ") + " WHERE " + t.pkCol + " = ?", args})
 	}
-	return changes, nil
+	for _, row := range t.inserts {
+		ph := strings.TrimSuffix(strings.Repeat("?, ", len(row)), ", ")
+		out = append(out, stmt{"INSERT INTO " + t.name + " VALUES (" + ph + ")", row})
+	}
+	return out
 }
 
 // LastConflicts returns the most recent merge's conflict set.

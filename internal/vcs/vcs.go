@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -236,13 +237,10 @@ func (r *Repo) remember(w *working) {
 // excluded — they are checkout metadata whose high-water marks drift
 // monotonically upward across branch switches, and that drift must not
 // change what counts as "the same knowledge".
-func rootHash(m Manifest) (string, error) {
-	data, err := json.Marshal(m.Chunks)
-	if err != nil {
-		return "", err
-	}
+func rootHash(m Manifest) string {
+	data, _ := json.Marshal(m.Chunks) // plain strings and ints: cannot fail
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // commitHash derives a commit's identity from its content root, parents,
@@ -280,10 +278,7 @@ func (r *Repo) commitLocked(branch, author, message string, campaignID int64, ex
 	if err != nil {
 		return "", false, err
 	}
-	root, err := rootHash(w.manifest)
-	if err != nil {
-		return "", false, err
-	}
+	root := rootHash(w.manifest)
 	head, hasBranch, err := r.headLocked(branch)
 	if err != nil {
 		return "", false, err
@@ -294,11 +289,7 @@ func (r *Repo) commitLocked(branch, author, message string, campaignID int64, ex
 		if err != nil {
 			return "", false, err
 		}
-		proot, err := rootHash(parent.Manifest)
-		if err != nil {
-			return "", false, err
-		}
-		if proot == root && extraParent == "" {
+		if rootHash(parent.Manifest) == root && extraParent == "" {
 			r.remember(w)
 			return head, false, nil
 		}
@@ -335,7 +326,7 @@ func (r *Repo) persistCommit(hash string, parents []string, author, message stri
 			continue
 		}
 		seen[c.Hash] = true
-		ok, err := r.hasChunk(c.Hash)
+		ok, err := r.stored("vcs_chunks", c.Hash)
 		if err != nil {
 			return err
 		}
@@ -343,7 +334,7 @@ func (r *Repo) persistCommit(hash string, parents []string, author, message stri
 			newChunks = append(newChunks, c)
 		}
 	}
-	known, err := r.commitExists(hash)
+	known, err := r.stored("vcs_commits", hash)
 	if err != nil {
 		return err
 	}
@@ -374,26 +365,14 @@ func (r *Repo) persistCommit(hash string, parents []string, author, message stri
 	})
 }
 
-func (r *Repo) hasChunk(hash string) (bool, error) {
-	_, err := r.db.QueryRow("SELECT id FROM vcs_chunks WHERE hash = ? LIMIT 1", hash)
+// stored reports whether a version-store table (vcs_chunks, vcs_commits)
+// holds a row with the hash.
+func (r *Repo) stored(table, hash string) (bool, error) {
+	_, err := r.db.QueryRow("SELECT id FROM "+table+" WHERE hash = ? LIMIT 1", hash)
 	if err == kdb.ErrNoRows {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-func (r *Repo) commitExists(hash string) (bool, error) {
-	_, err := r.db.QueryRow("SELECT id FROM vcs_commits WHERE hash = ? LIMIT 1", hash)
-	if err == kdb.ErrNoRows {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 // chunkData fetches one chunk's bytes from the store.
@@ -475,11 +454,7 @@ func (r *Repo) Branch(name, from string) error {
 		if err != nil {
 			return err
 		}
-		root, err := rootHash(w.manifest)
-		if err != nil {
-			return err
-		}
-		if hash, ok, err := r.commitByRoot(root); err != nil {
+		if hash, ok, err := r.commitByRoot(rootHash(w.manifest)); err != nil {
 			return err
 		} else if ok {
 			_, err = r.db.Exec("INSERT INTO vcs_branches (name, head) VALUES (?, ?)", name, hash)
@@ -513,11 +488,7 @@ func (r *Repo) commitByRoot(root string) (string, bool, error) {
 				continue
 			}
 		}
-		cr, err := rootHash(m)
-		if err != nil {
-			continue
-		}
-		if cr == root {
+		if rootHash(m) == root {
 			return hash, true, nil
 		}
 	}
@@ -540,12 +511,14 @@ func (r *Repo) Switch(branch string) error {
 	return r.Checkout(branch)
 }
 
-// Checkout replaces the content tables with the state of a branch head or
-// commit, leaving the version store itself untouched. Auto-increment
-// high-water marks only ever grow across checkouts (the restore merges
-// the maxima), so rows ingested on different branches from the same base
-// never collide on primary keys — which is what makes disjoint branches
-// cleanly mergeable.
+// Checkout makes the content tables equal to a branch head's or commit's,
+// leaving the version store itself untouched. It is one ordinary write
+// step over the tables whose chunk lists differ (replaceTables), so
+// followers and caches see it as they see any commit, and the other
+// tables keep everything derived from them. Auto-increment high-water
+// marks only ever grow across checkouts, so rows ingested on different
+// branches from the same base never collide on primary keys — which is
+// what makes disjoint branches cleanly mergeable.
 func (r *Repo) Checkout(ref string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -556,51 +529,186 @@ func (r *Repo) Checkout(ref string) error {
 	return r.checkoutLocked(hash)
 }
 
-// checkoutLocked materializes a commit's content; r.mu must be held.
+// checkoutLocked moves the working state to a commit's; r.mu must be held.
+// A table whose list is equal but whose mark is below the commit's is
+// replaced too, so that every mark ends at max(working, commit).
 func (r *Repo) checkoutLocked(hash string) error {
 	c, err := r.loadCommit(hash)
 	if err != nil {
 		return err
 	}
-	var out bytes.Buffer
-	for _, mc := range c.Manifest.Chunks {
-		data, err := r.chunkData(mc.Hash)
-		if err != nil {
-			return err
-		}
-		out.Write(data)
+	w, err := r.workingManifest()
+	if err != nil {
+		return err
 	}
-	// The version store rides along unchanged, followed by two meta
-	// records: the commit's content high-water marks and the current ones
-	// (content + vcs tables). Restore merges them by maximum, so ids stay
-	// globally unique. ReplaceState moves the LSN past the current one, so
-	// followers and caches see the checkout as a new state.
-	curAutoIDs := map[string]int64{}
-	err = r.db.View(func(v *kdb.View) error {
-		for _, tv := range v.Tables() {
-			if id := tv.AutoID(); id > 0 {
-				curAutoIDs[tv.Name()] = id
-			}
-			if !IsVersionTable(tv.Name()) {
+	tables := changedTables(tableLists(w.manifest.Chunks), tableLists(c.Manifest.Chunks))
+	for name, id := range c.Manifest.AutoIDs {
+		if w.manifest.AutoIDs[name] < id {
+			tables[strings.ToLower(name)] = true
+		}
+	}
+	_, err = r.replaceTables(c, tables, nil)
+	return err
+}
+
+// stmt is one statement of a write step vcs stages.
+type stmt struct {
+	sql  string
+	args []any
+}
+
+// replaceTables is vcs's one writer. In one write step it makes each named
+// working table (lowercased) equal to commit c's, then applies ops, the
+// row changes of a three-way merge, and returns the number of statements
+// applied. A table c lacks is dropped. A table whose CREATE TABLE and
+// CREATE INDEX records match c's is emptied and refilled with c's rows;
+// any other is dropped if present and re-created from all of c's records.
+// Auto-increment marks end at max(working, c's): DELETE keeps a mark and
+// an explicit-id INSERT raises it to the row's id, and where that falls
+// short an INSERT and a DELETE of the mark's own id carry it.
+func (r *Repo) replaceTables(c *Commit, tables map[string]bool, ops []*tableOps) (int, error) {
+	type live struct {
+		name, header string
+		autoID       int64
+	}
+	working := map[string]live{}
+	err := r.db.View(func(v *kdb.View) error {
+		for name := range tables {
+			tv, ok := v.Table(name)
+			if !ok {
 				continue
 			}
-			if err := tv.EncodeRecords(&out, 0, tv.Records()); err != nil {
+			var header strings.Builder
+			if err := tv.EncodeRecords(&header, 0, tv.Records()-tv.Len()); err != nil {
+				return err
+			}
+			working[name] = live{tv.Name(), header.String(), tv.AutoID()}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	lists := tableLists(c.Manifest.Chunks)
+	var stmts []stmt
+	for _, name := range sortedNames(tables) {
+		w, exists := working[name]
+		if len(lists[name]) == 0 {
+			if exists {
+				stmts = append(stmts, stmt{"DROP TABLE " + w.name, nil})
+			}
+			continue
+		}
+		t, header, recs, err := r.tableRecords(lists[name])
+		if err != nil {
+			return 0, err
+		}
+		from, after := 0, int64(0)
+		if exists && w.header == string(header) {
+			stmts = append(stmts, stmt{"DELETE FROM " + t.Name, nil})
+			from, after = bytes.Count(header, []byte{'\n'}), w.autoID
+		} else if exists {
+			stmts = append(stmts, stmt{"DROP TABLE " + w.name, nil})
+		}
+		for _, rec := range recs[from:] {
+			stmts = append(stmts, stmt{rec.SQL, rec.Args})
+		}
+		pk := pkIndex(t)
+		if pk < 0 {
+			continue
+		}
+		for _, rec := range recs {
+			if pk >= len(rec.Args) {
+				continue
+			}
+			if id, ok := rec.Args[pk].(int64); ok {
+				after = max(after, id)
+			}
+		}
+		if want := max(w.autoID, c.Manifest.AutoIDs[t.Name]); want > after {
+			col := t.Columns[pk].Name
+			stmts = append(stmts,
+				stmt{"INSERT INTO " + t.Name + " (" + col + ") VALUES (?)", []any{want}},
+				stmt{"DELETE FROM " + t.Name + " WHERE " + col + " = ?", []any{want}})
+		}
+	}
+	for _, t := range ops {
+		stmts = append(stmts, t.stmts()...)
+	}
+	if len(stmts) == 0 {
+		return 0, nil
+	}
+	return len(stmts), r.db.Batch(func(exec kdb.ExecFunc) error {
+		for _, s := range stmts {
+			if _, err := exec(s.sql, s.args...); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for _, autoIDs := range []map[string]int64{c.Manifest.AutoIDs, curAutoIDs} {
-		meta, err := kdb.EncodeSnapshotMeta(autoIDs, 0)
+}
+
+// tableRecords decodes one table's chunks of a commit into its snapshot
+// records. header is the bytes of its leading CREATE TABLE and CREATE
+// INDEX records, and t its schema without rows, as they define it.
+func (r *Repo) tableRecords(list []ManifestChunk) (t *kdb.Table, header []byte, recs []kdb.SnapshotRecord, err error) {
+	for _, mc := range list {
+		data, err := r.chunkData(mc.Hash)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
-		out.Write(meta)
+		more, err := kdb.DecodeSnapshotRecords(data)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for _, rec := range more {
+			if len(recs) > 0 || strings.HasPrefix(rec.SQL, "INSERT") {
+				break // only the first chunk opens with header records
+			}
+			header = data[:len(header)+bytes.IndexByte(data[len(header):], '\n')+1]
+		}
+		recs = append(recs, more...)
 	}
-	return r.db.ReplaceState(out.Bytes())
+	tables, err := kdb.ParseSnapshotTables(header)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if t = tables[strings.ToLower(list[0].Table)]; t == nil {
+		return nil, nil, nil, fmt.Errorf("vcs: chunk %s does not open table %s", list[0].Hash, list[0].Table)
+	}
+	return t, header, recs, nil
+}
+
+// tableLists groups a manifest's chunks by table (lowercased name). A
+// manifest lists each table's chunks together, in snapshot order, and two
+// states hold the same table exactly when its lists are equal.
+func tableLists(chunks []ManifestChunk) map[string][]ManifestChunk {
+	out := map[string][]ManifestChunk{}
+	for start := 0; start < len(chunks); {
+		end := start + 1
+		for end < len(chunks) && chunks[end].Table == chunks[start].Table {
+			end++
+		}
+		out[strings.ToLower(chunks[start].Table)] = chunks[start:end:end]
+		start = end
+	}
+	return out
+}
+
+// changedTables is the set of tables whose lists differ between a and b.
+func changedTables(a, b map[string][]ManifestChunk) map[string]bool {
+	out := map[string]bool{}
+	for name, list := range a {
+		if !slices.Equal(list, b[name]) {
+			out[name] = true
+		}
+	}
+	for name := range b {
+		if _, ok := a[name]; !ok {
+			out[name] = true
+		}
+	}
+	return out
 }
 
 // Resolve turns a ref — branch name, full commit hash, or unique hash
@@ -617,7 +725,7 @@ func (r *Repo) Resolve(ref string) (string, error) {
 		}
 		return head, nil
 	}
-	if ok, err := r.commitExists(ref); err != nil {
+	if ok, err := r.stored("vcs_commits", ref); err != nil {
 		return "", err
 	} else if ok {
 		return ref, nil
@@ -694,16 +802,15 @@ func (r *Repo) Log(ref string, limit int) ([]*Commit, error) {
 	return out, nil
 }
 
-// commitState materializes the content tables of a commit by reassembling
-// its chunks and replaying them through the snapshot parser. The returned
+// commitState materializes the named tables (lowercased) of a commit by
+// replaying only their chunks through the snapshot parser. The returned
 // tables are detached copies keyed by lowercased name.
-func (r *Repo) commitState(hash string) (map[string]*kdb.Table, error) {
-	c, err := r.loadCommit(hash)
-	if err != nil {
-		return nil, err
-	}
+func (r *Repo) commitState(c *Commit, tables map[string]bool) (map[string]*kdb.Table, error) {
 	var buf bytes.Buffer
 	for _, mc := range c.Manifest.Chunks {
+		if !tables[strings.ToLower(mc.Table)] {
+			continue
+		}
 		data, err := r.chunkData(mc.Hash)
 		if err != nil {
 			return nil, err
@@ -713,14 +820,15 @@ func (r *Repo) commitState(hash string) (map[string]*kdb.Table, error) {
 	return kdb.ParseSnapshotTables(buf.Bytes())
 }
 
-// workingState materializes the current content tables (vcs_* excluded)
-// as detached copies: the view's rows alias live engine memory, so every
-// row is copied before the view closes.
-func (r *Repo) workingState() (map[string]*kdb.Table, error) {
-	tables := map[string]*kdb.Table{}
+// workingState materializes the named working tables (lowercased; vcs_*
+// never) as detached copies: the view's rows alias live engine memory, so
+// every row is copied before the view closes.
+func (r *Repo) workingState(tables map[string]bool) (map[string]*kdb.Table, error) {
+	out := map[string]*kdb.Table{}
 	err := r.db.View(func(v *kdb.View) error {
-		for _, tv := range v.Tables() {
-			if IsVersionTable(tv.Name()) {
+		for name := range tables {
+			tv, ok := v.Table(name)
+			if !ok || IsVersionTable(name) {
 				continue
 			}
 			live := tv.Rows(0)
@@ -728,7 +836,7 @@ func (r *Repo) workingState() (map[string]*kdb.Table, error) {
 			for i, row := range live {
 				rows[i] = append([]any(nil), row...)
 			}
-			tables[strings.ToLower(tv.Name())] = &kdb.Table{
+			out[name] = &kdb.Table{
 				Name:    tv.Name(),
 				Columns: append([]kdb.ColumnDef(nil), tv.Columns()...),
 				Rows:    rows,
@@ -739,20 +847,40 @@ func (r *Repo) workingState() (map[string]*kdb.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tables, nil
+	return out, nil
 }
 
-// resolveState materializes a ref's tables; the special ref "WORKING" (or
-// "") is the live working state.
-func (r *Repo) resolveState(ref string) (map[string]*kdb.Table, error) {
+// resolveLists resolves a ref to its commit and its chunk lists by table.
+// The special ref "WORKING" (or "") is the live working state, whose
+// commit is nil.
+func (r *Repo) resolveLists(ref string) (*Commit, map[string][]ManifestChunk, error) {
 	if ref == "" || strings.EqualFold(ref, "WORKING") {
-		return r.workingState()
+		r.mu.Lock()
+		w, err := r.workingManifest()
+		r.mu.Unlock()
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, tableLists(w.manifest.Chunks), nil
 	}
 	hash, err := r.Resolve(ref)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return r.commitState(hash)
+	c, err := r.loadCommit(hash)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c, tableLists(c.Manifest.Chunks), nil
+}
+
+// resolveState materializes the named tables of a resolved ref: commit c's,
+// or the working state's when c is nil.
+func (r *Repo) resolveState(c *Commit, tables map[string]bool) (map[string]*kdb.Table, error) {
+	if c == nil {
+		return r.workingState(tables)
+	}
+	return r.commitState(c, tables)
 }
 
 // ancestors returns the full ancestor set of a commit (inclusive).
@@ -804,7 +932,7 @@ func (r *Repo) mergeBase(a, b string) (string, error) {
 	return "", nil
 }
 
-func sortedTableNames(states ...map[string]*kdb.Table) []string {
+func sortedNames[V any](states ...map[string]V) []string {
 	set := map[string]bool{}
 	for _, s := range states {
 		for n := range s {

@@ -509,6 +509,157 @@ func TestMergeRefusesDirtyWorking(t *testing.T) {
 	}
 }
 
+// TestMergeOneSidedTableIsTheirs: a table only theirs changed is adopted
+// whole — its rows in theirs' order, its indexes, its columns — and one
+// only ours changed is kept. After the merge the working state is the
+// head ours now points at, so the next merge does not refuse it.
+func TestMergeOneSidedTableIsTheirs(t *testing.T) {
+	cases := []struct {
+		name         string
+		theirs, ours func(db *kdb.DB)
+	}{
+		{"row order", func(db *kdb.DB) {
+			mustExec(t, db, "DELETE FROM runs WHERE id = ?", int64(2))
+			mustExec(t, db, "INSERT INTO runs (id, app, gbps, notes) VALUES (?, ?, ?, ?)", int64(2), "hacc", 4.0, "n-hacc")
+		}, nil},
+		{"index", func(db *kdb.DB) {
+			mustExec(t, db, "CREATE INDEX idx_runs_app ON runs (app)")
+		}, nil},
+		{"columns", func(db *kdb.DB) {
+			mustExec(t, db, "DROP TABLE runs")
+			mustExec(t, db, "CREATE TABLE runs (id INTEGER PRIMARY KEY, app TEXT, gbps REAL, notes TEXT, site TEXT)")
+			mustExec(t, db, "INSERT INTO runs (app, gbps, notes, site) VALUES (?, ?, ?, ?)", "ior", 3.0, "n-ior", "siteA")
+		}, func(db *kdb.DB) {
+			mustExec(t, db, "CREATE TABLE insights (id INTEGER PRIMARY KEY, body TEXT)")
+			mustExec(t, db, "INSERT INTO insights (body) VALUES (?)", "ours only")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, r := newRepo(t)
+			ingestRuns(t, db, "ior", "hacc", "lammps")
+			if _, _, err := r.Commit("main", "a", "base", 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Branch("side", "main"); err != nil {
+				t.Fatal(err)
+			}
+			tc.theirs(db)
+			sideHead, _, err := r.Commit("side", "b", "theirs", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			theirs := contentDump(t, db)
+			if err := r.Checkout("main"); err != nil {
+				t.Fatal(err)
+			}
+			if tc.ours != nil {
+				tc.ours(db)
+				if _, _, err := r.Commit("main", "a", "ours", 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := r.Merge("main", "side", "a", "merge")
+			if err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			if len(res.Conflicts) != 0 {
+				t.Fatalf("conflicts: %+v", res.Conflicts)
+			}
+			if tc.ours == nil {
+				if !res.FastForward || res.Commit != sideHead {
+					t.Fatalf("expected a fast-forward to %s, got %+v", sideHead, res)
+				}
+				if got := contentDump(t, db); !bytes.Equal(got, theirs) {
+					t.Fatalf("fast-forward left the working state off theirs:\n got %q\nwant %q", got, theirs)
+				}
+			} else {
+				changes, err := r.Diff("side", "WORKING")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range changes {
+					if c.Table != "insights" {
+						t.Fatalf("merged state differs from theirs outside ours' own table: %+v", c)
+					}
+				}
+				if len(changes) == 0 {
+					t.Fatal("ours' own table was lost in the merge")
+				}
+			}
+			if _, err := r.Merge("main", "side", "a", "again"); err != nil {
+				t.Fatalf("the next merge refused the merged working state: %v", err)
+			}
+		})
+	}
+}
+
+// snapshotAutoIDs reads the auto-increment marks of WriteSnapshot's meta
+// record.
+func snapshotAutoIDs(t testing.TB, db *kdb.DB) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := db.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := kdb.DecodeSnapshotRecords(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := recs[len(recs)-1]; meta.Meta {
+		return meta.AutoIDs
+	}
+	t.Fatal("snapshot does not end in a meta record")
+	return nil
+}
+
+// TestCheckoutKeepsAutoIDs: after a checkout every table's auto-increment
+// mark is max(working before, commit) — for a table the checkout changes,
+// one absent from the working state whose commit mark exceeds its largest
+// id, and one whose index set differs.
+func TestCheckoutKeepsAutoIDs(t *testing.T) {
+	db, r := newRepo(t)
+	tables := []string{"changed", "absent", "reindexed"}
+	for _, name := range tables {
+		mustExec(t, db, "CREATE TABLE "+name+" (id INTEGER PRIMARY KEY, v TEXT)")
+		for i := 0; i < 5; i++ {
+			mustExec(t, db, "INSERT INTO "+name+" (v) VALUES (?)", fmt.Sprint(i))
+		}
+		mustExec(t, db, "DELETE FROM "+name+" WHERE id > ?", int64(3))
+	}
+	hash, _, err := r.Commit("main", "a", "marks at 5, rows to 3", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := contentDump(t, db)
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, "INSERT INTO changed (v) VALUES (?)", "more")
+	}
+	mustExec(t, db, "DELETE FROM changed WHERE id > ?", int64(6))
+	mustExec(t, db, "DROP TABLE absent")
+	mustExec(t, db, "CREATE INDEX idx_reindexed_v ON reindexed (v)")
+	mustExec(t, db, "INSERT INTO reindexed (v) VALUES (?)", "gone")
+	mustExec(t, db, "DELETE FROM reindexed WHERE v = ?", "gone")
+
+	before := snapshotAutoIDs(t, db)
+	c, err := r.loadCommit(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Checkout(hash); err != nil {
+		t.Fatal(err)
+	}
+	if got := contentDump(t, db); !bytes.Equal(got, committed) {
+		t.Fatalf("checkout content differs:\n got %q\nwant %q", got, committed)
+	}
+	after := snapshotAutoIDs(t, db)
+	for _, name := range tables {
+		if want := max(before[name], c.Manifest.AutoIDs[name]); after[name] != want {
+			t.Errorf("%s: mark %d after checkout, want max(%d, %d)", name, after[name], before[name], c.Manifest.AutoIDs[name])
+		}
+	}
+}
+
 func BenchmarkCommit(b *testing.B) {
 	db, r := newRepo(b)
 	apps := make([]string, 200)
@@ -546,17 +697,56 @@ func BenchmarkCommitAfterInsert(b *testing.B) {
 }
 
 func BenchmarkDiff(b *testing.B) {
-	db, r := newRepo(b)
-	apps := make([]string, 200)
-	for i := range apps {
-		apps[i] = fmt.Sprintf("app%03d", i)
+	b.Run("tables=1,changed=1", func(b *testing.B) {
+		db, r := newRepo(b)
+		apps := make([]string, 200)
+		for i := range apps {
+			apps[i] = fmt.Sprintf("app%03d", i)
+		}
+		ingestRuns(b, db, apps...)
+		if _, _, err := r.Commit("main", "bench", "base", 0); err != nil {
+			b.Fatal(err)
+		}
+		ingestRuns(b, db, "extra1", "extra2")
+		mustExec(b, db, "UPDATE runs SET gbps = ? WHERE id = ?", 1.5, int64(3))
+		benchDiffTip(b, r)
+	})
+	b.Run("tables=20,changed=1", func(b *testing.B) {
+		db, r := newRepo(b)
+		manyTables(b, db, 20, 200)
+		if _, _, err := r.Commit("main", "bench", "base", 0); err != nil {
+			b.Fatal(err)
+		}
+		mustExec(b, db, "INSERT INTO t07 (v, x) VALUES (?, ?)", "extra", 1.5)
+		mustExec(b, db, "UPDATE t07 SET x = ? WHERE id = ?", 2.5, int64(3))
+		benchDiffTip(b, r)
+	})
+}
+
+// manyTables creates n tables of rows rows each, t00 to t(n-1).
+func manyTables(b *testing.B, db *kdb.DB, n, rows int) {
+	b.Helper()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("t%02d", i)
+		mustExec(b, db, "CREATE TABLE "+name+" (id INTEGER PRIMARY KEY, v TEXT, x REAL)")
+		err := db.Batch(func(exec kdb.ExecFunc) error {
+			for j := 0; j < rows; j++ {
+				if _, err := exec("INSERT INTO "+name+" (v, x) VALUES (?, ?)", fmt.Sprintf("%s-%d", name, j), float64(j)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
-	ingestRuns(b, db, apps...)
-	if _, _, err := r.Commit("main", "bench", "base", 0); err != nil {
-		b.Fatal(err)
-	}
-	ingestRuns(b, db, "extra1", "extra2")
-	mustExec(b, db, "UPDATE runs SET gbps = ? WHERE id = ?", 1.5, int64(3))
+}
+
+// benchDiffTip commits the working state as the tip of main and times
+// diffs of the commit before it against it.
+func benchDiffTip(b *testing.B, r *Repo) {
+	b.Helper()
 	if _, _, err := r.Commit("main", "bench", "tip", 0); err != nil {
 		b.Fatal(err)
 	}
@@ -564,6 +754,7 @@ func BenchmarkDiff(b *testing.B) {
 	if err != nil || len(log) != 2 {
 		b.Fatalf("log: %v", err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Diff(log[1].Hash, log[0].Hash); err != nil {
@@ -573,24 +764,40 @@ func BenchmarkDiff(b *testing.B) {
 }
 
 func BenchmarkMerge(b *testing.B) {
+	b.Run("tables=1,changed=1", func(b *testing.B) {
+		benchMerge(b, func(db *kdb.DB) { ingestRuns(b, db, "ior", "hacc") },
+			func(db *kdb.DB) { ingestRuns(b, db, "lammps") },
+			func(db *kdb.DB) { mustExec(b, db, "UPDATE runs SET notes = ? WHERE id = ?", "ours", int64(1)) })
+	})
+	b.Run("tables=20,changed=1", func(b *testing.B) {
+		benchMerge(b, func(db *kdb.DB) { manyTables(b, db, 20, 200) },
+			func(db *kdb.DB) { mustExec(b, db, "INSERT INTO t07 (v, x) VALUES (?, ?)", "theirs", 1.5) },
+			func(db *kdb.DB) { mustExec(b, db, "UPDATE t07 SET v = ? WHERE id = ?", "ours", int64(1)) })
+	})
+}
+
+// benchMerge times merging branch side, which ran theirs, into main, which
+// ran ours, both from a commit of what base made.
+func benchMerge(b *testing.B, base, theirs, ours func(db *kdb.DB)) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db, r := newRepo(b)
-		ingestRuns(b, db, "ior", "hacc")
+		base(db)
 		if _, _, err := r.Commit("main", "bench", "base", 0); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.Branch("side", "main"); err != nil {
 			b.Fatal(err)
 		}
-		ingestRuns(b, db, "lammps")
+		theirs(db)
 		if _, _, err := r.Commit("side", "bench", "theirs", 0); err != nil {
 			b.Fatal(err)
 		}
 		if err := r.Checkout("main"); err != nil {
 			b.Fatal(err)
 		}
-		mustExec(b, db, "UPDATE runs SET notes = ? WHERE id = ?", "ours", int64(1))
+		ours(db)
 		if _, _, err := r.Commit("main", "bench", "ours", 0); err != nil {
 			b.Fatal(err)
 		}
@@ -602,5 +809,39 @@ func BenchmarkMerge(b *testing.B) {
 		if len(res.Conflicts) != 0 {
 			b.Fatalf("conflicts: %+v", res.Conflicts)
 		}
+	}
+}
+
+// BenchmarkCheckout alternates checkouts of a history's first commit and
+// its tip over 2,000 rows held fixed, each commit having updated one row:
+// the cost must follow the changed tables, not the number of commits.
+func BenchmarkCheckout(b *testing.B) {
+	for _, commits := range []int{10, 100, 400} {
+		b.Run(fmt.Sprintf("commits=%d", commits), func(b *testing.B) {
+			db, r := newRepo(b)
+			ingestRuns(b, db, "ior")
+			bulkRuns(b, db, rand.New(rand.NewSource(1)), 1999)
+			first, _, err := r.Commit("main", "bench", "c0", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for c := 1; c < commits; c++ {
+				mustExec(b, db, "UPDATE runs SET gbps = ? WHERE id = ?", float64(c), int64(1+c%2000))
+				if _, _, err := r.Commit("main", "bench", fmt.Sprintf("c%d", c), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ref := "main"
+				if i%2 == 0 {
+					ref = first
+				}
+				if err := r.Checkout(ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
