@@ -49,7 +49,7 @@ func TestServeDemo(t *testing.T) {
 		t.Error("bad flag should fail")
 	}
 	addr := reservePort(t)
-	cfg, err := parseServeArgs([]string{"--demo", "--db", "", "--addr", addr, "--api"})
+	cfg, err := parseServeArgs([]string{"--demo", "--db", "", "--addr", addr})
 	if err != nil {
 		t.Fatal(err)
 	}

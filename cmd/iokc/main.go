@@ -13,7 +13,7 @@
 //	iokc configure [--db FILE] --id N [-t SIZE] [-b SIZE] [-s N] [-i N] [-N N]
 //	iokc causes [--db FILE] --id N --sacct FILE [--exclude-user U]
 //	iokc tune [--tasks N] [--burst SIZE] [--seed N]
-//	iokc serve [--db FILE] [--addr :8080] [--replica ADDR]... [--demo] [--api] [--api-only] [--slow-query DUR] [--pprof]
+//	iokc serve [--db FILE] [--addr :8080] [--replica ADDR]... [--demo] [--api-only] [--slow-query DUR] [--pprof]
 //	iokc servedb [--db FILE] [--addr :7070] [--metrics-addr :9090] [--replica-of ADDR] [--advertise ADDR] [--slow-query DUR] [--pprof]
 //	iokc servedb --db FILE --shard-index I --shard-count N           (serve one shard of a partitioned store)
 //	iokc servedb --shard ADDR[,REPLICA...] --shard ADDR... [--epoch N] (serve a scatter-gather coordinator)
@@ -956,7 +956,7 @@ func serveWire(ctx context.Context, cfg *serveDBConfig, srv *kdb.Server, health 
 		mux.Handle("/metrics.json", telemetry.JSONHandler(telemetry.Default()))
 		mux.Handle("/healthz", repl.HealthHandler(health))
 		if cfg.pprofOn {
-			telemetry.RegisterPprof(mux)
+			mux.Handle("/debug/pprof/", telemetry.Pprof())
 		}
 		ml, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
@@ -1006,7 +1006,6 @@ type serveConfig struct {
 	slowQuery      time.Duration
 	replicas       []string
 	demo           bool
-	apiOn          bool
 	apiOnly        bool
 	apiRate        float64
 	apiBurst       float64
@@ -1022,8 +1021,7 @@ func parseServeArgs(args []string) (*serveConfig, error) {
 	fs.BoolVar(&cfg.pprofOn, "pprof", false, "expose /debug/pprof endpoints")
 	fs.BoolVar(&cfg.demo, "demo", false, "seed the store with the paper's two example scenarios (use with --db '' for a throwaway in-memory store)")
 	fs.DurationVar(&cfg.slowQuery, "slow-query", 0, "trace queries and log those slower than this to __slow_queries and /traces (0 = tracing off)")
-	fs.BoolVar(&cfg.apiOn, "api", false, "mount the JSON API under /v1/ beside the explorer")
-	fs.BoolVar(&cfg.apiOnly, "api-only", false, "serve only the JSON API (no HTML explorer)")
+	fs.BoolVar(&cfg.apiOnly, "api-only", false, "serve only the JSON API under /v1/ (no HTML explorer pages)")
 	fs.Float64Var(&cfg.apiRate, "api-rate", 0, "per-client API rate limit in requests/sec (0 = unlimited)")
 	fs.Float64Var(&cfg.apiBurst, "api-burst", 0, "per-client API token-bucket burst (defaults to the rate)")
 	fs.IntVar(&cfg.apiMaxInflight, "api-max-inflight", 0, "concurrent API request cap; excess sheds with 503 (0 = unlimited)")
@@ -1040,9 +1038,9 @@ func parseServeArgs(args []string) (*serveConfig, error) {
 	return cfg, nil
 }
 
-// cmdServe runs the HTTP front ends — the HTML explorer, the JSON API, or
-// both on one listener — with the same drain-on-SIGTERM path every server
-// in this binary uses.
+// cmdServe runs the HTTP front door — the JSON API under /v1/ and, unless
+// --api-only, the HTML explorer's pages — with the same drain-on-SIGTERM
+// path every server in this binary uses.
 func cmdServe(args []string) error {
 	cfg, err := parseServeArgs(args)
 	if err != nil {
@@ -1071,47 +1069,30 @@ func runServe(ctx context.Context, cfg *serveConfig) error {
 	if _, err := store.EnableVersioning(); err == nil {
 		fmt.Println("versioned knowledge enabled (/history)")
 	}
-	var handler http.Handler
+	front := api.New(api.Config{
+		Store:         store,
+		Rate:          cfg.apiRate,
+		Burst:         cfg.apiBurst,
+		MaxInflight:   cfg.apiMaxInflight,
+		ProbeInterval: cfg.apiProbe,
+	})
+	defer front.Close()
 	if !cfg.apiOnly {
-		exp := explorer.New(store)
-		if cfg.pprofOn {
-			exp.EnablePprof()
-		}
-		handler = exp
+		explorer.Register(front)
 	}
-	if cfg.apiOn || cfg.apiOnly {
-		apiSrv := api.New(api.Config{
-			Store:         store,
-			Rate:          cfg.apiRate,
-			Burst:         cfg.apiBurst,
-			MaxInflight:   cfg.apiMaxInflight,
-			ProbeInterval: cfg.apiProbe,
-		})
-		defer apiSrv.Close()
-		if cfg.apiOnly {
-			handler = apiSrv
-		} else {
-			// One listener, one shutdown path: /v1/ is the API, everything
-			// else stays the explorer.
-			mux := http.NewServeMux()
-			mux.Handle("/v1/", apiSrv)
-			mux.Handle("/", handler)
-			handler = mux
-		}
+	if cfg.pprofOn {
+		front.Handle("/debug/pprof/", "pprof", telemetry.Pprof())
 	}
 	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
-	switch {
-	case cfg.apiOnly:
+	if cfg.apiOnly {
 		fmt.Printf("knowledge API on http://%s/v1/ (db %s)\n", l.Addr(), cfg.db)
-	case cfg.apiOn:
+	} else {
 		fmt.Printf("knowledge explorer + API on %s (db %s, API under /v1/)\n", l.Addr(), cfg.db)
-	default:
-		fmt.Printf("knowledge explorer on %s (db %s)\n", l.Addr(), cfg.db)
 	}
-	return serveGraceful(ctx, l, handler, 10*time.Second)
+	return serveGraceful(ctx, l, front, 10*time.Second)
 }
 
 // serveGraceful serves handler on l until ctx is cancelled, then drains

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -13,14 +14,14 @@ import (
 
 func TestParseServeArgs(t *testing.T) {
 	cfg, err := parseServeArgs([]string{
-		"--db", "k.db", "--addr", "127.0.0.1:8181", "--api",
+		"--db", "k.db", "--addr", "127.0.0.1:8181",
 		"--api-rate", "100", "--api-max-inflight", "64",
 		"--replica", "kdb://127.0.0.1:7070",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.apiOn || cfg.apiRate != 100 || cfg.apiMaxInflight != 64 {
+	if cfg.apiOnly || cfg.apiRate != 100 || cfg.apiMaxInflight != 64 {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if cfg.apiBurst != 100 {
@@ -28,6 +29,10 @@ func TestParseServeArgs(t *testing.T) {
 	}
 	if len(cfg.replicas) != 1 {
 		t.Errorf("replicas = %v", cfg.replicas)
+	}
+	// /v1/ is always mounted: there is no flag to ask for it.
+	if _, err := parseServeArgs([]string{"--api"}); err == nil {
+		t.Error("--api should no longer parse")
 	}
 }
 
@@ -47,12 +52,12 @@ func waitHTTP(t *testing.T, url string) *http.Response {
 }
 
 // TestServeGracefulShutdown pins the drain-on-SIGTERM contract for the
-// combined explorer+API listener: cancelling the context must close the
+// front door (explorer pages + API on one listener): cancelling the context must close the
 // port and return nil (a clean drain), not leave the listener accepting.
 func TestServeGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	addr := reservePort(t)
-	cfg, err := parseServeArgs([]string{"--db", dir + "/k.db", "--addr", addr, "--api"})
+	cfg, err := parseServeArgs([]string{"--db", dir + "/k.db", "--addr", addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +136,8 @@ func TestServeDBMetricsListenerStopsWithServer(t *testing.T) {
 	}
 }
 
-// TestServeAPIOnly ensures --api-only serves no HTML explorer.
+// TestServeAPIOnly ensures --api-only serves no HTML explorer, and still
+// serves the metrics endpoints.
 func TestServeAPIOnly(t *testing.T) {
 	dir := t.TempDir()
 	addr := reservePort(t)
@@ -156,6 +162,17 @@ func TestServeAPIOnly(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
 		t.Fatalf("api-only root: status %d type %s, want JSON 404", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	for path, want := range map[string]string{"/metrics": "api_requests_total", "/metrics.json": `"counters"`} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("api-only %s: status %d, body missing %q", path, resp.StatusCode, want)
+		}
 	}
 	cancel()
 	if err := <-errc; err != nil {

@@ -1,9 +1,9 @@
-// Package api is the JSON front door to the knowledge cycle: a versioned,
-// stdlib-only REST layer over schema.Store that serves the accumulated
-// knowledge to programs the way the explorer serves it to browsers. It
-// mounts beside the explorer (iokc serve --api) or alone, and fronts every
-// backend the store can open — an embedded database, a replicated
-// primary+replica router, or a shard:// coordinator.
+// Package api is the one HTTP front door to the knowledge cycle: a
+// versioned, stdlib-only JSON layer over schema.Store under /v1/, plus the
+// registration seam (Handle, ServeCached) the explorer's HTML pages mount
+// on, so both answer through one request pipeline and one result cache. It
+// fronts every backend the store can open — an embedded database, a
+// replicated primary+replica router, or a shard:// coordinator.
 //
 // Contracts the handlers keep:
 //
@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -57,10 +58,13 @@ type Config struct {
 
 const defaultPageLimit = 50
 
-// Server is the API subsystem; it implements http.Handler.
+// Server is the front door; it implements http.Handler.
 type Server struct {
+	// Metrics receives the per-route request metrics and backs /metrics
+	// and /metrics.json. New sets it from Config; tests may substitute a
+	// private registry before the first request.
+	Metrics  *telemetry.Registry
 	store    *schema.Store
-	reg      *telemetry.Registry
 	mux      *http.ServeMux
 	cache    *resultCache
 	limiter  *rateLimiter
@@ -69,7 +73,7 @@ type Server struct {
 	maxLimit int
 }
 
-// New builds the API server and starts its cache-freshness watcher; call
+// New builds the front door and starts its cache-freshness watcher; call
 // Close when done to stop it.
 func New(cfg Config) *Server {
 	if cfg.Metrics == nil {
@@ -79,8 +83,8 @@ func New(cfg Config) *Server {
 		cfg.MaxPageLimit = 500
 	}
 	s := &Server{
+		Metrics:  cfg.Metrics,
 		store:    cfg.Store,
-		reg:      cfg.Metrics,
 		mux:      http.NewServeMux(),
 		cache:    newResultCache(),
 		limiter:  newRateLimiter(cfg.Rate, cfg.Burst),
@@ -88,16 +92,24 @@ func New(cfg Config) *Server {
 		maxLimit: cfg.MaxPageLimit,
 	}
 	s.inflight.max = int64(cfg.MaxInflight)
-	s.mux.HandleFunc("GET /v1/objects", s.route("objects", s.handleObjects))
-	s.mux.HandleFunc("GET /v1/objects/{id}", s.route("object", s.handleObject))
-	s.mux.HandleFunc("GET /v1/io500", s.route("io500", s.handleIO500List))
-	s.mux.HandleFunc("GET /v1/io500/{id}", s.route("io500_one", s.handleIO500))
-	s.mux.HandleFunc("GET /v1/campaigns", s.route("campaigns", s.handleCampaigns))
-	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.route("campaign", s.handleCampaign))
+	s.mux.HandleFunc("GET /v1/objects", s.route("objects", servePage(s, "objects", s.ObjectsPage, metaBody)))
+	s.mux.HandleFunc("GET /v1/objects/{id}", s.route("object", servePoint(s, "object", s.loadObject)))
+	s.mux.HandleFunc("GET /v1/io500", s.route("io500", servePage(s, "io500", s.IO500Page, metaBody)))
+	s.mux.HandleFunc("GET /v1/io500/{id}", s.route("io500_one", servePoint(s, "io500", s.loadIO500)))
+	s.mux.HandleFunc("GET /v1/campaigns", s.route("campaigns", servePage(s, "campaigns", s.CampaignsPage, campaignsBody)))
+	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.route("campaign", servePoint(s, "campaign", s.loadCampaign)))
 	s.mux.HandleFunc("GET /v1/query", s.route("query", s.handleQuery))
-	s.mux.HandleFunc("GET /v1/history", s.route("history", s.handleHistory))
+	// History stores without versioning answer a structured 404.
+	s.mux.HandleFunc("GET /v1/history", s.route("history", servePage(s, "history", s.HistoryPage, historyBody)))
 	s.mux.HandleFunc("GET /v1/traces", s.route("traces", s.handleTraces))
 	s.mux.HandleFunc("GET /v1/healthz", s.route("healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", s.route("metrics", func(w http.ResponseWriter, r *http.Request, _ string) {
+		telemetry.Handler(s.Metrics).ServeHTTP(w, r)
+	}))
+	s.mux.HandleFunc("GET /metrics.json", s.route("metrics_json", func(w http.ResponseWriter, r *http.Request, _ string) {
+		telemetry.JSONHandler(s.Metrics).ServeHTTP(w, r)
+	}))
 	s.mux.HandleFunc("/", s.route("unmatched", s.handleUnmatched))
 	return s
 }
@@ -106,6 +118,17 @@ func New(cfg Config) *Server {
 func (s *Server) Close() { s.val.close() }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// Store is the knowledge store the front door serves.
+func (s *Server) Store() *schema.Store { return s.store }
+
+// Handle mounts h at pattern behind the pipeline every route runs
+// through; name labels its hop ("api."+name) and its request metrics.
+func (s *Server) Handle(pattern, name string, h http.Handler) {
+	s.mux.HandleFunc(pattern, s.route(name, func(w http.ResponseWriter, r *http.Request, _ string) {
+		h.ServeHTTP(w, r)
+	}))
+}
 
 // inflightGauge is an admission semaphore: acquire fails once max are in.
 type inflightGauge struct {
@@ -142,8 +165,8 @@ func (s *Server) route(name string, h func(http.ResponseWriter, *http.Request, s
 		hop := telemetry.StartHop(telemetry.TraceContext{}, "api."+name)
 		defer func() {
 			code := sw.code()
-			s.reg.Counter(telemetry.Label("api_requests_total", "path", name, "code", strconv.Itoa(code))).Inc()
-			s.reg.Histogram(telemetry.Label("api_request_seconds", "path", name)).
+			s.Metrics.Counter(telemetry.Label("api_requests_total", "path", name, "code", strconv.Itoa(code))).Inc()
+			s.Metrics.Histogram(telemetry.Label("api_request_seconds", "path", name)).
 				ObserveEx(time.Since(start).Seconds(), hop.TraceID())
 			hop.AttrInt("status", int64(code))
 			hop.End()
@@ -152,14 +175,14 @@ func (s *Server) route(name string, h func(http.ResponseWriter, *http.Request, s
 		// able to see an overloaded node is alive.
 		if name != "healthz" {
 			if ok, retry := s.limiter.allow(clientKey(r)); !ok {
-				s.reg.Counter("api_rate_limited_total").Inc()
+				s.Metrics.Counter("api_rate_limited_total").Inc()
 				sw.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
 				s.writeError(sw, rid, http.StatusTooManyRequests, "rate_limited",
 					"client request rate exceeded; retry after the indicated delay")
 				return
 			}
 			if !s.inflight.acquire() {
-				s.reg.Counter("api_shed_total").Inc()
+				s.Metrics.Counter("api_shed_total").Inc()
 				sw.Header().Set("Retry-After", "1")
 				s.writeError(sw, rid, http.StatusServiceUnavailable, "overloaded",
 					"server is at its concurrent-request cap")
@@ -174,8 +197,8 @@ func (s *Server) route(name string, h func(http.ResponseWriter, *http.Request, s
 
 // ---- response envelopes ----
 
-// page is the list-endpoint success envelope.
-type page struct {
+// listBody is the list-endpoint success envelope.
+type listBody struct {
 	Data       any    `json:"data"`
 	Count      int    `json:"count"`
 	NextCursor string `json:"next_cursor,omitempty"`
@@ -199,62 +222,101 @@ func (s *Server) writeError(w http.ResponseWriter, rid string, status int, code,
 	json.NewEncoder(w).Encode(errEnvelope{Error: errBody{Code: code, Message: msg}, RequestID: rid})
 }
 
-// failStore maps a store error onto the envelope: ErrNotFound becomes a
-// structured 404 (satisfying the "JSON everywhere" contract), an endpoint-
-// classified error keeps its classification, anything else is a 500.
-func (s *Server) failStore(w http.ResponseWriter, rid string, err error) {
-	var ce *classifiedError
-	if errors.As(err, &ce) {
-		s.writeError(w, rid, ce.status, ce.code, ce.Error())
-		return
-	}
-	if errors.Is(err, schema.ErrNotFound) {
-		s.writeError(w, rid, http.StatusNotFound, "not_found", err.Error())
-		return
-	}
-	s.writeError(w, rid, http.StatusInternalServerError, "internal", err.Error())
+// StatusError is an error that answers with its own HTTP status and
+// envelope code.
+type StatusError struct {
+	Status int
+	Code   string
+	Err    error
 }
 
-// respondCached is the read path every cacheable endpoint funnels through:
-// check the cache at the current (LSN, epoch), recompute on miss, then
-// answer with validators — ETag for If-None-Match revalidation, X-Cache
-// for observability, X-Knowledge-LSN so clients can assert freshness.
+func (e *StatusError) Error() string { return e.Err.Error() }
+
+// classify is the one error mapping of the front door: a StatusError keeps
+// its own status, schema.ErrNotFound is a 404, anything else a 500.
+func classify(err error) (status int, code string) {
+	var se *StatusError
+	if errors.As(err, &se) {
+		return se.Status, se.Code
+	}
+	if errors.Is(err, schema.ErrNotFound) {
+		return http.StatusNotFound, "not_found"
+	}
+	return http.StatusInternalServerError, "internal"
+}
+
+// StatusOf is the HTTP status err answers with on every route, JSON or
+// HTML.
+func StatusOf(err error) int {
+	status, _ := classify(err)
+	return status
+}
+
+// failStore answers err with the structured envelope at its classified
+// status.
+func (s *Server) failStore(w http.ResponseWriter, rid string, err error) {
+	status, code := classify(err)
+	s.writeError(w, rid, status, code, err.Error())
+}
+
+// respondCached is the read path every cacheable JSON endpoint funnels
+// through, with fn's value marshalled on a miss.
 func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, rid, key string, fn func() (any, error)) {
-	lsn, epoch := s.val.current()
-	e := s.cache.get(key, lsn, epoch)
-	if e != nil {
-		s.reg.Counter("api_cache_hit_total").Inc()
-	} else {
-		s.reg.Counter("api_cache_miss_total").Inc()
+	err := s.serveCached(w, r, key, "application/json", func() ([]byte, error) {
 		data, err := fn()
 		if err != nil {
-			s.failStore(w, rid, err)
-			return
+			return nil, err
 		}
-		body, err := json.Marshal(data)
+		return json.Marshal(data)
+	})
+	if err != nil {
+		s.failStore(w, rid, err)
+	}
+}
+
+// ServeCached answers a GET of a page whose content depends only on the
+// store through the same cache as the JSON routes, keyed by the path and
+// the sorted query; build renders the body on a miss. A build error is
+// returned with nothing written or cached.
+func (s *Server) ServeCached(w http.ResponseWriter, r *http.Request, contentType string, build func() ([]byte, error)) error {
+	return s.serveCached(w, r, r.URL.Path+"?"+r.URL.Query().Encode(), contentType, build)
+}
+
+// serveCached checks the cache at the current (LSN, epoch), builds on a
+// miss, then answers with validators — ETag for If-None-Match
+// revalidation, X-Cache for observability, X-Knowledge-LSN so clients can
+// assert freshness.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, contentType string, build func() ([]byte, error)) error {
+	lsn, epoch := s.val.current()
+	xcache := "hit"
+	e := s.cache.get(key, lsn, epoch)
+	if e != nil {
+		s.Metrics.Counter("api_cache_hit_total").Inc()
+	} else {
+		s.Metrics.Counter("api_cache_miss_total").Inc()
+		body, err := build()
 		if err != nil {
-			s.writeError(w, rid, http.StatusInternalServerError, "internal", err.Error())
-			return
+			return err
 		}
-		e = &cacheEntry{body: body, etag: etagOf(body), lsn: lsn, epoch: epoch}
+		e = &cacheEntry{body: body, contentType: contentType, etag: etagOf(body), lsn: lsn, epoch: epoch}
 		s.cache.put(key, e)
-		w.Header().Set("X-Cache", "miss")
+		xcache = "miss"
 	}
-	if w.Header().Get("X-Cache") == "" {
-		w.Header().Set("X-Cache", "hit")
-	}
-	w.Header().Set("ETag", e.etag)
-	w.Header().Set("X-Knowledge-LSN", strconv.FormatInt(e.lsn, 10))
+	h := w.Header()
+	h.Set("X-Cache", xcache)
+	h.Set("ETag", e.etag)
+	h.Set("X-Knowledge-LSN", strconv.FormatInt(e.lsn, 10))
 	// no-cache (not no-store): clients may keep copies but must revalidate
 	// with If-None-Match — the 304 path below makes that nearly free.
-	w.Header().Set("Cache-Control", "private, no-cache")
+	h.Set("Cache-Control", "private, no-cache")
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatch(match, e.etag) {
-		s.reg.Counter("api_not_modified_total").Inc()
+		s.Metrics.Counter("api_not_modified_total").Inc()
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return nil
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Type", e.contentType)
 	w.Write(e.body)
+	return nil
 }
 
 // etagMatch implements the If-None-Match list ("*" or comma-separated
@@ -269,21 +331,128 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// pageParams parses ?limit= and ?cursor= with the shared bounds.
-func (s *Server) pageParams(r *http.Request) (afterID int64, limit int, err error) {
+// PageParams parses ?limit= — a positive integer, clamped to the server's
+// MaxPageLimit — and the id cursor in the query parameter named cursorKey
+// (none when cursorKey is empty). A malformed value is a 400 StatusError.
+func (s *Server) PageParams(q url.Values, cursorKey string) (afterID int64, limit int, err error) {
 	limit = defaultPageLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, perr := strconv.Atoi(v)
 		if perr != nil || n < 1 {
-			return 0, 0, fmt.Errorf("limit must be a positive integer")
+			return 0, 0, &StatusError{Status: http.StatusBadRequest, Code: "invalid_cursor", Err: errors.New("limit must be a positive integer")}
 		}
 		limit = n
 	}
 	if limit > s.maxLimit {
 		limit = s.maxLimit
 	}
-	afterID, err = decodeIDCursor(r.URL.Query().Get("cursor"))
-	return afterID, limit, err
+	if cursorKey != "" {
+		if afterID, err = decodeIDCursor(q.Get(cursorKey)); err != nil {
+			return 0, 0, &StatusError{Status: http.StatusBadRequest, Code: "invalid_cursor", Err: err}
+		}
+	}
+	return afterID, limit, nil
+}
+
+// ---- page producers: one per list, called by the JSON routes and the
+// explorer's pages alike ----
+
+// Page is one keyset page of a list, in id order, and the opaque cursor
+// that resumes after its last row ("" when the page came back short).
+type Page[T any] struct {
+	Rows []T
+	Next string
+}
+
+func listPage[T any](list func(after int64, limit int) ([]T, error), id func(T) int64, after int64, limit int) (Page[T], error) {
+	rows, err := list(after, limit)
+	p := Page[T]{Rows: rows}
+	if err == nil && len(rows) > 0 && len(rows) == limit {
+		p.Next = encodeIDCursor(id(rows[len(rows)-1]))
+	}
+	return p, err
+}
+
+func metaID(m schema.Meta) int64 { return m.ID }
+
+// ObjectsPage is one page of knowledge objects after the id after.
+func (s *Server) ObjectsPage(after int64, limit int) (Page[schema.Meta], error) {
+	return listPage(s.store.ListObjectsPage, metaID, after, limit)
+}
+
+// IO500Page is one page of IO500 runs after the id after.
+func (s *Server) IO500Page(after int64, limit int) (Page[schema.Meta], error) {
+	return listPage(s.store.ListIO500Page, metaID, after, limit)
+}
+
+// CampaignsPage is one page of campaigns after the id after.
+func (s *Server) CampaignsPage(after int64, limit int) (Page[schema.CampaignMeta], error) {
+	return listPage(s.store.ListCampaignsPage, func(m schema.CampaignMeta) int64 { return m.ID }, after, limit)
+}
+
+// Commit is one entry of the versioned-knowledge commit log (__log).
+type Commit struct {
+	ID         int64  `json:"id"`
+	Hash       string `json:"hash"`
+	Parents    string `json:"parents,omitempty"`
+	Author     string `json:"author,omitempty"`
+	Message    string `json:"message"`
+	CampaignID int64  `json:"campaign_id,omitempty"`
+	LSN        int64  `json:"lsn"`
+	Created    string `json:"created"`
+}
+
+// History is one page of the commit log and every branch's head.
+type History struct {
+	Page[Commit]
+	Branches map[string]string
+}
+
+// HistoryPage is one page of the commit log after the id after. A store
+// without versioning answers a 404 StatusError coded versioning_disabled.
+func (s *Server) HistoryPage(after int64, limit int) (History, error) {
+	h := History{Branches: map[string]string{}}
+	var err error
+	h.Page, err = listPage(s.commits, func(c Commit) int64 { return c.ID }, after, limit)
+	if err != nil {
+		return History{}, historyErr(err)
+	}
+	rows, err := s.store.DB.Query("SELECT name, head FROM __branches")
+	if err != nil {
+		return History{}, historyErr(err)
+	}
+	for rows.Next() {
+		row := rows.Row()
+		h.Branches[asStr(row[0])] = asStr(row[1])
+	}
+	return h, nil
+}
+
+func (s *Server) commits(after int64, limit int) ([]Commit, error) {
+	rows, err := s.store.DB.Query(fmt.Sprintf(
+		"SELECT id, hash, parents, author, message, campaign_id, lsn, created FROM __log WHERE id > ? ORDER BY id LIMIT %d", limit), after)
+	if err != nil {
+		return nil, err
+	}
+	var out []Commit
+	for rows.Next() {
+		row := rows.Row()
+		out = append(out, Commit{
+			ID: asI64(row[0]), Hash: asStr(row[1]), Parents: asStr(row[2]),
+			Author: asStr(row[3]), Message: asStr(row[4]), CampaignID: asI64(row[5]),
+			LSN: asI64(row[6]), Created: asStr(row[7]),
+		})
+	}
+	return out, nil
+}
+
+// historyErr classifies a commit-log read failure: a missing system table
+// means versioning is off, a 404 not a 500.
+func historyErr(err error) error {
+	if strings.Contains(err.Error(), "no such table") {
+		return &StatusError{Status: http.StatusNotFound, Code: "versioning_disabled", Err: err}
+	}
+	return err
 }
 
 // ---- DTOs (schema structs carry no JSON tags; the wire shape is the
@@ -335,124 +504,77 @@ type campaignRunDTO struct {
 
 // ---- handlers ----
 
-func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request, rid string) {
-	after, limit, err := s.pageParams(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_cursor", err.Error())
-		return
-	}
-	key := fmt.Sprintf("objects?after=%d&limit=%d", after, limit)
-	s.respondCached(w, r, rid, key, func() (any, error) {
-		metas, err := s.store.ListObjectsPage(after, limit)
+// servePage is a paged list route: ?limit= and ?cursor= in, the
+// producer's page out through the cache, in the envelope body shapes.
+func servePage[P any](s *Server, name string, produce func(after int64, limit int) (P, error), body func(P) any) func(http.ResponseWriter, *http.Request, string) {
+	return func(w http.ResponseWriter, r *http.Request, rid string) {
+		after, limit, err := s.PageParams(r.URL.Query(), "cursor")
 		if err != nil {
-			return nil, err
+			s.failStore(w, rid, err)
+			return
 		}
-		p := page{Data: toMetaDTOs(metas), Count: len(metas)}
-		if len(metas) == limit {
-			p.NextCursor = encodeIDCursor(metas[len(metas)-1].ID)
-		}
-		return p, nil
-	})
+		key := name + "?after=" + strconv.FormatInt(after, 10) + "&limit=" + strconv.Itoa(limit)
+		s.respondCached(w, r, rid, key, func() (any, error) {
+			p, err := produce(after, limit)
+			if err != nil {
+				return nil, err
+			}
+			return body(p), nil
+		})
+	}
 }
 
-func (s *Server) handleIO500List(w http.ResponseWriter, r *http.Request, rid string) {
-	after, limit, err := s.pageParams(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_cursor", err.Error())
-		return
-	}
-	key := fmt.Sprintf("io500?after=%d&limit=%d", after, limit)
-	s.respondCached(w, r, rid, key, func() (any, error) {
-		metas, err := s.store.ListIO500Page(after, limit)
-		if err != nil {
-			return nil, err
-		}
-		p := page{Data: toMetaDTOs(metas), Count: len(metas)}
-		if len(metas) == limit {
-			p.NextCursor = encodeIDCursor(metas[len(metas)-1].ID)
-		}
-		return p, nil
-	})
+func metaBody(p Page[schema.Meta]) any {
+	return listBody{Data: toMetaDTOs(p.Rows), Count: len(p.Rows), NextCursor: p.Next}
 }
 
-func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request, rid string) {
-	after, limit, err := s.pageParams(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_cursor", err.Error())
-		return
+func campaignsBody(p Page[schema.CampaignMeta]) any {
+	dtos := make([]campaignDTO, len(p.Rows))
+	for i, m := range p.Rows {
+		dtos[i] = toCampaignDTO(m)
 	}
-	key := fmt.Sprintf("campaigns?after=%d&limit=%d", after, limit)
-	s.respondCached(w, r, rid, key, func() (any, error) {
-		metas, err := s.store.ListCampaignsPage(after, limit)
-		if err != nil {
-			return nil, err
-		}
-		dtos := make([]campaignDTO, len(metas))
-		for i, m := range metas {
-			dtos[i] = toCampaignDTO(m)
-		}
-		p := page{Data: dtos, Count: len(metas)}
-		if len(metas) == limit {
-			p.NextCursor = encodeIDCursor(metas[len(metas)-1].ID)
-		}
-		return p, nil
-	})
+	return listBody{Data: dtos, Count: len(dtos), NextCursor: p.Next}
 }
 
-// pathID parses the {id} segment; failures are client errors, not 500s.
-func pathID(r *http.Request) (int64, error) {
-	return strconv.ParseInt(r.PathValue("id"), 10, 64)
+func historyBody(h History) any {
+	return map[string]any{"data": h.Rows, "count": len(h.Rows), "next_cursor": h.Next, "branches": h.Branches}
 }
 
-func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, rid string) {
-	id, err := pathID(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_id", "id must be an integer")
-		return
-	}
-	s.respondCached(w, r, rid, fmt.Sprintf("object/%d", id), func() (any, error) {
-		obj, err := s.store.LoadObject(id)
+// servePoint is a by-id route: the {id} segment in, load's value out
+// through the cache.
+func servePoint(s *Server, name string, load func(id int64) (any, error)) func(http.ResponseWriter, *http.Request, string) {
+	return func(w http.ResponseWriter, r *http.Request, rid string) {
+		id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 		if err != nil {
-			return nil, err
+			s.writeError(w, rid, http.StatusBadRequest, "invalid_id", "id must be an integer")
+			return
 		}
-		return map[string]any{"data": obj}, nil
-	})
+		s.respondCached(w, r, rid, name+"/"+strconv.FormatInt(id, 10), func() (any, error) { return load(id) })
+	}
 }
 
-func (s *Server) handleIO500(w http.ResponseWriter, r *http.Request, rid string) {
-	id, err := pathID(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_id", "id must be an integer")
-		return
-	}
-	s.respondCached(w, r, rid, fmt.Sprintf("io500/%d", id), func() (any, error) {
-		obj, err := s.store.LoadIO500(id)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any{"data": obj}, nil
-	})
+func (s *Server) loadObject(id int64) (any, error) {
+	obj, err := s.store.LoadObject(id)
+	return map[string]any{"data": obj}, err
 }
 
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request, rid string) {
-	id, err := pathID(r)
+func (s *Server) loadIO500(id int64) (any, error) {
+	obj, err := s.store.LoadIO500(id)
+	return map[string]any{"data": obj}, err
+}
+
+func (s *Server) loadCampaign(id int64) (any, error) {
+	meta, runs, err := s.store.LoadCampaign(id)
 	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_id", "id must be an integer")
-		return
+		return nil, err
 	}
-	s.respondCached(w, r, rid, fmt.Sprintf("campaign/%d", id), func() (any, error) {
-		meta, runs, err := s.store.LoadCampaign(id)
-		if err != nil {
-			return nil, err
-		}
-		runDTOs := make([]campaignRunDTO, len(runs))
-		for i, cr := range runs {
-			runDTOs[i] = campaignRunDTO{Unit: cr.Unit, Name: cr.Name, Seed: cr.Seed,
-				Status: cr.Status, Attempts: cr.Attempts, WallMS: cr.WallMS,
-				Error: cr.Error, ObjectIDs: cr.ObjectIDs, IO500IDs: cr.IO500IDs}
-		}
-		return map[string]any{"data": toCampaignDTO(*meta), "runs": runDTOs}, nil
-	})
+	runDTOs := make([]campaignRunDTO, len(runs))
+	for i, cr := range runs {
+		runDTOs[i] = campaignRunDTO{Unit: cr.Unit, Name: cr.Name, Seed: cr.Seed,
+			Status: cr.Status, Attempts: cr.Attempts, WallMS: cr.WallMS,
+			Error: cr.Error, ObjectIDs: cr.ObjectIDs, IO500IDs: cr.IO500IDs}
+	}
+	return map[string]any{"data": toCampaignDTO(*meta), "runs": runDTOs}, nil
 }
 
 // handleQuery runs ad-hoc read-only SQL — the escape hatch for dashboards
@@ -487,109 +609,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, rid string)
 	})
 }
 
-// handleHistory pages the versioned-knowledge commit log (the __log system
-// table) and lists branches. Stores without versioning enabled answer a
-// structured 404.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, rid string) {
-	after, limit, err := s.pageParams(r)
-	if err != nil {
-		s.writeError(w, rid, http.StatusBadRequest, "invalid_cursor", err.Error())
-		return
-	}
-	key := fmt.Sprintf("history?after=%d&limit=%d", after, limit)
-	s.respondCachedErrMap(w, r, rid, key, func() (any, error) {
-		rows, err := s.store.DB.Query(fmt.Sprintf(
-			"SELECT id, hash, parents, author, message, campaign_id, lsn, created FROM __log WHERE id > ? ORDER BY id LIMIT %d", limit), after)
-		if err != nil {
-			return nil, err
-		}
-		type commitDTO struct {
-			ID         int64  `json:"id"`
-			Hash       string `json:"hash"`
-			Parents    string `json:"parents,omitempty"`
-			Author     string `json:"author,omitempty"`
-			Message    string `json:"message"`
-			CampaignID int64  `json:"campaign_id,omitempty"`
-			LSN        int64  `json:"lsn"`
-			Created    string `json:"created"`
-		}
-		var commits []commitDTO
-		for rows.Next() {
-			row := rows.Row()
-			commits = append(commits, commitDTO{
-				ID: asI64(row[0]), Hash: asStr(row[1]), Parents: asStr(row[2]),
-				Author: asStr(row[3]), Message: asStr(row[4]), CampaignID: asI64(row[5]),
-				LSN: asI64(row[6]), Created: asStr(row[7]),
-			})
-		}
-		brows, err := s.store.DB.Query("SELECT name, head FROM __branches")
-		if err != nil {
-			return nil, err
-		}
-		branches := map[string]string{}
-		for brows.Next() {
-			row := brows.Row()
-			branches[asStr(row[0])] = asStr(row[1])
-		}
-		p := page{Data: commits, Count: len(commits)}
-		if len(commits) == limit {
-			p.NextCursor = encodeIDCursor(commits[len(commits)-1].ID)
-		}
-		return map[string]any{"data": p.Data, "count": p.Count, "next_cursor": p.NextCursor, "branches": branches}, nil
-	}, func(err error) (int, string) {
-		if strings.Contains(err.Error(), "no such table") {
-			return http.StatusNotFound, "versioning_disabled"
-		}
-		return 0, ""
-	})
-}
-
-// respondCachedErrMap is respondCached with a custom error classifier for
-// endpoints whose store errors carry extra meaning (history: a missing
-// __log table means versioning is off, a 404 not a 500).
-func (s *Server) respondCachedErrMap(w http.ResponseWriter, r *http.Request, rid, key string,
-	fn func() (any, error), classify func(error) (int, string)) {
-	s.respondCached(w, r, rid, key, func() (any, error) {
-		data, err := fn()
-		if err != nil {
-			if status, code := classify(err); status != 0 {
-				return nil, &classifiedError{status: status, code: code, err: err}
-			}
-			return nil, err
-		}
-		return data, nil
-	})
-}
-
-type classifiedError struct {
-	status int
-	code   string
-	err    error
-}
-
-func (e *classifiedError) Error() string { return e.err.Error() }
-
 // handleTraces serves the distributed-tracing views: the slow-query log by
 // default, one assembled trace with ?trace_id=. Trace rings mutate outside
 // the commit LSN, so these are never cached.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, rid string) {
-	if id := r.URL.Query().Get("trace_id"); id != "" {
+	q := r.URL.Query()
+	if id := q.Get("trace_id"); id != "" {
 		spans := schema.TraceSpans(s.store.DB, id)
 		s.writeJSON(w, map[string]any{"data": spans, "count": len(spans)})
 		return
 	}
-	limit := defaultPageLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= s.maxLimit {
-			limit = n
-		}
+	_, limit, err := s.PageParams(q, "")
+	if err != nil {
+		s.failStore(w, rid, err)
+		return
 	}
 	slow := schema.SlowQueries(s.store.DB, limit)
 	s.writeJSON(w, map[string]any{"data": slow, "count": len(slow)})
 }
 
-// handleHealthz serves the store's status — the explorer's /healthz view —
-// in the API's JSON encoding.
+// handleHealthz serves the store's status: role, LSN, routed replicas and
+// the shard-map epoch (schema.Store.Status).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, rid string) {
 	s.writeJSON(w, s.store.Status())
 }

@@ -383,6 +383,24 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestTracesLimitParam: /v1/traces reads ?limit= with the list routes'
+// rule — a malformed value is a 400, an oversized one is clamped.
+func TestTracesLimitParam(t *testing.T) {
+	telemetry.Traces.Reset()
+	t.Cleanup(telemetry.Traces.Reset)
+	for i := 0; i < 3; i++ {
+		telemetry.Traces.RecordSlow(telemetry.SlowQuery{TraceID: fmt.Sprintf("slow%d", i), SQL: "SELECT 1", Seconds: float64(i + 1)})
+	}
+	s, _ := newTestServer(t, 1, Config{MaxPageLimit: 2})
+	if w, _ := get(t, s, "/v1/traces?limit=abc", nil); w.Code != http.StatusBadRequest {
+		t.Errorf("limit=abc: status %d, want 400", w.Code)
+	}
+	w, body := get(t, s, "/v1/traces?limit=100000", nil)
+	if w.Code != http.StatusOK || body["count"] != float64(2) {
+		t.Errorf("limit=100000: status %d count %v, want 200 and the clamp of 2", w.Code, body["count"])
+	}
+}
+
 func TestInflightShed503(t *testing.T) {
 	s, _ := newTestServer(t, 1, Config{MaxInflight: 1})
 	// Saturate the single slot from inside a handler is hard to stage

@@ -1,9 +1,10 @@
 package api
 
-// LSN-invalidated result cache. An entry is keyed by the normalized query
-// (route + parameters) and stamped with the (commit LSN, shard-map epoch)
-// pair observed when it was computed; it is served only while the current
-// pair still matches, so a single committed write — or a shard-map change —
+// LSN-invalidated result cache, shared by the JSON routes and the HTML
+// pages. An entry is keyed by the normalized query (a JSON route's name and
+// parsed parameters; a page's path and sorted query) and stamped with the
+// (commit LSN, shard-map epoch) pair observed when it was computed; it is
+// served only while the current pair still matches, so a single committed write — or a shard-map change —
 // invalidates every cached result at once. Correct and cheap beats clever
 // here: knowledge stores are read-mostly (ingest happens in campaign
 // bursts), so whole-cache invalidation on write costs little and can never
@@ -30,12 +31,14 @@ import (
 	"repro/internal/kdb"
 )
 
-// cacheEntry is one materialized response body plus its validators.
+// cacheEntry is one materialized response body, its content type and its
+// validators.
 type cacheEntry struct {
-	body  []byte
-	etag  string
-	lsn   int64
-	epoch int64
+	body        []byte
+	contentType string
+	etag        string
+	lsn         int64
+	epoch       int64
 }
 
 // maxCacheEntries bounds cache memory; a full cache first drops entries

@@ -2,47 +2,47 @@ package explorer
 
 import (
 	"fmt"
-	"html/template"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// handleCampaigns lists executed campaigns, newest first.
-func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	metas, err := s.Store.ListCampaigns()
+// campaigns lists one page of executed campaigns.
+func (x *pages) campaigns(r *http.Request) ([]byte, error) {
+	after, limit, err := x.front.PageParams(r.URL.Query(), "cursor")
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
+	}
+	p, err := x.front.CampaignsPage(after, limit)
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
-	if len(metas) == 0 {
+	if len(p.Rows) == 0 {
 		b.WriteString("<p>no campaigns executed yet — run <code>iokc campaign</code> or <code>experiments sweep</code></p>")
 	} else {
 		b.WriteString("<table><tr><th>id</th><th>name</th><th>status</th><th>units</th><th>workers</th><th>base seed</th><th>began</th><th>wall</th></tr>")
-		for _, m := range metas {
+		for _, m := range p.Rows {
 			fmt.Fprintf(&b, `<tr><td><a href="/campaign?id=%d">%d</a></td><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td><td>%s</td></tr>`,
 				m.ID, m.ID, esc(m.Name), esc(m.Status), m.Units, m.Workers, m.BaseSeed,
 				m.Began.Format("2006-01-02 15:04"), (time.Duration(m.WallMS) * time.Millisecond).String())
 		}
 		b.WriteString("</table>")
+		b.WriteString(nextLink(r, "cursor", p.Next))
 	}
-	s.render(w, "Campaigns", template.HTML(b.String()))
+	return page("Campaigns", b.String())
 }
 
-// handleCampaign is the campaign summary page: the header row plus every
-// unit's status, attempts, and links to the knowledge it produced.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+// campaign is the campaign summary page: the header row plus every unit's
+// status, attempts, and links to the knowledge it produced.
+func (x *pages) campaign(r *http.Request) ([]byte, error) {
+	id, err := queryID(r)
 	if err != nil {
-		s.fail(w, 400, fmt.Errorf("explorer: bad id %q", r.URL.Query().Get("id")))
-		return
+		return nil, err
 	}
-	meta, runs, err := s.Store.LoadCampaign(id)
+	meta, runs, err := x.store.LoadCampaign(id)
 	if err != nil {
-		s.failLoad(w, err)
-		return
+		return nil, err
 	}
 	var ok, failed, cancelled int
 	for _, run := range runs {
@@ -75,5 +75,5 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			strings.Join(links, " "), esc(run.Error))
 	}
 	b.WriteString("</table>")
-	s.render(w, fmt.Sprintf("Campaign #%d", id), template.HTML(b.String()))
+	return page(fmt.Sprintf("Campaign #%d", id), b.String())
 }

@@ -7,86 +7,105 @@
 // test cases, a bounding-box view for anomaly detection, a "create
 // configuration" form that generates new benchmark commands from stored
 // knowledge, and manual upload of local knowledge objects.
+//
+// The pages are HTML renderers mounted on the api's front door (Register):
+// they run through its request pipeline, answer GETs from its result
+// cache, and page lists with its cursors.
 package explorer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/api"
 	"repro/internal/bbox"
 	"repro/internal/chart"
 	"repro/internal/knowledge"
 	"repro/internal/recommend"
 	"repro/internal/schema"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workloadgen"
 )
 
-// Server is the knowledge explorer HTTP application.
-type Server struct {
-	Store *schema.Store
-	// Metrics backs the /metrics endpoints and the request middleware.
-	// New wires the process-wide default registry; tests may substitute a
-	// private one before the first request.
-	Metrics *telemetry.Registry
-	mux     *http.ServeMux
-	// knownPaths normalizes request paths for metric labels so series
-	// cardinality stays bounded under arbitrary client traffic.
-	knownPaths func(string) string
+// pages renders the explorer over the front door's store.
+type pages struct {
+	front *api.Server
+	store *schema.Store
 }
 
-// New builds the explorer over a knowledge store.
-func New(store *schema.Store) *Server {
-	s := &Server{Store: store, Metrics: telemetry.Default(), mux: http.NewServeMux()}
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
+// New builds a front door over store with default limits and the
+// explorer's pages mounted. Close it when done.
+func New(store *schema.Store) *api.Server {
+	front := api.New(api.Config{Store: store})
+	Register(front)
+	return front
+}
+
+// Register mounts the explorer's pages on the front door. A GET of a page
+// whose content depends only on the store is answered from the result
+// cache; /traces, /upload and POSTs are rendered on every request.
+func Register(front *api.Server) {
+	x := &pages{front: front, store: front.Store()}
+	for _, p := range []struct {
+		pattern, name string
+		cacheable     bool
+		render        func(*http.Request) ([]byte, error)
 	}{
-		{"/", s.handleIndex},
-		{"/knowledge", s.handleKnowledge},
-		{"/compare", s.handleCompare},
-		{"/io500", s.handleIO500},
-		{"/io500/bbox", s.handleBBox},
-		{"/configure", s.handleConfigure},
-		{"/upload", s.handleUpload},
-		{"/heatmap", s.handleHeatmap},
-		{"/campaigns", s.handleCampaigns},
-		{"/campaign", s.handleCampaign},
-		{"/history", s.handleHistory},
-		{"/traces", s.handleTraces},
-		{"/healthz", s.handleHealthz},
+		{"/{$}", "html_index", true, x.index},
+		{"/knowledge", "html_knowledge", true, x.knowledge},
+		{"/compare", "html_compare", true, x.compare},
+		{"/io500", "html_io500", true, x.io500},
+		{"/io500/bbox", "html_bbox", true, x.bbox},
+		{"/heatmap", "html_heatmap", true, x.heatmap},
+		{"/configure", "html_configure", true, x.configure},
+		{"/campaigns", "html_campaigns", true, x.campaigns},
+		{"/campaign", "html_campaign", true, x.campaign},
+		{"/history", "html_history", true, x.history},
+		{"/traces", "html_traces", false, x.traces},
+	} {
+		x.mount(p.pattern, p.name, p.cacheable, p.render)
 	}
-	known := make([]string, 0, len(routes)+2)
-	for _, r := range routes {
-		s.mux.HandleFunc(r.pattern, r.h)
-		known = append(known, r.pattern)
-	}
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		telemetry.Handler(s.Metrics).ServeHTTP(w, r)
-	})
-	s.mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		telemetry.JSONHandler(s.Metrics).ServeHTTP(w, r)
-	})
-	s.knownPaths = telemetry.PathNormalizer(append(known, "/metrics", "/metrics.json")...)
-	return s
+	front.Handle("/upload", "html_upload", http.HandlerFunc(x.upload))
 }
 
-// EnablePprof mounts net/http/pprof under /debug/pprof/. Profiling is
-// opt-in (a CLI flag), never on by default.
-func (s *Server) EnablePprof() {
-	telemetry.RegisterPprof(s.mux)
+const htmlType = "text/html; charset=utf-8"
+
+func (x *pages) mount(pattern, name string, cacheable bool, render func(*http.Request) ([]byte, error)) {
+	x.front.Handle(pattern, name, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if cacheable && r.Method == http.MethodGet {
+			if err := x.front.ServeCached(w, r, htmlType, func() ([]byte, error) { return render(r) }); err != nil {
+				respond(w, nil, err)
+			}
+			return
+		}
+		body, err := render(r)
+		respond(w, body, err)
+	}))
 }
 
-// ServeHTTP implements http.Handler, recording request counts and
-// latencies for every route.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	telemetry.Middleware(s.Metrics, s.knownPaths, s.mux).ServeHTTP(w, r)
+// respond writes a rendered page, or on err the error page at the status
+// the front door gives err (api.StatusOf).
+func respond(w http.ResponseWriter, body []byte, err error) {
+	status := http.StatusOK
+	if err != nil {
+		status = api.StatusOf(err)
+		body, _ = page("Error", `<p class="err">`+esc(err.Error())+`</p>`)
+	}
+	w.Header().Set("Content-Type", htmlType)
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// badRequest is a 400 for a malformed query parameter.
+func badRequest(format string, args ...any) error {
+	return &api.StatusError{Status: http.StatusBadRequest, Code: "bad_request", Err: fmt.Errorf(format, args...)}
 }
 
 const pageShell = `<!DOCTYPE html>
@@ -109,47 +128,58 @@ form.inline * { margin-right: 6px; }
 
 var shellTmpl = template.Must(template.New("shell").Parse(pageShell))
 
-func (s *Server) render(w http.ResponseWriter, title string, body template.HTML) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_ = shellTmpl.Execute(w, struct {
+// page lays body out in the shared shell.
+func page(title, body string) ([]byte, error) {
+	var b bytes.Buffer
+	err := shellTmpl.Execute(&b, struct {
 		Title string
 		Body  template.HTML
-	}{title, body})
+	}{title, template.HTML(body)})
+	return b.Bytes(), err
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	w.WriteHeader(code)
-	s.render(w, "Error", template.HTML(`<p class="err">`+template.HTMLEscapeString(err.Error())+`</p>`))
-}
-
-// failLoad maps a store load error to 404 when the object simply does not
-// exist, and 500 when the query or transport itself failed.
-func (s *Server) failLoad(w http.ResponseWriter, err error) {
-	if errors.Is(err, schema.ErrNotFound) {
-		s.fail(w, 404, err)
-		return
+// nextLink links the page after this one of a list: the request's query
+// with param set to the api cursor next. The last page has none.
+func nextLink(r *http.Request, param, next string) string {
+	if next == "" {
+		return ""
 	}
-	s.fail(w, 500, err)
+	q := r.URL.Query()
+	q.Set(param, next)
+	return `<p><a href="` + esc(r.URL.Path+"?"+q.Encode()) + `">next page →</a></p>`
 }
 
-// handleIndex lists benchmark knowledge objects and IO500 runs.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	objs, err := s.Store.ListObjects()
+// queryID parses the ?id= parameter (a form field too, for POSTs).
+func queryID(r *http.Request) (int64, error) {
+	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return 0, badRequest("explorer: bad id %q", r.FormValue("id"))
 	}
-	io5, err := s.Store.ListIO500()
+	return id, nil
+}
+
+// index lists one page of benchmark knowledge objects and one of IO500
+// runs, each with its own cursor, under the population summary.
+func (x *pages) index(r *http.Request) ([]byte, error) {
+	q := r.URL.Query()
+	after, limit, err := x.front.PageParams(q, "cursor")
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
+	}
+	io5After, _, err := x.front.PageParams(q, "io500_cursor")
+	if err != nil {
+		return nil, err
+	}
+	objs, err := x.front.ObjectsPage(after, limit)
+	if err != nil {
+		return nil, err
+	}
+	io5, err := x.front.IO500Page(io5After, limit)
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
-	if avgs, err := s.Store.OperationAverages(); err == nil && len(avgs) > 0 {
+	if avgs, err := x.store.OperationAverages(); err == nil && len(avgs) > 0 {
 		b.WriteString("<h2>Knowledge base population</h2><table><tr><th>operation</th><th>runs</th><th>mean MiB/s</th><th>best MiB/s</th><th>worst MiB/s</th></tr>")
 		for _, a := range avgs {
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>",
@@ -158,41 +188,41 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		b.WriteString("</table>")
 	}
 	b.WriteString("<h2>Benchmark knowledge objects</h2>")
-	if len(objs) == 0 {
+	if len(objs.Rows) == 0 {
 		b.WriteString("<p>none stored yet</p>")
 	} else {
 		b.WriteString("<table><tr><th>id</th><th>source</th><th>command</th><th>began</th><th></th></tr>")
-		for _, m := range objs {
+		for _, m := range objs.Rows {
 			fmt.Fprintf(&b, `<tr><td><a href="/knowledge?id=%d">%d</a></td><td>%s</td><td><code>%s</code></td><td>%s</td><td><a href="/configure?id=%d">create configuration</a></td></tr>`,
 				m.ID, m.ID, esc(m.Source), esc(m.Command), m.Began.Format("2006-01-02 15:04"), m.ID)
 		}
 		b.WriteString("</table>")
+		b.WriteString(nextLink(r, "cursor", objs.Next))
 	}
 	b.WriteString("<h2>IO500 runs</h2>")
-	if len(io5) == 0 {
+	if len(io5.Rows) == 0 {
 		b.WriteString("<p>none stored yet</p>")
 	} else {
 		b.WriteString("<table><tr><th>id</th><th>command</th><th>began</th></tr>")
-		for _, m := range io5 {
+		for _, m := range io5.Rows {
 			fmt.Fprintf(&b, `<tr><td><a href="/io500?id=%d">%d</a></td><td><code>%s</code></td><td>%s</td></tr>`,
 				m.ID, m.ID, esc(m.Command), m.Began.Format("2006-01-02 15:04"))
 		}
 		b.WriteString("</table>")
+		b.WriteString(nextLink(r, "io500_cursor", io5.Next))
 	}
-	s.render(w, "I/O Knowledge", template.HTML(b.String()))
+	return page("I/O Knowledge", b.String())
 }
 
-// handleKnowledge is the single-run knowledge viewer.
-func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+// knowledge is the single-run knowledge viewer.
+func (x *pages) knowledge(r *http.Request) ([]byte, error) {
+	id, err := queryID(r)
 	if err != nil {
-		s.fail(w, 400, fmt.Errorf("explorer: bad id %q", r.URL.Query().Get("id")))
-		return
+		return nil, err
 	}
-	o, err := s.Store.LoadObject(id)
+	o, err := x.store.LoadObject(id)
 	if err != nil {
-		s.failLoad(w, err)
-		return
+		return nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "<p>Command: <code>%s</code></p>", esc(o.Command))
@@ -272,7 +302,16 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 		}
 		b.WriteString("</ul>")
 	}
-	s.render(w, fmt.Sprintf("Knowledge #%d", id), template.HTML(b.String()))
+	return page(fmt.Sprintf("Knowledge #%d", id), b.String())
+}
+
+// compareMetrics are the comparison view's selectable axes.
+var compareMetrics = map[string]func(knowledge.Summary) float64{
+	"mean_mib": func(s knowledge.Summary) float64 { return s.MeanMiBps },
+	"max_mib":  func(s knowledge.Summary) float64 { return s.MaxMiBps },
+	"min_mib":  func(s knowledge.Summary) float64 { return s.MinMiBps },
+	"mean_ops": func(s knowledge.Summary) float64 { return s.MeanOps },
+	"mean_sec": func(s knowledge.Summary) float64 { return s.MeanSec },
 }
 
 // compareRow is one knowledge object in the comparison view.
@@ -281,10 +320,10 @@ type compareRow struct {
 	val float64
 }
 
-// handleCompare compares selected (or all) knowledge objects on a chosen
-// metric and operation, with filtering and sorting, and draws the boxplot
-// overview of the selected objects' throughput.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
+// compare compares the objects named by ?ids= (or one page of all of
+// them) on a chosen metric and operation, with filtering and sorting, and
+// draws the boxplot overview of the selected objects' throughput.
+func (x *pages) compare(r *http.Request) ([]byte, error) {
 	q := r.URL.Query()
 	op := q.Get("op")
 	if op == "" {
@@ -294,56 +333,53 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if metric == "" {
 		metric = "mean_mib"
 	}
+	metricOf, ok := compareMetrics[metric]
+	if !ok {
+		return nil, badRequest("explorer: unknown metric %q", metric)
+	}
 	filter := q.Get("filter")
 	sortDir := q.Get("sort")
-
-	metas, err := s.Store.ListObjects()
+	after, limit, err := x.front.PageParams(q, "cursor")
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
 	}
-	selected := map[int64]bool{}
-	if ids := q.Get("ids"); ids != "" {
-		for _, part := range strings.Split(ids, ",") {
+
+	var ids []int64
+	next := ""
+	if list := q.Get("ids"); list != "" {
+		for _, part := range strings.Split(list, ",") {
 			if id, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64); err == nil {
-				selected[id] = true
+				ids = append(ids, id)
 			}
 		}
+		if len(ids) > limit {
+			return nil, badRequest("explorer: %d ids named, at most %d per page (?limit=)", len(ids), limit)
+		}
+	} else {
+		objs, err := x.front.ObjectsPage(after, limit)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range objs.Rows {
+			ids = append(ids, m.ID)
+		}
+		next = objs.Next
 	}
 	var rows []compareRow
-	for _, m := range metas {
-		if len(selected) > 0 && !selected[m.ID] {
+	for _, id := range ids {
+		o, err := x.store.LoadObject(id)
+		if errors.Is(err, schema.ErrNotFound) {
 			continue
 		}
-		if filter != "" && !strings.Contains(strings.ToLower(m.Command), strings.ToLower(filter)) {
-			continue
-		}
-		o, err := s.Store.LoadObject(m.ID)
 		if err != nil {
-			s.fail(w, 500, err)
-			return
+			return nil, err
 		}
-		sm, ok := o.SummaryFor(op)
-		if !ok {
+		if filter != "" && !strings.Contains(strings.ToLower(o.Command), strings.ToLower(filter)) {
 			continue
 		}
-		var v float64
-		switch metric {
-		case "mean_mib":
-			v = sm.MeanMiBps
-		case "max_mib":
-			v = sm.MaxMiBps
-		case "min_mib":
-			v = sm.MinMiBps
-		case "mean_ops":
-			v = sm.MeanOps
-		case "mean_sec":
-			v = sm.MeanSec
-		default:
-			s.fail(w, 400, fmt.Errorf("explorer: unknown metric %q", metric))
-			return
+		if sm, ok := o.SummaryFor(op); ok {
+			rows = append(rows, compareRow{o: o, val: metricOf(sm)})
 		}
-		rows = append(rows, compareRow{o: o, val: v})
 	}
 	switch sortDir {
 	case "asc":
@@ -362,8 +398,8 @@ sort <select name="sort">` + options([]string{"", "asc", "desc"}, sortDir) + `</
 
 	if len(rows) == 0 {
 		b.WriteString("<p>no matching knowledge objects</p>")
-		s.render(w, "Compare", template.HTML(b.String()))
-		return
+		b.WriteString(nextLink(r, "cursor", next))
+		return page("Compare", b.String())
 	}
 	var labels []string
 	var values []float64
@@ -401,20 +437,19 @@ sort <select name="sort">` + options([]string{"", "asc", "desc"}, sortDir) + `</
 			row.o.ID, row.o.ID, esc(row.o.Command), row.val)
 	}
 	b.WriteString("</table>")
-	s.render(w, "Compare", template.HTML(b.String()))
+	b.WriteString(nextLink(r, "cursor", next))
+	return page("Compare", b.String())
 }
 
-// handleIO500 is the IO500 viewer: scores plus per-test-case values.
-func (s *Server) handleIO500(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
+// io500 is the IO500 viewer: scores plus per-test-case values.
+func (x *pages) io500(r *http.Request) ([]byte, error) {
+	id, err := queryID(r)
 	if err != nil {
-		s.fail(w, 400, fmt.Errorf("explorer: bad id %q", r.URL.Query().Get("id")))
-		return
+		return nil, err
 	}
-	o, err := s.Store.LoadIO500(id)
+	o, err := x.store.LoadIO500(id)
 	if err != nil {
-		s.failLoad(w, err)
-		return
+		return nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "<p>Command: <code>%s</code></p>", esc(o.Command))
@@ -446,34 +481,30 @@ func (s *Server) handleIO500(w http.ResponseWriter, r *http.Request) {
 		}
 		b.WriteString("</table>")
 	}
-	s.render(w, fmt.Sprintf("IO500 run #%d", id), template.HTML(b.String()))
+	return page(fmt.Sprintf("IO500 run #%d", id), b.String())
 }
 
-// handleBBox renders the bounding-box view over all stored IO500 runs
-// (Fig. 6): boxplots of the four boundary test cases plus diagnoses.
-func (s *Server) handleBBox(w http.ResponseWriter, r *http.Request) {
-	metas, err := s.Store.ListIO500()
+// bbox renders the bounding-box view over all stored IO500 runs (Fig. 6):
+// boxplots of the four boundary test cases plus diagnoses.
+func (x *pages) bbox(r *http.Request) ([]byte, error) {
+	metas, err := x.store.ListIO500()
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
 	}
 	if len(metas) == 0 {
-		s.render(w, "Bounding box", template.HTML("<p>no IO500 runs stored yet</p>"))
-		return
+		return page("Bounding box", "<p>no IO500 runs stored yet</p>")
 	}
 	var runs []*knowledge.IO500Object
 	for _, m := range metas {
-		o, err := s.Store.LoadIO500(m.ID)
+		o, err := x.store.LoadIO500(m.ID)
 		if err != nil {
-			s.fail(w, 500, err)
-			return
+			return nil, err
 		}
 		runs = append(runs, o)
 	}
 	series, err := bbox.CollectSeries(runs)
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
 	}
 	diags := bbox.DiagnoseSeries(series, 0.05)
 	var labels []string
@@ -488,26 +519,23 @@ func (s *Server) handleBBox(w http.ResponseWriter, r *http.Request) {
 		b.WriteString(svg)
 	}
 	b.WriteString("<pre>" + esc(bbox.Report(series, diags)) + "</pre>")
-	s.render(w, "Bounding box", template.HTML(b.String()))
+	return page("Bounding box", b.String())
 }
 
-// handleConfigure implements "create configuration": show the stored
-// command, accept overrides, emit the new command (paper §V-E1).
-func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.FormValue("id"), 10, 64)
+// configure implements "create configuration": show the stored command,
+// accept overrides, emit the new command (paper §V-E1).
+func (x *pages) configure(r *http.Request) ([]byte, error) {
+	id, err := queryID(r)
 	if err != nil {
-		s.fail(w, 400, fmt.Errorf("explorer: bad id %q", r.FormValue("id")))
-		return
+		return nil, err
 	}
-	o, err := s.Store.LoadObject(id)
+	o, err := x.store.LoadObject(id)
 	if err != nil {
-		s.failLoad(w, err)
-		return
+		return nil, err
 	}
 	base, err := workloadgen.CommandFromObject(o)
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "<p>Loaded configuration: <code>%s</code></p>", esc(base))
@@ -534,13 +562,49 @@ func (s *Server) handleConfigure(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, `<tr><th>%s (%s)</th><td><input name="opt%s"></td></tr>`, esc(opt.label), esc(opt.flag), esc(opt.flag))
 	}
 	b.WriteString(`</table><input type="submit" value="create configuration"></form>`)
-	s.render(w, fmt.Sprintf("Create configuration from #%d", id), template.HTML(b.String()))
+	return page(fmt.Sprintf("Create configuration from #%d", id), b.String())
 }
 
-// handleHeatmap renders the outlook's heat-map chart: stored knowledge
+// heatCells aggregates objects over two pattern axes: the sorted axis
+// labels and, per (y, x) cell, the mean of MeanMiBps over the objects
+// carrying both keys (0 where none do).
+func heatCells(objs []schema.PatternMean, xKey, yKey string) (xs, ys []string, values [][]float64) {
+	type cellKey struct{ x, y string }
+	sums := map[cellKey]float64{}
+	counts := map[cellKey]int{}
+	xSet := map[string]bool{}
+	ySet := map[string]bool{}
+	for _, o := range objs {
+		xv, okX := o.Pattern[xKey]
+		yv, okY := o.Pattern[yKey]
+		if !okX || !okY {
+			continue
+		}
+		k := cellKey{xv, yv}
+		sums[k] += o.MeanMiBps
+		counts[k]++
+		xSet[xv] = true
+		ySet[yv] = true
+	}
+	xs = sortedKeys(xSet)
+	ys = sortedKeys(ySet)
+	values = make([][]float64, len(ys))
+	for yi, yv := range ys {
+		values[yi] = make([]float64, len(xs))
+		for xi, xv := range xs {
+			k := cellKey{xv, yv}
+			if counts[k] > 0 {
+				values[yi][xi] = sums[k] / float64(counts[k])
+			}
+		}
+	}
+	return xs, ys, values
+}
+
+// heatmap renders the outlook's heat-map chart: stored knowledge
 // aggregated over two runtime-selectable pattern axes (e.g. tasks ×
 // transfer size), each cell the mean of a metric over matching objects.
-func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
+func (x *pages) heatmap(r *http.Request) ([]byte, error) {
 	q := r.URL.Query()
 	xKey := q.Get("x")
 	if xKey == "" {
@@ -554,56 +618,20 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	if op == "" {
 		op = "write"
 	}
-	metas, err := s.Store.ListObjects()
+	objs, err := x.store.PatternMeans(op)
 	if err != nil {
-		s.fail(w, 500, err)
-		return
+		return nil, err
 	}
-	type cellKey struct{ x, y string }
-	sums := map[cellKey]float64{}
-	counts := map[cellKey]int{}
-	xSet := map[string]bool{}
-	ySet := map[string]bool{}
-	for _, m := range metas {
-		o, err := s.Store.LoadObject(m.ID)
-		if err != nil {
-			s.fail(w, 500, err)
-			return
-		}
-		xv, okX := o.Pattern[xKey]
-		yv, okY := o.Pattern[yKey]
-		sm, okS := o.SummaryFor(op)
-		if !okX || !okY || !okS {
-			continue
-		}
-		k := cellKey{xv, yv}
-		sums[k] += sm.MeanMiBps
-		counts[k]++
-		xSet[xv] = true
-		ySet[yv] = true
-	}
+	xs, ys, values := heatCells(objs, xKey, yKey)
 	var b strings.Builder
 	b.WriteString(`<form class="inline" method="get">
 x axis <input name="x" value="` + esc(xKey) + `">
 y axis <input name="y" value="` + esc(yKey) + `">
 operation <select name="op">` + options([]string{"write", "read"}, op) + `</select>
 <input type="submit" value="apply"></form>`)
-	if len(xSet) == 0 || len(ySet) == 0 {
+	if len(xs) == 0 || len(ys) == 0 {
 		b.WriteString("<p>no knowledge objects carry both pattern keys</p>")
-		s.render(w, "Heat map", template.HTML(b.String()))
-		return
-	}
-	xs := sortedKeys(xSet)
-	ys := sortedKeys(ySet)
-	values := make([][]float64, len(ys))
-	for yi, yv := range ys {
-		values[yi] = make([]float64, len(xs))
-		for xi, xv := range xs {
-			k := cellKey{xv, yv}
-			if counts[k] > 0 {
-				values[yi][xi] = sums[k] / float64(counts[k])
-			}
-		}
+		return page("Heat map", b.String())
 	}
 	hm := chart.HeatMap{
 		Title:   fmt.Sprintf("mean %s bandwidth (MiB/s) by %s × %s", op, yKey, xKey),
@@ -611,16 +639,15 @@ operation <select name="op">` + options([]string{"write", "read"}, op) + `</sele
 		YLabels: ys,
 		Values:  values,
 	}
-	if svg, err := hm.SVG(); err == nil {
-		b.WriteString(svg)
-	} else {
-		s.fail(w, 500, err)
-		return
+	svg, err := hm.SVG()
+	if err != nil {
+		return nil, err
 	}
-	s.render(w, "Heat map", template.HTML(b.String()))
+	b.WriteString(svg)
+	return page("Heat map", b.String())
 }
 
-func sortedKeys(set map[string]bool) []string {
+func sortedKeys[V any](set map[string]V) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)
@@ -629,27 +656,43 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// handleUpload accepts a local knowledge object as JSON (the paper's
-// "local data" path) and stores it.
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		o, err := knowledge.DecodeJSON(r.Body)
-		if err != nil {
-			s.fail(w, 400, err)
-			return
-		}
-		o.ID = 0
-		id, err := s.Store.SaveObject(o)
-		if err != nil {
-			s.fail(w, 400, err)
-			return
-		}
-		http.Redirect(w, r, fmt.Sprintf("/knowledge?id=%d", id), http.StatusSeeOther)
+// maxUploadBytes caps a POST /upload body. A knowledge object is JSON of a
+// few KiB to a few MiB; anything past the cap is refused before decoding.
+const maxUploadBytes = 16 << 20
+
+// upload accepts a local knowledge object as JSON (the paper's "local
+// data" path) and stores it.
+func (x *pages) upload(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		body, err := page("Upload knowledge",
+			`<p>POST a knowledge object as JSON to this endpoint, e.g.
+<code>curl -X POST --data-binary @knowledge.json http://host/upload</code></p>`)
+		respond(w, body, err)
 		return
 	}
-	s.render(w, "Upload knowledge", template.HTML(
-		`<p>POST a knowledge object as JSON to this endpoint, e.g.
-<code>curl -X POST --data-binary @knowledge.json http://host/upload</code></p>`))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		respond(w, nil, &api.StatusError{Status: http.StatusRequestEntityTooLarge, Code: "too_large",
+			Err: fmt.Errorf("explorer: upload larger than %d bytes", maxUploadBytes)})
+		return
+	}
+	if err != nil {
+		respond(w, nil, badRequest("explorer: read upload: %v", err))
+		return
+	}
+	o, err := knowledge.DecodeJSON(bytes.NewReader(data))
+	if err != nil {
+		respond(w, nil, badRequest("%v", err))
+		return
+	}
+	o.ID = 0
+	id, err := x.store.SaveObject(o)
+	if err != nil {
+		respond(w, nil, badRequest("%v", err))
+		return
+	}
+	http.Redirect(w, r, fmt.Sprintf("/knowledge?id=%d", id), http.StatusSeeOther)
 }
 
 func options(vals []string, selected string) string {

@@ -64,7 +64,7 @@ func seedStore(t *testing.T) *schema.Store {
 	return c.Store
 }
 
-func get(t *testing.T, srv *Server, path string) (int, string) {
+func get(t *testing.T, srv http.Handler, path string) (int, string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()

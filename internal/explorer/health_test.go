@@ -12,7 +12,7 @@ import (
 	"repro/internal/schema"
 )
 
-func getHealth(t *testing.T, srv *Server) repl.Status {
+func getHealth(t *testing.T, srv http.Handler) repl.Status {
 	t.Helper()
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	rec := httptest.NewRecorder()
@@ -37,6 +37,7 @@ func TestHealthzStandalonePrimary(t *testing.T) {
 	}
 	defer store.Close()
 	srv := New(store)
+	defer srv.Close()
 	st := getHealth(t, srv)
 	if st.Role != "primary" {
 		t.Errorf("role = %q, want primary", st.Role)
@@ -63,7 +64,9 @@ func TestHealthzRoutedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	st := getHealth(t, New(store))
+	srv := New(store)
+	defer srv.Close()
+	st := getHealth(t, srv)
 	if st.Role != "primary" || st.AppliedLSN == 0 {
 		t.Fatalf("health = %+v, want a primary past its DDL", st)
 	}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Error paths: malformed IDs must 400, missing rows must 404, and the
-// failure pages must say why.
+// Error paths: malformed IDs and parameters must 400, missing rows must
+// 404, and the failure pages must say why.
 func TestExplorerErrorPaths(t *testing.T) {
 	srv := New(seedStore(t))
 	srv.Metrics = telemetry.NewRegistry()
@@ -28,6 +28,11 @@ func TestExplorerErrorPaths(t *testing.T) {
 		{"/campaign?id=banana", 400},
 		{"/campaign?id=999999", 404},
 		{"/nonexistent-page", 404},
+		// The metric is checked before any store read, so a filter that
+		// matches nothing cannot turn a bad metric into a 200.
+		{"/compare?metric=bogus&filter=nomatch", 400},
+		{"/?limit=abc", 400},
+		{"/traces?limit=0", 400},
 	}
 	for _, c := range cases {
 		code, body := get(t, srv, c.path)
@@ -36,13 +41,16 @@ func TestExplorerErrorPaths(t *testing.T) {
 		}
 	}
 
-	// The middleware saw every request above and bucketed unknown paths.
+	// The front door's pipeline saw every request above, labelled by route.
 	snap := srv.Metrics.Snapshot()
-	if got := snap.Counters[telemetry.Label("http_requests_total", "path", "/knowledge", "code", "4xx")]; got != 3 {
-		t.Errorf("knowledge 4xx counter = %d, want 3", got)
+	if got := snap.Counters[telemetry.Label("api_requests_total", "path", "html_knowledge", "code", "400")]; got != 2 {
+		t.Errorf("knowledge 400 counter = %d, want 2", got)
 	}
-	if got := snap.Counters[telemetry.Label("http_requests_total", "path", "other", "code", "4xx")]; got != 1 {
-		t.Errorf("other 4xx counter = %d, want 1", got)
+	if got := snap.Counters[telemetry.Label("api_requests_total", "path", "html_knowledge", "code", "404")]; got != 1 {
+		t.Errorf("knowledge 404 counter = %d, want 1", got)
+	}
+	if got := snap.Counters[telemetry.Label("api_requests_total", "path", "unmatched", "code", "404")]; got != 1 {
+		t.Errorf("unmatched 404 counter = %d, want 1", got)
 	}
 }
 
@@ -58,9 +66,9 @@ func TestMetricsEndpoints(t *testing.T) {
 		t.Fatalf("GET /metrics = %d", code)
 	}
 	for _, want := range []string{
-		"# TYPE http_requests_total counter",
-		`http_requests_total{path="/",code="2xx"} 1`,
-		"# TYPE http_request_seconds histogram",
+		"# TYPE api_requests_total counter",
+		`api_requests_total{path="html_index",code="200"} 1`,
+		"# TYPE api_request_seconds histogram",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -71,7 +79,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("GET /metrics.json = %d", code)
 	}
-	if !strings.Contains(body, `"counters"`) || !strings.Contains(body, "http_requests_total") {
+	if !strings.Contains(body, `"counters"`) || !strings.Contains(body, "api_requests_total") {
 		t.Errorf("/metrics.json body:\n%s", body)
 	}
 }
@@ -118,14 +126,16 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestPprofOptIn: the front door serves no profiling endpoints until they
+// are mounted on it, as `iokc serve --pprof` does.
 func TestPprofOptIn(t *testing.T) {
 	srv := New(seedStore(t))
 	srv.Metrics = telemetry.NewRegistry()
 	if code, _ := get(t, srv, "/debug/pprof/"); code != 404 {
 		t.Fatalf("pprof reachable without opt-in: %d", code)
 	}
-	srv.EnablePprof()
+	srv.Handle("/debug/pprof/", "pprof", telemetry.Pprof())
 	if code, _ := get(t, srv, "/debug/pprof/"); code != 200 {
-		t.Fatalf("pprof after EnablePprof = %d", code)
+		t.Fatalf("pprof after mounting = %d", code)
 	}
 }

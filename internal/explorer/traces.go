@@ -10,7 +10,6 @@ package explorer
 
 import (
 	"fmt"
-	"html/template"
 	"net/http"
 	"strings"
 	"time"
@@ -19,16 +18,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-const slowQueryPageLimit = 100
-
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("id"); id != "" {
-		s.renderTrace(w, id)
-		return
+func (x *pages) traces(r *http.Request) ([]byte, error) {
+	q := r.URL.Query()
+	if id := q.Get("id"); id != "" {
+		return x.trace(id)
+	}
+	_, limit, err := x.front.PageParams(q, "")
+	if err != nil {
+		return nil, err
 	}
 	var b strings.Builder
 	b.WriteString("<h2>Slow queries</h2>")
-	slow := schema.SlowQueries(s.Store.DB, slowQueryPageLimit)
+	slow := schema.SlowQueries(x.store.DB, limit)
 	if len(slow) == 0 {
 		b.WriteString(`<p>no slow queries logged — serve with <code>iokc servedb --slow-query 100ms</code> ` +
 			`(or <code>iokc serve --slow-query</code>) to start the log, ` +
@@ -43,18 +44,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		b.WriteString("</table>")
 	}
-	s.render(w, "Traces", template.HTML(b.String()))
+	return page("Traces", b.String())
 }
 
-func (s *Server) renderTrace(w http.ResponseWriter, id string) {
+func (x *pages) trace(id string) ([]byte, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "<h2>Trace <code>%s</code></h2>", esc(id))
-	spans := schema.TraceSpans(s.Store.DB, id)
+	spans := schema.TraceSpans(x.store.DB, id)
 	if len(spans) == 0 {
 		b.WriteString(`<p>no spans retained for this trace — the span ring may have wrapped, ` +
 			`or the trace ran on a node this store cannot reach</p>`)
-		s.render(w, "Traces", template.HTML(b.String()))
-		return
+		return page("Traces", b.String())
 	}
 	b.WriteString("<table><tr><th>span</th><th>node</th><th>seconds</th><th>attrs</th><th>sql</th></tr>")
 	for _, row := range telemetry.SpanTree(spans) {
@@ -65,7 +65,7 @@ func (s *Server) renderTrace(w http.ResponseWriter, id string) {
 	}
 	b.WriteString("</table>")
 	b.WriteString(`<p><a href="/traces">← all slow queries</a></p>`)
-	s.render(w, "Traces", template.HTML(b.String()))
+	return page("Traces", b.String())
 }
 
 func clip(s string, n int) string {

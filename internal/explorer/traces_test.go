@@ -151,7 +151,9 @@ func TestHealthzCarriesEpochAndLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	st := getHealth(t, New(store))
+	srv := New(store)
+	defer srv.Close()
+	st := getHealth(t, srv)
 	if st.Role != "primary" || st.Epoch != 7 || st.AppliedLSN == 0 {
 		t.Errorf("health = %+v, want a primary at epoch 7 past its DDL", st)
 	}

@@ -748,6 +748,44 @@ func (s *Store) MeanBandwidth(perfID int64, op string) (float64, error) {
 	return asFloat(row[0]), nil
 }
 
+// PatternMean is one knowledge object's access pattern with the mean
+// bandwidth of its summary of one operation.
+type PatternMean struct {
+	ID        int64
+	Pattern   map[string]string
+	MeanMiBps float64
+}
+
+// PatternMeans reads, in one join, every knowledge object that has a
+// summary of op, with its pattern and that summary's mean bandwidth — the
+// explorer's heat map. An object with several summaries of op contributes
+// its first by summaries.id, the one Object.SummaryFor picks.
+func (s *Store) PatternMeans(op string) ([]PatternMean, error) {
+	rows, err := s.DB.Query(
+		`SELECT performances.id, performances.pattern_json, summaries.mean_mib
+		 FROM summaries JOIN performances ON summaries.performance_id = performances.id
+		 WHERE summaries.operation = ? ORDER BY summaries.id`, op)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[int64]bool{}
+	var out []PatternMean
+	for rows.Next() {
+		r := rows.Row()
+		id := asInt(r[0])
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		pm := PatternMean{ID: id, MeanMiBps: asFloat(r[2])}
+		if err := json.Unmarshal([]byte(asString(r[1])), &pm.Pattern); err != nil {
+			return nil, fmt.Errorf("schema: decode pattern of knowledge object %d: %w", id, err)
+		}
+		out = append(out, pm)
+	}
+	return out, nil
+}
+
 // OpAverage is one row of the per-operation aggregate view.
 type OpAverage struct {
 	Operation string

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"time"
 )
 
 // Handler serves the registry in the Prometheus text exposition format.
@@ -26,77 +25,15 @@ func JSONHandler(r *Registry) http.Handler {
 	})
 }
 
-// Middleware wraps an HTTP handler with request counting and latency
-// histograms. The path label is normalized through pathLabel (keep the
-// set of known routes, bucket everything else) so series cardinality stays
-// bounded no matter what clients request.
-func Middleware(r *Registry, pathLabel func(string) string, next http.Handler) http.Handler {
-	if r == nil {
-		return next
-	}
-	if pathLabel == nil {
-		pathLabel = func(string) string { return "other" }
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, req)
-		path := pathLabel(req.URL.Path)
-		r.Counter(Label("http_requests_total", "path", path, "code", statusClass(sw.code))).Inc()
-		r.Histogram(Label("http_request_seconds", "path", path)).Observe(time.Since(start).Seconds())
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func statusClass(code int) string {
-	switch {
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
-	}
-}
-
-// PathNormalizer returns a pathLabel function that maps any path to its
-// longest matching known prefix, or "other".
-func PathNormalizer(known ...string) func(string) string {
-	return func(p string) string {
-		best := ""
-		for _, k := range known {
-			if (p == k || strings.HasPrefix(p, k+"/") || (k != "/" && strings.HasPrefix(p, k))) && len(k) > len(best) {
-				best = k
-			}
-		}
-		if best == "" {
-			if p == "/" {
-				return "/"
-			}
-			return "other"
-		}
-		return best
-	}
-}
-
-// RegisterPprof mounts the net/http/pprof handlers under /debug/pprof/ on
-// mux. Callers gate this behind an explicit flag: profiling endpoints are
+// Pprof serves the net/http/pprof handlers; mount it at /debug/pprof/.
+// Callers gate this behind an explicit flag: profiling endpoints are
 // opt-in, never on by default.
-func RegisterPprof(mux *http.ServeMux) {
+func Pprof() http.Handler {
+	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -284,24 +284,6 @@ func TestHandlersAndMiddleware(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"c_total": 1`) {
 		t.Fatalf("json handler: %s", rec.Body.String())
 	}
-
-	norm := PathNormalizer("/", "/knowledge", "/campaign")
-	if norm("/knowledge") != "/knowledge" || norm("/campaigns") != "/campaign" {
-		t.Fatalf("normalizer: %q %q", norm("/knowledge"), norm("/campaigns"))
-	}
-	if norm("/nope") != "other" || norm("/") != "/" {
-		t.Fatalf("normalizer fallback: %q %q", norm("/nope"), norm("/"))
-	}
-
-	h := Middleware(r, norm, Handler(r))
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/knowledge", nil))
-	if got := r.Counter(Label("http_requests_total", "path", "/knowledge", "code", "2xx")).Value(); got != 1 {
-		t.Fatalf("middleware counter = %d", got)
-	}
-	if got := r.Histogram(Label("http_request_seconds", "path", "/knowledge")).Count(); got != 1 {
-		t.Fatalf("middleware histogram count = %d", got)
-	}
 }
 
 // TestHistogramBucketBoundaries pins the le (less-than-or-equal) bucket

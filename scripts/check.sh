@@ -17,7 +17,9 @@ GO=${GO:-go}
 # shared-store cycle runs, telemetry's lock-free metric registry, vcs's
 # commit/checkout/merge paths racing store writers, the api's
 # LSN-invalidated cache racing ingest and its many keep-alive clients, and
-# the explorer, whose /traces walks the shared trace store while hops record.
+# the explorer, whose pages share that cache with a concurrent writer
+# (TestExplorerPagesCached) and whose /traces walks the shared trace store
+# while hops record.
 RACE_PKGS="
 ./internal/kdb/...
 ./internal/colstore/...
