@@ -3,6 +3,7 @@ package kdb
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -809,12 +810,8 @@ func (db *DB) execUpdate(s *updateStmt, args []any, live bool) (Result, func(), 
 		sets = append(sets, setOp{idx, set.Val})
 		movesKey = movesKey || idx == t.pkIndex
 	}
-	env := singleTableEnv(t)
 	// Saved pre-images of every mutated row, for rollback.
-	type preImage struct {
-		row []any
-		old []any
-	}
+	type preImage struct{ row, old []any }
 	var saved []preImage
 	undo := func() {
 		for _, p := range saved {
@@ -824,45 +821,27 @@ func (db *DB) execUpdate(s *updateStmt, args []any, live bool) (Result, func(), 
 			t.invalidateIndexes()
 		}
 	}
-	apply := func(row []any) error {
-		match, err := matchWhere(s.Where, env, row, args)
-		if err != nil || !match {
-			return err
-		}
+	p := t.planWalk(singleTableEnv(t), nil, s.Where, args)
+	_, err := p.walk(func(_ int, row []any) (bool, error) {
 		saved = append(saved, preImage{row: row, old: append([]any(nil), row...)})
 		for _, set := range sets {
 			v, err := evalValue(set.val, args)
 			if err != nil {
-				return err
+				return false, err
 			}
 			cv, err := coerce(v, t.Columns[set.idx].Type)
 			if err != nil {
-				return err
+				return false, err
 			}
 			row[set.idx] = cv
 		}
-		return nil
+		return false, nil
+	})
+	if err != nil {
+		undo()
+		return Result{}, nil, err
 	}
-	var res Result
-	if cand, ok := t.indexCandidates(s.Where, env, args); ok {
-		for _, pos := range cand {
-			before := len(saved)
-			if err := apply(t.Rows[pos]); err != nil {
-				undo()
-				return Result{}, nil, err
-			}
-			res.RowsAffected += len(saved) - before
-		}
-	} else {
-		for _, row := range t.Rows {
-			before := len(saved)
-			if err := apply(row); err != nil {
-				undo()
-				return Result{}, nil, err
-			}
-			res.RowsAffected += len(saved) - before
-		}
-	}
+	res := Result{RowsAffected: len(saved)}
 	if res.RowsAffected > 0 {
 		t.invalidateIndexes()
 	}
@@ -888,60 +867,30 @@ func (db *DB) execDelete(s *deleteStmt, args []any) (Result, func(), error) {
 	if !ok {
 		return Result{}, nil, fmt.Errorf("kdb: no such table %q", s.Table)
 	}
-	env := singleTableEnv(t)
-	old := t.Rows
-	var res Result
-	if cand, ok := t.indexCandidates(s.Where, env, args); ok {
-		// Index pre-filter: only candidate positions can match; everything
-		// else is kept wholesale.
-		drop := make(map[int]bool, len(cand))
-		for _, pos := range cand {
-			match, err := matchWhere(s.Where, env, old[pos], args)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			if match {
-				drop[pos] = true
-			}
-		}
-		if len(drop) == 0 {
-			return Result{}, nil, nil
-		}
-		kept := make([][]any, 0, len(old)-len(drop))
-		for pos, row := range old {
-			if drop[pos] {
-				res.RowsAffected++
-				continue
-			}
-			kept = append(kept, row)
-		}
-		t.Rows = kept
-	} else {
-		// Build a fresh slice rather than filtering in place so the old
-		// snapshot stays intact for rollback.
-		kept := make([][]any, 0, len(old))
-		for _, row := range old {
-			match, err := matchWhere(s.Where, env, row, args)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			if match {
-				res.RowsAffected++
-				continue
-			}
-			kept = append(kept, row)
-		}
-		if res.RowsAffected == 0 {
-			return Result{}, nil, nil
-		}
-		t.Rows = kept
+	var drop []int // the matching positions, ascending
+	p := t.planWalk(singleTableEnv(t), nil, s.Where, args)
+	_, err := p.walk(func(pos int, _ []any) (bool, error) {
+		drop = append(drop, pos)
+		return false, nil
+	})
+	if err != nil || len(drop) == 0 {
+		return Result{}, nil, err
 	}
+	// Build a fresh slice rather than filtering in place so the old
+	// snapshot stays intact for rollback.
+	old := t.Rows
+	kept, from := make([][]any, 0, len(old)-len(drop)), 0
+	for _, pos := range drop {
+		kept = append(kept, old[from:pos]...)
+		from = pos + 1
+	}
+	t.Rows = append(kept, old[from:]...)
 	t.invalidateIndexes()
 	undo := func() {
 		t.Rows = old
 		t.invalidateIndexes()
 	}
-	return res, undo, nil
+	return Result{RowsAffected: len(drop)}, undo, nil
 }
 
 func (db *DB) execDrop(s *dropStmt) (Result, func(), error) {
@@ -967,17 +916,11 @@ type env struct {
 	width       int
 }
 
-func singleTableEnv(t *Table) *env {
-	e := &env{byQualified: map[string]int{}, byName: map[string]int{}, width: len(t.Columns)}
-	for i, c := range t.Columns {
-		e.byQualified[strings.ToLower(t.Name)+"."+strings.ToLower(c.Name)] = i
-		e.byName[strings.ToLower(c.Name)] = i
-	}
-	return e
-}
+func singleTableEnv(t *Table) *env { return (&env{}).extend(t) }
 
 func (e *env) extend(t *Table) *env {
-	ne := &env{byQualified: map[string]int{}, byName: map[string]int{}, width: e.width + len(t.Columns)}
+	n := len(e.byName) + len(t.Columns)
+	ne := &env{byQualified: make(map[string]int, n), byName: make(map[string]int, n), width: e.width + len(t.Columns)}
 	for k, v := range e.byQualified {
 		ne.byQualified[k] = v
 	}
@@ -1022,99 +965,13 @@ type selectStats struct {
 	// "+loop-join" per join step.
 	path string
 	// examined counts the row-store rows read to produce the result: the
-	// base rows the access path yielded (up to where a LIMIT stopped the
-	// filter) plus the joined-table rows compared at each join step. A
-	// system table counts the rows materialized for it; the columnar path
-	// reads no rows.
+	// base rows the walk read and the joined-table rows it compared, up to
+	// where a LIMIT stopped it. A system table counts the rows materialized
+	// for it; the columnar path reads no rows.
 	examined int
 	// lockWait is the time spent waiting for the read lock, in seconds;
 	// only the row engine takes it.
 	lockWait float64
-}
-
-// joinStep is one planned inner join: the joined table and the positions of
-// the ON clause's two columns in the row accumulated so far plus the joined
-// table's columns (width is the accumulated row's width).
-type joinStep struct {
-	table  *Table
-	li, ri int
-	width  int
-}
-
-// run joins the accumulated rows with the step's table. Matches for one
-// left row come out in ascending joined-row position. It returns the
-// strategy used and how many joined-table rows it compared.
-func (j joinStep) run(rows [][]any) (joined [][]any, strategy string, compared int, err error) {
-	jt := j.table
-	combine := func(lrow, rrow []any) []any {
-		combined := make([]any, 0, len(lrow)+len(rrow))
-		combined = append(combined, lrow...)
-		return append(combined, rrow...)
-	}
-	// Orient the predicate: one side must resolve into the left
-	// (accumulated) row, the other into the joined table's columns.
-	leftIdx, rightIdx := j.li, j.ri
-	if leftIdx >= j.width {
-		leftIdx, rightIdx = rightIdx, leftIdx
-	}
-	if leftIdx >= j.width || rightIdx < j.width {
-		// Degenerate predicate (both sides on one table): nested loop.
-		for _, lrow := range rows {
-			for _, rrow := range jt.Rows {
-				combined := combine(lrow, rrow)
-				compared++
-				eq, err := compareEq(combined[j.li], combined[j.ri])
-				if err != nil {
-					return nil, "", 0, err
-				}
-				if eq {
-					joined = append(joined, combined)
-				}
-			}
-		}
-		return joined, "loop", compared, nil
-	}
-	// Equijoin: probe the joined table's own index on its key column, or
-	// bucket the table for this one query when no index covers the column.
-	// Either way hashKey picks candidates and compareEq verifies each pair,
-	// so NULL = NULL and 1 = 1.0 join exactly as the nested loop would.
-	rcol := rightIdx - j.width
-	var buckets map[any][]int
-	if ix := jt.indexOn(rcol); ix != nil {
-		strategy, buckets = "index", jt.freshBuckets(ix)
-	} else {
-		strategy, buckets = "hash", make(map[any][]int, len(jt.Rows))
-		for pos, rrow := range jt.Rows {
-			k := hashKey(rrow[rcol])
-			buckets[k] = append(buckets[k], pos)
-		}
-	}
-	for _, lrow := range rows {
-		for _, pos := range buckets[hashKey(lrow[leftIdx])] {
-			rrow := jt.Rows[pos]
-			compared++
-			eq, err := compareEq(lrow[leftIdx], rrow[rcol])
-			if err != nil {
-				return nil, "", 0, err
-			}
-			if eq {
-				joined = append(joined, combine(lrow, rrow))
-			}
-		}
-	}
-	return joined, strategy, compared, nil
-}
-
-// orderedByBaseKey reports whether rows produced in ascending base-table
-// position already satisfy the statement's ORDER BY: exactly the base
-// table's primary key, ascending, on a table stored in key order. (Join
-// output keeps base order, and the stable sort would keep it too.)
-func orderedByBaseKey(s *selectStmt, e *env, base *Table) bool {
-	if len(s.OrderBy) != 1 || s.OrderBy[0].Desc {
-		return false
-	}
-	idx, err := e.resolve(s.OrderBy[0].Col)
-	return err == nil && idx == base.pkIndex && base.pkSorted()
 }
 
 func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows, error) {
@@ -1122,133 +979,129 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 	if !ok {
 		return nil, fmt.Errorf("kdb: no such table %q", s.Table)
 	}
-	// Plan first: resolve every joined table and ON clause, so the WHERE
-	// clause's conjuncts can be read in the environment of the whole joined
-	// row before the base table's access path is chosen (see index.go).
-	e := singleTableEnv(base)
-	steps := make([]joinStep, len(s.Joins))
-	for i, j := range s.Joins {
-		jt, ok := db.tables[strings.ToLower(j.Table)]
-		if !ok {
-			return nil, fmt.Errorf("kdb: no such table %q", j.Table)
-		}
-		ne := e.extend(jt)
-		li, err := ne.resolve(j.Left)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := ne.resolve(j.Right)
-		if err != nil {
-			return nil, err
-		}
-		steps[i] = joinStep{table: jt, li: li, ri: ri, width: e.width}
-		e = ne
+	e, steps, err := db.planJoins(base, s.Joins)
+	if err != nil {
+		return nil, err
 	}
+	p := base.planWalk(e, steps, s.Where, args)
 	hasAgg := false
 	for _, it := range s.Items {
-		if it.Agg != "" {
-			hasAgg = true
-		}
+		hasAgg = hasAgg || it.Agg != ""
 	}
-	rows, path := base.selectAccess(s.Where, e, args)
-	examined := len(rows)
-	for _, j := range steps {
-		joined, strategy, compared, err := j.run(rows)
-		if err != nil {
-			return nil, err
-		}
-		metJoins[strategy].Inc()
-		rows, path, examined = joined, path+"+"+strategy+"-join", examined+compared
+	// Rows walked in ascending base position already satisfy an ORDER BY of
+	// exactly the base table's primary key, ascending, on a table stored in
+	// key order. With no sort to feed and nothing that needs every match,
+	// the walk can stop at the page boundary.
+	sorted := len(s.OrderBy) == 0
+	if len(s.OrderBy) == 1 && !s.OrderBy[0].Desc {
+		idx, err := e.resolve(s.OrderBy[0].Col)
+		sorted = err == nil && idx == base.pkIndex && base.pkSorted()
 	}
-	// With no sort to feed and nothing that needs every match, the filter
-	// can stop at the page boundary.
-	sorted := len(s.OrderBy) == 0 || orderedByBaseKey(s, e, base)
 	stopAt := -1
 	if sorted && s.Limit > 0 && !hasAgg && len(s.GroupBy) == 0 && !s.Distinct {
 		stopAt = s.Offset + s.Limit
 	}
-	// WHERE filter.
-	var filtered [][]any
-	for i, row := range rows {
-		match, err := matchWhere(s.Where, e, row, args)
-		if err != nil {
-			return nil, err
+	// The output is compiled before the walk, but an error WHERE raises
+	// while walking wins over a name error in it.
+	var out sink
+	if hasAgg || len(s.GroupBy) > 0 {
+		out, err = newGroupSink(s, e)
+	} else {
+		out, err = p.newPlainSink(s, sorted)
+	}
+	survivors := 0
+	examined, werr := p.walk(func(_ int, row []any) (bool, error) {
+		if err == nil {
+			out.add(row)
 		}
-		if match {
-			filtered = append(filtered, row)
-			if len(filtered) == stopAt {
-				if len(steps) == 0 {
-					examined = i + 1 // the rest of the base rows were never read
-				}
-				break
-			}
-		}
+		survivors++
+		return survivors == stopAt, nil
+	})
+	if err = cmp.Or(werr, err); err != nil {
+		return nil, err
 	}
-	st.path, st.examined = path, examined
-	// Grouped aggregation?
-	if len(s.GroupBy) > 0 {
-		return evalGrouped(s, e, filtered)
-	}
-	if hasAgg {
-		return evalAggregates(s, e, filtered)
-	}
-	var order []OrderKey
+	st.path, st.examined = p.path, examined
+	return out.result(), nil
+}
+
+// sink takes the rows a SELECT's walk lets through, one at a time, and
+// shapes its answer from them.
+type sink interface {
+	add(row []any)
+	result() *Rows
+}
+
+// plainSink collects what ShapeRows needs of a plain SELECT's rows.
+type plainSink struct {
+	s     *selectStmt
+	cols  []string
+	order []OrderKey
+	proj  []int
+	// keep, set for a join, lists the positions of the walk's reused row
+	// that a survivor keeps (order and proj then index the kept copy);
+	// otherwise a survivor is its stored row.
+	keep []int
+	rows [][]any
+}
+
+func (p *plan) newPlainSink(s *selectStmt, sorted bool) (*plainSink, error) {
+	ps := &plainSink{s: s, cols: make([]string, 0, len(s.Items)), proj: make([]int, 0, len(s.Items))}
 	if !sorted {
 		for _, oc := range s.OrderBy {
-			idx, err := e.resolve(oc.Col)
+			idx, err := p.env.resolve(oc.Col)
 			if err != nil {
 				return nil, err
 			}
-			order = append(order, OrderKey{idx, oc.Desc})
+			ps.order = append(ps.order, OrderKey{idx, oc.Desc})
 		}
 	}
-	var colNames []string
-	var colIdx []int
 	for _, it := range s.Items {
-		if it.Star {
-			for _, p := range orderedCols(e, base, s) {
-				colNames = append(colNames, p.name)
-				colIdx = append(colIdx, p.idx)
+		if !it.Star {
+			idx, err := p.env.resolve(it.Col)
+			if err != nil {
+				return nil, err
 			}
+			ps.cols, ps.proj = append(ps.cols, itemName(it)), append(ps.proj, idx)
 			continue
 		}
-		idx, err := e.resolve(it.Col)
-		if err != nil {
-			return nil, err
+		// Every column in position order: the base table's by name, a
+		// joined table's qualified.
+		for i, c := range p.base.Columns {
+			ps.cols, ps.proj = append(ps.cols, c.Name), append(ps.proj, i)
 		}
-		colNames = append(colNames, itemName(it))
-		colIdx = append(colIdx, idx)
-	}
-	return &Rows{Columns: colNames, rows: ShapeRows(filtered, order, colIdx, s.Distinct, s.Offset, s.Limit)}, nil
-}
-
-type colPair struct {
-	name string
-	idx  int
-}
-
-func orderedCols(e *env, base *Table, s *selectStmt) []colPair {
-	var out []colPair
-	for i, c := range base.Columns {
-		out = append(out, colPair{c.Name, i})
-	}
-	width := len(base.Columns)
-	for _, j := range s.Joins {
-		// Qualified names resolve positions; widths accumulate in join
-		// order, matching env.extend.
-		for name, idx := range e.byQualified {
-			if strings.HasPrefix(name, strings.ToLower(j.Table)+".") && idx >= width {
-				out = append(out, colPair{name, idx})
+		for _, j := range p.steps {
+			for i, c := range j.table.Columns {
+				ps.cols, ps.proj = append(ps.cols, strings.ToLower(j.table.Name+"."+c.Name)), append(ps.proj, j.width+i)
 			}
 		}
-		// width advance is approximate for multi-joins of same table name;
-		// schema avoids that case.
 	}
-	sort.Slice(out[len(base.Columns):], func(a, b int) bool {
-		rest := out[len(base.Columns):]
-		return rest[a].idx < rest[b].idx
-	})
-	return out
+	if len(p.steps) > 0 {
+		ps.keep = make([]int, 0, len(ps.order)+len(ps.proj))
+		for i := range ps.order {
+			ps.keep = append(ps.keep, ps.order[i].Idx)
+			ps.order[i].Idx = i
+		}
+		for i := range ps.proj {
+			ps.keep = append(ps.keep, ps.proj[i])
+			ps.proj[i] = len(ps.order) + i
+		}
+	}
+	return ps, nil
+}
+
+func (ps *plainSink) add(row []any) {
+	if ps.keep != nil {
+		kept := make([]any, len(ps.keep))
+		for i, c := range ps.keep {
+			kept[i] = row[c]
+		}
+		row = kept
+	}
+	ps.rows = append(ps.rows, row)
+}
+
+func (ps *plainSink) result() *Rows {
+	return &Rows{Columns: ps.cols, rows: ShapeRows(ps.rows, ps.order, ps.proj, ps.s.Distinct, ps.s.Offset, ps.s.Limit)}
 }
 
 // aggItem is one compiled output column of an aggregating SELECT: aggregate
@@ -1259,9 +1112,69 @@ type aggItem struct {
 	src int
 }
 
-// fold feeds one row to the aggregates of items.
-func fold(aggs []Agg, items []aggItem, row []any) {
-	for i, it := range items {
+// groupSink folds an aggregating SELECT's rows as they stream past, so it
+// holds its groups, not its input. Under GROUP BY plain select items must be
+// grouping columns, and the groups emit in ascending key order for
+// determinism, paged by OFFSET and LIMIT. Without it every row folds into
+// one group and the answer is one row, even over no input.
+type groupSink struct {
+	s      *selectStmt
+	cols   []string
+	items  []aggItem
+	keyIdx []int
+	key    []any
+	groups *Groups[[]Agg]
+}
+
+func newGroupSink(s *selectStmt, e *env) (*groupSink, error) {
+	g := &groupSink{s: s, keyIdx: make([]int, len(s.GroupBy)), key: make([]any, len(s.GroupBy))}
+	for i, ref := range s.GroupBy {
+		idx, err := e.resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		g.keyIdx[i] = idx
+	}
+	isGroupCol := func(ref colRef) (int, bool) {
+		for i, g := range s.GroupBy {
+			if strings.EqualFold(g.Name, ref.Name) && (ref.Table == "" || strings.EqualFold(g.Table, ref.Table)) {
+				return i, true
+			}
+		}
+		return 0, false
+	}
+	g.items, g.cols = make([]aggItem, len(s.Items)), make([]string, len(s.Items))
+	for i, it := range s.Items {
+		g.cols[i] = itemName(it)
+		switch k, ok := isGroupCol(it.Col); {
+		case it.Agg == "" && len(s.GroupBy) == 0:
+			return nil, fmt.Errorf("kdb: mixing aggregates and plain columns requires GROUP BY (unsupported)")
+		case it.Star:
+			return nil, fmt.Errorf("kdb: SELECT * is not valid with GROUP BY")
+		case it.Agg == "" && !ok:
+			return nil, fmt.Errorf("kdb: column %s must appear in GROUP BY or an aggregate", it.Col)
+		case it.Agg == "":
+			g.items[i] = aggItem{src: k}
+		case it.Agg == "COUNT" && it.Col.Name == "*":
+			g.items[i] = aggItem{fn: it.Agg, src: -1}
+		default:
+			idx, err := e.resolve(it.Col)
+			if err != nil {
+				return nil, err
+			}
+			g.items[i] = aggItem{fn: it.Agg, src: idx}
+		}
+	}
+	g.groups = NewGroups(func() []Agg { return make([]Agg, len(g.items)) })
+	return g, nil
+}
+
+func (g *groupSink) add(row []any) {
+	for i, idx := range g.keyIdx {
+		g.key[i] = row[idx]
+	}
+	aggs := g.groups.Add(g.key)
+	for i, it := range g.items {
 		switch {
 		case it.fn == "":
 		case it.src < 0:
@@ -1272,66 +1185,15 @@ func fold(aggs []Agg, items []aggItem, row []any) {
 	}
 }
 
-// compileAgg resolves an aggregate item's argument column.
-func compileAgg(it selectItem, e *env) (aggItem, error) {
-	if it.Agg == "COUNT" && it.Col.Name == "*" {
-		return aggItem{fn: it.Agg, src: -1}, nil
+func (g *groupSink) result() *Rows {
+	offset, limit := g.s.Offset, g.s.Limit
+	if len(g.keyIdx) == 0 {
+		g.groups.Add(nil) // the one group, opened if no row did
+		offset, limit = 0, -1
 	}
-	idx, err := e.resolve(it.Col)
-	return aggItem{fn: it.Agg, src: idx}, err
-}
-
-// evalGrouped implements GROUP BY: plain select items must be grouping
-// columns; aggregates fold per group as the rows stream past. Groups emit
-// in ascending key order for determinism; OFFSET and LIMIT apply to them.
-func evalGrouped(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
-	keyIdx := make([]int, len(s.GroupBy))
-	for i, ref := range s.GroupBy {
-		idx, err := e.resolve(ref)
-		if err != nil {
-			return nil, err
-		}
-		keyIdx[i] = idx
-	}
-	isGroupCol := func(ref colRef) (int, bool) {
-		for i, g := range s.GroupBy {
-			if strings.EqualFold(g.Name, ref.Name) && (ref.Table == "" || strings.EqualFold(g.Table, ref.Table)) {
-				return i, true
-			}
-		}
-		return 0, false
-	}
-	items := make([]aggItem, len(s.Items))
-	out := &Rows{Columns: make([]string, len(s.Items))}
-	for i, it := range s.Items {
-		if it.Star {
-			return nil, fmt.Errorf("kdb: SELECT * is not valid with GROUP BY")
-		}
-		if it.Agg == "" {
-			k, ok := isGroupCol(it.Col)
-			if !ok {
-				return nil, fmt.Errorf("kdb: column %s must appear in GROUP BY or an aggregate", it.Col)
-			}
-			out.Columns[i], items[i] = itemName(it), aggItem{src: k}
-			continue
-		}
-		out.Columns[i] = itemName(it)
-		var err error
-		if items[i], err = compileAgg(it, e); err != nil {
-			return nil, err
-		}
-	}
-	groups := NewGroups(func() []Agg { return make([]Agg, len(items)) })
-	key := make([]any, len(keyIdx))
-	for _, row := range rows {
-		for i, idx := range keyIdx {
-			key[i] = row[idx]
-		}
-		fold(groups.Add(key), items, row)
-	}
-	out.rows = groups.Page(s.Offset, s.Limit, func(key []any, aggs []Agg) []any {
-		row := make([]any, len(items))
-		for i, it := range items {
+	return &Rows{Columns: g.cols, rows: g.groups.Page(offset, limit, func(key []any, aggs []Agg) []any {
+		row := make([]any, len(g.items))
+		for i, it := range g.items {
 			if it.fn == "" {
 				row[i] = key[it.src]
 			} else {
@@ -1339,38 +1201,12 @@ func evalGrouped(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
 			}
 		}
 		return row
-	})
-	return out, nil
+	})}
 }
 
-// evalAggregates folds the whole filtered input into one row; it ignores
-// OFFSET and LIMIT.
-func evalAggregates(s *selectStmt, e *env, rows [][]any) (*Rows, error) {
-	items := make([]aggItem, len(s.Items))
-	out := &Rows{Columns: make([]string, len(s.Items))}
-	for i, it := range s.Items {
-		if it.Agg == "" {
-			return nil, fmt.Errorf("kdb: mixing aggregates and plain columns requires GROUP BY (unsupported)")
-		}
-		out.Columns[i] = itemName(it)
-		var err error
-		if items[i], err = compileAgg(it, e); err != nil {
-			return nil, err
-		}
-	}
-	aggs := make([]Agg, len(items))
-	for _, row := range rows {
-		fold(aggs, items, row)
-	}
-	result := make([]any, len(items))
-	for i, it := range items {
-		result[i] = aggs[i].Result(it.fn)
-	}
-	out.rows = [][]any{result}
-	return out, nil
-}
-
-func matchWhere(w expr, e *env, row []any, args []any) (bool, error) {
+// matchWhere evaluates a WHERE clause (none holds for every row) or, with
+// op set, the operand of a NOT, AND or OR, which must be boolean too.
+func matchWhere(w expr, e *env, row []any, args []any, op string) (bool, error) {
 	if w == nil {
 		return true, nil
 	}
@@ -1379,21 +1215,19 @@ func matchWhere(w expr, e *env, row []any, args []any) (bool, error) {
 		return false, err
 	}
 	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("kdb: WHERE clause is not boolean")
+	switch {
+	case ok:
+		return b, nil
+	case op != "":
+		return false, fmt.Errorf("kdb: %s of non-boolean", op)
 	}
-	return b, nil
+	return false, fmt.Errorf("kdb: WHERE clause is not boolean")
 }
 
 func evalExpr(ex expr, e *env, row []any, args []any) (any, error) {
 	switch x := ex.(type) {
-	case litExpr:
-		return x.Val, nil
-	case phExpr:
-		if x.Index >= len(args) {
-			return nil, fmt.Errorf("kdb: placeholder %d out of range (%d args)", x.Index+1, len(args))
-		}
-		return normalizeArg(args[x.Index])
+	case litExpr, phExpr:
+		return evalValue(ex, args)
 	case colExpr:
 		idx, err := e.resolve(x.Ref)
 		if err != nil {
@@ -1401,41 +1235,16 @@ func evalExpr(ex expr, e *env, row []any, args []any) (any, error) {
 		}
 		return row[idx], nil
 	case notExpr:
-		v, err := evalExpr(x.E, e, row, args)
-		if err != nil {
-			return nil, err
-		}
-		b, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("kdb: NOT of non-boolean")
-		}
-		return !b, nil
+		b, err := matchWhere(x.E, e, row, args, "NOT")
+		return !b, err
 	case binExpr:
-		switch x.Op {
-		case "AND", "OR":
-			lv, err := evalExpr(x.L, e, row, args)
-			if err != nil {
-				return nil, err
+		if x.Op == "AND" || x.Op == "OR" {
+			// AND stops at false, OR at true.
+			b, err := matchWhere(x.L, e, row, args, x.Op)
+			if err == nil && b != (x.Op == "OR") {
+				b, err = matchWhere(x.R, e, row, args, x.Op)
 			}
-			lb, ok := lv.(bool)
-			if !ok {
-				return nil, fmt.Errorf("kdb: %s of non-boolean", x.Op)
-			}
-			if x.Op == "AND" && !lb {
-				return false, nil
-			}
-			if x.Op == "OR" && lb {
-				return true, nil
-			}
-			rv, err := evalExpr(x.R, e, row, args)
-			if err != nil {
-				return nil, err
-			}
-			rb, ok := rv.(bool)
-			if !ok {
-				return nil, fmt.Errorf("kdb: %s of non-boolean", x.Op)
-			}
-			return rb, nil
+			return b, err
 		}
 		lv, err := evalExpr(x.L, e, row, args)
 		if err != nil {

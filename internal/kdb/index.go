@@ -1,39 +1,48 @@
 package kdb
 
-// Access paths. Every table with an INTEGER PRIMARY KEY gets an automatic
-// hash index on that column, and CREATE INDEX name ON table (col) adds named
-// secondary indexes on any column. A statement reaches rows one of three
-// ways, chosen from its WHERE clause's AND-spine before anything executes:
+// Access paths and the row walk. Every table with an INTEGER PRIMARY KEY
+// gets an automatic hash index on that column, and CREATE INDEX name ON
+// table (col) adds named secondary indexes on any column. SELECT, UPDATE and
+// DELETE reach their rows one way, the walk (walk.go). A statement is
+// planned once, its base table's access path chosen from the WHERE clause's
+// AND-spine before any row is read:
 //
 //   - index: a "col = value" conjunct on an indexed column of the base
-//     table cuts the rows to one hash bucket. SELECT (joined or not), UPDATE
-//     and DELETE all take it; for a join, conjuncts are resolved in the
-//     environment of the whole joined row, so an unqualified name that is
-//     ambiguous across the joined tables is never pushed below the join.
+//     table cuts the rows to one hash bucket. For a join, conjuncts are
+//     resolved in the environment of the whole joined row, so an unqualified
+//     name that is ambiguous across the joined tables is never pushed below
+//     the join.
 //   - range: on a table whose rows are in primary-key order (what append-only
 //     ingest with automatic ids produces), "pk > / >= / < / <= value"
 //     conjuncts become binary-searched position bounds. On such a table an
-//     ORDER BY of exactly that key ascending needs no sort, and without a
-//     sort, aggregate, GROUP BY or DISTINCT the filter stops once
-//     OFFSET+LIMIT rows have survived — a keyset page costs O(log n + limit).
+//     ORDER BY of exactly that key ascending needs no sort.
 //   - scan: everything else.
 //
-// Each inner-join step then probes the joined table's own hash index on its
-// join column (index-join); only when no index covers that column does it
-// bucket the joined table for the one query (hash-join), and a predicate
+// The walk reads the base rows in ascending position and carries each one
+// depth-first through a SELECT's inner-join steps. A step probes the joined
+// table's own hash index on its join column (index-join), or else buckets
+// the joined table when the first row reaches it (hash-join); a predicate
 // that does not relate the two sides falls back to the nested loop
 // (loop-join). Filters are never pushed onto the joined side and joins are
 // never reordered: result order without ORDER BY — base rows in ascending
 // position, matches in ascending joined-row position — is part of the
-// contract, and buckets list positions in that order.
+// contract, and buckets list positions in that order. WHERE sees each
+// joined row whole, and a row it keeps goes straight on: a SELECT's sink
+// folds it or keeps what the answer needs of it, an UPDATE assigns into it,
+// a DELETE notes its position; no join is materialized. Without a sort,
+// aggregate, GROUP BY or DISTINCT, a SELECT's walk stops once OFFSET+LIMIT
+// rows have survived — a keyset page costs O(log n + limit).
 //
 // An access path only ever removes rows the predicate would have removed:
 // hash keys collapse numerics (see hashKey), every candidate pair of a join
 // is verified with compareEq, and the full WHERE clause is applied to every
 // surviving row. The one visible difference from a scan is error
 // visibility: a row an index, range or LIMIT cut-off excludes is never shown
-// to the rest of the WHERE clause, so a conjunct that would have raised a
-// type error only on excluded rows no longer fails the statement.
+// to the rest of the WHERE clause, nor, past a LIMIT cut-off, to an ON
+// clause, so a comparison that would have raised a type error only on
+// excluded rows no longer fails the statement — an UPDATE or DELETE neither,
+// which replays to the same rows. Errors are met in walk order: a joined
+// row's ON comparison (only a loop-join's can fail) just before its WHERE.
 //
 // Maintenance strategy: inserts extend a fresh index in place and keep the
 // key-order flag with one comparison; updates, deletes and every rollback
@@ -62,28 +71,37 @@ type hashIndex struct {
 // as true, so NULLs index together.
 type nullKey struct{}
 
-// hashKey canonicalizes a value for bucket lookup. Numerics collapse to
-// float64 to mirror compareValues, which compares all numerics as floats;
-// candidates are always re-checked against the real predicate, so the
-// collapse can only cost a false candidate, never a wrong answer.
+// hashKey canonicalizes a value for bucket lookup. compareValues compares
+// all numerics as floats, so numerics with one float reading share a key: an
+// integral reading within ±2^53, where every integer is exact, is an int64
+// key, and any other reading a float64 key. An int64 in that range, a
+// non-integral float64 and a string are their own key, returned in the
+// caller's box, so probing a bucket allocates nothing. Candidates are always
+// re-checked against the real predicate, so the collapse can only cost a
+// false candidate, never a wrong answer.
 func hashKey(v any) any {
 	switch x := v.(type) {
 	case nil:
 		return nullKey{}
 	case int64:
-		return float64(x)
+		if -exactInts <= x && x <= exactInts {
+			return v
+		}
+		return hashKey(float64(x))
 	case float64:
-		return x
+		if x == math.Trunc(x) && math.Abs(x) <= exactInts {
+			return int64(x)
+		}
 	case bool:
 		if x {
-			return float64(1)
+			return int64(1)
 		}
-		return float64(0)
-	case string:
-		return x
+		return int64(0)
 	}
 	return v
 }
+
+const exactInts = 1 << 53
 
 // indexOn returns the table's index covering column col, if any.
 func (t *Table) indexOn(col int) *hashIndex {
@@ -153,15 +171,21 @@ func (t *Table) freshBuckets(ix *hashIndex) map[any][]int {
 	defer t.idxMu.Unlock()
 	if !ix.fresh {
 		metIndexRebuilds.Inc()
-		buckets := make(map[any][]int, len(t.Rows))
-		for pos, row := range t.Rows {
-			k := hashKey(row[ix.col])
-			buckets[k] = append(buckets[k], pos)
-		}
-		ix.buckets = buckets
+		ix.buckets = bucketRows(t.Rows, ix.col)
 		ix.fresh = true
 	}
 	return ix.buckets
+}
+
+// bucketRows maps the hash key of each row's column col to the positions of
+// the rows holding it, in ascending order.
+func bucketRows(rows [][]any, col int) map[any][]int {
+	buckets := make(map[any][]int, len(rows))
+	for pos, row := range rows {
+		k := hashKey(row[col])
+		buckets[k] = append(buckets[k], pos)
+	}
+	return buckets
 }
 
 // pkHolders counts the rows holding id as their INTEGER PRIMARY KEY. An id
@@ -335,43 +359,4 @@ func (t *Table) pkRange(preds []colPred, args []any) (lo, hi int, ok bool) {
 		lo = hi
 	}
 	return lo, hi, ok
-}
-
-// countAccess records the one access decision a statement makes for its
-// base table: served by an index (or key order), or scanned.
-func countAccess(served bool) {
-	if served {
-		metIndexHits.Inc()
-	} else {
-		metIndexMisses.Inc()
-	}
-}
-
-// indexCandidates plans a single-table UPDATE or DELETE: if some equality
-// conjunct is covered by an index, it returns the candidate row positions
-// (which the caller must still filter through the full predicate). The
-// boolean reports whether an index was usable.
-func (t *Table) indexCandidates(w expr, e *env, args []any) ([]int, bool) {
-	cand, ok := t.eqCandidates(collectPreds(w, e, nil), args)
-	countAccess(ok)
-	return cand, ok
-}
-
-// selectAccess picks how a SELECT reaches its base table's rows — an
-// equality index, a primary-key range, or a scan — and returns them in
-// ascending row position with the name of the path taken. e is the
-// statement's final (joined) environment.
-func (t *Table) selectAccess(w expr, e *env, args []any) (rows [][]any, path string) {
-	preds := collectPreds(w, e, nil)
-	rows, path = t.Rows, "scan"
-	if cand, ok := t.eqCandidates(preds, args); ok {
-		rows, path = make([][]any, len(cand)), "index"
-		for i, pos := range cand {
-			rows[i] = t.Rows[pos]
-		}
-	} else if lo, hi, ok := t.pkRange(preds, args); ok {
-		rows, path = t.Rows[lo:hi], "range"
-	}
-	countAccess(path != "scan")
-	return rows, path
 }

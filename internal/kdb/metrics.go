@@ -22,7 +22,7 @@ var (
 	metIndexHits       *telemetry.Counter
 	metIndexMisses     *telemetry.Counter
 	metIndexRebuilds   *telemetry.Counter
-	metJoins           map[string]*telemetry.Counter // by joinStep.run strategy
+	metJoins           map[string]*telemetry.Counter // by joinStep strategy
 	metWALFlushes      *telemetry.Counter
 	metWALBytes        *telemetry.Counter
 	metServerRequests  *telemetry.Counter

@@ -1123,6 +1123,8 @@ func TestSelectSpanNamesPlan(t *testing.T) {
 		{"SELECT child.id FROM child JOIN parent ON parent.id = child.parent_id WHERE parent.g = ?", []any{3}, "scan+index-join", 15, 300 + 300, [3]int64{1, 0, 0}},
 		{"SELECT body FROM parent JOIN note ON note.parent_id = parent.id WHERE parent.g = ?", []any{0}, "index+hash-join", 5, 5 + 5, [3]int64{0, 1, 0}},
 		{"SELECT body FROM parent JOIN note ON parent.id = parent.g WHERE parent.id = ?", []any{0}, "index+loop-join", 0, 0, [3]int64{0, 0, 1}},
+		// A LIMIT stops the join: two parents read, their five children compared.
+		{"SELECT child.id FROM parent JOIN child ON parent.id = child.parent_id LIMIT 5", nil, "scan+index-join", 5, 2 + 5, [3]int64{1, 0, 0}},
 		{"SELECT body FROM parent JOIN child ON parent.id = child.parent_id JOIN note ON note.parent_id = parent.id WHERE parent.id = ?",
 			[]any{2}, "index+index-join+hash-join", 3, 1 + 3 + 3, [3]int64{1, 1, 0}},
 	}
