@@ -476,6 +476,7 @@ func TestCampaignEndpoints(t *testing.T) {
 func TestMidLoadFailureIsNotCached(t *testing.T) {
 	_, store := newTestServer(t, 3, Config{})
 	// LoadIO500's reads, in order: run, scores, test cases, options, system.
+	// They are one read step, so the n-th failing fails all five.
 	for n := 1; n <= 5; n++ {
 		flaky := &kdbtest.FailNth{Conn: store.DB, N: n}
 		s := New(Config{Store: &schema.Store{DB: flaky}, Metrics: telemetry.NewRegistry()})
@@ -499,8 +500,8 @@ func TestMidLoadFailureIsNotCached(t *testing.T) {
 		if len(data["testcases"].([]any)) == 0 || data["score_total"] == 0.0 || data["system"] == nil {
 			t.Fatalf("retry after read %d failed served a truncated object: %s", n, w.Body)
 		}
-		if flaky.Reads != 5+n {
-			t.Fatalf("read %d failing: store saw %d reads, want %d (one aborted load, one whole)", n, flaky.Reads, 5+n)
+		if flaky.Reads != 10 {
+			t.Fatalf("read %d failing: store saw %d reads, want 10 (one failed step, one whole)", n, flaky.Reads)
 		}
 	}
 }

@@ -250,7 +250,11 @@ func appendBatchHead(dst []byte, key *uint64) []byte {
 	return append(dst, `,"stmts":[`...)
 }
 
-// appendBatchTail ends the line appendBatchHead started.
+// appendReadHead starts a read request's line: its statements follow as a
+// batch's do (appendStmt, comma between), then appendBatchTail.
+func appendReadHead(dst []byte) []byte { return append(dst, `{"op":"read","stmts":[`...) }
+
+// appendBatchTail ends the line appendBatchHead or appendReadHead started.
 func appendBatchTail(dst []byte, traceID, spanID string) []byte {
 	dst = append(dst, ']')
 	if traceID != "" {
@@ -818,12 +822,19 @@ func scanStatementRequest(line []byte) (req wireRequest, args []any, ok bool) {
 // — references aside — keeps them in rec, a slice of line, with refAt
 // locating its reference cells in rec; the rest get rec nil.
 func scanBatchRequest(line []byte) (req wireRequest, stmts []batchStmt, ok bool) {
-	c := cursor{b: line, refs: true}
-	if !c.has(`{"op":"batch"`) {
+	return scanStmtsRequest(line, "batch")
+}
+
+// scanStmtsRequest decodes a request line of op whose statements travel in
+// the batch's shape: a "batch" (scanBatchRequest), or a "read", which has no
+// placement key and whose statements carry no reference cells.
+func scanStmtsRequest(line []byte, op string) (req wireRequest, stmts []batchStmt, ok bool) {
+	c := cursor{b: line, refs: op == "batch"}
+	if !c.has(`{"op":"`) || !c.has(op) || !c.has(`"`) {
 		return wireRequest{}, nil, false
 	}
-	req.Op = "batch"
-	if c.has(`,"key":`) {
+	req.Op = op
+	if c.refs && c.has(`,"key":`) {
 		key := c.uint()
 		req.Key = &key
 	}

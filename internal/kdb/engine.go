@@ -45,6 +45,11 @@ type Table struct {
 	pkOrder pkOrder    // whether Rows is in primary-key order; see pkSorted
 	idxMu   sync.Mutex // serializes lazy index rebuilds under db.mu.RLock
 
+	// env resolves the table's column names. It is built with the table:
+	// columns never change after CREATE, and DROP and CREATE make a new
+	// *Table.
+	env *env
+
 	// inserts maps an INSERT this table has run to the positions of its
 	// columns, so a statement a log or a campaign repeats resolves its column
 	// names once. The parsed statement is planCache's, shared by every
@@ -525,54 +530,123 @@ func (db *DB) Query(query string, args ...any) (*Rows, error) {
 // serves names itself in selectStats.path, and the span is annotated here
 // and nowhere else.
 func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*Rows, error) {
-	hop := telemetry.StartHop(tc, "db.select")
-	hop.SetSQL(query)
-	stmt, err := parseCached(query)
-	if err != nil {
-		hop.Fail(err)
-		return nil, err
-	}
-	sel, ok := stmt.(*selectStmt)
-	if !ok {
-		err := fmt.Errorf("kdb: Query requires SELECT")
-		hop.Fail(err)
-		return nil, err
-	}
-	var st selectStats
-	rows, served, err := db.selectProvider(sel, args, &st)
-	if !served {
-		rows, served, err = selectTraceTable(sel, args, &st)
-	}
-	if !served {
-		rows, served = db.selectColumnar(sel, args, &st)
-	}
-	if !served {
-		rows, err = db.selectRows(sel, args, hop.TraceID(), &st)
-	}
-	if err != nil {
-		hop.Fail(err)
-		return nil, err
-	}
-	hop.Attr("path", st.path)
-	hop.AttrFloat("lock_wait_seconds", st.lockWait)
-	hop.AttrInt("rows", int64(rows.Len()))
-	hop.AttrInt("rows_examined", int64(st.examined))
-	hop.End()
-	return rows, nil
+	q := [1]pendingSelect{db.startSelect(tc, query, args)}
+	db.selectLocked(q[:])
+	return q[0].finish()
 }
 
-// selectRows is the last read source: the row engine under the read lock.
-// traceID becomes the exemplar of the statement's kdb_query_seconds sample.
-func (db *DB) selectRows(sel *selectStmt, args []any, traceID string, st *selectStats) (*Rows, error) {
-	lockStart := time.Now()
-	db.mu.RLock()
-	st.lockWait = sinceSeconds(lockStart)
-	metLockWaitSeconds.Observe(st.lockWait)
-	defer db.mu.RUnlock()
-	start := time.Now()
-	rows, err := db.execSelectStats(sel, args, st)
-	metQuerySeconds.ObserveEx(sinceSeconds(start), traceID)
-	return rows, err
+// Stmt is one statement of a read step: its SQL and arguments.
+type Stmt struct {
+	SQL  string
+	Args []any
+}
+
+// QueryBatch implements Conn: the SELECTs of one read step, answered in
+// order. Each is offered to the sources before the read lock as QueryTraced
+// offers it, and each keeps its "db.select" span; the ones left to the row
+// engine then run under one read lock, so they see one committed state. The
+// step fails at its first failing statement, and the rows of the statements
+// before it come back with the error.
+func (db *DB) QueryBatch(tc telemetry.TraceContext, stmts []Stmt) ([]*Rows, error) {
+	qs := make([]pendingSelect, 0, len(stmts))
+	for _, s := range stmts {
+		qs = append(qs, db.startSelect(tc, s.SQL, s.Args))
+		if qs[len(qs)-1].err != nil {
+			break
+		}
+	}
+	db.selectLocked(qs)
+	out := make([]*Rows, 0, len(qs))
+	for i := range qs {
+		rows, err := qs[i].finish()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows)
+	}
+	return out, nil
+}
+
+// pendingSelect is one SELECT on its way down the sources: parsed and
+// offered to those before the read lock (startSelect), answered by the row
+// engine under it when none of them served it (selectLocked), then reported
+// on its span (finish). A statement the step never reached is left
+// unanswered, and its span is never recorded.
+type pendingSelect struct {
+	hop    *telemetry.Hop
+	sel    *selectStmt
+	args   []any
+	st     selectStats
+	served bool
+	rows   *Rows
+	err    error
+}
+
+func (db *DB) startSelect(tc telemetry.TraceContext, query string, args []any) pendingSelect {
+	q := pendingSelect{hop: telemetry.StartHop(tc, "db.select"), args: args}
+	q.hop.SetSQL(query)
+	stmt, err := parseCached(query)
+	if err != nil {
+		q.err = err
+		return q
+	}
+	var ok bool
+	if q.sel, ok = stmt.(*selectStmt); !ok {
+		q.err = fmt.Errorf("kdb: Query requires SELECT")
+		return q
+	}
+	q.rows, q.served, q.err = db.selectProvider(q.sel, args, &q.st)
+	if !q.served {
+		q.rows, q.served, q.err = selectTraceTable(q.sel, args, &q.st)
+	}
+	if !q.served {
+		q.rows, q.served = db.selectColumnar(q.sel, args, &q.st)
+	}
+	return q
+}
+
+// selectLocked is the last read source: the row engine, under one read lock
+// for every statement of qs no earlier source served, in order, up to the
+// first that fails. Each span's trace id becomes the exemplar of its
+// statement's kdb_query_seconds sample.
+func (db *DB) selectLocked(qs []pendingSelect) {
+	locked := false
+	var wait float64
+	for i := range qs {
+		q := &qs[i]
+		if q.err != nil {
+			return
+		}
+		if q.served {
+			continue
+		}
+		if !locked {
+			lockStart := time.Now()
+			db.mu.RLock()
+			defer db.mu.RUnlock()
+			wait, locked = sinceSeconds(lockStart), true
+			metLockWaitSeconds.Observe(wait)
+		}
+		q.st.lockWait = wait
+		start := time.Now()
+		q.rows, q.err = db.execSelectStats(q.sel, q.args, &q.st)
+		metQuerySeconds.ObserveEx(sinceSeconds(start), q.hop.TraceID())
+		q.served = true
+	}
+}
+
+// finish reports the statement on its span and returns its answer.
+func (q *pendingSelect) finish() (*Rows, error) {
+	if q.err != nil {
+		q.hop.Fail(q.err)
+		return nil, q.err
+	}
+	q.hop.Attr("path", q.st.path)
+	q.hop.AttrFloat("lock_wait_seconds", q.st.lockWait)
+	q.hop.AttrInt("rows", int64(q.rows.Len()))
+	q.hop.AttrInt("rows_examined", int64(q.st.examined))
+	q.hop.End()
+	return q.rows, nil
 }
 
 // QueryRow runs a SELECT and returns its single row, returning ErrNoRows
@@ -620,7 +694,7 @@ func (db *DB) execCreate(s *createStmt) (Result, func(), error) {
 			pk = i
 		}
 	}
-	t := &Table{Name: s.Table, Columns: s.Columns, pkIndex: pk}
+	t := newTable(s.Table, s.Columns, nil, pk)
 	t.noteRewrite()
 	if pk >= 0 {
 		// Automatic index on the INTEGER PRIMARY KEY.
@@ -821,7 +895,7 @@ func (db *DB) execUpdate(s *updateStmt, args []any, live bool) (Result, func(), 
 			t.invalidateIndexes()
 		}
 	}
-	p := t.planWalk(singleTableEnv(t), nil, s.Where, args)
+	p := t.planWalk(t.env, nil, s.Where, args)
 	_, err := p.walk(func(_ int, row []any) (bool, error) {
 		saved = append(saved, preImage{row: row, old: append([]any(nil), row...)})
 		for _, set := range sets {
@@ -868,7 +942,7 @@ func (db *DB) execDelete(s *deleteStmt, args []any) (Result, func(), error) {
 		return Result{}, nil, fmt.Errorf("kdb: no such table %q", s.Table)
 	}
 	var drop []int // the matching positions, ascending
-	p := t.planWalk(singleTableEnv(t), nil, s.Where, args)
+	p := t.planWalk(t.env, nil, s.Where, args)
 	_, err := p.walk(func(pos int, _ []any) (bool, error) {
 		drop = append(drop, pos)
 		return false, nil
@@ -916,24 +990,45 @@ type env struct {
 	width       int
 }
 
-func singleTableEnv(t *Table) *env { return (&env{}).extend(t) }
+// newTable makes a table and its name environment.
+func newTable(name string, cols []ColumnDef, rows [][]any, pk int) *Table {
+	e := &env{byQualified: make(map[string]int, len(cols)), byName: make(map[string]int, len(cols)), width: len(cols)}
+	prefix := strings.ToLower(name) + "."
+	for i, c := range cols {
+		lc := strings.ToLower(c.Name)
+		e.byQualified[prefix+lc] = i
+		if _, dup := e.byName[lc]; dup {
+			e.byName[lc] = -2
+		} else {
+			e.byName[lc] = i
+		}
+	}
+	return &Table{Name: name, Columns: cols, Rows: rows, pkIndex: pk, env: e}
+}
 
+// extend returns the environment of e's row with t's columns after it. An
+// env is shared by every statement that reads it and is never written.
 func (e *env) extend(t *Table) *env {
-	n := len(e.byName) + len(t.Columns)
-	ne := &env{byQualified: make(map[string]int, n), byName: make(map[string]int, n), width: e.width + len(t.Columns)}
+	te := t.env
+	ne := &env{
+		byQualified: make(map[string]int, len(e.byQualified)+len(te.byQualified)),
+		byName:      make(map[string]int, len(e.byName)+len(te.byName)),
+		width:       e.width + te.width,
+	}
 	for k, v := range e.byQualified {
 		ne.byQualified[k] = v
 	}
 	for k, v := range e.byName {
 		ne.byName[k] = v
 	}
-	for i, c := range t.Columns {
-		ne.byQualified[strings.ToLower(t.Name)+"."+strings.ToLower(c.Name)] = e.width + i
-		lc := strings.ToLower(c.Name)
-		if _, dup := ne.byName[lc]; dup {
-			ne.byName[lc] = -2
+	for k, v := range te.byQualified {
+		ne.byQualified[k] = e.width + v
+	}
+	for k, v := range te.byName {
+		if _, dup := ne.byName[k]; dup || v < 0 {
+			ne.byName[k] = -2
 		} else {
-			ne.byName[lc] = e.width + i
+			ne.byName[k] = e.width + v
 		}
 	}
 	return ne

@@ -45,8 +45,9 @@ var ErrInjected = errors.New("kdbtest: injected failure")
 
 // FailNth is a connection whose N-th read (counting from 1) fails with
 // ErrInjected instead of reaching the connection it wraps — a transport or
-// replica failure in the middle of a multi-statement load. N = 0 never
-// fails; Reads counts the reads seen so far either way.
+// replica failure in the middle of a multi-statement load. Each statement of
+// a read step counts as one read, and the N-th one fails the whole step.
+// N = 0 never fails; Reads counts the reads seen so far either way.
 type FailNth struct {
 	kdb.Conn
 	N     int
@@ -67,4 +68,13 @@ func (c *FailNth) Query(query string, args ...any) (*kdb.Rows, error) {
 
 func (c *FailNth) QueryRow(query string, args ...any) ([]any, error) {
 	return kdb.FirstRow(c.Query(query, args...))
+}
+
+func (c *FailNth) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	first := c.Reads + 1
+	c.Reads += len(stmts)
+	if first <= c.N && c.N <= c.Reads {
+		return nil, ErrInjected
+	}
+	return c.Conn.QueryBatch(tc, stmts)
 }

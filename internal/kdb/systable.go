@@ -80,7 +80,7 @@ func (db *DB) selectProvider(sel *selectStmt, args []any, st *selectStats) (rows
 // selectVirtual runs sel over a materialized virtual table through the
 // regular row engine, so every SELECT feature works on system tables.
 func selectVirtual(sel *selectStmt, args []any, cols []ColumnDef, data [][]any, st *selectStats) (*Rows, error) {
-	t := &Table{Name: sel.Table, Columns: cols, Rows: data, pkIndex: -1}
+	t := newTable(sel.Table, cols, data, -1)
 	scratch := &DB{tables: map[string]*Table{strings.ToLower(sel.Table): t}}
 	rows, err := scratch.execSelectStats(sel, args, st)
 	st.path = "system"

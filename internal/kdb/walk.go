@@ -46,7 +46,7 @@ type joinStep struct {
 // before any row is read. A table may appear once: with no table aliases,
 // both sides of an ON clause naming it twice would resolve to one column.
 func (db *DB) planJoins(base *Table, joins []joinClause) (*env, []joinStep, error) {
-	e := singleTableEnv(base)
+	e := base.env
 	steps := make([]joinStep, 0, len(joins))
 	for _, j := range joins {
 		jt, ok := db.tables[strings.ToLower(j.Table)]

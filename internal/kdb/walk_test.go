@@ -236,7 +236,7 @@ func checkMutation(t *testing.T, g *planGen, m *planMutation) (path string) {
 		where = st.Where
 	}
 	tbl := g.db.tables[planTable(m.table)]
-	path = tbl.planWalk(singleTableEnv(tbl), nil, where, args).path
+	path = tbl.planWalk(tbl.env, nil, where, args).path
 	before := make([][]any, len(tbl.Rows))
 	for i, row := range tbl.Rows {
 		before[i] = append([]any(nil), row...)

@@ -297,6 +297,16 @@ func (f *fakeReplica) QueryTraced(tc telemetry.TraceContext, q string, args ...a
 	return f.db.QueryTraced(tc, q, args...)
 }
 
+// QueryBatch is one read however many statements it holds, as the router
+// counts it.
+func (f *fakeReplica) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	if f.fail.Load() || f.queryFail.Load() {
+		return nil, errors.New("replica down")
+	}
+	f.queries.Add(1)
+	return f.db.QueryBatch(tc, stmts)
+}
+
 func (f *fakeReplica) Status() (kdb.NodeStatus, error) {
 	if f.fail.Load() {
 		return kdb.NodeStatus{}, errors.New("replica down")

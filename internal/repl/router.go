@@ -11,12 +11,19 @@ import (
 
 // Replica is a read target the Router can route queries to: a remote
 // served replica (*kdb.Remote) or an in-process *Follower's database
-// wrapped by LocalReplica. Reads carry the request's trace context (empty
-// when untraced) so replica-side spans join it; Status is the staleness
-// probe.
+// wrapped by LocalReplica. Reads — single statements and whole read steps —
+// carry the request's trace context (empty when untraced) so replica-side
+// spans join it; Status is the staleness probe.
 type Replica interface {
-	QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error)
+	reader
 	Status() (kdb.NodeStatus, error)
+}
+
+// reader is what a read needs of the node that answers it: a replica, or the
+// primary, whose kdb.Conn has both methods too.
+type reader interface {
+	QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error)
+	QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error)
 }
 
 var _ Replica = (*kdb.Remote)(nil)
@@ -27,6 +34,10 @@ type LocalReplica struct{ F *Follower }
 
 func (l LocalReplica) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
 	return l.F.db.QueryTraced(tc, query, args...)
+}
+
+func (l LocalReplica) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	return l.F.db.QueryBatch(tc, stmts)
 }
 
 func (l LocalReplica) Status() (kdb.NodeStatus, error) { return l.F.Status() }
@@ -131,6 +142,10 @@ func (rt *Router) QueryTraced(tc telemetry.TraceContext, query string, args ...a
 
 func (rt *Router) QueryRow(query string, args ...any) ([]any, error) {
 	return rt.def.QueryRow(query, args...)
+}
+
+func (rt *Router) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	return rt.def.QueryBatch(tc, stmts)
 }
 
 func (rt *Router) Tables() []string { return rt.primary.Tables() }
@@ -256,33 +271,67 @@ func (s *Session) QueryTraced(tc telemetry.TraceContext, query string, args ...a
 	hop := telemetry.StartHop(tc, "router.query")
 	hop.SetSQL(query)
 	var rows *kdb.Rows
-	chosen := -1
+	err := s.read(hop, func(n reader) (int, error) {
+		var err error
+		if rows, err = n.QueryTraced(hop.Context(), query, args...); err != nil {
+			return 0, err
+		}
+		return rows.Len(), nil
+	})
+	return rows, err
+}
+
+// QueryBatch implements kdb.Conn: the whole read step goes to one node — a
+// fresh replica, the next fresh one if that one fails, else the primary —
+// so its statements never mix two nodes' states. It is one read in the
+// Router's counts, and one "router.read" span.
+func (s *Session) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	hop := telemetry.StartHop(tc, "router.read")
+	hop.AttrInt("statements", int64(len(stmts)))
+	var out []*kdb.Rows
+	err := s.read(hop, func(n reader) (rows int, err error) {
+		out, err = n.QueryBatch(hop.Context(), stmts)
+		for _, r := range out {
+			rows += r.Len()
+		}
+		return rows, err
+	})
+	return out, err
+}
+
+// read runs one read — a statement or a step — through do on a
+// sufficiently fresh replica, trying the others when one fails, and on the
+// primary only when no replica qualifies or every fresh one errored. It
+// counts one read, and annotates hop with the target and the rows do
+// reports.
+func (s *Session) read(hop *telemetry.Hop, do func(reader) (rows int, err error)) error {
+	chosen, rows := -1, 0
 	if s.eachFresh(func(idx int, rep Replica) bool {
-		r, err := rep.QueryTraced(hop.Context(), query, args...)
+		n, err := do(rep)
 		if err != nil {
 			return false
 		}
-		rows, chosen = r, idx
+		rows, chosen = n, idx
 		return true
 	}) {
 		s.rt.replicaReads.Add(1)
 		metRouterReplica.Inc()
 		hop.Attr("target", "replica "+strconv.Itoa(chosen))
-		hop.AttrInt("rows", int64(rows.Len()))
+		hop.AttrInt("rows", int64(rows))
 		hop.End()
-		return rows, nil
+		return nil
 	}
 	s.rt.primaryReads.Add(1)
 	metRouterPrimary.Inc()
 	hop.Attr("target", "primary")
-	rows, err := s.rt.primary.QueryTraced(hop.Context(), query, args...)
+	rows, err := do(s.rt.primary)
 	if err != nil {
 		hop.Fail(err)
-		return nil, err
+		return err
 	}
-	hop.AttrInt("rows", int64(rows.Len()))
+	hop.AttrInt("rows", int64(rows))
 	hop.End()
-	return rows, nil
+	return nil
 }
 
 // QueryRow is Query's first row. A replica's empty result is a real

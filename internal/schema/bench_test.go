@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/knowledge"
+	"repro/internal/loadgen"
+	"repro/internal/telemetry"
 	"repro/internal/workloadgen"
 )
 
@@ -40,6 +44,70 @@ func BenchmarkLoadIO500(b *testing.B) {
 				}
 				benchSink += len(o.TestCases)
 			}
+		})
+	}
+}
+
+// BenchmarkLoadServed is an API cache miss below the cache: one point load
+// from a kdb:// store served on loopback, so the wire's round trips are in
+// the cost. It reports the requests the server saw per load.
+func BenchmarkLoadServed(b *testing.B) {
+	s, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	objIDs, err := s.SaveObjects(loadgen.SynthesizeObjects(300, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := workloadgen.SynthesizeIO500Corpus(300, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runIDs, err := s.SaveIO500s(corpus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	served, err := Open(kdbtest.Serve(b, &kdb.Server{DB: s.DB.(*kdb.DB)}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer served.Close()
+	loads := []struct {
+		name string
+		load func(i int) (int, error)
+	}{
+		{"object", func(i int) (int, error) {
+			o, err := served.LoadObject(objIDs[i%len(objIDs)])
+			if err != nil {
+				return 0, err
+			}
+			return len(o.Results), nil
+		}},
+		{"io500", func(i int) (int, error) {
+			o, err := served.LoadIO500(runIDs[i%len(runIDs)])
+			if err != nil {
+				return 0, err
+			}
+			return len(o.TestCases), nil
+		}},
+	}
+	requests := telemetry.Default().Counter("kdb_server_requests_total")
+	for _, l := range loads {
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			before := requests.Value()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := l.load(i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += n
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(requests.Value()-before)/float64(b.N), "roundtrips/op")
 		})
 	}
 }

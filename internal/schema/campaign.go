@@ -1,13 +1,13 @@
 package schema
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/kdb"
+	"repro/internal/telemetry"
 )
 
 // CampaignMeta is one row of the campaigns table: the sweep-level record
@@ -114,22 +114,20 @@ func (s *Store) ListCampaignsPage(afterID int64, limit int) ([]CampaignMeta, err
 // LoadCampaign returns one campaign header plus its per-unit runs in unit
 // order.
 func (s *Store) LoadCampaign(id int64) (*CampaignMeta, []CampaignRun, error) {
-	row, err := s.DB.QueryRow(
-		`SELECT id, name, base_seed, workers, units, began, finished, wall_ms, status
-		 FROM campaigns WHERE id = ?`, id)
-	if errors.Is(err, kdb.ErrNoRows) {
+	step, err := s.DB.QueryBatch(telemetry.TraceContext{}, []kdb.Stmt{
+		{SQL: `SELECT id, name, base_seed, workers, units, began, finished, wall_ms, status
+		 FROM campaigns WHERE id = ?`, Args: []any{id}},
+		{SQL: `SELECT unit, name, seed, status, attempts, wall_ms, error, object_ids, io500_ids
+		 FROM campaign_runs WHERE campaign_id = ? ORDER BY unit`, Args: []any{id}},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !step[0].Next() {
 		return nil, nil, fmt.Errorf("%w: campaign %d", ErrNotFound, id)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	meta := scanCampaign(row)
-	rows, err := s.DB.Query(
-		`SELECT unit, name, seed, status, attempts, wall_ms, error, object_ids, io500_ids
-		 FROM campaign_runs WHERE campaign_id = ? ORDER BY unit`, id)
-	if err != nil {
-		return nil, nil, err
-	}
+	meta := scanCampaign(step[0].Row())
+	rows := step[1]
 	var runs []CampaignRun
 	for rows.Next() {
 		r := rows.Row()

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kdb"
+	"repro/internal/kdb/kdbtest"
 	"repro/internal/telemetry"
 	"repro/internal/workloadgen"
 )
@@ -54,8 +56,8 @@ func TestLoadsAndPagesNeverScan(t *testing.T) {
 		selects int
 		run     func() error
 	}{
-		// performances, summaries, results per summary (2), filesystems, systeminfos
-		{"LoadObject", 6, func() error { _, err := s.LoadObject(objID); return err }},
+		// performances, summaries, summaries JOIN results, filesystems, systeminfos
+		{"LoadObject", 5, func() error { _, err := s.LoadObject(objID); return err }},
 		// IOFHsRuns, IOFHsScores, testcases JOIN results, IOFHsOptions, systeminfos
 		{"LoadIO500", 5, func() error { _, err := s.LoadIO500(runID); return err }},
 		{"MeanBandwidth", 1, func() error { _, err := s.MeanBandwidth(objID, "write"); return err }},
@@ -84,9 +86,39 @@ func TestLoadsAndPagesNeverScan(t *testing.T) {
 					t.Errorf("%s: %s\n\truns as%s", r.name, span.SQL, attrs)
 				}
 			}
+			if strings.Contains(span.SQL, " JOIN ") && !strings.Contains(attrs, "index-join") {
+				t.Errorf("%s: %s\n\tjoins without the joined table's index:%s", r.name, span.SQL, attrs)
+			}
 		}
 		if selects != r.selects {
 			t.Errorf("%s issued %d SELECTs, want %d; update this guard with the method", r.name, selects, r.selects)
+		}
+	}
+
+	// Over the wire each point load is one read step: one round trip.
+	served, err := Open(kdbtest.Serve(t, &kdb.Server{DB: s.DB.(*kdb.DB)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	loads := map[string]func() error{
+		"LoadObject":   func() error { _, err := served.LoadObject(objID); return err },
+		"LoadIO500":    func() error { _, err := served.LoadIO500(runID); return err },
+		"LoadCampaign": func() error { _, _, err := served.LoadCampaign(campID); return err },
+	}
+	for name, load := range loads {
+		telemetry.Traces.Reset()
+		if err := load(); err != nil {
+			t.Fatalf("%s over the wire: %v", name, err)
+		}
+		trips := map[string]int{}
+		for _, span := range telemetry.Traces.AllSpans() {
+			if strings.HasPrefix(span.Name, "rpc.") {
+				trips[span.Name]++
+			}
+		}
+		if trips["rpc.read"] != 1 || len(trips) != 1 {
+			t.Errorf("%s over the wire made round trips %v, want one rpc.read", name, trips)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/knowledge"
 	"repro/internal/repl"
 	"repro/internal/shard"
+	"repro/internal/telemetry"
 )
 
 // ErrNotFound wraps kdb.ErrNoRows for lookups of absent knowledge ids, so
@@ -448,16 +449,30 @@ func (s *Store) saveSystem(exec kdb.ExecFunc, sys *knowledge.SystemInfo, perfID,
 	return err
 }
 
-// LoadObject reconstructs a knowledge object by id.
+// LoadObject reconstructs a knowledge object by id. Its five statements are
+// one read step: one round trip, answered by one node.
 func (s *Store) LoadObject(id int64) (*knowledge.Object, error) {
-	row, err := s.DB.QueryRow(
-		"SELECT source, command, api, pattern_json, began, finished FROM performances WHERE id = ?", id)
-	if errors.Is(err, kdb.ErrNoRows) {
-		return nil, fmt.Errorf("%w: knowledge object %d", ErrNotFound, id)
-	}
+	step, err := s.DB.QueryBatch(telemetry.TraceContext{}, []kdb.Stmt{
+		{SQL: "SELECT source, command, api, pattern_json, began, finished FROM performances WHERE id = ?", Args: []any{id}},
+		{SQL: `SELECT id, operation, api, max_mib, min_mib, mean_mib, stddev_mib, max_ops, min_ops, mean_ops, stddev_ops, mean_sec, iterations
+		 FROM summaries WHERE performance_id = ? ORDER BY id`, Args: []any{id}},
+		{SQL: `SELECT summaries.operation, results.iteration, results.bw_mib, results.ops, results.latency_sec,
+			results.open_sec, results.wrrd_sec, results.close_sec, results.total_sec
+		 FROM summaries JOIN results ON summaries.id = results.summaries_id
+		 WHERE summaries.performance_id = ? ORDER BY summaries.id, results.iteration`, Args: []any{id}},
+		{SQL: `SELECT fstype, entry_type, entry_id, metadata_node, stripe_pattern, chunk_size, num_targets, raid_scheme, storage_pool
+		 FROM filesystems WHERE performance_id = ?`, Args: []any{id}},
+		{SQL: `SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
+		 FROM systeminfos WHERE performance_id = ?`, Args: []any{id}},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("schema: load knowledge object %d: %w", id, err)
 	}
+	perf, sums, res, fsRows, sysRows := step[0], step[1], step[2], step[3], step[4]
+	if !perf.Next() {
+		return nil, fmt.Errorf("%w: knowledge object %d", ErrNotFound, id)
+	}
+	row := perf.Row()
 	o := &knowledge.Object{
 		ID:      id,
 		Source:  knowledge.Source(asString(row[0])),
@@ -468,45 +483,25 @@ func (s *Store) LoadObject(id int64) (*knowledge.Object, error) {
 	}
 	o.Began, _ = time.Parse(timeLayout, asString(row[4]))
 	o.Finished, _ = time.Parse(timeLayout, asString(row[5]))
-
-	sums, err := s.DB.Query(
-		`SELECT id, operation, api, max_mib, min_mib, mean_mib, stddev_mib, max_ops, min_ops, mean_ops, stddev_ops, mean_sec, iterations
-		 FROM summaries WHERE performance_id = ? ORDER BY id`, id)
-	if err != nil {
-		return nil, err
-	}
 	for sums.Next() {
 		r := sums.Row()
-		sm := knowledge.Summary{
+		o.Summaries = append(o.Summaries, knowledge.Summary{
 			Operation: asString(r[1]), API: asString(r[2]),
 			MaxMiBps: asFloat(r[3]), MinMiBps: asFloat(r[4]), MeanMiBps: asFloat(r[5]), StdDevMiB: asFloat(r[6]),
 			MaxOps: asFloat(r[7]), MinOps: asFloat(r[8]), MeanOps: asFloat(r[9]), StdDevOps: asFloat(r[10]),
 			MeanSec: asFloat(r[11]), Iterations: int(asInt(r[12])),
-		}
-		o.Summaries = append(o.Summaries, sm)
-		res, err := s.DB.Query(
-			`SELECT iteration, bw_mib, ops, latency_sec, open_sec, wrrd_sec, close_sec, total_sec
-			 FROM results WHERE summaries_id = ? ORDER BY iteration`, asInt(r[0]))
-		if err != nil {
-			return nil, err
-		}
-		for res.Next() {
-			rr := res.Row()
-			o.Results = append(o.Results, knowledge.Result{
-				Operation: sm.Operation, Iteration: int(asInt(rr[0])),
-				BwMiBps: asFloat(rr[1]), OpsPerSec: asFloat(rr[2]), LatencySec: asFloat(rr[3]),
-				OpenSec: asFloat(rr[4]), WrRdSec: asFloat(rr[5]), CloseSec: asFloat(rr[6]), TotalSec: asFloat(rr[7]),
-			})
-		}
+		})
+	}
+	for res.Next() {
+		rr := res.Row()
+		o.Results = append(o.Results, knowledge.Result{
+			Operation: asString(rr[0]), Iteration: int(asInt(rr[1])),
+			BwMiBps: asFloat(rr[2]), OpsPerSec: asFloat(rr[3]), LatencySec: asFloat(rr[4]),
+			OpenSec: asFloat(rr[5]), WrRdSec: asFloat(rr[6]), CloseSec: asFloat(rr[7]), TotalSec: asFloat(rr[8]),
+		})
 	}
 	// The file-system and system sections are optional: an empty result
-	// leaves them nil, but a failed read must not pass for an absent section.
-	fsRows, err := s.DB.Query(
-		`SELECT fstype, entry_type, entry_id, metadata_node, stripe_pattern, chunk_size, num_targets, raid_scheme, storage_pool
-		 FROM filesystems WHERE performance_id = ?`, id)
-	if err != nil {
-		return nil, fmt.Errorf("schema: load knowledge object %d: %w", id, err)
-	}
+	// leaves them nil.
 	if fsRows.Next() {
 		r := fsRows.Row()
 		o.FileSystem = &knowledge.FileSystemInfo{
@@ -514,12 +509,6 @@ func (s *Store) LoadObject(id int64) (*knowledge.Object, error) {
 			MetadataNode: asString(r[3]), Pattern: asString(r[4]), ChunkSize: asInt(r[5]),
 			NumTargets: int(asInt(r[6])), RAIDScheme: asString(r[7]), StoragePool: asString(r[8]),
 		}
-	}
-	sysRows, err := s.DB.Query(
-		`SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
-		 FROM systeminfos WHERE performance_id = ?`, id)
-	if err != nil {
-		return nil, fmt.Errorf("schema: load knowledge object %d: %w", id, err)
 	}
 	if sysRows.Next() {
 		o.System = scanSystem(sysRows.Row())
@@ -648,32 +637,34 @@ func (s *Store) saveIO500(exec kdb.ExecFunc, o *knowledge.IO500Object) (kdb.Ref,
 	return run, nil
 }
 
-// LoadIO500 reconstructs an IO500 knowledge object by run id.
+// LoadIO500 reconstructs an IO500 knowledge object by run id, in one read
+// step (see LoadObject).
 func (s *Store) LoadIO500(id int64) (*knowledge.IO500Object, error) {
-	row, err := s.DB.QueryRow("SELECT command, began, finished FROM IOFHsRuns WHERE id = ?", id)
-	if errors.Is(err, kdb.ErrNoRows) {
-		return nil, fmt.Errorf("%w: io500 run %d", ErrNotFound, id)
-	}
+	step, err := s.DB.QueryBatch(telemetry.TraceContext{}, []kdb.Stmt{
+		{SQL: "SELECT command, began, finished FROM IOFHsRuns WHERE id = ?", Args: []any{id}},
+		{SQL: "SELECT bw_gib, md_kiops, total FROM IOFHsScores WHERE IOFH_id = ?", Args: []any{id}},
+		{SQL: `SELECT IOFHsTestcases.name, IOFHsResults.value, IOFHsResults.unit, IOFHsResults.seconds
+		 FROM IOFHsTestcases JOIN IOFHsResults ON IOFHsTestcases.id = IOFHsResults.testcase_id
+		 WHERE IOFHsTestcases.IOFH_id = ? ORDER BY IOFHsTestcases.id`, Args: []any{id}},
+		{SQL: "SELECT optkey, optvalue FROM IOFHsOptions WHERE IOFH_id = ?", Args: []any{id}},
+		{SQL: `SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
+		 FROM systeminfos WHERE iofh_id = ?`, Args: []any{id}},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("schema: load io500 run %d: %w", id, err)
 	}
+	run, scores, tcs, opts, sysRows := step[0], step[1], step[2], step[3], step[4]
+	if !run.Next() {
+		return nil, fmt.Errorf("%w: io500 run %d", ErrNotFound, id)
+	}
+	row := run.Row()
 	o := &knowledge.IO500Object{ID: id, Command: asString(row[0]), Options: map[string]string{}}
 	o.Began, _ = time.Parse(timeLayout, asString(row[1]))
 	o.Finished, _ = time.Parse(timeLayout, asString(row[2]))
-	// Scores and the system section are optional: no row leaves them zero,
-	// but a failed read must not pass for an absent section.
-	sr, err := s.DB.QueryRow("SELECT bw_gib, md_kiops, total FROM IOFHsScores WHERE IOFH_id = ?", id)
-	if err == nil {
+	// Scores and the system section are optional: no row leaves them zero.
+	if scores.Next() {
+		sr := scores.Row()
 		o.ScoreBW, o.ScoreMD, o.ScoreTotal = asFloat(sr[0]), asFloat(sr[1]), asFloat(sr[2])
-	} else if !errors.Is(err, kdb.ErrNoRows) {
-		return nil, fmt.Errorf("schema: load io500 run %d: %w", id, err)
-	}
-	tcs, err := s.DB.Query(
-		`SELECT IOFHsTestcases.name, IOFHsResults.value, IOFHsResults.unit, IOFHsResults.seconds
-		 FROM IOFHsTestcases JOIN IOFHsResults ON IOFHsTestcases.id = IOFHsResults.testcase_id
-		 WHERE IOFHsTestcases.IOFH_id = ? ORDER BY IOFHsTestcases.id`, id)
-	if err != nil {
-		return nil, err
 	}
 	for tcs.Next() {
 		r := tcs.Row()
@@ -681,19 +672,9 @@ func (s *Store) LoadIO500(id int64) (*knowledge.IO500Object, error) {
 			Name: asString(r[0]), Value: asFloat(r[1]), Unit: asString(r[2]), Seconds: asFloat(r[3]),
 		})
 	}
-	opts, err := s.DB.Query("SELECT optkey, optvalue FROM IOFHsOptions WHERE IOFH_id = ?", id)
-	if err != nil {
-		return nil, err
-	}
 	for opts.Next() {
 		r := opts.Row()
 		o.Options[asString(r[0])] = asString(r[1])
-	}
-	sysRows, err := s.DB.Query(
-		`SELECT hostname, architecture, cpu_model, cores, cpu_mhz, cache_kb, mem_total_kb, mem_free_kb
-		 FROM systeminfos WHERE iofh_id = ?`, id)
-	if err != nil {
-		return nil, fmt.Errorf("schema: load io500 run %d: %w", id, err)
 	}
 	if sysRows.Next() {
 		o.System = scanSystem(sysRows.Row())

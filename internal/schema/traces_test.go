@@ -28,6 +28,17 @@ func (c *stubConn) Query(query string, args ...any) (*kdb.Rows, error) {
 func (c *stubConn) QueryTraced(_ telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
 	return c.Query(query, args...)
 }
+func (c *stubConn) QueryBatch(_ telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	var out []*kdb.Rows
+	for _, st := range stmts {
+		rows, err := c.Query(st.SQL, st.Args...)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows)
+	}
+	return out, nil
+}
 func (c *stubConn) Exec(query string, args ...any) (kdb.Result, error) { return kdb.Result{}, nil }
 func (c *stubConn) ExecTraced(_ telemetry.TraceContext, query string, args ...any) (kdb.Result, error) {
 	return c.Exec(query, args...)

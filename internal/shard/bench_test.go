@@ -148,6 +148,13 @@ func (c *remoteShapedConn) QueryTraced(tc telemetry.TraceContext, query string, 
 	return c.Conn.QueryTraced(tc, query, args...)
 }
 
+func (c *remoteShapedConn) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	time.Sleep(c.rtt)
+	return c.Conn.QueryBatch(tc, stmts)
+}
+
 func (c *remoteShapedConn) Query(query string, args ...any) (*kdb.Rows, error) {
 	return c.QueryTraced(telemetry.TraceContext{}, query, args...)
 }

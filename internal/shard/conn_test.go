@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kdb"
@@ -33,12 +34,16 @@ func (c *countingExec) ExecTraced(tc telemetry.TraceContext, query string, args 
 // connection can batch and statement-at-a-time through the outermost Exec
 // where it cannot.
 func TestConnConformance(t *testing.T) {
+	// stepSpans is how many spans a read step of two statements links under
+	// the caller: one for a hop that carries the step whole, one per
+	// statement where each is its own select or scatter-gather.
 	impls := []struct {
-		name string
-		open func(t *testing.T) kdb.Conn
+		name      string
+		stepSpans int
+		open      func(t *testing.T) kdb.Conn
 	}{
-		{"DB", func(t *testing.T) kdb.Conn { return kdbtest.MemDB(t, kdb.DBOptions{}) }},
-		{"Remote", func(t *testing.T) kdb.Conn {
+		{"DB", 2, func(t *testing.T) kdb.Conn { return kdbtest.MemDB(t, kdb.DBOptions{}) }},
+		{"Remote", 1, func(t *testing.T) kdb.Conn {
 			r, err := kdb.Dial(kdbtest.Serve(t, &kdb.Server{DB: kdbtest.MemDB(t, kdb.DBOptions{})}))
 			if err != nil {
 				t.Fatal(err)
@@ -46,9 +51,9 @@ func TestConnConformance(t *testing.T) {
 			t.Cleanup(func() { r.Close() })
 			return r
 		}},
-		{"Router", func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})) }},
-		{"Session", func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})).Session() }},
-		{"Coordinator", func(t *testing.T) kdb.Conn {
+		{"Router", 1, func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})) }},
+		{"Session", 1, func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})).Session() }},
+		{"Coordinator", 2, func(t *testing.T) kdb.Conn {
 			c, err := New(kdbtest.MemDB(t, kdb.DBOptions{AutoIDStride: 2}), kdbtest.MemDB(t, kdb.DBOptions{AutoIDOffset: 1, AutoIDStride: 2}))
 			if err != nil {
 				t.Fatal(err)
@@ -86,6 +91,13 @@ func TestConnConformance(t *testing.T) {
 			if err != nil || rows.Len() != 2 {
 				t.Fatalf("traced query = %v, %v", rows, err)
 			}
+			step, err := c.QueryBatch(tc, []kdb.Stmt{
+				{SQL: "SELECT v FROM kv ORDER BY v"},
+				{SQL: "SELECT COUNT(*) FROM kv WHERE v = ?", Args: []any{"b"}},
+			})
+			if err != nil || len(step) != 2 || fmt.Sprint(step[0].All(), step[1].All()) != "[[a] [b]] [[1]]" {
+				t.Fatalf("read step = %v, %v", step, err)
+			}
 			caller.End()
 			children := 0
 			for _, s := range telemetry.Traces.AllSpans() {
@@ -96,8 +108,8 @@ func TestConnConformance(t *testing.T) {
 					children++
 				}
 			}
-			if children != 2 {
-				t.Errorf("%d spans linked directly under the caller's hop, want one per traced statement", children)
+			if want := 2 + impl.stepSpans; children != want {
+				t.Errorf("%d spans linked directly under the caller's hop, want %d: one per traced statement, %d for the step", children, want, impl.stepSpans)
 			}
 		})
 	}

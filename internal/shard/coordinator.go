@@ -245,6 +245,21 @@ func (c *Coordinator) QueryTraced(tc telemetry.TraceContext, query string, args 
 	return out, nil
 }
 
+// QueryBatch implements kdb.Conn: each statement of the step is its own
+// scatter-gather through QueryTraced, in order, up to the first that fails;
+// the rows of the statements before it come back with the error.
+func (c *Coordinator) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	out := make([]*kdb.Rows, 0, len(stmts))
+	for _, st := range stmts {
+		rows, err := c.QueryTraced(tc, st.SQL, st.Args...)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows)
+	}
+	return out, nil
+}
+
 // QueryRow runs Query and returns the first merged row, with the engine's
 // ErrNoRows contract.
 func (c *Coordinator) QueryRow(query string, args ...any) ([]any, error) {
