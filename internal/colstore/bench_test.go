@@ -8,8 +8,9 @@ import (
 )
 
 // benchDB builds a table of n rows shaped like the knowledge store's
-// score data: a clustered integer key, a low-cardinality text column, and
-// two numeric measures.
+// score data: a clustered integer key, two low-cardinality text columns,
+// two numeric measures, and an integer column that is NULL in about one
+// row in ten.
 func benchDB(b *testing.B, n int, attach bool) (*kdb.DB, *Store) {
 	b.Helper()
 	db, err := kdb.Open("")
@@ -17,15 +18,20 @@ func benchDB(b *testing.B, n int, attach bool) (*kdb.DB, *Store) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { db.Close() })
-	if _, err := db.Exec(`CREATE TABLE scores (id INTEGER PRIMARY KEY, fs TEXT, bw REAL, total REAL)`); err != nil {
+	if _, err := db.Exec(`CREATE TABLE scores (id INTEGER PRIMARY KEY, fs TEXT, tier TEXT, bw REAL, total REAL, nodes INTEGER)`); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	systems := []string{"lustre", "beegfs", "daos", "nfs"}
+	tiers := []string{"hdd", "ssd", "nvme"}
 	err = db.Batch(func(exec kdb.ExecFunc) error {
 		for i := 1; i <= n; i++ {
-			_, err := exec(`INSERT INTO scores (id, fs, bw, total) VALUES (?, ?, ?, ?)`,
-				i, systems[rng.Intn(len(systems))], rng.Float64()*1000, rng.Float64()*2000)
+			var nodes any = int64(1 + rng.Intn(512))
+			if rng.Intn(10) == 0 {
+				nodes = nil
+			}
+			_, err := exec(`INSERT INTO scores (id, fs, tier, bw, total, nodes) VALUES (?, ?, ?, ?, ?, ?)`,
+				i, systems[rng.Intn(len(systems))], tiers[rng.Intn(len(tiers))], rng.Float64()*1000, rng.Float64()*2000, nodes)
 			if err != nil {
 				return err
 			}
@@ -54,6 +60,9 @@ var benchQueries = []struct {
 	{"filtered-agg", "SELECT COUNT(*), SUM(bw) FROM scores WHERE total > 1500"},
 	{"clustered-filter", "SELECT COUNT(*), AVG(total) FROM scores WHERE id <= 4000"},
 	{"group-by-text", "SELECT fs, COUNT(*), AVG(bw), MAX(total) FROM scores GROUP BY fs"},
+	{"text-filter-group", "SELECT tier, COUNT(*) FROM scores WHERE fs = 'lustre' GROUP BY tier"},
+	{"two-key-group", "SELECT fs, tier, COUNT(*), AVG(bw) FROM scores GROUP BY fs, tier"},
+	{"nullable-agg", "SELECT COUNT(nodes), AVG(nodes), MAX(nodes) FROM scores WHERE total > 500"},
 }
 
 func benchEngine(b *testing.B, attach bool) {

@@ -175,8 +175,9 @@ func TestByteIdenticalBattery(t *testing.T) {
 	}
 }
 
-// TestRandomizedGeneratedQueries fuzzes query shapes from a grammar of
-// parts; every generated query must agree across engines.
+// TestRandomizedGeneratedQueries draws 200 query shapes from a grammar of
+// parts under a fixed seed; every generated query must agree across
+// engines. FuzzColumnarEqualsRowEngine widens the grammar and the data.
 func TestRandomizedGeneratedQueries(t *testing.T) {
 	old := segmentRows
 	segmentRows = 32

@@ -1,14 +1,16 @@
 package colstore
 
-// Vectorized execution. A query runs in three stages: (1) zone-map
-// pruning decides per segment whether any row can possibly match; (2) the
-// filter stage evaluates the AND-conjuncts over the surviving segments'
-// typed vectors into a selection list; (3) the aggregate stage feeds the
-// selection, in row order, to the engine's own accumulator (kdb.Agg,
-// through its typed AddFloat and AddCount entry points) and, for GROUP BY,
-// to the engine's own grouping and pager (kdb.Groups). The filter stage
-// mirrors the engine's comparisons; the aggregation does not mirror the
-// engine, it is the engine's — that is what makes the answers
+// Vectorized execution, a column at a time. A query runs in three stages:
+// (1) zone-map pruning decides per segment whether any row can possibly
+// match; (2) the filter stage starts a selection list from the segment's
+// rows and lets each AND-conjunct narrow it in one loop over its typed
+// vector; (3) the aggregate stage writes, for GROUP BY, each selected
+// row's group into a group vector (through the engine's own grouping,
+// kdb.Groups), then folds each aggregate's column, in row order, into the
+// engine's own accumulator (kdb.Agg, through its typed AddFloat and
+// AddCount entry points); the engine's pager pages the groups. The filter
+// stage mirrors the engine's comparisons; the aggregation does not mirror
+// the engine, it is the engine's — that is what makes the answers
 // byte-identical rather than merely approximately equal.
 
 import (
@@ -68,6 +70,9 @@ type filter struct {
 	isStr bool    // text comparison; otherwise numeric
 	f     float64 // numeric operand (pre-widened; engine compares as float)
 	s     string  // text operand
+
+	keep     [3]bool // verdicts(op, isNil)
+	keepNull bool
 }
 
 // compileFilters resolves and type-checks the conjuncts. It declines
@@ -116,6 +121,7 @@ func compileFilters(ct *colTable, fs []kdb.AnalyticFilter, args []any) (out []fi
 		default:
 			return nil, declineShape
 		}
+		f.keep, f.keepNull = verdicts(f.op, f.isNil)
 		out = append(out, f)
 	}
 	return out, ""
@@ -134,47 +140,73 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-// match evaluates the conjunct for one segment row, replicating
-// applyComparison's NULL semantics: against a NULL operand only = and !=
-// can be true; a NULL row value matches only !=.
-func (f *filter) match(ct *colTable, seg *segment, i int) bool {
-	v := seg.cols[f.ci]
-	null := v.isNull(i)
-	if f.isNil {
-		switch f.op {
-		case "=":
-			return null
-		case "!=":
-			return !null
+// verdicts is applyComparison's rule for op as a table, decided once per
+// conjunct: keep[c+1] says whether a non-NULL cell whose comparison with
+// the operand came out c is kept, keepNull whether a NULL cell is. Against
+// a NULL operand only = and != can be true: = keeps the NULL cells, !=
+// every other. Against any other operand a NULL cell matches only !=.
+func verdicts(op string, isNil bool) (keep [3]bool, keepNull bool) {
+	if isNil {
+		ne := op == "!="
+		return [3]bool{ne, ne, ne}, op == "="
+	}
+	return opKeeps[op], op == "!="
+}
+
+// opKeeps is each comparison's truth table over cmpFloat's (or
+// strings.Compare's) result c, at c+1.
+var opKeeps = map[string][3]bool{
+	"=": {false, true, false}, "!=": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
+}
+
+// narrow keeps, in place and in row order, the rows of sel whose cell in v
+// passes the conjunct: one loop typed by the vector. A text conjunct
+// compares a code once per run of equal codes. (Against a NULL operand the
+// verdict does not depend on the comparison, which is then made for
+// nothing.)
+func (f *filter) narrow(ct *colTable, v *colVec, sel []int32) []int32 {
+	switch {
+	case v.ints != nil:
+		return narrowNums(v.ints, v.nulls, sel, f.f, f.keep, f.keepNull)
+	case v.floats != nil:
+		return narrowNums(v.floats, v.nulls, sel, f.f, f.keep, f.keepNull)
+	}
+	nulls, codes, strs := v.nulls, v.codes, ct.dict.strs
+	last, hit := ^uint32(0), false // the dictionary never assigns ^uint32(0)
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		keep := f.keepNull
+		if !nullAt(nulls, i) {
+			if c := codes[i]; c != last {
+				last, hit = c, f.keep[strings.Compare(strs[c], f.s)+1]
+			}
+			keep = hit
 		}
-		return false
+		if keep {
+			n++
+		}
 	}
-	if null {
-		return f.op == "!="
+	return sel[:n]
+}
+
+// narrowNums is narrow over a numeric vector, compared as the engine
+// compares numerics: as floats.
+func narrowNums[T int64 | float64](vals []T, nulls []uint64, sel []int32, x float64, keep [3]bool, keepNull bool) []int32 {
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		if nullAt(nulls, i) {
+			if keepNull {
+				n++
+			}
+		} else if keep[cmpFloat(float64(vals[i]), x)+1] {
+			n++
+		}
 	}
-	var c int
-	if f.isStr {
-		c = strings.Compare(ct.dict.strs[v.codes[i]], f.s)
-	} else if v.ints != nil {
-		c = cmpFloat(float64(v.ints[i]), f.f)
-	} else {
-		c = cmpFloat(v.floats[i], f.f)
-	}
-	switch f.op {
-	case "=":
-		return c == 0
-	case "!=":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	case ">=":
-		return c >= 0
-	}
-	return false
+	return sel[:n]
 }
 
 // canSkip reports whether the zone map proves no row of the segment can
@@ -244,36 +276,40 @@ func (q *query) prune(seg *segment) bool {
 	return false
 }
 
-// selection fills sel with the segment-local indexes of matching rows.
-func (q *query) selection(seg *segment, sel []int) []int {
-	sel = sel[:0]
-	if len(q.filters) == 0 {
-		for i := 0; i < seg.n; i++ {
-			sel = append(sel, i)
-		}
-		return sel
+// selection returns the segment-local indexes of matching rows in sel's
+// array: it starts from every row of the segment and lets each conjunct
+// narrow it in place, stopping once nothing is left.
+func (q *query) selection(seg *segment, sel []int32) []int32 {
+	sel = resize(sel, seg.n)
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	for i := 0; i < seg.n; i++ {
-		ok := true
-		for fi := range q.filters {
-			if !q.filters[fi].match(q.ct, seg, i) {
-				ok = false
-				break
-			}
+	for fi := range q.filters {
+		if len(sel) == 0 {
+			break
 		}
-		if ok {
-			sel = append(sel, i)
-		}
+		f := &q.filters[fi]
+		sel = f.narrow(q.ct, seg.cols[f.ci], sel)
 	}
 	return sel
 }
 
+// resize returns buf at length n, reusing its array when it is large enough.
+// A query's row buffers are allocated on its first scanned segment — the
+// largest, as only a table's last segment is partial — and reused after.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
 // scan visits, in order, every segment the zone maps cannot rule out, with
 // the segment-local indexes of its matching rows (sel is reused between
-// visits). It is the one place a segment is counted as skipped or scanned:
-// per store for Stats, process-wide for /metrics.
-func (q *query) scan(visit func(seg *segment, sel []int)) {
-	var sel []int
+// visits), unless none match. It is the one place a segment is counted as
+// skipped or scanned: per store for Stats, process-wide for /metrics.
+func (q *query) scan(visit func(seg *segment, sel []int32)) {
+	var sel []int32
 	for _, seg := range q.ct.segs {
 		if q.prune(seg) {
 			q.store.segsSkipped.Add(1)
@@ -282,8 +318,9 @@ func (q *query) scan(visit func(seg *segment, sel []int)) {
 		}
 		q.store.segsScanned.Add(1)
 		metSegsScanned.Inc()
-		sel = q.selection(seg, sel)
-		visit(seg, sel)
+		if sel = q.selection(seg, sel); len(sel) > 0 {
+			visit(seg, sel)
+		}
 	}
 }
 
@@ -295,31 +332,76 @@ type item struct {
 	gi   int // group-key position for plain columns
 }
 
-// accumulate feeds a segment's selected rows of item it into acc, one
-// typed vector at a time.
-func accumulate(seg *segment, sel []int, it item, acc *kdb.Agg) {
+// fold feeds item it's column over a segment's selected rows into accs,
+// one typed loop per column: row sel[k] goes to accs[grp[k]], or every row
+// to accs[0] when grp is nil (the global path). Rows arrive in row order,
+// so each group sees its values in the engine's order.
+func fold(seg *segment, sel, grp []int32, it item, accs []kdb.Agg) {
 	if it.star {
-		acc.AddCount(int64(len(sel)))
+		foldCounts(nil, sel, grp, accs)
 		return
 	}
-	v := seg.cols[it.ci]
-	switch {
+	switch v := seg.cols[it.ci]; {
 	case v.ints != nil:
+		foldNums(v.ints, v.nulls, sel, grp, accs)
+	case v.floats != nil:
+		foldNums(v.floats, v.nulls, sel, grp, accs)
+	default:
+		foldCounts(v.nulls, sel, grp, accs)
+	}
+}
+
+// foldNums folds the non-NULL cells of a numeric vector through AddFloat.
+func foldNums[T int64 | float64](vals []T, nulls []uint64, sel, grp []int32, accs []kdb.Agg) {
+	switch {
+	case grp == nil && nulls == nil:
+		acc := &accs[0]
 		for _, i := range sel {
-			if !v.isNull(i) {
-				acc.AddFloat(float64(v.ints[i]))
+			acc.AddFloat(float64(vals[i]))
+		}
+	case grp == nil:
+		acc := &accs[0]
+		for _, i := range sel {
+			if !nullAt(nulls, i) {
+				acc.AddFloat(float64(vals[i]))
 			}
 		}
-	case v.floats != nil:
-		for _, i := range sel {
-			if !v.isNull(i) {
-				acc.AddFloat(v.floats[i])
-			}
+	case nulls == nil:
+		for k, i := range sel {
+			accs[grp[k]].AddFloat(float64(vals[i]))
 		}
 	default:
+		for k, i := range sel {
+			if !nullAt(nulls, i) {
+				accs[grp[k]].AddFloat(float64(vals[i]))
+			}
+		}
+	}
+}
+
+// foldCounts folds the rows that are non-NULL in nulls — every row when
+// nulls is nil, as for COUNT(*) — through AddCount: values without a
+// numeric reading.
+func foldCounts(nulls []uint64, sel, grp []int32, accs []kdb.Agg) {
+	switch {
+	case grp == nil && nulls == nil:
+		accs[0].AddCount(int64(len(sel)))
+	case grp == nil:
+		var n int64
 		for _, i := range sel {
-			if !v.isNull(i) {
-				acc.AddCount(1)
+			if !nullAt(nulls, i) {
+				n++
+			}
+		}
+		accs[0].AddCount(n)
+	case nulls == nil:
+		for _, g := range grp {
+			accs[g].AddCount(1)
+		}
+	default:
+		for k, i := range sel {
+			if !nullAt(nulls, i) {
+				accs[grp[k]].AddCount(1)
 			}
 		}
 	}
@@ -335,9 +417,9 @@ func (q *query) runGlobal() (*kdb.Rows, bool) {
 		return nil, false
 	}
 	aggs := make([]kdb.Agg, len(items))
-	q.scan(func(seg *segment, sel []int) {
+	q.scan(func(seg *segment, sel []int32) {
 		for i, it := range items {
-			accumulate(seg, sel, it, &aggs[i])
+			fold(seg, sel, nil, it, aggs[i:i+1])
 		}
 	})
 	row := make([]any, len(items))
@@ -383,10 +465,11 @@ func (q *query) compileItems() ([]item, []string, bool) {
 	return items, names, true
 }
 
-// runGrouped executes the GROUP BY path: bucket the matching rows (with a
-// dictionary-code fast path for the common single-text-key shape), folding
-// each group's aggregates as the rows stream past, then page the groups as
-// the engine does.
+// runGrouped executes the GROUP BY path. Per segment, a grouping pass
+// writes each selected row's group into a group vector (with a
+// dictionary-code fast path for the common single-text-key shape), then
+// each aggregate folds its column into the groups; the groups are paged as
+// the engine pages them. A group's state in groups is its slot in aggs.
 func (q *query) runGrouped() (*kdb.Rows, bool) {
 	items, names, ok := q.compileItems()
 	if !ok {
@@ -400,19 +483,45 @@ func (q *query) runGrouped() (*kdb.Rows, bool) {
 		}
 		keyIdx[i] = ci
 	}
-	groups := kdb.NewGroups(func() []kdb.Agg { return make([]kdb.Agg, len(items)) })
+	aggs := make([][]kdb.Agg, len(items)) // aggs[item][slot]
+	var slots int32
+	groups := kdb.NewGroups(func() int32 {
+		for i := range aggs {
+			aggs[i] = append(aggs[i], kdb.Agg{})
+		}
+		slots++
+		return slots - 1
+	})
+	var group func(seg *segment, sel, grp []int32)
 	if len(keyIdx) == 1 && q.ct.cols[keyIdx[0]].Type == kdb.TText {
-		q.groupByDict(groups, items, keyIdx[0])
+		group = q.groupByDict(groups, keyIdx[0])
 	} else {
-		q.groupGeneric(groups, items, keyIdx)
+		group = q.groupGeneric(groups, keyIdx)
 	}
-	rows := groups.Page(q.plan.Offset, q.plan.Limit, func(key []any, aggs []kdb.Agg) []any {
+	var own []int32
+	q.scan(func(seg *segment, sel []int32) {
+		// The group vector borrows the unused tail of the selection's array
+		// when the filters left room there, and is its own buffer otherwise.
+		grp := sel[len(sel):cap(sel)]
+		if len(grp) < len(sel) {
+			own = resize(own, seg.n)
+			grp = own
+		}
+		grp = grp[:len(sel)]
+		group(seg, sel, grp)
+		for i, it := range items {
+			if it.agg != "" {
+				fold(seg, sel, grp, it, aggs[i])
+			}
+		}
+	})
+	rows := groups.Page(q.plan.Offset, q.plan.Limit, func(key []any, g int32) []any {
 		row := make([]any, len(items))
 		for i, it := range items {
 			if it.agg == "" {
 				row[i] = key[it.gi]
 			} else {
-				row[i] = aggs[i].Result(it.agg)
+				row[i] = aggs[i][g].Result(it.agg)
 			}
 		}
 		return row
@@ -420,68 +529,46 @@ func (q *query) runGrouped() (*kdb.Rows, bool) {
 	return kdb.NewRows(names, rows), true
 }
 
-// feed adds one matching row to its group's aggregates.
-func (q *query) feed(aggs []kdb.Agg, items []item, seg *segment, i int) {
-	for ii, it := range items {
-		switch {
-		case it.agg == "":
-		case it.star:
-			aggs[ii].AddCount(1)
-		default:
-			v := seg.cols[it.ci]
-			switch {
-			case v.isNull(i):
-			case v.ints != nil:
-				aggs[ii].AddFloat(float64(v.ints[i]))
-			case v.floats != nil:
-				aggs[ii].AddFloat(v.floats[i])
-			default:
-				aggs[ii].AddCount(1)
-			}
-		}
-	}
-}
-
 // groupByDict groups by a single text column keyed on dictionary codes —
-// no key tuple materialization, no key encoding per row. The sentinel
-// ^uint32(0) buckets NULLs, which the dictionary can never assign (codes
-// are dense from zero). Codes and the engine's key encoding split rows
-// into the same groups, opened in the same order.
-func (q *query) groupByDict(groups *kdb.Groups[[]kdb.Agg], items []item, ci int) {
-	const nullCode = ^uint32(0)
-	byCode := make(map[uint32][]kdb.Agg)
-	q.scan(func(seg *segment, sel []int) {
+// no key tuple materialization, no key encoding per row. slots, sized by
+// this image's dictionary plus one entry for NULL and read only by this
+// query, holds 1 + the group of each code seen so far (0: not yet seen).
+// Codes and the engine's key encoding split rows into the same groups,
+// opened in the same order.
+func (q *query) groupByDict(groups *kdb.Groups[int32], ci int) func(seg *segment, sel, grp []int32) {
+	strs := q.ct.dict.strs
+	nullCode := uint32(len(strs))
+	slots := make([]int32, len(strs)+1)
+	return func(seg *segment, sel, grp []int32) {
 		v := seg.cols[ci]
-		for _, i := range sel {
+		for k, i := range sel {
 			code := nullCode
-			if !v.isNull(i) {
+			if !nullAt(v.nulls, i) {
 				code = v.codes[i]
 			}
-			aggs, ok := byCode[code]
-			if !ok {
+			if slots[code] == 0 {
 				var key any
 				if code != nullCode {
-					key = q.ct.dict.strs[code]
+					key = strs[code]
 				}
-				aggs = groups.Open([]any{key})
-				byCode[code] = aggs
+				slots[code] = groups.Open([]any{key}) + 1
 			}
-			q.feed(aggs, items, seg, i)
+			grp[k] = slots[code] - 1
 		}
-	})
+	}
 }
 
 // groupGeneric groups by an arbitrary key tuple through the engine's own
 // bucketing, so group boundaries (NaN collapsing, -0 vs +0, int vs float
 // tags) are identical by construction.
-func (q *query) groupGeneric(groups *kdb.Groups[[]kdb.Agg], items []item, keyIdx []int) {
+func (q *query) groupGeneric(groups *kdb.Groups[int32], keyIdx []int) func(seg *segment, sel, grp []int32) {
 	key := make([]any, len(keyIdx))
-	q.scan(func(seg *segment, sel []int) {
-		for _, i := range sel {
-			for k, ci := range keyIdx {
-				key[k] = seg.value(q.ct, i, ci)
+	return func(seg *segment, sel, grp []int32) {
+		for k, i := range sel {
+			for kk, ci := range keyIdx {
+				key[kk] = seg.value(q.ct, int(i), ci)
 			}
-			q.feed(groups.Add(key), items, seg, i)
+			grp[k] = groups.Add(key)
 		}
-	})
+	}
 }

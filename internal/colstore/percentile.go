@@ -26,18 +26,25 @@ func (s *Store) Floats(table, col string) ([]float64, error) {
 	}
 	out := make([]float64, 0, ct.rows)
 	for _, seg := range ct.segs {
-		v := seg.cols[ci]
-		if v.ints != nil {
+		// A segment without NULLs appends its whole vector.
+		switch v := seg.cols[ci]; {
+		case v.nulls == nil && v.floats != nil:
+			out = append(out, v.floats...)
+		case v.nulls == nil:
+			for _, x := range v.ints {
+				out = append(out, float64(x))
+			}
+		case v.ints != nil:
 			for i, x := range v.ints {
 				if !v.isNull(i) {
 					out = append(out, float64(x))
 				}
 			}
-			continue
-		}
-		for i, x := range v.floats {
-			if !v.isNull(i) {
-				out = append(out, x)
+		default:
+			for i, x := range v.floats {
+				if !v.isNull(i) {
+					out = append(out, x)
+				}
 			}
 		}
 	}

@@ -69,11 +69,12 @@ type colVec struct {
 	hasNaN     bool
 }
 
-func (v *colVec) isNull(i int) bool {
-	if v.nulls == nil {
-		return false
-	}
-	return v.nulls[i/64]&(1<<(uint(i)%64)) != 0
+func (v *colVec) isNull(i int) bool { return nullAt(v.nulls, int32(i)) }
+
+// nullAt reports whether row i is NULL in a null bitmap; nil has no NULLs.
+// Loops over a vector call it with the bitmap held in a local.
+func nullAt(nulls []uint64, i int32) bool {
+	return nulls != nil && nulls[uint32(i)/64]&(1<<(uint32(i)%64)) != 0
 }
 
 func (v *colVec) setNull(i int) {
