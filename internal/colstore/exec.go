@@ -295,8 +295,9 @@ func (q *query) selection(seg *segment, sel []int32) []int32 {
 }
 
 // resize returns buf at length n, reusing its array when it is large enough.
-// A query's row buffers are allocated on its first scanned segment — the
-// largest, as only a table's last segment is partial — and reused after.
+// A query's row buffers come from the store's pool and grow on its first
+// scanned segment — the largest, as only a table's last segment is partial
+// — so the later ones reuse them.
 func resize(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
@@ -304,12 +305,22 @@ func resize(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
+// buffer takes a row buffer from the store's pool; the query puts it back
+// when it is done with it, and keeps nothing of it in its answer.
+func (s *Store) buffer() *[]int32 {
+	if buf, ok := s.buffers.Get().(*[]int32); ok {
+		return buf
+	}
+	return new([]int32)
+}
+
 // scan visits, in order, every segment the zone maps cannot rule out, with
 // the segment-local indexes of its matching rows (sel is reused between
 // visits), unless none match. It is the one place a segment is counted as
 // skipped or scanned: per store for Stats, process-wide for /metrics.
 func (q *query) scan(visit func(seg *segment, sel []int32)) {
-	var sel []int32
+	sel := q.store.buffer()
+	defer q.store.buffers.Put(sel)
 	for _, seg := range q.ct.segs {
 		if q.prune(seg) {
 			q.store.segsSkipped.Add(1)
@@ -318,8 +329,8 @@ func (q *query) scan(visit func(seg *segment, sel []int32)) {
 		}
 		q.store.segsScanned.Add(1)
 		metSegsScanned.Inc()
-		if sel = q.selection(seg, sel); len(sel) > 0 {
-			visit(seg, sel)
+		if *sel = q.selection(seg, *sel); len(*sel) > 0 {
+			visit(seg, *sel)
 		}
 	}
 }
@@ -498,14 +509,15 @@ func (q *query) runGrouped() (*kdb.Rows, bool) {
 	} else {
 		group = q.groupGeneric(groups, keyIdx)
 	}
-	var own []int32
+	own := q.store.buffer()
+	defer q.store.buffers.Put(own)
 	q.scan(func(seg *segment, sel []int32) {
 		// The group vector borrows the unused tail of the selection's array
 		// when the filters left room there, and is its own buffer otherwise.
 		grp := sel[len(sel):cap(sel)]
 		if len(grp) < len(sel) {
-			own = resize(own, seg.n)
-			grp = own
+			*own = resize(*own, seg.n)
+			grp = *own
 		}
 		grp = grp[:len(sel)]
 		group(seg, sel, grp)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -57,10 +58,44 @@ func (p *pair) checkImage(table string) {
 	}); err != nil {
 		p.t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameImage(got, want) {
 		p.t.Fatalf("image of %s differs from a fresh build:\n got rows=%d segs=%d dict=%q\nwant rows=%d segs=%d dict=%q",
 			table, got.rows, len(got.segs), got.dict.strs, want.rows, len(want.segs), want.dict.strs)
 	}
+}
+
+// sameImage is reflect.DeepEqual over two images, except that REAL
+// vectors compare bit for bit: a NaN cell equals a NaN cell, and -0 and
+// +0 differ.
+func sameImage(a, b *colTable) bool {
+	if len(a.segs) != len(b.segs) {
+		return false
+	}
+	for si, sa := range a.segs {
+		sb := b.segs[si]
+		if sa.n != sb.n || len(sa.cols) != len(sb.cols) {
+			return false
+		}
+		for ci, va := range sa.cols {
+			vb := sb.cols[ci]
+			if len(va.floats) != len(vb.floats) || (va.floats == nil) != (vb.floats == nil) {
+				return false
+			}
+			for i, f := range va.floats {
+				if math.Float64bits(f) != math.Float64bits(vb.floats[i]) {
+					return false
+				}
+			}
+			ca, cb := *va, *vb
+			ca.floats, cb.floats = nil, nil
+			if !reflect.DeepEqual(ca, cb) {
+				return false
+			}
+		}
+	}
+	ta, tb := *a, *b
+	ta.segs, tb.segs = nil, nil
+	return reflect.DeepEqual(ta, tb)
 }
 
 // TestIncrementalRefreshEqualsFreshBuild interleaves query rounds with
@@ -157,6 +192,78 @@ func TestIncrementalRefreshEqualsFreshBuild(t *testing.T) {
 	if st.Appends < st.Rebuilds {
 		t.Fatalf("append-only growth must refresh incrementally: %+v", st)
 	}
+}
+
+// FuzzAppendRefreshEqualsFreshBuild drives a sequence of append batches,
+// of 0 to 3 segments' worth of rows, into a table whose segments hold 8
+// rows, so every batch extends a partial tail, opens new segments, or
+// both. Cells are NULL, NaN, signed zeros, infinities, ints and short
+// texts, so a column's first value that seeds a zone map often arrives
+// only in a later batch. After each batch the image must equal a fresh
+// build, the store must answer as the row engine does, and the image taken
+// before the batch must read as it did.
+func FuzzAppendRefreshEqualsFreshBuild(f *testing.F) {
+	old := segmentRows
+	segmentRows = 8
+	f.Cleanup(func() { segmentRows = old })
+
+	texts := []any{nil, "", "a", "b", "zz"}
+	ints := []any{nil, int64(0), int64(-3), int64(7), int64(1_000_000)}
+	reals := []any{nil, math.NaN(), 0.0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -2.5}
+	queries := []string{
+		"SELECT COUNT(*), COUNT(s), MIN(s), MAX(s), SUM(n), MIN(n), SUM(v), MIN(v), MAX(v), AVG(v) FROM ev",
+		"SELECT COUNT(*), SUM(n), MAX(v) FROM ev WHERE v >= 0 AND n <= 7 AND s >= 'a'",
+		"SELECT s, COUNT(*), COUNT(n), SUM(v), MAX(n) FROM ev GROUP BY s",
+	}
+
+	// Batch sizes, each followed by one text, int and real choice per row.
+	// A tail of NULLs and NaN, then values.
+	f.Add([]byte{3, 0, 0, 1, 0, 0, 0, 0, 0, 1, 2, 2, 6, 6, 3, 7})
+	// A full segment, an empty batch, then one row in a new segment.
+	f.Add([]byte{8, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 2, 1, 2, 0, 1, 4, 4, 5})
+	// A partial tail, an empty batch, then three segments' worth of rows
+	// that fill the tail, two new segments and part of a third.
+	f.Add([]byte{5, 1, 0, 3, 4, 0, 4, 2, 0, 5, 3, 1, 6, 1, 2, 7, 0, 24, 1, 4, 1, 2, 3, 3, 2, 2, 4, 0, 1, 6, 3, 2, 7})
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 12; i++ {
+		seed := make([]byte, 16+rng.Intn(96))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pick := func(choices []any) any {
+			if len(data) == 0 {
+				return nil
+			}
+			c := choices[int(data[0])%len(choices)]
+			data = data[1:]
+			return c
+		}
+		p := newPair(t)
+		p.exec(`CREATE TABLE ev (id INTEGER PRIMARY KEY, s TEXT, n INTEGER, v REAL)`)
+		for len(data) > 0 {
+			k := int(data[0]) % (3*segmentRows + 1)
+			data = data[1:]
+			held := p.store.image("ev")
+			var heldRows [][]any
+			if held != nil {
+				heldRows = materialize(held)
+			}
+			for i := 0; i < k; i++ {
+				p.exec(`INSERT INTO ev (s, n, v) VALUES (?, ?, ?)`, pick(texts), pick(ints), pick(reals))
+			}
+			for _, q := range queries {
+				p.check(q)
+			}
+			p.checkImage("ev")
+			if held != nil && !deepEqualNaN(materialize(held), heldRows) {
+				t.Fatalf("the image at version %d changed under an append of %d rows", held.version, k)
+			}
+		}
+		if st := p.store.Stats(); st.Rebuilds > 1 || st.Fallbacks != 0 {
+			t.Fatalf("appends must refresh incrementally from one initial build: %+v", st)
+		}
+	})
 }
 
 // TestPublishedImageNeverChanges: readers walk whatever image is current

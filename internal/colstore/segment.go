@@ -62,10 +62,13 @@ type colVec struct {
 
 	// Zone map over the non-null values. Numeric columns keep float64
 	// bounds (the engine compares all numerics as floats); text columns
-	// keep string bounds. hasNaN poisons numeric zone maps: NaN compares
-	// false against everything, so no range test can prove a miss.
+	// keep string bounds. seeded records that the bounds hold a value, so
+	// an extension of the segment widens them rather than starting over.
+	// hasNaN poisons numeric zone maps: NaN compares false against
+	// everything, so no range test can prove a miss.
 	minF, maxF float64
 	minS, maxS string
+	seeded     bool
 	hasNaN     bool
 }
 
@@ -145,22 +148,28 @@ func buildTable(tv kdb.TableView) *colTable {
 }
 
 // appendTable builds the image of a table that only grew by appends since
-// old was built. Full segments are shared with old; its partial tail
-// segment is rebuilt together with the new rows, so the layout, zone maps
-// and dictionary equal a from-scratch build of the same rows. old is left
-// untouched: the new image gets its own segment list and its own
-// dictionary header.
+// old was built, from the appended rows alone. Full segments are shared
+// with old; a partial tail segment is replaced by a copy of its vectors
+// extended with the first new rows, and the rest become new segments, so
+// the layout, zone maps and dictionary equal a from-scratch build of the
+// same rows. old is left untouched: the new image gets its own segment
+// list, its own tail and its own dictionary header.
 func appendTable(old *colTable, tv kdb.TableView) *colTable {
-	full := old.rows / segmentRows
 	ct := &colTable{
 		name:    old.name,
 		cols:    old.cols,
 		dict:    &dictionary{strs: old.dict.strs, idx: old.dict.idx},
-		segs:    append(make([]*segment, 0, tv.Len()/segmentRows+1), old.segs[:full]...),
+		segs:    append(make([]*segment, 0, tv.Len()/segmentRows+1), old.segs...),
 		rows:    tv.Len(),
 		version: tv.Version(),
 	}
-	ct.addSegments(tv.Rows(full * segmentRows))
+	rows := tv.Rows(old.rows)
+	if last := len(ct.segs) - 1; last >= 0 && ct.segs[last].n < segmentRows && len(rows) > 0 {
+		k := min(len(rows), segmentRows-ct.segs[last].n)
+		ct.segs[last] = ct.extend(ct.segs[last], rows[:k])
+		rows = rows[k:]
+	}
+	ct.addSegments(rows)
 	return ct
 }
 
@@ -168,34 +177,40 @@ func appendTable(old *colTable, tv kdb.TableView) *colTable {
 // boundary of the table.
 func (ct *colTable) addSegments(rows [][]any) {
 	for base := 0; base < len(rows); base += segmentRows {
-		end := base + segmentRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		ct.segs = append(ct.segs, buildSegment(ct, rows[base:end]))
+		ct.segs = append(ct.segs, ct.extend(nil, rows[base:min(base+segmentRows, len(rows))]))
 	}
 }
 
-// buildSegment copies rows into one segment's typed vectors. Nothing of
-// rows is kept: they alias engine memory that the next writer changes.
-func buildSegment(ct *colTable, rows [][]any) *segment {
-	n := len(rows)
+// extend returns a new segment holding tail's rows (none when tail is nil)
+// followed by rows. tail is copied, never written, and nothing of rows is
+// kept: they alias engine memory that the next writer changes.
+func (ct *colTable) extend(tail *segment, rows [][]any) *segment {
+	from := 0
+	if tail != nil {
+		from = tail.n
+	}
+	n := from + len(rows)
 	seg := &segment{n: n, cols: make([]*colVec, len(ct.cols))}
 	for ci, def := range ct.cols {
 		v := &colVec{}
+		if tail != nil {
+			*v = *tail.cols[ci] // counts and zone map; the vectors are copied below
+		}
 		switch def.Type {
 		case kdb.TInteger:
-			v.ints = make([]int64, n)
+			v.ints = grown(v.ints, n)
 		case kdb.TReal:
-			v.floats = make([]float64, n)
+			v.floats = grown(v.floats, n)
 		default:
-			v.codes = make([]uint32, n)
+			v.codes = grown(v.codes, n)
+		}
+		if v.nulls != nil {
+			v.nulls = grown(v.nulls, (n+63)/64)
 		}
 		seg.cols[ci] = v
 	}
-	// bounded[ci] records that column ci's zone map has been seeded.
-	bounded := make([]bool, len(ct.cols))
 	for i, row := range rows {
+		i += from
 		for ci, raw := range row {
 			v := seg.cols[ci]
 			if raw == nil {
@@ -209,37 +224,43 @@ func buildSegment(ct *colTable, rows [][]any) *segment {
 			switch x := raw.(type) {
 			case int64:
 				v.ints[i] = x
-				bounded[ci] = v.noteF(float64(x), bounded[ci])
+				v.noteF(float64(x))
 			case float64:
 				v.floats[i] = x
-				bounded[ci] = v.noteF(x, bounded[ci])
+				v.noteF(x)
 			case string:
 				v.codes[i] = ct.dict.code(x)
-				if !bounded[ci] || x < v.minS {
+				if !v.seeded || x < v.minS {
 					v.minS = x
 				}
-				if !bounded[ci] || x > v.maxS {
+				if !v.seeded || x > v.maxS {
 					v.maxS = x
 				}
-				bounded[ci] = true
+				v.seeded = true
 			}
 		}
 	}
 	return seg
 }
 
-// noteF widens a numeric zone map by f; seeded reports whether the bounds
-// already hold a value, and the result whether they do now.
-func (v *colVec) noteF(f float64, seeded bool) bool {
+// grown returns a copy of s at length n >= len(s), zero past len(s).
+func grown[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
+}
+
+// noteF widens a numeric zone map by f.
+func (v *colVec) noteF(f float64) {
 	if math.IsNaN(f) {
 		v.hasNaN = true
-		return seeded
+		return
 	}
-	if !seeded || f < v.minF {
+	if !v.seeded || f < v.minF {
 		v.minF = f
 	}
-	if !seeded || f > v.maxF {
+	if !v.seeded || f > v.maxF {
 		v.maxF = f
 	}
-	return true
+	v.seeded = true
 }
