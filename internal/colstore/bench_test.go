@@ -64,6 +64,8 @@ var benchQueries = []struct {
 	{"text-filter-group", "SELECT tier, COUNT(*) FROM scores WHERE fs = 'lustre' GROUP BY tier"},
 	{"two-key-group", "SELECT fs, tier, COUNT(*), AVG(bw) FROM scores GROUP BY fs, tier"},
 	{"nullable-agg", "SELECT COUNT(nodes), AVG(nodes), MAX(nodes) FROM scores WHERE total > 500"},
+	{"group-spread", "SELECT fs, COUNT(*), AVG(bw), MIN(bw), MAX(bw) FROM scores GROUP BY fs"},
+	{"census", "SELECT tier, COUNT(*) FROM scores GROUP BY tier"},
 }
 
 func benchEngine(b *testing.B, attach bool) {

@@ -75,7 +75,8 @@ type Store struct {
 	mu     sync.RWMutex
 	tables map[string]*colTable // keyed by lowercased name
 
-	buffers sync.Pool // *[]int32: queries' selection and group vectors
+	buffers  sync.Pool // *[]int32: queries' selection and group vectors
+	verdicts sync.Pool // *[]uint8: text conjuncts' per-code verdicts
 
 	served      atomic.Int64
 	fallbacks   atomic.Int64

@@ -29,9 +29,9 @@ func fuzzEvents(p *pair) {
 }
 
 // fuzzQuery turns fuzz bytes into one analytical SELECT over ev and its
-// arguments: one to three items, one to three conjuncts (column or value
-// on the left, a placeholder or a literal, NULL among the operands) and
-// zero to two GROUP BY columns, paged at times.
+// arguments: one to five items (so repeated columns), zero to three
+// conjuncts (column or value on the left, a placeholder or a literal, NULL
+// among the operands) and zero to two GROUP BY columns, paged at times.
 func fuzzQuery(data []byte) (string, []any) {
 	pick := func(n int) int {
 		if len(data) == 0 {
@@ -56,12 +56,12 @@ func fuzzQuery(data []byte) (string, []any) {
 		group = append(group, c)
 		sel = append(sel, c)
 	}
-	for i := 1 + pick(3); i > 0; i-- {
+	for i := 1 + pick(5); i > 0; i-- {
 		sel = append(sel, items[pick(len(items))])
 	}
 	var where []string
 	var args []any
-	for i := 1 + pick(3); i > 0; i-- {
+	for i := (1 + pick(4)) % 4; i > 0; i-- { // a pick of 3: no WHERE
 		col := cols[pick(len(cols))]
 		op := ops[pick(len(ops))]
 		var val any
@@ -87,7 +87,10 @@ func fuzzQuery(data []byte) (string, []any) {
 			where = append(where, col+" "+op+" "+operand)
 		}
 	}
-	sql := "SELECT " + strings.Join(sel, ", ") + " FROM ev WHERE " + strings.Join(where, " AND ")
+	sql := "SELECT " + strings.Join(sel, ", ") + " FROM ev"
+	if len(where) > 0 {
+		sql += " WHERE " + strings.Join(where, " AND ")
+	}
 	if len(group) > 0 {
 		sql += " GROUP BY " + strings.Join(group, ", ")
 		if pick(3) == 1 {
@@ -99,7 +102,8 @@ func fuzzQuery(data []byte) (string, []any) {
 
 // FuzzColumnarEqualsRowEngine widens TestRandomizedGeneratedQueries'
 // grammar to text ranges, NULL operands, COUNT(*) and COUNT(text), two-key
-// groups, value-on-left conjuncts, all-NULL segments and signed zeros:
+// groups, value-on-left conjuncts, unfiltered scans, several aggregates over
+// one column, all-NULL segments and signed zeros:
 // every answer the store serves must equal the row engine's, and every
 // query it declines is answered by the row engine anyway.
 func FuzzColumnarEqualsRowEngine(f *testing.F) {
@@ -137,6 +141,10 @@ func FuzzColumnarEqualsRowEngine(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 6, 1, 2, 0, 4, 0, 3, 0, 10, 1, 0})
 	// SELECT grp, COUNT(*), MAX(v) FROM ev WHERE v = NaN GROUP BY grp
 	f.Add([]byte{1, 0, 1, 0, 13, 0, 4, 0, 6, 0, 0})
+	// SELECT region, COUNT(*), AVG(v), MIN(v), MAX(v) FROM ev GROUP BY region
+	f.Add([]byte{1, 1, 3, 0, 14, 12, 13, 3, 0})
+	// SELECT region, COUNT(*) FROM ev GROUP BY region
+	f.Add([]byte{1, 1, 0, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p.t = t
 		if !seeded {

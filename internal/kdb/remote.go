@@ -300,6 +300,13 @@ func (s *Server) Serve(l net.Listener) error {
 		}
 		sc := &serverConn{c: conn}
 		s.mu.Lock()
+		if s.closed {
+			// Shutdown may already be waiting on s.wg: adding to it now would
+			// race that wait, and the connection would outlive the server.
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		over := len(s.conns) >= s.maxConns()
 		if !over {
 			s.conns[sc] = struct{}{}

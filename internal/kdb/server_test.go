@@ -70,6 +70,43 @@ func TestServerGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServeShutdownRace dials a server while it shuts down: a connection
+// accepted after Shutdown began must not join the wait group Shutdown is
+// already waiting on (the race detector reports that), and Shutdown must
+// still return once every accepted connection is closed.
+func TestServeShutdownRace(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for round := 0; round < 300; round++ {
+		srv := &Server{DB: db}
+		l, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := l.Addr().String()
+		var dials sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			dials.Add(1)
+			go func() {
+				defer dials.Done()
+				if c, err := net.Dial("tcp", addr); err == nil {
+					c.Close()
+				}
+			}()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: Shutdown: %v", round, err)
+		}
+		dials.Wait()
+	}
+}
+
 func TestServerMaxConns(t *testing.T) {
 	srv := &Server{MaxConns: 1}
 	addr := startServerFull(t, srv)

@@ -48,6 +48,7 @@ step_fmt() {
 step_vet() {
 	echo "== go vet =="
 	$GO vet ./...
+	(cd bench && $GO vet ./...) # a nested module: ./... stops at its go.mod
 }
 
 step_build() {
