@@ -64,11 +64,6 @@ func CorpusBands(src PercentileSource, pLow, pHigh float64) (ScoreBands, error) 
 	return out, nil
 }
 
-// PlaceScore classifies one score value against a band.
-func PlaceScore(v float64, b Band) Position {
-	return classify(v, b.Low, b.High)
-}
-
 // String renders the bands in report form.
 func (b ScoreBands) String() string {
 	return fmt.Sprintf(

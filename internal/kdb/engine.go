@@ -156,6 +156,9 @@ type Rows struct {
 	Columns []string
 	rows    [][]any
 	idx     int
+	// fp and lsn answer Footprint.
+	fp  Footprint
+	lsn int64
 }
 
 // Next advances to the next row; it must be called before the first Row.
@@ -535,10 +538,13 @@ func (db *DB) QueryTraced(tc telemetry.TraceContext, query string, args ...any) 
 	return q[0].finish()
 }
 
-// Stmt is one statement of a read step: its SQL and arguments.
+// Stmt is one statement of a read step: its SQL and arguments, and whether
+// its answer should report its footprint (Rows.Footprint). Nobody pays for
+// a footprint that was not asked for.
 type Stmt struct {
-	SQL  string
-	Args []any
+	SQL       string
+	Args      []any
+	Footprint bool
 }
 
 // QueryBatch implements Conn: the SELECTs of one read step, answered in
@@ -551,6 +557,7 @@ func (db *DB) QueryBatch(tc telemetry.TraceContext, stmts []Stmt) ([]*Rows, erro
 	qs := make([]pendingSelect, 0, len(stmts))
 	for _, s := range stmts {
 		qs = append(qs, db.startSelect(tc, s.SQL, s.Args))
+		qs[len(qs)-1].want = s.Footprint
 		if qs[len(qs)-1].err != nil {
 			break
 		}
@@ -571,11 +578,13 @@ func (db *DB) QueryBatch(tc telemetry.TraceContext, stmts []Stmt) ([]*Rows, erro
 // offered to those before the read lock (startSelect), answered by the row
 // engine under it when none of them served it (selectLocked), then reported
 // on its span (finish). A statement the step never reached is left
-// unanswered, and its span is never recorded.
+// unanswered, and its span is never recorded. want asks the row engine for
+// the answer's footprint; a statement another source serves has none.
 type pendingSelect struct {
 	hop    *telemetry.Hop
 	sel    *selectStmt
 	args   []any
+	want   bool
 	st     selectStats
 	served bool
 	rows   *Rows
@@ -628,10 +637,16 @@ func (db *DB) selectLocked(qs []pendingSelect) {
 			metLockWaitSeconds.Observe(wait)
 		}
 		q.st.lockWait = wait
+		if q.want {
+			q.st.fp = &footprintSet{}
+		}
 		start := time.Now()
 		q.rows, q.err = db.execSelectStats(q.sel, q.args, &q.st)
 		metQuerySeconds.ObserveEx(sinceSeconds(start), q.hop.TraceID())
 		q.served = true
+		if q.want && q.err == nil {
+			q.rows.fp, q.rows.lsn = q.st.fp.result(), db.lsn
+		}
 	}
 }
 
@@ -1067,6 +1082,8 @@ type selectStats struct {
 	// lockWait is the time spent waiting for the read lock, in seconds;
 	// only the row engine takes it.
 	lockWait float64
+	// fp, when set, collects the row engine's footprint of the statement.
+	fp *footprintSet
 }
 
 func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows, error) {
@@ -1079,6 +1096,18 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 		return nil, err
 	}
 	p := base.planWalk(e, steps, s.Where, args)
+	if p.fp = st.fp; p.fp != nil {
+		if strings.HasPrefix(p.path, "index") {
+			p.fp.probe(base, p.eqCol, p.eqVal, p.cand)
+		} else {
+			p.fp.whole(base)
+		}
+		for _, j := range steps {
+			if j.strategy == "loop" {
+				p.fp.whole(j.table)
+			}
+		}
+	}
 	hasAgg := false
 	for _, it := range s.Items {
 		hasAgg = hasAgg || it.Agg != ""

@@ -292,10 +292,11 @@ func collectPreds(w expr, e *env, out []colPred) []colPred {
 
 // eqCandidates serves the first equality conjunct on one of t's own columns
 // that an index covers: it returns the candidate row positions in ascending
-// order (the caller must still filter them through the full predicate).
+// order (the caller must still filter them through the full predicate), and
+// the column and value probed.
 // preds may come from a joined environment: t's columns are its first
 // len(t.Columns) positions, so no index of t covers a joined table's column.
-func (t *Table) eqCandidates(preds []colPred, args []any) ([]int, bool) {
+func (t *Table) eqCandidates(preds []colPred, args []any) (cand []int, col int, val any, ok bool) {
 	for _, p := range preds {
 		if p.op != "=" {
 			continue
@@ -306,17 +307,17 @@ func (t *Table) eqCandidates(preds []colPred, args []any) ([]int, bool) {
 		}
 		v, err := evalValue(p.val, args)
 		if err != nil {
-			return nil, false // surface the error through the scan path
+			return nil, 0, nil, false // surface the error through the scan path
 		}
 		cv, err := coerce(v, t.Columns[p.colIdx].Type)
 		if err != nil {
 			// Type-mismatched literal: the scan path decides whether that
 			// is an error or simply matches nothing.
-			return nil, false
+			return nil, 0, nil, false
 		}
-		return t.freshBuckets(ix)[hashKey(cv)], true
+		return t.freshBuckets(ix)[hashKey(cv)], p.colIdx, cv, true
 	}
-	return nil, false
+	return nil, 0, nil, false
 }
 
 // pkRange serves "pk >/>=/</<= value" conjuncts on a table whose rows are

@@ -19,6 +19,11 @@ type plan struct {
 	path   string // selectStats.path
 	cand   []int
 	lo, hi int
+	// eqCol and eqVal are the column and value the index path probed; fp,
+	// when set, collects the walk's footprint.
+	eqCol int
+	eqVal any
+	fp    *footprintSet
 
 	// The walk in progress: the base row's position, and the rows examined
 	// so far.
@@ -87,8 +92,8 @@ func (db *DB) planJoins(base *Table, joins []joinClause) (*env, []joinStep, erro
 func (t *Table) planWalk(e *env, steps []joinStep, where expr, args []any) plan {
 	p := plan{base: t, env: e, steps: steps, where: where, args: args, path: "scan", hi: len(t.Rows)}
 	preds := collectPreds(where, e, nil)
-	if cand, ok := t.eqCandidates(preds, args); ok {
-		p.cand, p.hi, p.path = cand, len(cand), "index"
+	if cand, col, v, ok := t.eqCandidates(preds, args); ok {
+		p.cand, p.hi, p.path, p.eqCol, p.eqVal = cand, len(cand), "index", col, v
 	} else if lo, hi, ok := t.pkRange(preds, args); ok {
 		p.lo, p.hi, p.path = lo, hi, "range"
 	}
@@ -144,7 +149,11 @@ func (p *plan) join(i int, row []any, visit func(pos int, row []any) (bool, erro
 		return visit(p.pos, row)
 	}
 	j := &p.steps[i]
-	for _, pos := range j.candidates(row[j.li]) {
+	cand := j.candidates(row[j.li])
+	if p.fp != nil && j.strategy != "loop" {
+		p.fp.probe(j.table, j.ri-j.width, row[j.li], cand)
+	}
+	for _, pos := range cand {
 		copy(row[j.width:], j.table.Rows[pos])
 		p.examined++
 		// Candidates only narrow: compareEq decides each pair, so NULL = NULL

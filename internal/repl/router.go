@@ -80,6 +80,10 @@ func NewRouter(primary kdb.Conn, replicas ...Replica) *Router {
 	return rt
 }
 
+// Primary is the connection writes go to: the api's change feed streams
+// from it, and a read that must not lag goes to it directly.
+func (rt *Router) Primary() kdb.Conn { return rt.primary }
+
 // Session returns an independent routing session whose reads are gated
 // only by its own writes.
 func (rt *Router) Session() *Session { return &Session{rt: rt} }

@@ -17,19 +17,10 @@ import (
 // diff, merge) to the store's database. Only embedded databases qualify —
 // on a remote or sharded connection the version store belongs to the
 // serving side, where its tables replicate like any other knowledge.
-// Detach with DisableVersioning; history persists either way.
 func (s *Store) EnableVersioning() (*vcs.Repo, error) {
 	db, ok := s.DB.(*kdb.DB)
 	if !ok {
 		return nil, fmt.Errorf("schema: versioning requires an embedded database, not %T", s.DB)
 	}
 	return vcs.Attach(db)
-}
-
-// DisableVersioning detaches the system tables of a previously enabled
-// version store. Committed history stays in the vcs_* tables.
-func (s *Store) DisableVersioning() {
-	if db, ok := s.DB.(*kdb.DB); ok {
-		db.SetSystemTables(nil)
-	}
 }

@@ -55,13 +55,6 @@ func (c *Coordinator) ShardMap() (epoch int64, data []byte) {
 	return c.smap.Epoch, c.smap.Marshal()
 }
 
-// NumShards reports the partition count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
-// Shard exposes one shard connection for administrative paths (seeding,
-// convergence checks); routing callers should never need it.
-func (c *Coordinator) Shard(i int) kdb.Conn { return c.shards[i] }
-
 func (c *Coordinator) shardFor(key uint64) int { return int(key % uint64(len(c.shards))) }
 
 // observe records one shard request's latency, tagging the series with the

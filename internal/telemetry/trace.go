@@ -80,9 +80,6 @@ var (
 // on; zero disables the log (and tracing, unless forced by SetTracing).
 func SetSlowQueryThreshold(d time.Duration) { slowNanos.Store(int64(d)) }
 
-// SlowQueryThreshold returns the current threshold (0 = disabled).
-func SlowQueryThreshold() time.Duration { return time.Duration(slowNanos.Load()) }
-
 // SetTracing forces tracing on (or back off) independently of the
 // slow-query threshold — spans are recorded, but nothing is logged slow.
 func SetTracing(on bool) { tracingForced.Store(on) }
