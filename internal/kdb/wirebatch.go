@@ -338,7 +338,7 @@ func (r *Remote) wireBatch(key *uint64, fn func(exec ExecFunc) error) error {
 	hop.AttrInt("statements", int64(b.n))
 	if err == nil && b.n > 0 {
 		tc := hop.Context()
-		b.line = appendBatchTail(b.line, tc.TraceID, tc.SpanID)
+		b.line = appendBatchTail(b.line, tc.TraceID, tc.SpanID, false)
 		err = r.sendBatch(b, tc)
 	}
 	if err != nil {

@@ -377,7 +377,7 @@ func checkBatchRequest(t testing.TB, key *uint64, traceID, spanID string, stmts 
 		}
 		want.Stmts = append(want.Stmts, wireStmt{SQL: st.sql, Args: wa})
 	}
-	line := appendBatchTail(b.line, traceID, spanID)
+	line := appendBatchTail(b.line, traceID, spanID, false)
 	if wantLine := append(mustMarshal(t, want), '\n'); !bytes.Equal(line, wantLine) {
 		t.Fatalf("batch request\n got %s\nwant %s", line, wantLine)
 	}
@@ -625,7 +625,7 @@ func TestWireBatchLogsEncoderBytes(t *testing.T) {
 	if err := save(rec.exec); err != nil {
 		t.Fatal(err)
 	}
-	_, stmts, ok := scanBatchRequest(appendBatchTail(rec.line, "", "")[:len(rec.line)+2])
+	_, stmts, ok := scanBatchRequest(appendBatchTail(rec.line, "", "", false)[:len(rec.line)+2])
 	if !ok {
 		t.Fatal("the scanner declined the recorder's batch")
 	}
