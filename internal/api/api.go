@@ -67,7 +67,8 @@ const defaultPageLimit = 50
 type Server struct {
 	// Metrics receives the per-route request metrics and backs /metrics
 	// and /metrics.json. New sets it from Config; tests may substitute a
-	// private registry before the first request.
+	// private registry before the first request. The change feed's own
+	// gauge (api_feed_streaming) stays in Config's.
 	Metrics  *telemetry.Registry
 	store    *schema.Store
 	mux      *http.ServeMux
@@ -92,7 +93,7 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		mux:      http.NewServeMux(),
 		limiter:  newRateLimiter(cfg.Rate, cfg.Burst),
-		val:      newValidity(cfg.Store.DB, cfg.ProbeInterval),
+		val:      newValidity(cfg.Store.DB, cfg.ProbeInterval, cfg.Metrics),
 		maxLimit: cfg.MaxPageLimit,
 	}
 	s.cache = newResultCache(func() *telemetry.Registry { return s.Metrics })

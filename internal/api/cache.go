@@ -10,15 +10,26 @@ package api
 //
 // Hit rules. An entry stamped at the current (LSN, epoch) is served. One
 // stamped at an earlier LSN of the same epoch is served only if it has a
-// footprint and the change feed holds every commit between its stamp and
-// the current LSN, none of which hits the footprint (Footprint.HitBy); it
-// is then re-stamped with the current LSN (api_cache_kept_total), and
-// answers X-Cache: hit. An entry without a footprint depends on everything
-// and is served at its own stamp only: an explorer page, a build that read
-// a system table, one served by a peer that predates footprints, and every
-// entry of the shard coordinator, which has no feed. While the feed is
-// down, behind, or restarting after a snapshot, every entry falls back to
-// that rule until it catches up.
+// footprint, the change feed covers every commit from its stamp up to the
+// current LSN, and none of them hits the footprint; it is then re-stamped
+// with the current LSN (api_cache_kept_total), and answers X-Cache: hit.
+// The feed keeps no list of those commits but their watermarks
+// (kdb.Marks): for each table, appended key and appended column list, the
+// LSN of the last commit that hit it. An entry is so checked with one or
+// two lookups per footprint entry (Footprint.HitSince), however old its
+// stamp; a commit after the current LSN that the feed has already applied
+// counts too, a false hit at worst. The marks reach back one to two
+// generations of 4,096 commits; an entry stamped before that is rebuilt.
+// An entry without a footprint depends on everything and is served at its
+// own stamp only: an explorer page, a build that read a system table, one
+// served by a peer that predates footprints, and every entry of the shard
+// coordinator, which has no feed. While the feed is down, behind, or
+// restarting after a snapshot, every entry falls back to that rule until it
+// catches up. api_cache_stale_total{reason} counts the entries not served
+// for a commit that hit them (hit), for a stamp the feed does not reach
+// back to or the current LSN it has not reached yet (horizon), or for
+// having no footprint (blind); api_feed_streaming is 1 while the feed
+// follows the primary's commits and 0 while it probes.
 //
 // Stamping rule. A build is stamped with the LSN its reads actually ran at,
 // which the answering node reports with each footprint, and is validated
@@ -46,7 +57,6 @@ package api
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,14 +116,19 @@ func (c *resultCache) get(key string, lsn, epoch int64, v *validity) *cacheEntry
 		return nil
 	case e.lsn == lsn:
 		return e
-	case e.fp == nil || e.lsn > lsn:
+	case e.lsn > lsn:
+		return nil
+	case e.fp == nil:
+		c.stale("blind")
 		return nil
 	}
 	hit, known := v.hits(e.fp, e.lsn, lsn)
 	if !known {
+		c.stale("horizon")
 		return nil
 	}
 	if hit {
+		c.stale("hit")
 		c.dropLocked(key, "invalidated")
 		c.gauge()
 		return nil
@@ -187,6 +202,10 @@ func (c *resultCache) dropLocked(key string, reason string) {
 	c.metrics().Counter(telemetry.Label("api_cache_evictions_total", "reason", reason)).Inc()
 }
 
+func (c *resultCache) stale(reason string) {
+	c.metrics().Counter(telemetry.Label("api_cache_stale_total", "reason", reason)).Inc()
+}
+
 func (c *resultCache) gauge() {
 	m := c.metrics()
 	m.Gauge("api_cache_entries").Set(float64(len(c.entries)))
@@ -205,12 +224,6 @@ type localFeed interface {
 	RecordsSince(after int64) ([]kdb.ReplEvent, bool)
 }
 
-// changeAt is one committed record of the feed, classified.
-type changeAt struct {
-	lsn int64
-	ch  kdb.Change
-}
-
 // validity tracks the store's current (LSN, epoch) and follows the
 // primary's change feed.
 type validity struct {
@@ -221,16 +234,19 @@ type validity struct {
 	local   localFeed
 	feed    bool         // there is a change feed, local or streamed
 	floor   atomic.Int64 // highest LSN the feed has reported
+	// streaming is api_feed_streaming: 1 while the feed follows the
+	// primary's commits (a stream that delivers, or an embedded database's
+	// records), 0 while it probes or there is no feed.
+	streaming *telemetry.Gauge
 
 	mu sync.Mutex
-	// on is set while hist is the feed's contiguous record of every change
-	// after base up to fed.
-	on        bool
-	base, fed int64
-	hist      []changeAt
-	moved     chan struct{} // closed when fed moves
-	stream    *kdb.ReplStream
-	closed    bool
+	// on is set while marks summarise every change after their Base up to
+	// their Top.
+	on     bool
+	marks  *kdb.Marks
+	moved  chan struct{} // closed when the marks' Top moves
+	stream *kdb.ReplStream
+	closed bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -248,14 +264,14 @@ const (
 	// maxFeedWait bounds how long a build waits for the feed to reach the
 	// LSN its reads ran at.
 	maxFeedWait = 50 * time.Millisecond
-	// maxHistory bounds the changes kept; an entry stamped before the
-	// oldest can no longer be carried forward.
-	maxHistory = 8192
 )
 
-// newValidity starts following the change feed the backend offers.
-func newValidity(conn kdb.Conn, redial time.Duration) *validity {
-	v := &validity{conn: conn, primary: conn, stop: make(chan struct{}), moved: make(chan struct{})}
+// newValidity starts following the change feed the backend offers, and
+// reports its state to reg.
+func newValidity(conn kdb.Conn, redial time.Duration, reg *telemetry.Registry) *validity {
+	v := &validity{conn: conn, primary: conn, marks: kdb.NewMarks(0), streaming: reg.Gauge("api_feed_streaming"),
+		stop: make(chan struct{}), moved: make(chan struct{})}
+	v.streaming.Set(0)
 	if redial <= 0 {
 		redial = defaultRedial
 	}
@@ -265,7 +281,9 @@ func newValidity(conn kdb.Conn, redial time.Duration) *validity {
 	switch p := v.primary.(type) {
 	case localFeed:
 		v.local, v.feed = p, true
-		v.on, v.base, v.fed = true, p.LSN(), p.LSN()
+		v.on = true
+		v.marks.Reset(p.LSN())
+		v.streaming.Set(1)
 	case remotePrimary:
 		v.feed = true
 		v.wg.Add(1)
@@ -330,7 +348,7 @@ func (v *validity) probe(p remotePrimary) (int64, bool) {
 // which the feed restarts with no history.
 func (v *validity) resume(p remotePrimary) (int64, bool) {
 	v.mu.Lock()
-	on, fed := v.on, v.fed
+	on, fed := v.on, v.marks.Top()
 	v.mu.Unlock()
 	if on {
 		return fed, true
@@ -344,7 +362,8 @@ func (v *validity) resume(p remotePrimary) (int64, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.note(lsn)
-	v.on, v.base, v.fed, v.hist = true, lsn, lsn, nil
+	v.on = true
+	v.marks.Reset(lsn)
 	return lsn, true
 }
 
@@ -362,6 +381,7 @@ func (v *validity) attach(st *kdb.ReplStream) bool {
 func (v *validity) detach(st *kdb.ReplStream) {
 	v.mu.Lock()
 	v.stream = nil
+	v.streaming.Set(0)
 	v.mu.Unlock()
 	st.Close()
 }
@@ -374,13 +394,14 @@ func (v *validity) consume(st *kdb.ReplStream) (progressed bool) {
 		if err != nil {
 			return progressed
 		}
+		v.streaming.Set(1)
 		v.mu.Lock()
 		top := int64(0)
 		for i := range evs {
 			ev := &evs[i]
 			switch {
 			case ev.SnapshotRequired:
-				v.on, v.hist = false, nil
+				v.on = false
 				v.mu.Unlock()
 				return progressed
 			case len(ev.Entry) > 0:
@@ -389,63 +410,45 @@ func (v *validity) consume(st *kdb.ReplStream) (progressed bool) {
 			}
 			top = max(top, ev.LSN, ev.PrimaryLSN)
 		}
-		v.note(top) // under the lock: current never runs ahead of a fed history
+		v.note(top) // under the lock: current never runs ahead of the marks
 		v.mu.Unlock()
 	}
 }
 
-// applyLocked adds one committed record to the history; v.mu must be held.
+// applyLocked notes one committed record in the marks; v.mu must be held.
 func (v *validity) applyLocked(lsn int64, ch kdb.Change) {
-	if lsn != v.fed+1 {
-		// Not the next record: nothing is known of the ones in between.
-		v.base, v.fed, v.hist = lsn, lsn, nil
-	} else {
-		v.hist = append(v.hist, changeAt{lsn, ch})
-		v.fed = lsn
-	}
-	if len(v.hist) > maxHistory {
-		keep := v.hist[len(v.hist)-maxHistory/2:]
-		v.base = keep[0].lsn - 1
-		v.hist = append([]changeAt(nil), keep...)
-	}
+	v.marks.Apply(lsn, ch)
 	close(v.moved)
 	v.moved = make(chan struct{})
 }
 
-// catchUpLocked reports whether the history reaches to; an in-process feed
-// is pulled up to date first. v.mu must be held.
+// catchUpLocked reports whether the marks reach to; an in-process feed is
+// pulled up to date first. v.mu must be held.
 func (v *validity) catchUpLocked(to int64) bool {
 	if !v.on {
 		return false
 	}
-	if v.fed < to && v.local != nil {
-		recs, ok := v.local.RecordsSince(v.fed)
+	if v.marks.Top() < to && v.local != nil {
+		recs, ok := v.local.RecordsSince(v.marks.Top())
 		if !ok {
-			lsn := v.local.LSN()
-			v.base, v.fed, v.hist = lsn, lsn, nil
+			v.marks.Reset(v.local.LSN())
 		}
 		for i := range recs {
 			v.applyLocked(recs[i].LSN, recs[i].Change())
 		}
 	}
-	return v.fed >= to
+	return v.marks.Top() >= to
 }
 
-// hits reports whether a commit after from, up to to, hits fp; known is
-// false when the feed cannot tell.
+// hits reports whether a commit after from, up to to or any the feed has
+// applied beyond it, hits fp; known is false when the feed cannot tell.
 func (v *validity) hits(fp kdb.Footprint, from, to int64) (hit, known bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.catchUpLocked(to) || from < v.base {
+	if !v.catchUpLocked(to) || from < v.marks.Base() {
 		return false, false
 	}
-	i := sort.Search(len(v.hist), func(i int) bool { return v.hist[i].lsn > from })
-	for ; i < len(v.hist) && v.hist[i].lsn <= to; i++ {
-		if fp.HitBy(v.hist[i].ch) {
-			return true, true
-		}
-	}
-	return false, true
+	return fp.HitSince(v.marks, from), true
 }
 
 // waitFed waits, for at most maxFeedWait, until an attached stream reaches

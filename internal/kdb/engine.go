@@ -355,12 +355,19 @@ func (db *DB) stageStmt(query string, args []any) (Result, error) {
 // stageRecord applies in memory the statement whose newline-terminated log
 // record the caller has just appended to db.step at mark, and queues its undo
 // for commitLocked, which must be running. A statement that cannot be applied
-// takes its record back out. live is as for applyLocked; scanned says the
-// record is in the scanner's shape (replRecord.scanned).
+// takes its record back out, and so does a live one that changed nothing
+// (errUnchanged), which takes no LSN. live is as for applyLocked; scanned
+// says the record is in the scanner's shape (replRecord.scanned).
 func (db *DB) stageRecord(query string, args []any, mark int, live, scanned bool) (Result, error) {
 	res, undo, err := db.applyLocked(query, args, live)
+	if err == errUnchanged && !live {
+		err = nil
+	}
 	if err != nil {
 		db.step = db.step[:mark]
+		if err == errUnchanged {
+			return Result{}, nil
+		}
 		return Result{}, err
 	}
 	if undo != nil {
@@ -372,6 +379,12 @@ func (db *DB) stageRecord(query string, args []any, mark int, live, scanned bool
 	res.LSN = db.lsn + int64(len(db.ends))
 	return res, nil
 }
+
+// errUnchanged is what an exec returns for a statement that found nothing to
+// do: a CREATE … IF NOT EXISTS whose object is there. A live statement is
+// then not logged; in committed history, which may hold one, it applies as
+// a record that changed nothing.
+var errUnchanged = errors.New("kdb: unchanged")
 
 // noteCommit gives one logged record the next LSN, retains it for
 // replication catch-up, and wakes any streams waiting for commits; scanned is
@@ -687,7 +700,7 @@ func (db *DB) execCreate(s *createStmt) (Result, func(), error) {
 	key := strings.ToLower(s.Table)
 	if _, exists := db.tables[key]; exists {
 		if s.IfNotExists {
-			return Result{}, nil, nil
+			return Result{}, nil, errUnchanged
 		}
 		return Result{}, nil, fmt.Errorf("kdb: table %q already exists", s.Table)
 	}
@@ -726,7 +739,7 @@ func (db *DB) execCreateIndex(s *createIndexStmt) (Result, func(), error) {
 	}
 	if t.indexNamed(s.Name) != nil {
 		if s.IfNotExists {
-			return Result{}, nil, nil
+			return Result{}, nil, errUnchanged
 		}
 		return Result{}, nil, fmt.Errorf("kdb: index %q already exists", s.Name)
 	}
@@ -736,7 +749,7 @@ func (db *DB) execCreateIndex(s *createIndexStmt) (Result, func(), error) {
 	}
 	if ix := t.indexOn(col); ix != nil && ix.Name != "" {
 		if s.IfNotExists {
-			return Result{}, nil, nil
+			return Result{}, nil, errUnchanged
 		}
 		return Result{}, nil, fmt.Errorf("kdb: column %q is already indexed by %q", s.Col, ix.Name)
 	}

@@ -1,7 +1,10 @@
 package kdb
 
 import (
+	"encoding/binary"
 	"hash/maphash"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -27,12 +30,17 @@ import (
 // ReplEvent.Change reads a committed log record as a Change: a plain append
 // of rows with named column values, or a rewrite of its table — UPDATE,
 // DELETE, DDL, an INSERT without a column list, anything unreadable (a
-// rewrite of every table). Footprint.HitBy is the one rule joining the two:
-// a Key is hit by a rewrite of its table or an appended row whose column
-// holds the value under the index's key equality (hashKey: 1 = 1.0, and a
-// column the INSERT omits is NULL; a text longer than 32 bytes compares by
-// length and a 64-bit hash); a Row by a rewrite of its table; a Whole by
-// any change to its table.
+// rewrite of every table). One rule joins the two: a Key is hit by a
+// rewrite of its table or an appended row whose column holds the value
+// under the index's key equality (hashKey: 1 = 1.0, and a column the
+// INSERT omits is NULL; values compare by a 64-bit hash, keyMark); a Row by
+// a rewrite of its table; a Whole by any change to its table.
+//
+// A feed does not keep the changes it has seen but their Marks: for each
+// thing a change can hit, the LSN of the last change that hit it.
+// Footprint.HitSince asks the marks whether any change after a stamp hits a
+// footprint, with one or two map lookups per entry; Footprint.HitBy is the
+// same question about one change.
 
 // DepKind says which part of a table a Dep covers.
 type DepKind uint8
@@ -137,40 +145,19 @@ func (f *footprintSet) result() Footprint {
 
 // Change is what one committed record does, as far as a footprint can
 // tell: an append to table, or (rewrite) anything else done to table — to
-// every table when table is empty. An append keeps its rows' values for
-// cols, row after row, as keys (keptKey), and its column names as the
-// statement spells them: a feed holds thousands of Changes.
+// every table when table is empty. An append keeps its column names,
+// lowercased, and for each of its cells the mark a Key on that column and
+// value looks up (keyMark), row after row. A feed folds each Change into
+// its Marks and keeps none.
 type Change struct {
 	table   string
 	rewrite bool
 	cols    []string
-	keys    []any
+	keys    []uint64
 }
 
 // everything is the change that hits every footprint.
 var everything = Change{rewrite: true}
-
-// longText is how a Change keeps a text longer than maxKeptText: its
-// length and a hash. Two such texts that collide cost a false hit, never a
-// missed one.
-type longText struct {
-	n int
-	h uint64
-}
-
-const maxKeptText = 32
-
-var textSeed = maphash.MakeSeed()
-
-// keptKey is the key a value is compared under when appended: hashKey's,
-// with a long text reduced to a longText.
-func keptKey(v any) any {
-	k := hashKey(v)
-	if s, ok := k.(string); ok && len(s) > maxKeptText {
-		return longText{len(s), maphash.String(textSeed, s)}
-	}
-	return k
-}
 
 // Change classifies the committed record the event carries — from a
 // replication stream or DB.RecordsSince — as a Change.
@@ -197,17 +184,20 @@ func classifyStmt(sql string, args []any) Change {
 		if len(s.Columns) == 0 {
 			return rewrite(s.Table)
 		}
-		ch := Change{table: strings.ToLower(s.Table), cols: s.Columns, keys: make([]any, 0, len(s.Rows)*len(s.Columns))}
+		ch := Change{table: strings.ToLower(s.Table), cols: make([]string, len(s.Columns)), keys: make([]uint64, 0, len(s.Rows)*len(s.Columns))}
+		for i, c := range s.Columns {
+			ch.cols[i] = strings.ToLower(c)
+		}
 		for _, exprs := range s.Rows {
-			if len(exprs) != len(s.Columns) {
+			if len(exprs) != len(ch.cols) {
 				return rewrite(s.Table)
 			}
-			for _, e := range exprs {
+			for i, e := range exprs {
 				v, err := evalValue(e, args)
 				if err != nil {
 					return rewrite(s.Table)
 				}
-				ch.keys = append(ch.keys, keptKey(v))
+				ch.keys = append(ch.keys, keyMark(ch.table, ch.cols[i], v))
 			}
 		}
 		return ch
@@ -225,41 +215,208 @@ func classifyStmt(sql string, args []any) Change {
 	return everything // DROP INDEX names no table
 }
 
-// HitBy reports whether ch can change an answer whose footprint is fp. A
-// nil footprint is hit by everything.
-func (fp Footprint) HitBy(ch Change) bool {
-	if fp == nil {
+var markSeed = maphash.MakeSeed()
+
+// keyMark is the 64 bits a Key dependency and an appended cell meet under:
+// a hash of the table and column (lowercased) and of the value under the
+// index's key equality (hashKey: 1 = 1.0, -0 = 0). Two keys that collide
+// cost a false hit, never a missed one.
+func keyMark(table, col string, v any) uint64 {
+	var h maphash.Hash
+	h.SetSeed(markSeed)
+	h.WriteString(table)
+	h.WriteByte(0)
+	h.WriteString(col)
+	h.WriteByte(0)
+	var n [8]byte
+	switch k := hashKey(v).(type) {
+	case int64:
+		binary.LittleEndian.PutUint64(n[:], uint64(k))
+		h.WriteByte('i')
+		h.Write(n[:])
+	case float64:
+		binary.LittleEndian.PutUint64(n[:], math.Float64bits(k))
+		h.WriteByte('r')
+		h.Write(n[:])
+	case string:
+		h.WriteByte('t')
+		h.WriteString(k)
+	case nullKey:
+		h.WriteByte('n')
+	default:
+		h.WriteByte('?') // no other engine value: one shared mark, a false hit at worst
+	}
+	return h.Sum64()
+}
+
+// Marks summarises a run of committed changes as watermarks: for each
+// dependency a change can hit, the LSN of the last change that hit it —
+//
+//   - the last change to every table (a rewrite of everything);
+//   - per table, its last rewrite and its last change of any kind;
+//   - per appended key (keyMark), its last append;
+//   - per table, each distinct list of columns an append named, with its
+//     last append (a column the list omits is NULL).
+//
+// A footprint so asks one or two map lookups per entry (HitSince), however
+// old its stamp. The marks cover every change after Base up to Top, in two
+// generations of up to marksGeneration changes: when the newer one is full
+// the older is dropped, and Base moves up to where the newer began. The
+// horizon is so one to two generations back, and what is kept is bounded
+// by the distinct keys two generations appended.
+type Marks struct {
+	base, mid, top int64 // old covers (base, mid], cur (mid, top]
+	old, cur       *marks
+	n              int // changes in cur
+	size           int // changes per generation
+}
+
+const marksGeneration = 4096
+
+// marks is one generation's watermarks.
+type marks struct {
+	all    int64
+	tables map[string]*tableMarks
+	keys   map[uint64]int64
+}
+
+// tableMarks is one table's watermarks; lists holds each distinct list of
+// appended columns by its names joined.
+type tableMarks struct {
+	rewrite, any int64
+	lists        map[string]colList
+}
+
+type colList struct {
+	cols []string
+	lsn  int64
+}
+
+// NewMarks returns marks that cover nothing yet: every change after lsn
+// is still to come.
+func NewMarks(lsn int64) *Marks {
+	m := &Marks{size: marksGeneration}
+	m.Reset(lsn)
+	return m
+}
+
+// Reset forgets every change: the marks cover nothing after lsn.
+func (m *Marks) Reset(lsn int64) {
+	m.base, m.mid, m.top = lsn, lsn, lsn
+	m.old, m.cur, m.n = newMarks(), newMarks(), 0
+}
+
+func newMarks() *marks {
+	return &marks{tables: map[string]*tableMarks{}, keys: map[uint64]int64{}}
+}
+
+// Base and Top bound what the marks cover: every change after Base, up to
+// and including Top.
+func (m *Marks) Base() int64 { return m.base }
+func (m *Marks) Top() int64  { return m.top }
+
+// Apply notes the change committed at lsn. A change that is not the next
+// one leaves nothing known of those in between: the marks restart after
+// it.
+func (m *Marks) Apply(lsn int64, ch Change) {
+	if lsn != m.top+1 {
+		m.Reset(lsn)
+		return
+	}
+	if m.n == m.size {
+		m.old, m.cur, m.n = m.cur, newMarks(), 0
+		m.base, m.mid = m.mid, m.top
+	}
+	m.cur.apply(lsn, ch)
+	m.n++
+	m.top = lsn
+}
+
+func (g *marks) apply(lsn int64, ch Change) {
+	if ch.table == "" {
+		g.all = lsn
+		return
+	}
+	t := g.tables[ch.table]
+	if t == nil {
+		t = &tableMarks{lists: map[string]colList{}}
+		g.tables[ch.table] = t
+	}
+	t.any = lsn
+	if ch.rewrite {
+		t.rewrite = lsn
+		return
+	}
+	if len(ch.keys) == 0 {
+		return
+	}
+	t.lists[strings.Join(ch.cols, "\x00")] = colList{ch.cols, lsn}
+	for _, k := range ch.keys {
+		g.keys[k] = lsn
+	}
+}
+
+// HitSince reports whether a change the marks cover after LSN from can
+// change an answer whose footprint is fp, by Footprint.HitBy's rule. A nil
+// footprint is hit by everything, and a stamp before Base, which the marks
+// cannot tell about, counts as hit.
+func (fp Footprint) HitSince(m *Marks, from int64) bool {
+	switch {
+	case from < m.base:
+		return true
+	case from >= m.top:
+		return false
+	case fp == nil:
 		return true
 	}
+	return m.cur.hit(fp, from) || (from < m.mid && m.old.hit(fp, from))
+}
+
+func (g *marks) hit(fp Footprint, from int64) bool {
 	for _, d := range fp {
-		if ch.table != "" && ch.table != d.Table {
+		if g.all > from {
+			return true
+		}
+		t := g.tables[d.Table]
+		if t == nil || t.any <= from {
 			continue
 		}
-		switch {
-		case ch.rewrite || d.Kind == DepWhole:
+		switch d.Kind {
+		case DepWhole:
 			return true
-		case d.Kind == DepKey && ch.appends(d.Col, d.Val):
+		case DepRow:
+			if t.rewrite > from {
+				return true
+			}
+		case DepKey:
+			if t.rewrite > from || g.keys[keyMark(d.Table, d.Col, d.Val)] > from || (d.Val == nil && t.omits(d.Col, from)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// omits reports whether an append after from named a list of columns
+// without col.
+func (t *tableMarks) omits(col string, from int64) bool {
+	for _, l := range t.lists {
+		if l.lsn > from && !slices.Contains(l.cols, col) {
 			return true
 		}
 	}
 	return false
 }
 
-// appends reports whether one of the change's rows holds v in col under the
-// index's key equality; a column the insert does not name is NULL.
-func (ch *Change) appends(col string, v any) bool {
-	want := keptKey(v)
-	for i, c := range ch.cols {
-		if strings.EqualFold(c, col) {
-			for at := i; at < len(ch.keys); at += len(ch.cols) {
-				if ch.keys[at] == want {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return want == hashKey(nil) && len(ch.keys) > 0
+// HitBy reports whether ch can change an answer whose footprint is fp: a
+// Key is hit by a rewrite of its table or an appended row whose column
+// holds the value (a column the append omits is NULL), a Row by a rewrite
+// of its table, a Whole by any change to its table. It is the one-change
+// case of HitSince. A nil footprint is hit by everything.
+func (fp Footprint) HitBy(ch Change) bool {
+	m := NewMarks(0)
+	m.Apply(1, ch)
+	return fp.HitSince(m, 0)
 }
 
 // RecordsSince returns the committed records after LSN after, as a

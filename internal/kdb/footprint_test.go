@@ -123,7 +123,8 @@ func TestClassifyRecord(t *testing.T) {
 		want Change
 	}{
 		{rec("INSERT INTO A (K, s) VALUES (?, 'x'), (2.0, ?)", 1, strings.Repeat("long ", 7)),
-			Change{table: "a", cols: []string{"K", "s"}, keys: []any{int64(1), "x", int64(2), keptKey(strings.Repeat("long ", 7))}}},
+			Change{table: "a", cols: []string{"k", "s"}, keys: []uint64{keyMark("a", "k", int64(1)), keyMark("a", "s", "x"),
+				keyMark("a", "k", int64(2)), keyMark("a", "s", strings.Repeat("long ", 7))}}},
 		{rec("INSERT INTO a VALUES (1, 2, 3.0, 'x')"), rewrite("a")},
 		{rec("UPDATE a SET s = 'y' WHERE id = 1"), rewrite("a")},
 		{rec("DELETE FROM b WHERE a_id = ?", 2), rewrite("b")},
@@ -146,15 +147,15 @@ func TestFootprintHitRules(t *testing.T) {
 	null := Footprint{{Kind: DepKey, Table: "a", Col: "s", Val: nil}}
 	row := Footprint{{Kind: DepRow, Table: "a"}}
 	whole := Footprint{{Kind: DepWhole, Table: "a"}}
+	// appendTo is the Change of an INSERT naming cols, one row per
+	// len(cols) of vals.
 	appendTo := func(table string, cols []string, vals ...any) Change {
-		ch := Change{table: table, cols: cols}
-		for _, v := range vals {
-			ch.keys = append(ch.keys, keptKey(v))
-		}
-		return ch
+		row := "(?" + strings.Repeat(", ?", len(cols)-1) + ")"
+		rows := strings.Repeat(", "+row, len(vals)/len(cols)-1)
+		return classifyStmt(fmt.Sprintf("INSERT INTO %s (%s) VALUES %s%s", table, strings.Join(cols, ", "), row, rows), vals)
 	}
 	appendA := func(cols []string, vals ...any) Change { return appendTo("a", cols, vals...) }
-	long := strings.Repeat("x", maxKeptText+1)
+	long := strings.Repeat("x", 33)
 	text := Footprint{{Kind: DepKey, Table: "a", Col: "s", Val: long}}
 	for _, tc := range []struct {
 		name string

@@ -243,7 +243,7 @@ func (db *DB) replayFrom(what, src string, r io.Reader) error {
 // record (logs older than the tag) can only move the LSN up.
 func (db *DB) replayRecord(what string, i int, e *replayEntry) error {
 	if !e.Meta {
-		if _, _, err := db.applyLocked(e.SQL, e.Args, false); err != nil {
+		if _, _, err := db.applyLocked(e.SQL, e.Args, false); err != nil && err != errUnchanged {
 			return fmt.Errorf("kdb: %s entry %d (%q): %w", what, i, e.SQL, err)
 		}
 		db.noteCommit(e.Raw, e.Scanned)

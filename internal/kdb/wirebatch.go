@@ -259,7 +259,7 @@ func (db *DB) batchSent(stmts []batchStmt) (ids []int64, lsn int64, err error) {
 			if serr != nil {
 				return serr
 			}
-			ids[j], lsn = res.LastInsertID, res.LSN
+			ids[j], lsn = res.LastInsertID, max(lsn, res.LSN)
 		}
 		return nil
 	})
