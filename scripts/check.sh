@@ -16,9 +16,10 @@ GO=${GO:-go}
 # schema's batched saves, the campaign scheduler's worker pool, core's
 # shared-store cycle runs, telemetry's lock-free metric registry, vcs's
 # commit/checkout/merge paths racing store writers, the api's cache — its
-# single-flight misses, its change-feed goroutine applying the primary's
-# commit stream while lookups validate entries against it, and Close tearing
-# that goroutine and its stream down — racing ingest and its many
+# single-flight misses, its change-feed goroutine folding the primary's
+# commit stream into watermarks while lookups check entries against them,
+# across generation rotations (TestValidateWhileFeedRotates), and Close
+# tearing that goroutine and its stream down — racing ingest and its many
 # keep-alive clients, and the explorer, whose pages share that cache with a concurrent writer
 # (TestExplorerPagesCached) and whose /traces walks the shared trace store
 # while hops record.
