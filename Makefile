@@ -5,7 +5,7 @@
 GO ?= go
 export GO
 
-GATE := check fmt vet build race tier1 fuzzsmoke benchsmoke benchtest benchab
+GATE := check fmt vet build race tier1 stress fuzzsmoke benchsmoke benchtest benchab
 
 .PHONY: $(GATE) test bench
 

@@ -486,7 +486,7 @@ func TestCacheBoundsAndMetrics(t *testing.T) {
 		}
 	}
 	fetch(t, s, "/v1/io500/1")
-	fetch(t, s, "/v1/io500?limit=1")
+	fetch(t, s, "/v1/io500?limit=50") // a short page: two runs
 	more, err := workloadgen.SynthesizeIO500Corpus(1, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -494,8 +494,8 @@ func TestCacheBoundsAndMetrics(t *testing.T) {
 	if _, err := store.SaveIO500s(more); err != nil {
 		t.Fatal(err)
 	}
-	fetch(t, s, "/v1/io500/1")       // kept
-	fetch(t, s, "/v1/io500?limit=1") // invalidated, rebuilt
+	fetch(t, s, "/v1/io500/1")        // kept
+	fetch(t, s, "/v1/io500?limit=50") // invalidated, rebuilt
 	w := fetch(t, s, "/metrics")
 	for _, want := range []string{
 		"api_cache_entries 2", "api_cache_kept_total 1", `api_cache_evictions_total{reason="invalidated"} 1`,

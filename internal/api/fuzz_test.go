@@ -16,7 +16,9 @@ import (
 
 // FuzzCacheEqualsColdBuild runs a seeded interleaving of saves, UPDATEs and
 // DELETEs of the tables the object and IO500 pages read, CREATE INDEX, and
-// reads of the object, IO500, /v1/query and keyset routes, and holds every
+// reads of the object, IO500, /v1/query (three aggregates, whose folds
+// resume across appends, and a join) and keyset routes (full pages, kept
+// across appends), and holds every
 // 200 to the cache's contract: its body is what a cold api.Server answers
 // over the database as it stood at the served X-Knowledge-LSN, and that LSN
 // is the primary's. Three setups: embedded; a repl.Router whose follower
@@ -113,6 +115,7 @@ func cacheAgainstColdBuild(t *testing.T, seed uint64, setup uint8) {
 	queries := []string{
 		"SELECT COUNT(*) FROM performances",
 		"SELECT operation, COUNT(*), AVG(mean_mib) FROM summaries GROUP BY operation",
+		"SELECT operation, MAX(max_mib) FROM summaries GROUP BY operation",
 		"SELECT performances.command, summaries.operation FROM performances JOIN summaries ON performances.id = summaries.performance_id WHERE performances.id = 2",
 	}
 	write := func(sql string, args ...any) {

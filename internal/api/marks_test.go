@@ -23,8 +23,9 @@ import (
 )
 
 // BenchmarkCacheHitAfterCommits serves a hit on an entry stamped 10, 1,000
-// and 8,000 appends back, none of which touched what it read: each
-// iteration validates the entry across all of them.
+// and 8,000 appends back, none of which touched what it read (two keys, a
+// row, and a page of t's automatic keys): each iteration validates the
+// entry across all of them.
 func BenchmarkCacheHitAfterCommits(b *testing.B) {
 	for _, age := range []int{10, 1000, 8000} {
 		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
@@ -52,6 +53,7 @@ func BenchmarkCacheHitAfterCommits(b *testing.B) {
 				{Kind: kdb.DepKey, Table: "t", Col: "k", Val: int64(0)},
 				{Kind: kdb.DepKey, Table: "t", Col: "s", Val: "y"},
 				{Kind: kdb.DepRow, Table: "u"},
+				{Kind: kdb.DepUpto, Table: "t", Col: "id"},
 			}
 			entry := cacheEntry{body: []byte("{}"), lsn: stamp, fp: fp}
 			lsn, epoch := v.current()
@@ -75,7 +77,7 @@ func BenchmarkCacheHitAfterCommits(b *testing.B) {
 
 // TestValidateWhileFeedRotates: two clients read kept entries while the
 // primary commits enough appends for the streamed feed to rotate its
-// generations twice. Every answer is the cached body, the commits never
+// generations twice, in chunks of 512 that each client reads between. Every answer is the cached body, the commits never
 // hit it, and lookups run concurrently with the feed applying them (the
 // race detector runs this package).
 func TestValidateWhileFeedRotates(t *testing.T) {
@@ -103,6 +105,7 @@ func TestValidateWhileFeedRotates(t *testing.T) {
 
 	var done atomic.Bool
 	var wg sync.WaitGroup
+	reads := make([]atomic.Int64, len(paths))
 	for i, p := range paths {
 		wg.Add(1)
 		go func() {
@@ -113,11 +116,34 @@ func TestValidateWhileFeedRotates(t *testing.T) {
 					t.Errorf("%s: status %d, body changed %v", p, w.Code, w.Body.String() != bodies[i])
 					return
 				}
+				reads[i].Add(1)
 			}
 		}()
 	}
-	const commits = 2*4096 + 64
+	// Every client reads again after each chunk of commits, so no entry
+	// falls past the feed's horizon (one to two generations of 4,096
+	// commits) between two reads of it, however the clients are scheduled.
+	readAgain := func() {
+		before := make([]int64, len(reads))
+		for i := range reads {
+			before[i] = reads[i].Load()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for i := range reads {
+			for reads[i].Load() == before[i] {
+				if time.Now().After(deadline) {
+					done.Store(true)
+					t.Fatalf("%s: no read in 10 s", paths[i])
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+	const commits, chunk = 2*4096 + 64, 512
 	for i := 0; i < commits; i++ {
+		if i%chunk == chunk-1 {
+			readAgain()
+		}
 		if _, err := r.primary.Exec("INSERT INTO noise (v) VALUES (?)", int64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +183,16 @@ func TestStaleReasons(t *testing.T) {
 		}
 	}
 	blind := "/v1/query?q=" + url.QueryEscape("SELECT trace_id FROM __slow_queries")
-	for _, p := range []string{"/v1/io500?limit=1", "/v1/io500/1", blind} {
+	// Two runs on a page of 50: a short page, which depends on the whole
+	// table (a full page would be kept across the append).
+	short := "/v1/io500?limit=50"
+	for _, p := range []string{short, "/v1/io500/1", blind} {
 		if w := fetch(t, s, p); w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", p, w.Code, w.Body)
 		}
 	}
 	commit(1)
-	fetch(t, s, "/v1/io500?limit=1") // a keyset page depends on the whole table
+	fetch(t, s, short)
 	fetch(t, s, blind)
 	if stale("hit") != 1 || stale("blind") != 1 || stale("horizon") != 0 {
 		t.Fatalf("after one append: hit %d, blind %d, horizon %d", stale("hit"), stale("blind"), stale("horizon"))

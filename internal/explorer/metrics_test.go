@@ -95,6 +95,9 @@ func TestMetricsGolden(t *testing.T) {
 	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "index")).Add(5)
 	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "hash")).Add(1)
 	reg.Counter("kdb_wal_flushes_total").Add(3)
+	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "resumed")).Add(6)
+	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "cold")).Add(2)
+	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "stale")).Add(1)
 	reg.Gauge("campaign_active_workers").Set(4)
 	h := reg.HistogramBuckets(telemetry.Label("cycle_phase_seconds", "phase", "generation"), []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)

@@ -379,3 +379,54 @@ func TestReplayTicksNoStatementMetrics(t *testing.T) {
 		t.Errorf("one Exec observed %d statements and %d lock waits, want 1 and 1", e, w)
 	}
 }
+
+// TestReplBufBounds: the catch-up buffer keeps at most replBufCap records
+// and replBufBytes record bytes, each exceeded by at most an eighth before
+// a trim, and at least the newest record — for many small records, for
+// bulk ones, and for one larger than the whole byte bound.
+func TestReplBufBounds(t *testing.T) {
+	db, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE e (id INTEGER PRIMARY KEY, x REAL)")
+	mustExec(t, db, "CREATE TABLE f (id INTEGER PRIMARY KEY, s TEXT)")
+	check := func(what string) {
+		t.Helper()
+		sum := 0
+		for _, r := range db.replBuf {
+			sum += len(r.raw)
+		}
+		n := len(db.replBuf)
+		if sum != db.replBytes || n == 0 || n > replBufCap+replBufCap/8 || (n > 1 && sum > replBufBytes+replBufBytes/8) {
+			t.Fatalf("%s: %d records of %d bytes (counted %d)", what, n, sum, db.replBytes)
+		}
+		if db.replBuf[n-1].lsn != db.LSN() || db.replBuf[0].lsn != db.LSN()-int64(n)+1 {
+			t.Fatalf("%s: buffer holds LSNs %d..%d at LSN %d", what, db.replBuf[0].lsn, db.replBuf[n-1].lsn, db.LSN())
+		}
+	}
+	for i := 0; i < 3*replBufCap; i++ {
+		mustExec(t, db, "INSERT INTO e (x) VALUES (?)", float64(i))
+	}
+	check("small records")
+	if recs, ok := db.RecordsSince(db.LSN() - replBufCap); !ok || len(recs) != replBufCap {
+		t.Fatalf("small records: %d records back, ok %v; want the last %d", len(recs), ok, replBufCap)
+	}
+	bulk := strings.Repeat("b", 64<<10)
+	for i := 0; i < 100; i++ {
+		mustExec(t, db, "INSERT INTO f (s) VALUES (?)", bulk)
+	}
+	check("bulk records")
+	if recs, ok := db.RecordsSince(db.LSN() - replBufBytes/(64<<10) + 1); !ok || len(recs) == 0 {
+		t.Fatal("bulk records: the buffer does not reach back 2 MiB")
+	}
+	if _, ok := db.RecordsSince(db.LSN() - 100); ok {
+		t.Fatal("bulk records: the buffer reaches back 6 MiB")
+	}
+	mustExec(t, db, "INSERT INTO f (s) VALUES (?)", strings.Repeat("h", replBufBytes+1))
+	check("a huge record")
+	if recs, ok := db.RecordsSince(db.LSN() - 1); !ok || len(recs) != 1 {
+		t.Fatalf("a huge record: %d records since the one before, ok %v", len(recs), ok)
+	}
+}

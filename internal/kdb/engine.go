@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +58,9 @@ type Table struct {
 	// a recreated table starts empty. Guarded by db.mu held for writing, and
 	// emptied when it reaches maxInsertPlans.
 	inserts map[*insertStmt][]int
+
+	// folds keeps aggregate folds a later execution resumes (resumeFold).
+	folds foldMemo
 }
 
 // maxInsertPlans bounds a table's inserts: a log's INSERT statements are a
@@ -115,7 +119,9 @@ type DB struct {
 	lsn int64
 	// replBuf retains the most recent committed records for replication
 	// catch-up; followers older than its head must take a full snapshot.
-	replBuf []replRecord
+	// replBytes is the length of its records.
+	replBuf   []replRecord
+	replBytes int
 	// commitCh, when non-nil, is closed on the next commit — the
 	// broadcast replication streams wait on.
 	commitCh chan struct{}
@@ -397,13 +403,19 @@ func (db *DB) noteCommit(rec []byte, scanned bool) {
 		line = line[:n-1]
 	}
 	db.replBuf = append(db.replBuf, replRecord{lsn: db.lsn, raw: line, scanned: scanned})
-	if n := len(db.replBuf); n > 2*replBufCap {
-		// Amortized trim: keep the newest replBufCap records, moved to the
-		// front of the same array (entriesSince hands out copies), and let
-		// go of the record bytes behind them.
-		copy(db.replBuf, db.replBuf[n-replBufCap:])
-		clear(db.replBuf[replBufCap:])
-		db.replBuf = db.replBuf[:replBufCap]
+	db.replBytes += len(line)
+	if n := len(db.replBuf); n > replBufCap+replBufCap/8 || db.replBytes > replBufBytes+replBufBytes/8 {
+		// Amortized trim: keep the newest records within both bounds (and
+		// at least the newest one), moved to the front of the same array
+		// (entriesSince hands out copies), and let go of the record bytes
+		// behind them.
+		drop := 0
+		for ; drop < n-1 && (n-drop > replBufCap || db.replBytes > replBufBytes); drop++ {
+			db.replBytes -= len(db.replBuf[drop].raw)
+		}
+		copy(db.replBuf, db.replBuf[drop:])
+		clear(db.replBuf[n-drop:])
+		db.replBuf = db.replBuf[:n-drop]
 	}
 	if db.commitCh != nil {
 		close(db.commitCh)
@@ -673,6 +685,9 @@ func (q *pendingSelect) finish() (*Rows, error) {
 	q.hop.AttrFloat("lock_wait_seconds", q.st.lockWait)
 	q.hop.AttrInt("rows", int64(q.rows.Len()))
 	q.hop.AttrInt("rows_examined", int64(q.st.examined))
+	if q.st.fold == "resumed" {
+		q.hop.AttrInt("resumed_at", int64(q.st.resumedAt))
+	}
 	q.hop.End()
 	return q.rows, nil
 }
@@ -1097,6 +1112,11 @@ type selectStats struct {
 	lockWait float64
 	// fp, when set, collects the row engine's footprint of the statement.
 	fp *footprintSet
+	// fold is how a resumable aggregate fold began ("resumed", "stale" or
+	// "cold"; empty for any other statement), and resumedAt the row its
+	// walk began at: examined counts the rows from there.
+	fold      string
+	resumedAt int
 }
 
 func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows, error) {
@@ -1141,10 +1161,21 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 	// The output is compiled before the walk, but an error WHERE raises
 	// while walking wins over a name error in it.
 	var out sink
+	var gs *groupSink
 	if hasAgg || len(s.GroupBy) > 0 {
-		out, err = newGroupSink(s, e)
+		gs, err = newGroupSink(s, e)
+		out = gs
 	} else {
 		out, err = p.newPlainSink(s, sorted)
+	}
+	// A join-free fold over a scan resumes where the table's kept fold of
+	// this statement and these arguments ended.
+	var fold foldKey
+	if gs != nil && err == nil && len(steps) == 0 && p.path == "scan" {
+		fold = foldKey{s, string(appendGroupKey(nil, args))}
+		st.resumedAt, st.fold = base.resumeFold(fold, gs)
+		p.lo = st.resumedAt
+		metFolds[st.fold].Inc()
 	}
 	survivors := 0
 	examined, werr := p.walk(func(_ int, row []any) (bool, error) {
@@ -1157,8 +1188,102 @@ func (db *DB) execSelectStats(s *selectStmt, args []any, st *selectStats) (*Rows
 	if err = cmp.Or(werr, err); err != nil {
 		return nil, err
 	}
+	// A page that OFFSET+LIMIT stopped at a key no automatic key can reach
+	// is kept across appends that name no key (DepUpto).
+	if p.fp != nil && survivors == stopAt && len(steps) == 0 && !strings.HasPrefix(p.path, "index") && base.belowAutoID(p.pos) {
+		p.fp.deps[0] = tableDep{kind: DepUpto, t: base}
+	}
 	st.path, st.examined = p.path, examined
-	return out.result(), nil
+	res := out.result()
+	if fold.s != nil {
+		base.keepFold(fold, gs.groups)
+	}
+	return res, nil
+}
+
+// belowAutoID reports whether the row at pos holds an INTEGER PRIMARY KEY no
+// higher than the table's auto-increment high-water mark.
+func (t *Table) belowAutoID(pos int) bool {
+	if t.pkIndex < 0 {
+		return false
+	}
+	id, ok := t.Rows[pos][t.pkIndex].(int64)
+	return ok && id <= t.autoID
+}
+
+// foldMemo is what a table keeps of its aggregate folds. A join-free
+// aggregating SELECT that scans the table folds rows [0, n) into its
+// groups; until the table is rewritten, rows from n on are all a later
+// execution of the same statement over the same arguments has left to fold.
+// That execution folds a clone of the kept groups from row n: the same fold
+// in the same row order, so float sums, NaN and -0, the groups' order of
+// first appearance and a WHERE error in a new row all come out as a cold
+// fold's. Readers share the memo under db.mu.RLock, so it has its own lock,
+// and a kept fold is never folded into, only cloned.
+type foldMemo struct {
+	mu   sync.Mutex
+	kept map[foldKey]keptFold
+}
+
+// foldKey names a fold: the parsed statement and its arguments' EncodeKey.
+type foldKey struct {
+	s    *selectStmt
+	args string
+}
+
+// keptFold is the fold of rows [0, n) of the table at version.
+type keptFold struct {
+	version int64
+	n       int
+	groups  *Groups[[]Agg]
+}
+
+// maxFolds bounds the folds a table keeps, and maxFoldGroups the groups one
+// kept fold may hold: the memo costs a handful of statements' groups
+// however many distinct queries arrive.
+const (
+	maxFolds      = 16
+	maxFoldGroups = 1024
+)
+
+// resumeFold hands g a clone of the fold kept for k when the table has only
+// been appended to since, and says where the walk resumes and how the
+// lookup went: "resumed", "stale" (the table was rewritten since) or
+// "cold" (nothing kept).
+func (t *Table) resumeFold(k foldKey, g *groupSink) (from int, outcome string) {
+	t.folds.mu.Lock()
+	defer t.folds.mu.Unlock()
+	f, ok := t.folds.kept[k]
+	switch {
+	case !ok:
+		return 0, "cold"
+	case t.rewritten > f.version || len(t.Rows) < f.n:
+		delete(t.folds.kept, k)
+		return 0, "stale"
+	}
+	g.groups = f.groups.clone(slices.Clone[[]Agg])
+	return f.n, "resumed"
+}
+
+// keepFold keeps groups, the fold of every row of the table, for k; the
+// caller folds into it no more.
+func (t *Table) keepFold(k foldKey, groups *Groups[[]Agg]) {
+	t.folds.mu.Lock()
+	defer t.folds.mu.Unlock()
+	if len(groups.keys) > maxFoldGroups {
+		delete(t.folds.kept, k)
+		return
+	}
+	if _, ok := t.folds.kept[k]; !ok && len(t.folds.kept) >= maxFolds {
+		for old := range t.folds.kept {
+			delete(t.folds.kept, old) // any one: the memo is a cache
+			break
+		}
+	}
+	if t.folds.kept == nil {
+		t.folds.kept = map[foldKey]keptFold{}
+	}
+	t.folds.kept[k] = keptFold{t.version, len(t.Rows), groups}
 }
 
 // sink takes the rows a SELECT's walk lets through, one at a time, and

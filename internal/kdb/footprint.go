@@ -19,9 +19,16 @@ import (
 //     on the base table and in every index- or hash-join step.
 //   - Row(table): the row a primary-key lookup found. No append can add a
 //     second row under that key, so only a rewrite of the table changes it.
+//   - Upto(table, key column): the rows up to where OFFSET+LIMIT stopped a
+//     join-free walk in key order (the range or scan path, ORDER BY the
+//     INTEGER PRIMARY KEY ascending on a table stored in key order, or no
+//     ORDER BY), when the stopping row's key is at most the table's
+//     auto-increment high-water mark. An automatic key lands above that
+//     mark (nextAutoID only moves up, and an undo stamps a rewrite), so no
+//     append without an explicit key reaches the page.
 //   - Whole(table): every row — a scan, a primary-key range, a loop join,
-//     and a primary-key lookup that found nothing (an append may take the
-//     key).
+//     a short page, and a primary-key lookup that found nothing (an append
+//     may take the key).
 //
 // Every other source (system tables, trace tables, the columnar backend)
 // reports none, and neither does a peer that predates the request field:
@@ -34,7 +41,9 @@ import (
 // rewrite of its table or an appended row whose column holds the value
 // under the index's key equality (hashKey: 1 = 1.0, and a column the
 // INSERT omits is NULL; values compare by a 64-bit hash, keyMark); a Row by
-// a rewrite of its table; a Whole by any change to its table.
+// a rewrite of its table; an Upto by a rewrite of its table or an append
+// whose column list names its key column (an explicit key, which may land
+// anywhere); a Whole by any change to its table.
 //
 // A feed does not keep the changes it has seen but their Marks: for each
 // thing a change can hit, the LSN of the last change that hit it.
@@ -52,13 +61,16 @@ const (
 	DepRow
 	// DepWhole is every row.
 	DepWhole
+	// DepUpto is the rows up to a page's last key, in key order; Col is the
+	// INTEGER PRIMARY KEY.
+	DepUpto
 )
 
 // Dep is one entry of a footprint. Table and Col are lowercased.
 type Dep struct {
 	Kind  DepKind
 	Table string
-	Col   string // DepKey only
+	Col   string // DepKey and DepUpto
 	Val   any    // DepKey only: an engine value
 }
 
@@ -136,8 +148,11 @@ func (f *footprintSet) result() Footprint {
 	out := make(Footprint, len(f.deps))
 	for i, d := range f.deps {
 		out[i] = Dep{Kind: d.kind, Table: strings.ToLower(d.t.Name)}
-		if d.kind == DepKey {
+		switch d.kind {
+		case DepKey:
 			out[i].Col, out[i].Val = strings.ToLower(d.t.Columns[d.col].Name), d.val
+		case DepUpto:
+			out[i].Col = strings.ToLower(d.t.Columns[d.t.pkIndex].Name)
 		}
 	}
 	return out
@@ -388,6 +403,10 @@ func (g *marks) hit(fp Footprint, from int64) bool {
 			if t.rewrite > from {
 				return true
 			}
+		case DepUpto:
+			if t.rewrite > from || t.names(d.Col, from) {
+				return true
+			}
 		case DepKey:
 			if t.rewrite > from || g.keys[keyMark(d.Table, d.Col, d.Val)] > from || (d.Val == nil && t.omits(d.Col, from)) {
 				return true
@@ -398,10 +417,13 @@ func (g *marks) hit(fp Footprint, from int64) bool {
 }
 
 // omits reports whether an append after from named a list of columns
-// without col.
-func (t *tableMarks) omits(col string, from int64) bool {
+// without col; names, whether one named a list with it.
+func (t *tableMarks) omits(col string, from int64) bool { return t.listed(col, from, false) }
+func (t *tableMarks) names(col string, from int64) bool { return t.listed(col, from, true) }
+
+func (t *tableMarks) listed(col string, from int64, with bool) bool {
 	for _, l := range t.lists {
-		if l.lsn > from && !slices.Contains(l.cols, col) {
+		if l.lsn > from && slices.Contains(l.cols, col) == with {
 			return true
 		}
 	}
@@ -411,7 +433,8 @@ func (t *tableMarks) omits(col string, from int64) bool {
 // HitBy reports whether ch can change an answer whose footprint is fp: a
 // Key is hit by a rewrite of its table or an appended row whose column
 // holds the value (a column the append omits is NULL), a Row by a rewrite
-// of its table, a Whole by any change to its table. It is the one-change
+// of its table, an Upto by a rewrite of its table or an append naming its
+// key column, a Whole by any change to its table. It is the one-change
 // case of HitSince. A nil footprint is hit by everything.
 func (fp Footprint) HitBy(ch Change) bool {
 	m := NewMarks(0)
@@ -438,12 +461,15 @@ func (db *DB) RecordsSince(after int64) (recs []ReplEvent, ok bool) {
 func (r *Rows) Footprint() (fp Footprint, lsn int64) { return r.fp, r.lsn }
 
 // wireDep is a Dep on the wire, in the "fp" list of a read answer: {"t":…}
-// for Whole, {"t":…,"r":true} for Row, {"t":…,"c":…,"v":cell} for Key.
+// for Whole, {"t":…,"r":true} for Row, {"t":…,"c":…,"v":cell} for Key,
+// {"t":…,"c":…,"u":true} for Upto. A client that predates Upto declines the
+// entry in its scanner and its structs read it as Whole: never a missed hit.
 type wireDep struct {
 	Table string  `json:"t"`
 	Col   string  `json:"c,omitempty"`
 	Val   *walArg `json:"v,omitempty"`
 	Row   bool    `json:"r,omitempty"`
+	Upto  bool    `json:"u,omitempty"`
 }
 
 // appendFootprint appends fp as the "fp" list the structs marshal.
@@ -457,6 +483,8 @@ func appendFootprint(dst []byte, fp Footprint) ([]byte, error) {
 		switch d.Kind {
 		case DepRow:
 			dst = append(dst, `,"r":true`...)
+		case DepUpto:
+			dst = append(appendString(append(dst, `,"c":`...), d.Col), `,"u":true`...)
 		case DepKey:
 			dst = appendString(append(dst, `,"c":`...), d.Col)
 			var err error
@@ -486,6 +514,8 @@ func decodeFootprint(in []wireDep) Footprint {
 			fp[i] = Dep{Kind: DepKey, Table: w.Table, Col: w.Col, Val: v}
 		case w.Row:
 			fp[i] = Dep{Kind: DepRow, Table: w.Table}
+		case w.Upto && w.Col != "":
+			fp[i] = Dep{Kind: DepUpto, Table: w.Table, Col: w.Col}
 		default:
 			fp[i] = Dep{Kind: DepWhole, Table: w.Table}
 		}
@@ -511,6 +541,9 @@ func (c *cursor) footprint() (deps []wireDep) {
 		}
 		if c.has(`,"r":true`) {
 			d.Row = true
+		}
+		if c.has(`,"u":true`) {
+			d.Upto = true
 		}
 		c.must(`}`)
 		deps = append(deps, d)

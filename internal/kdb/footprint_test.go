@@ -1,7 +1,9 @@
 package kdb
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -53,6 +55,7 @@ func TestFootprintOfEachAccessPath(t *testing.T) {
 	key := func(table, col string, v any) Dep { return Dep{Kind: DepKey, Table: table, Col: col, Val: v} }
 	row := func(table string) Dep { return Dep{Kind: DepRow, Table: table} }
 	whole := func(table string) Dep { return Dep{Kind: DepWhole, Table: table} }
+	upto := func(table, col string) Dep { return Dep{Kind: DepUpto, Table: table, Col: col} }
 	for _, tc := range []struct {
 		sql  string
 		args []any
@@ -62,7 +65,7 @@ func TestFootprintOfEachAccessPath(t *testing.T) {
 		{"SELECT s FROM a WHERE id = ?", []any{9}, Footprint{whole("a")}},
 		{"SELECT id FROM a WHERE k = ? ORDER BY id", []any{2.0}, Footprint{key("a", "k", int64(2))}},
 		{"SELECT id FROM a WHERE s = ?", []any{"none"}, Footprint{key("a", "s", "none")}},
-		{"SELECT id FROM a WHERE id > ? ORDER BY id LIMIT 1", []any{1}, Footprint{whole("a")}},
+		{"SELECT id FROM a WHERE id > ? ORDER BY id LIMIT 1", []any{1}, Footprint{upto("a", "id")}},
 		{"SELECT COUNT(*) FROM a", nil, Footprint{whole("a")}},
 		{"SELECT k, COUNT(*) FROM a GROUP BY k", nil, Footprint{whole("a")}},
 		// An index join probes b once per base row; a probe of a's primary
@@ -147,6 +150,7 @@ func TestFootprintHitRules(t *testing.T) {
 	null := Footprint{{Kind: DepKey, Table: "a", Col: "s", Val: nil}}
 	row := Footprint{{Kind: DepRow, Table: "a"}}
 	whole := Footprint{{Kind: DepWhole, Table: "a"}}
+	upto := Footprint{{Kind: DepUpto, Table: "a", Col: "id"}}
 	// appendTo is the Change of an INSERT naming cols, one row per
 	// len(cols) of vals.
 	appendTo := func(table string, cols []string, vals ...any) Change {
@@ -179,6 +183,12 @@ func TestFootprintHitRules(t *testing.T) {
 		{"row: a rewrite", row, Change{table: "a", rewrite: true}, true},
 		{"row: another table's rewrite", row, Change{table: "b", rewrite: true}, false},
 		{"row: everything", row, everything, true},
+		{"upto: an automatic key", upto, appendA([]string{"k", "s"}, int64(1), "x"), false},
+		{"upto: an explicit key", upto, appendA([]string{"k", "id"}, int64(1), int64(2)), true},
+		{"upto: a NULL key", upto, appendA([]string{"ID"}, nil), true},
+		{"upto: a rewrite", upto, Change{table: "a", rewrite: true}, true},
+		{"upto: another table's key", upto, appendTo("b", []string{"id"}, int64(1)), false},
+		{"upto: everything", upto, everything, true},
 		{"whole: an append", whole, appendA([]string{"k"}, int64(7)), true},
 		{"whole: another table", whole, appendTo("b", []string{"k"}, int64(1)), false},
 		{"unknown: anything", nil, appendTo("b", []string{"x"}, int64(1)), true},
@@ -195,6 +205,8 @@ func TestFootprintHitRules(t *testing.T) {
 // wire, where the footprint and LSN must be the embedded ones.
 func TestFootprintExactness(t *testing.T) {
 	db := footprintDB(t)
+	mustExec(t, db, "CREATE TABLE p (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, db, "INSERT INTO p (v) VALUES (1), (2), (3), (4)")
 	srv := &Server{DB: db}
 	l, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -232,6 +244,15 @@ func TestFootprintExactness(t *testing.T) {
 		query{"SELECT id FROM a WHERE s = ?", []any{nil}},
 		query{"SELECT COUNT(*) FROM b", nil},
 		query{"SELECT id FROM a WHERE id > ? ORDER BY id LIMIT 2", []any{int64(2)}},
+		// Pages OFFSET+LIMIT stops, on the range and the scan path, are
+		// kept across appends that name no key (DepUpto).
+		query{"SELECT id, k FROM a WHERE id >= ? ORDER BY id LIMIT 3", []any{int64(1)}},
+		query{"SELECT id, s FROM a ORDER BY id LIMIT 2 OFFSET 1", nil},
+		query{"SELECT id FROM a WHERE k > ? LIMIT 2", []any{int64(0)}},
+		query{"SELECT id FROM c LIMIT 1", nil},
+		query{"SELECT id, v FROM p ORDER BY id LIMIT 3", nil},
+		query{"SELECT id FROM p WHERE id > ? ORDER BY id LIMIT 2", []any{int64(1)}},
+		query{"SELECT id FROM p WHERE id >= ? ORDER BY id LIMIT 2 OFFSET 1", []any{2.0}},
 	)
 	type cached struct {
 		answer string
@@ -261,10 +282,10 @@ func TestFootprintExactness(t *testing.T) {
 		}
 		return fmt.Sprintf("s%d", rng.Intn(3))
 	}
-	kept, hit := 0, 0
+	kept, hit, upto := 0, 0, 0
 	for step := 0; step < 400; step++ {
 		var err error
-		switch rng.Intn(10) {
+		switch rng.Intn(14) {
 		case 0, 1:
 			_, err = db.Exec("INSERT INTO a (k, r, s) VALUES (?, ?, ?)", small(), rng.Float64(), text())
 		case 2:
@@ -281,6 +302,33 @@ func TestFootprintExactness(t *testing.T) {
 			_, err = db.Exec("DELETE FROM b WHERE a_id = ?", small())
 		case 8:
 			_, err = db.Exec("INSERT INTO c VALUES (?, ?)", int64(100+step), small())
+		case 9:
+			// A NULL key names the key column: an automatic key, counted as
+			// an explicit one.
+			_, err = db.Exec("INSERT INTO a (id, k) VALUES (?, ?)", nil, small())
+		case 10:
+			// A key moved above the auto-increment mark: the automatic keys
+			// appended next land below it.
+			var last []any
+			if last, err = db.QueryRow("SELECT id FROM a ORDER BY id DESC LIMIT 1"); err == nil {
+				_, err = db.Exec("UPDATE a SET id = ? WHERE id = ?", int64(1000+step), last[0])
+			}
+		case 11:
+			// p's keys: automatic, NULL, or explicit below every page or
+			// above every key; only the first two miss p's pages.
+			switch rng.Intn(4) {
+			case 0:
+				_, err = db.Exec("INSERT INTO p (v) VALUES (?)", small())
+			case 1:
+				_, err = db.Exec("INSERT INTO p (id, v) VALUES (?, ?)", nil, small())
+			case 2:
+				_, err = db.Exec("INSERT INTO p (id, v) VALUES (?, ?)", int64(-step), small())
+			default:
+				_, err = db.Exec("INSERT INTO p (id, v) VALUES (?, ?)", int64(100000*(step+1)), small())
+			}
+		case 12:
+			// p back in key order, so its pages are Uptos again.
+			_, err = db.Exec("DELETE FROM p WHERE id < 1")
 		default:
 			_, err = db.Exec("CREATE INDEX IF NOT EXISTS ix_c_x ON c (x)")
 		}
@@ -296,6 +344,9 @@ func TestFootprintExactness(t *testing.T) {
 			now := answer(q)
 			if !cache[i].fp.HitBy(ch) {
 				kept++
+				if len(cache[i].fp) == 1 && cache[i].fp[0].Kind == DepUpto && ch.table == cache[i].fp[0].Table {
+					upto++
+				}
 				if now.answer != cache[i].answer {
 					t.Fatalf("step %d: %s %v changed from %s to %s, but %s missed its footprint %v",
 						step, q.sql, q.args, cache[i].answer, now.answer, recs[0].Entry, cache[i].fp)
@@ -306,8 +357,29 @@ func TestFootprintExactness(t *testing.T) {
 			cache[i] = now
 		}
 	}
-	if kept < 1000 || hit < 1000 {
-		t.Fatalf("kept %d and hit %d answers: the history exercised too little", kept, hit)
+	if kept < 1000 || hit < 1000 || upto < 50 {
+		t.Fatalf("kept %d (%d pages across appends) and hit %d answers: the history exercised too little", kept, upto, hit)
+	}
+}
+
+// TestUptoAboveAutoID: a page stopped at a key above the auto-increment
+// mark (an UPDATE moved it there) depends on the whole table, since the
+// next automatic key lands below it; at or under the mark it is an Upto.
+func TestUptoAboveAutoID(t *testing.T) {
+	db := footprintDB(t) // a holds keys 1, 2, 3; its mark is 3
+	mustExec(t, db, "UPDATE a SET id = 10 WHERE id = 3")
+	page := "SELECT id FROM a WHERE id > ? ORDER BY id LIMIT 1"
+	rows, fp, _ := footprintOf(t, db, page, int64(2))
+	if want := (Footprint{{Kind: DepWhole, Table: "a"}}); !reflect.DeepEqual(fp, want) || fmt.Sprint(rows.All()) != "[[10]]" {
+		t.Fatalf("page %v stopped above the mark: footprint %v, want %v", rows.All(), fp, want)
+	}
+	if _, fp, _ := footprintOf(t, db, page, int64(0)); !reflect.DeepEqual(fp, Footprint{{Kind: DepUpto, Table: "a", Col: "id"}}) {
+		t.Fatalf("page stopped at key 1: footprint %v, want an Upto", fp)
+	}
+	// The next automatic key, 4, lands below 10 and takes the page.
+	mustExec(t, db, "INSERT INTO a (k) VALUES (7)")
+	if rows, _, _ = footprintOf(t, db, page, int64(2)); fmt.Sprint(rows.All()) != "[[4]]" {
+		t.Fatalf("page %v after an automatic key", rows.All())
 	}
 }
 
@@ -315,10 +387,12 @@ func TestFootprintExactness(t *testing.T) {
 // structs marshal it and read back by the scanner; a request asking for one
 // likewise.
 func TestReadFootprintCodec(t *testing.T) {
-	resp := wireResponse{Columns: []string{"a"}, LSN: 12, fp: Footprint{
+	fp := Footprint{
 		{Kind: DepKey, Table: "t", Col: "c", Val: "<x>"}, {Kind: DepKey, Table: "t", Col: "n", Val: nil},
 		{Kind: DepKey, Table: "u", Col: "r", Val: 1.5}, {Kind: DepRow, Table: "v"}, {Kind: DepWhole, Table: "w"},
-	}}
+		{Kind: DepUpto, Table: "x", Col: "id"},
+	}
+	resp := wireResponse{Columns: []string{"a"}, LSN: 12, fp: fp}
 	line, err := appendResponse(nil, &resp, [][]any{{int64(1)}})
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +401,7 @@ func TestReadFootprintCodec(t *testing.T) {
 	resp.Footprint = []wireDep{
 		{Table: "t", Col: "c", Val: &walArg{Kind: "t", Value: "<x>"}}, {Table: "t", Col: "n", Val: &walArg{Kind: "n"}},
 		{Table: "u", Col: "r", Val: &walArg{Kind: "r", Value: "1.5"}}, {Table: "v", Row: true}, {Table: "w"},
+		{Table: "x", Col: "id", Upto: true},
 	}
 	resp.fp = nil
 	if want := append(mustMarshal(t, resp), '\n'); string(line) != string(want) {
@@ -337,13 +412,36 @@ func TestReadFootprintCodec(t *testing.T) {
 	if !ok {
 		t.Fatalf("scanner declines %s", line)
 	}
-	if !reflect.DeepEqual(decodeFootprint(got.Footprint), Footprint{
-		{Kind: DepKey, Table: "t", Col: "c", Val: "<x>"}, {Kind: DepKey, Table: "t", Col: "n", Val: nil},
-		{Kind: DepKey, Table: "u", Col: "r", Val: 1.5}, {Kind: DepRow, Table: "v"}, {Kind: DepWhole, Table: "w"},
-	}) {
+	if !reflect.DeepEqual(decodeFootprint(got.Footprint), fp) {
 		t.Fatalf("decoded %+v", got.Footprint)
 	}
 	checkWireScan(t, line)
+
+	// A client from before Upto: its scanner stops at the unknown "u" and
+	// declines the line, and its structs read the entry as Whole — a hit
+	// by any change, never a miss — and the rest as they were.
+	if !bytes.Contains(line, []byte(`{"t":"x","c":"id","u":true}`)) {
+		t.Fatalf("Upto not spelled {\"t\":…,\"c\":…,\"u\":true}: %s", line)
+	}
+	var legacy struct {
+		Footprint []struct {
+			Table string  `json:"t"`
+			Col   string  `json:"c,omitempty"`
+			Val   *walArg `json:"v,omitempty"`
+			Row   bool    `json:"r,omitempty"`
+		} `json:"fp"`
+	}
+	if err := json.Unmarshal(line, &legacy); err != nil {
+		t.Fatalf("a legacy decoder fails on %s: %v", line, err)
+	}
+	var old []wireDep
+	for _, d := range legacy.Footprint {
+		old = append(old, wireDep{Table: d.Table, Col: d.Col, Val: d.Val, Row: d.Row})
+	}
+	want := append(fp[:len(fp)-1:len(fp)-1], Dep{Kind: DepWhole, Table: "x"})
+	if got := decodeFootprint(old); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a legacy decoder reads %+v, want %+v", got, want)
+	}
 
 	stmt, err := appendStmt(appendReadHead(nil), "SELECT 1", nil, nil)
 	if err != nil {

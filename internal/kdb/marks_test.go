@@ -63,8 +63,8 @@ func marksChange(rng *rand.Rand) Change {
 	return ev.Change()
 }
 
-// marksFootprints are answers' footprints over the same values, and the
-// nil (unknown) and empty ones.
+// marksFootprints are answers' footprints over the same values — Keys,
+// Rows, Wholes and Uptos — and the nil (unknown) and empty ones.
 func marksFootprints() []Footprint {
 	key := func(table, col string, v any) Dep { return Dep{Kind: DepKey, Table: table, Col: col, Val: v} }
 	long := strings.Repeat("t", 40)
@@ -74,7 +74,9 @@ func marksFootprints() []Footprint {
 		fps = append(fps, Footprint{key("a", "k", int64(i))}, Footprint{key("b", "a_id", float64(i)), {Kind: DepRow, Table: "a"}},
 			Footprint{key("a", "s", fmt.Sprintf("s%d", i))})
 	}
-	return append(fps, Footprint{key("a", "s", long+"a"), key("a", "k", 1.0)})
+	upto := func(table string) Dep { return Dep{Kind: DepUpto, Table: table, Col: "id"} }
+	return append(fps, Footprint{key("a", "s", long+"a"), key("a", "k", 1.0)},
+		Footprint{upto("a")}, Footprint{upto("b")}, Footprint{upto("a"), key("b", "a_id", int64(1))})
 }
 
 // FuzzMarksEqualScan: after every change of a seeded sequence, for every

@@ -23,6 +23,7 @@ var (
 	metIndexMisses     *telemetry.Counter
 	metIndexRebuilds   *telemetry.Counter
 	metJoins           map[string]*telemetry.Counter // by joinStep strategy
+	metFolds           map[string]*telemetry.Counter // by resumeFold outcome
 	metWALFlushes      *telemetry.Counter
 	metWALBytes        *telemetry.Counter
 	metServerRequests  *telemetry.Counter
@@ -48,6 +49,10 @@ func init() {
 	metJoins = map[string]*telemetry.Counter{}
 	for _, strategy := range []string{"index", "hash", "loop"} {
 		metJoins[strategy] = reg.Counter(telemetry.Label("kdb_join_total", "strategy", strategy))
+	}
+	metFolds = map[string]*telemetry.Counter{}
+	for _, outcome := range []string{"resumed", "cold", "stale"} {
+		metFolds[outcome] = reg.Counter(telemetry.Label("kdb_fold_total", "outcome", outcome))
 	}
 	metWALFlushes = reg.Counter("kdb_wal_flushes_total")
 	metWALBytes = reg.Counter("kdb_wal_bytes_total")

@@ -30,9 +30,14 @@ import (
 // local commit sequence; the follower must re-sync from a snapshot.
 var ErrLSNGap = errors.New("kdb: replication LSN gap")
 
-// replBufCap bounds the in-memory catch-up buffer (records kept after the
-// amortized trim in noteCommit).
-const replBufCap = 8192
+// replBufCap and replBufBytes bound the in-memory catch-up buffer: the
+// amortized trim in noteCommit keeps at most this many records and this
+// many record bytes, trimming once either is exceeded by an eighth. A
+// follower streaming behind by more catches up through a snapshot.
+const (
+	replBufCap   = 8192
+	replBufBytes = 2 << 20
+)
 
 // replRecord is one committed log record retained for catch-up.
 type replRecord struct {
@@ -201,7 +206,7 @@ func (db *DB) adoptLocked(scratch *DB) {
 	}
 	db.tables = scratch.tables
 	db.lsn = scratch.lsn
-	db.replBuf = nil
+	db.replBuf, db.replBytes = nil, 0
 	if db.commitCh != nil {
 		close(db.commitCh)
 		db.commitCh = nil

@@ -15,6 +15,8 @@ package kdb
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -184,6 +186,16 @@ func (gs *Groups[G]) Open(key []any) G {
 	gs.keys = append(gs.keys, key)
 	gs.vals = append(gs.vals, g)
 	return g
+}
+
+// clone returns a copy of gs, each group's state copied by cp, that a fold
+// can go on into without touching gs.
+func (gs *Groups[G]) clone(cp func(G) G) *Groups[G] {
+	c := &Groups[G]{open: gs.open, keys: slices.Clone(gs.keys), vals: make([]G, len(gs.vals)), index: keyIndex{ids: maps.Clone(gs.index.ids)}}
+	for i, v := range gs.vals {
+		c.vals[i] = cp(v)
+	}
+	return c
 }
 
 // Page returns the groups as result rows — row builds one from a group's

@@ -259,7 +259,7 @@ func (db *DB) replayRecord(what string, i int, e *replayEntry) error {
 	}
 	if e.Tagged || e.BaseLSN > db.lsn {
 		db.lsn = e.BaseLSN
-		db.replBuf = nil
+		db.replBuf, db.replBytes = nil, 0
 	}
 	return nil
 }

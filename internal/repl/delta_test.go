@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,5 +232,41 @@ func TestCheckoutStreamsToFollower(t *testing.T) {
 	if warm := sum(); warm.Served <= cold.Served || warm.Rebuilds != cold.Rebuilds {
 		t.Errorf("untouched table's columnar image: served %d -> %d, rebuilds %d -> %d",
 			cold.Served, warm.Served, cold.Rebuilds, warm.Rebuilds)
+	}
+}
+
+// TestFollowerBehindByteBoundResyncs: a follower that was down while the
+// primary committed more record bytes than the catch-up buffer keeps comes
+// back through a snapshot (or its chunk delta) and converges
+// byte-identically.
+func TestFollowerBehindByteBoundResyncs(t *testing.T) {
+	primary := openDB(t, "")
+	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+	addr := servePrimary(t, primary)
+	fdb := openDB(t, "")
+	f := NewFollower(fdb, addr, fastOpts())
+	f.Start(context.Background())
+	mustExec(t, primary, "INSERT INTO kv (v) VALUES ('first')")
+	waitLSN(t, fdb, primary.LSN())
+	f.Stop()
+
+	bulk := strings.Repeat("v", 64<<10)
+	for i := 0; i < 48; i++ { // 3 MiB of records
+		mustExec(t, primary, "INSERT INTO kv (v) VALUES (?)", bulk)
+	}
+	if _, ok := primary.RecordsSince(fdb.LSN()); ok {
+		t.Fatalf("the primary's buffer still reaches back to LSN %d", fdb.LSN())
+	}
+	shipped := func() int64 { return metSnapshotBytes.Value() + metDeltaBytes.Value() }
+	before := shipped()
+	f2 := NewFollower(fdb, addr, fastOpts())
+	f2.Start(context.Background())
+	defer f2.Stop()
+	waitLSN(t, fdb, primary.LSN())
+	if shipped() == before {
+		t.Error("the follower caught up without a snapshot")
+	}
+	if dump(t, primary) != dump(t, fdb) {
+		t.Error("follower did not converge byte-identically")
 	}
 }

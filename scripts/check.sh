@@ -71,6 +71,19 @@ step_tier1() {
 	$GO test ./...
 }
 
+# stress runs the serving path's timing-sensitive tests 30 times over (about
+# 30 s): the api's change feed, watermarks and single-flight misses, and
+# kdb's resumed aggregate folds. A test that fails one run in a few dozen
+# fails here, in the gate, rather than at random in CI. Each name list is
+# a -run pattern; a new timing test joins by name.
+STRESS_API='TestValidateWhileFeedRotates|TestStaleReasons|TestReopenedSchemaKeepsCache|TestFeedStreamingGauge|TestFootprintKeepsEntriesAcrossAppends|TestLaggingReplicaReadIsNotStampedNewer|TestSingleFlight|TestFeedlessPrimaryNoticesForeignCommits|TestCacheBoundsAndMetrics|TestServerCloseStopsFeed'
+STRESS_KDB='TestFoldResume|TestFoldMemoBounds'
+step_stress() {
+	echo "== stress (timing tests, -count=30) =="
+	$GO test -count=30 -run "$STRESS_API" ./internal/api/
+	$GO test -count=30 -run "$STRESS_KDB" ./internal/kdb/
+}
+
 # benchsmoke compiles and runs every benchmark exactly once so a broken
 # benchmark cannot hide until someone runs the full suite; -benchmem puts
 # B/op and allocs/op for each in the gate log.
@@ -141,7 +154,7 @@ step_benchab() {
 }
 
 step_check() {
-	for s in fmt vet build race tier1 fuzzsmoke benchsmoke benchtest benchab; do
+	for s in fmt vet build race tier1 stress fuzzsmoke benchsmoke benchtest benchab; do
 		"step_$s"
 	done
 	echo "OK"
@@ -150,7 +163,7 @@ step_check() {
 [ $# -gt 0 ] || set -- check
 for s; do
 	case $s in
-	check | fmt | vet | build | race | tier1 | fuzzsmoke | benchsmoke | benchtest | benchab) "step_$s" ;;
+	check | fmt | vet | build | race | tier1 | stress | fuzzsmoke | benchsmoke | benchtest | benchab) "step_$s" ;;
 	*)
 		echo "check.sh: unknown step '$s'" >&2
 		exit 2
