@@ -39,14 +39,15 @@ package api
 // runs again on the primary. A build without footprints keeps the old rule:
 // stamped with the LSN observed before it ran.
 //
-// The change feed is the primary's commit stream: kdb.DialReplication
-// through a Router's or Remote's primary, each record classified by
-// ReplEvent.Change, or for an embedded primary the same records pulled in-process
+// The change feed is the primary's commit stream, each record classified
+// by ReplEvent.Change: for a Router's or Remote's primary a repl.Tail, the
+// loop a replica's Follower runs too, whose records the feed folds into
+// the marks; for an embedded primary the same records pulled in-process
 // (DB.RecordsSince) when a lookup needs them. Records and heartbeats also
 // move the current LSN, so a commit by another process is noticed as soon
 // as the primary ships it. While the stream is down, or the primary cannot
 // stream at all (a shard coordinator), the feed asks the primary for its
-// LSN every redial interval instead.
+// LSN every probe interval instead.
 //
 // Concurrent misses on one key run one build (single flight); a waiter
 // leaves when its request ends, and a build that panics fails its waiters
@@ -55,13 +56,16 @@ package api
 // served without being cached.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/kdb"
+	"repro/internal/repl"
 	"repro/internal/telemetry"
 )
 
@@ -232,8 +236,10 @@ type validity struct {
 	// or conn itself.
 	primary kdb.Conn
 	local   localFeed
-	feed    bool         // there is a change feed, local or streamed
-	floor   atomic.Int64 // highest LSN the feed has reported
+	// tail follows a remote primary's commit stream.
+	tail  *repl.Tail
+	feed  bool         // there is a change feed, local or streamed
+	floor atomic.Int64 // highest LSN the feed has reported
 	// streaming is api_feed_streaming: 1 while the feed follows the
 	// primary's commits (a stream that delivers, or an embedded database's
 	// records), 0 while it probes or there is no feed.
@@ -242,38 +248,33 @@ type validity struct {
 	mu sync.Mutex
 	// on is set while marks summarise every change after their Base up to
 	// their Top.
-	on     bool
-	marks  *kdb.Marks
-	moved  chan struct{} // closed when the marks' Top moves
-	stream *kdb.ReplStream
-	closed bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	on    bool
+	marks *kdb.Marks
+	moved chan struct{} // closed when the marks' Top moves
 }
 
 const (
-	// defaultRedial is how soon a broken change feed redials (Config.
-	// ProbeInterval); each attempt that gets nothing doubles the wait, up
-	// to maxRedial.
-	defaultRedial = 250 * time.Millisecond
-	maxRedial     = 5 * time.Second
-	// feedTimeout bounds one receive on the stream; the primary sends a
-	// heartbeat every second while idle.
-	feedTimeout = 5 * time.Second
+	// defaultProbe is how soon a broken change feed redials, and how often
+	// it asks the primary for its LSN until then (Config.ProbeInterval);
+	// repl's defaults bound the backoff and a receive to 5 s each.
+	defaultProbe = 250 * time.Millisecond
 	// maxFeedWait bounds how long a build waits for the feed to reach the
 	// LSN its reads ran at.
 	maxFeedWait = 50 * time.Millisecond
 )
 
+// errFeedResync ends a stream that cannot go on from the feed's position;
+// the feed restarts from the primary's LSN after the usual wait.
+var errFeedResync = errors.New("api: the primary cannot stream from the change feed's position")
+
 // newValidity starts following the change feed the backend offers, and
 // reports its state to reg.
-func newValidity(conn kdb.Conn, redial time.Duration, reg *telemetry.Registry) *validity {
+func newValidity(conn kdb.Conn, probe time.Duration, reg *telemetry.Registry) *validity {
 	v := &validity{conn: conn, primary: conn, marks: kdb.NewMarks(0), streaming: reg.Gauge("api_feed_streaming"),
-		stop: make(chan struct{}), moved: make(chan struct{})}
+		moved: make(chan struct{})}
 	v.streaming.Set(0)
-	if redial <= 0 {
-		redial = defaultRedial
+	if probe <= 0 {
+		probe = defaultProbe
 	}
 	if r, ok := conn.(interface{ Primary() kdb.Conn }); ok {
 		v.primary = r.Primary()
@@ -286,8 +287,14 @@ func newValidity(conn kdb.Conn, redial time.Duration, reg *telemetry.Registry) *
 		v.streaming.Set(1)
 	case remotePrimary:
 		v.feed = true
-		v.wg.Add(1)
-		go v.follow(p, redial)
+		v.tail = repl.NewTail(p.Addr(), repl.Options{RetryMin: probe}, repl.Consumer{
+			Resume: func() (int64, error) { return v.resume(p) },
+			Group:  v.group,
+			Snap:   v.snap,
+			Broke:  func(error) { v.streaming.Set(0) },
+			Idle:   func() { v.probe(p) },
+		})
+		v.tail.Start(context.Background())
 	}
 	return v
 }
@@ -299,120 +306,61 @@ type remotePrimary interface {
 	Status() (kdb.NodeStatus, error)
 }
 
-// follow streams the primary's commits from the feed's position until
-// close, redialing after each break. While it waits to redial it asks the
-// primary for its LSN every redial interval (probe), so a commit is noticed
-// even when the primary cannot stream: a shard coordinator, or a primary at
-// its connection cap. The current LSN then runs ahead of the history, and
-// every entry falls back to its own stamp.
-func (v *validity) follow(p remotePrimary, redial time.Duration) {
-	defer v.wg.Done()
-	wait := redial
-	for {
-		progressed := false
-		if after, ok := v.resume(p); ok {
-			if st, err := kdb.DialReplication(p.Addr(), after, feedTimeout); err == nil && v.attach(st) {
-				progressed = v.consume(st)
-				v.detach(st)
-			}
-		}
-		if progressed {
-			wait = redial
-		}
-		for left := wait; left > 0; left -= redial {
-			select {
-			case <-v.stop:
-				return
-			case <-time.After(min(left, redial)):
-			}
-			v.probe(p)
-		}
-		if !progressed {
-			wait = min(2*wait, max(maxRedial, redial))
-		}
-	}
-}
-
-// probe notes the primary's LSN, and reports it.
-func (v *validity) probe(p remotePrimary) (int64, bool) {
+// probe notes the primary's LSN.
+func (v *validity) probe(p remotePrimary) error {
 	st, err := p.Status()
-	if err != nil {
-		return 0, false
+	if err == nil {
+		v.note(st.LSN)
 	}
-	v.note(st.LSN)
-	return st.LSN, true
+	return err
 }
 
 // resume returns the LSN to stream from: the feed's position, or — first,
-// and after the primary asked for a snapshot — the primary's own, from
-// which the feed restarts with no history.
-func (v *validity) resume(p remotePrimary) (int64, bool) {
+// and after the primary asked for a snapshot — the current LSN, which the
+// primary has just reported, from which the feed restarts with no history.
+func (v *validity) resume(p remotePrimary) (int64, error) {
 	v.mu.Lock()
 	on, fed := v.on, v.marks.Top()
 	v.mu.Unlock()
 	if on {
-		return fed, true
+		return fed, nil
 	}
-	lsn, ok := v.probe(p)
-	if !ok {
-		return 0, false
+	if err := v.probe(p); err != nil {
+		return 0, err
 	}
-	cur, _ := v.current()
-	lsn = max(lsn, cur)
+	lsn, _ := v.current()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.note(lsn)
 	v.on = true
 	v.marks.Reset(lsn)
-	return lsn, true
+	return lsn, nil
 }
 
-func (v *validity) attach(st *kdb.ReplStream) bool {
+// group folds one group of stream messages into the marks.
+func (v *validity) group(evs []kdb.ReplEvent) error {
+	v.streaming.Set(1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.closed {
-		st.Close()
-		return false
+	top := int64(0)
+	for i := range evs {
+		ev := &evs[i]
+		if len(ev.Entry) > 0 {
+			v.applyLocked(ev.LSN, ev.Change())
+		}
+		top = max(top, ev.LSN, ev.PrimaryLSN)
 	}
-	v.stream = st
-	return true
+	v.note(top) // under the lock: current never runs ahead of the marks
+	return nil
 }
 
-func (v *validity) detach(st *kdb.ReplStream) {
+// snap drops the feed's history: the primary no longer holds the commits
+// after its position.
+func (v *validity) snap(context.Context) error {
 	v.mu.Lock()
-	v.stream = nil
-	v.streaming.Set(0)
+	v.on = false
 	v.mu.Unlock()
-	st.Close()
-}
-
-// consume applies the stream's records until it breaks, and reports whether
-// any arrived.
-func (v *validity) consume(st *kdb.ReplStream) (progressed bool) {
-	for {
-		evs, err := st.RecvGroup()
-		if err != nil {
-			return progressed
-		}
-		v.streaming.Set(1)
-		v.mu.Lock()
-		top := int64(0)
-		for i := range evs {
-			ev := &evs[i]
-			switch {
-			case ev.SnapshotRequired:
-				v.on = false
-				v.mu.Unlock()
-				return progressed
-			case len(ev.Entry) > 0:
-				v.applyLocked(ev.LSN, ev.Change())
-				progressed = true
-			}
-			top = max(top, ev.LSN, ev.PrimaryLSN)
-		}
-		v.note(top) // under the lock: current never runs ahead of the marks
-		v.mu.Unlock()
-	}
+	return errFeedResync
 }
 
 // applyLocked notes one committed record in the marks; v.mu must be held.
@@ -457,7 +405,7 @@ func (v *validity) waitFed(to int64) bool {
 	deadline := time.Now().Add(maxFeedWait)
 	for {
 		v.mu.Lock()
-		caught, streaming, moved := v.catchUpLocked(to), v.on && v.stream != nil, v.moved
+		caught, streaming, moved := v.catchUpLocked(to), v.on && v.tail != nil && v.tail.Attached(), v.moved
 		v.mu.Unlock()
 		left := time.Until(deadline)
 		if caught || !streaming || left <= 0 {
@@ -467,7 +415,6 @@ func (v *validity) waitFed(to int64) bool {
 		select {
 		case <-moved:
 		case <-t.C:
-		case <-v.stop:
 		}
 		t.Stop()
 	}
@@ -519,14 +466,8 @@ func (v *validity) current() (lsn, epoch int64) {
 // close stops the feed: its goroutine and its stream connection are gone
 // when it returns.
 func (v *validity) close() {
-	v.mu.Lock()
-	if !v.closed {
-		v.closed = true
-		close(v.stop)
-		if v.stream != nil {
-			v.stream.Close()
-		}
+	if v.tail != nil {
+		v.tail.Stop()
+		v.streaming.Set(0)
 	}
-	v.mu.Unlock()
-	v.wg.Wait()
 }

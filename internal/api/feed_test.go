@@ -525,10 +525,7 @@ func TestServerCloseStopsFeed(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Close()
-	s.val.mu.Lock()
-	stream := s.val.stream
-	s.val.mu.Unlock()
-	if stream != nil {
+	if s.val.tail.Attached() {
 		t.Fatal("Close returned with the stream still attached")
 	}
 	deadline = time.Now().Add(5 * time.Second)
@@ -538,5 +535,102 @@ func TestServerCloseStopsFeed(t *testing.T) {
 				streams.Value(), before, runtime.NumGoroutine(), goroutines)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFeedResyncRebuildsOlderEntries: while the primary's server is down,
+// one cached object is updated and more than the primary's catch-up buffer
+// is committed, so the redialled stream answers snap and the feed restarts
+// from the primary's LSN with no history. Every entry stamped before that
+// is rebuilt, for the horizon, and none is served stale; an entry stamped
+// after it is kept across an unrelated append.
+func TestFeedResyncRebuildsOlderEntries(t *testing.T) {
+	primary := kdbtest.MemDB(t, kdb.DBOptions{})
+	writer, err := schema.Wrap(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveObject(t, writer, 1)
+	saveObject(t, writer, 2)
+	if _, err := primary.Exec("CREATE TABLE noise (id INTEGER PRIMARY KEY, s TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	srv := &kdb.Server{DB: primary, HeartbeatInterval: 20 * time.Millisecond}
+	l, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	remote, err := kdb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &schema.Store{DB: remote}
+	t.Cleanup(func() { store.Close() })
+	s := newAPI(t, store)
+	stale := func(reason string) int64 {
+		return s.Metrics.Counter(telemetry.Label("api_cache_stale_total", "reason", reason)).Value()
+	}
+	caughtUp(t, s, primary.LSN())
+	paths := []string{"/v1/objects/1", "/v1/objects/2"}
+	before := make([]string, len(paths))
+	for i, p := range paths {
+		w := fetch(t, s, p)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("%s cold: status %d, X-Cache %q", p, w.Code, w.Header().Get("X-Cache"))
+		}
+		before[i] = w.Body.String()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := primary.Exec("UPDATE summaries SET mean_mib = 1 WHERE performance_id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	blob := strings.Repeat("x", 64<<10)
+	for i := 0; i < 48; i++ { // 3 MiB of records: past the catch-up buffer's bytes
+		if _, err := primary.Exec("INSERT INTO noise (s) VALUES (?)", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv2 := &kdb.Server{DB: primary, HeartbeatInterval: 20 * time.Millisecond}
+	if _, err := srv2.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		srv2.Shutdown(ctx)
+	})
+	caughtUp(t, s, primary.LSN())
+
+	h0 := stale("horizon")
+	for i, p := range paths {
+		w := fetch(t, s, p)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" || servedLSN(t, w) != primary.LSN() {
+			t.Fatalf("%s after the resync: status %d, X-Cache %q at LSN %d (primary at %d)",
+				p, w.Code, w.Header().Get("X-Cache"), servedLSN(t, w), primary.LSN())
+		}
+		if changed := w.Body.String() != before[i]; changed != (i == 0) {
+			t.Fatalf("%s after the resync: body changed %v; only object 1 was updated", p, changed)
+		}
+	}
+	if h, hit := stale("horizon")-h0, stale("hit"); h != int64(len(paths)) || hit != 0 {
+		t.Fatalf("after the resync: %d entries stale for the horizon and %d for a hit, want %d and 0", h, hit, len(paths))
+	}
+
+	kept := s.Metrics.Counter("api_cache_kept_total").Value()
+	saveObject(t, writer, 3)
+	caughtUp(t, s, primary.LSN())
+	w := fetch(t, s, paths[1])
+	if w.Header().Get("X-Cache") != "hit" || servedLSN(t, w) != primary.LSN() || w.Body.String() != before[1] {
+		t.Fatalf("%s after an append: X-Cache %q at LSN %d (primary at %d), body same %v",
+			paths[1], w.Header().Get("X-Cache"), servedLSN(t, w), primary.LSN(), w.Body.String() == before[1])
+	}
+	if got := s.Metrics.Counter("api_cache_kept_total").Value() - kept; got != 1 {
+		t.Fatalf("api_cache_kept_total moved by %d, want 1", got)
 	}
 }

@@ -54,6 +54,9 @@ func TestRemoteLSNHighWaterMark(t *testing.T) {
 	}
 }
 
+// TestCommitNotifyBroadcast: commitSignal, which a replication stream waits
+// on, is closed by the next commit and not before, and hands out a fresh
+// channel after it; CommitNotify is the same broadcast.
 func TestCommitNotifyBroadcast(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -63,7 +66,10 @@ func TestCommitNotifyBroadcast(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)"); err != nil {
 		t.Fatal(err)
 	}
-	ch := db.CommitNotify()
+	ch := db.commitSignal()
+	if db.CommitNotify() != ch {
+		t.Fatal("CommitNotify is not the channel commitSignal hands out")
+	}
 	select {
 	case <-ch:
 		t.Fatal("channel closed before any commit")
@@ -75,11 +81,10 @@ func TestCommitNotifyBroadcast(t *testing.T) {
 	select {
 	case <-ch:
 	case <-time.After(time.Second):
-		t.Fatal("commit did not close the notify channel")
+		t.Fatal("commit did not close the signal channel")
 	}
 	// Each handed-out channel covers exactly one commit; re-arm for the next.
-	ch2 := db.CommitNotify()
-	if ch2 == ch {
-		t.Fatal("CommitNotify returned the already-closed channel")
+	if ch2 := db.commitSignal(); ch2 == ch {
+		t.Fatal("commitSignal returned the already-closed channel")
 	}
 }

@@ -74,13 +74,12 @@ func (db *DB) LSN() int64 {
 	return db.lsn
 }
 
-// CommitNotify returns a channel that is closed at the next commit. Each
-// commit closes the previously handed-out channel, so watchers re-arm by
-// calling CommitNotify again after a wake-up — the same broadcast the
-// replication feed rides, exposed for cache invalidation.
+// CommitNotify returns a channel that is closed at the next commit; a
+// watcher re-arms by calling it again after a wake-up.
 func (db *DB) CommitNotify() <-chan struct{} { return db.commitSignal() }
 
-// commitSignal returns a channel that is closed at the next commit.
+// commitSignal returns a channel that is closed at the next commit: the
+// broadcast a replication stream waits on while it has nothing to send.
 func (db *DB) commitSignal() <-chan struct{} {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -292,7 +291,8 @@ type ReplEvent struct {
 }
 
 // ReplStream is a follower's view of a primary's replication stream. It is
-// used by a single goroutine (the follower apply loop).
+// read by a single goroutine, a repl.Tail's loop; Close may come from
+// another.
 type ReplStream struct {
 	conn    net.Conn
 	in      lineReader

@@ -1,7 +1,9 @@
 // Package repl provides WAL-shipping replication for the knowledge store:
 // a Follower keeps a local kdb database converged with a primary served
 // over the kdb wire protocol, and a Router spreads reads across replicas
-// without ever serving a session a state older than its own writes.
+// without ever serving a session a state older than its own writes. Both
+// the Follower and the api cache's change feed follow the primary's
+// commit stream through a Tail.
 //
 // The primary needs no cooperation beyond kdb.Server's "replicate",
 // "delta", "snapshot" and "status" verbs: a follower behind the primary's
@@ -17,20 +19,21 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/kdb"
 )
 
-// Options tunes a Follower. The zero value is production-ready; tests
-// shrink the timeouts to keep chaos scenarios fast.
+// Options tunes a Tail, and so a Follower. The zero value is
+// production-ready; tests shrink the timeouts to keep chaos scenarios fast.
 type Options struct {
 	// HeartbeatTimeout bounds each stream receive. The primary sends a
 	// heartbeat every Server.HeartbeatInterval while idle, so a receive
-	// timeout means the primary is unreachable and the follower
-	// reconnects. Default 5s.
+	// timeout means the primary is unreachable and the Tail reconnects.
+	// Default 5s.
 	HeartbeatTimeout time.Duration
-	// RetryMin/RetryMax bound the exponential reconnect backoff. A sync
+	// RetryMin/RetryMax bound the exponential reconnect backoff. An
 	// attempt that made progress resets the backoff to RetryMin.
 	// Defaults 100ms and 5s.
 	RetryMin time.Duration
@@ -51,141 +54,208 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Follower keeps db converged with the primary at primaryAddr. Reads on
-// the local database are always safe; they simply observe a prefix of the
-// primary's history.
-type Follower struct {
-	db   *kdb.DB
+// Tail follows a primary's commit stream for one consumer: it dials
+// kdb.DialReplication from where the consumer resumes, receives each group
+// of messages under Options.HeartbeatTimeout, and redials after a break,
+// waiting from RetryMin up to RetryMax and starting again at RetryMin after
+// any attempt that made progress, so a consumer that keeps losing a flaky
+// link still moves. Its stream is closed when its context ends. A Follower
+// applies what it receives to a database; the api cache's change feed folds
+// it into watermarks.
+type Tail struct {
 	addr string
 	opt  Options
+	c    Consumer
 
-	mu          sync.Mutex
-	primaryLSN  int64
-	lastContact time.Time
-	lastApply   time.Time
-	resyncs     int64
-	lastErr     error
-
-	cancel context.CancelFunc
-	done   chan struct{}
+	attached atomic.Bool
+	cancel   context.CancelFunc
+	done     chan struct{}
 }
 
-// NewFollower wires a follower for the local database; call Start to
-// begin syncing. The address may carry a kdb:// scheme.
-func NewFollower(db *kdb.DB, primaryAddr string, opt Options) *Follower {
-	return &Follower{
-		db:   db,
-		addr: strings.TrimPrefix(primaryAddr, "kdb://"),
-		opt:  opt.withDefaults(),
-	}
+// Consumer is what a Tail's consumer does with the stream. Resume, Group and
+// Snap are required; Broke and Idle may be nil.
+type Consumer struct {
+	// Resume returns the LSN to stream from. An error fails the attempt
+	// without a dial.
+	Resume func() (int64, error)
+	// Group takes one receive that is not snap: the records the primary
+	// shipped together, or a heartbeat. An error says the consumer cannot go
+	// on from the stream, and is met as snap is.
+	Group func(evs []kdb.ReplEvent) error
+	// Snap meets the primary's answer that it cannot stream from where the
+	// consumer resumed. nil means the consumer resynced, and the Tail
+	// redials at once; an error fails the attempt.
+	Snap func(ctx context.Context) error
+	// Broke is told why an attempt failed, before the Tail waits to redial.
+	Broke func(err error)
+	// Idle runs every RetryMin while the Tail waits to redial.
+	Idle func()
 }
 
-// DB returns the follower's local database.
-func (f *Follower) DB() *kdb.DB { return f.db }
+// NewTail wires a Tail to the primary at addr, which may carry a kdb://
+// scheme; call Start to begin following.
+func NewTail(addr string, opt Options, c Consumer) *Tail {
+	return &Tail{addr: strings.TrimPrefix(addr, "kdb://"), opt: opt.withDefaults(), c: c}
+}
 
-// Start launches the sync loop; it runs until ctx is cancelled or Stop is
-// called.
-func (f *Follower) Start(ctx context.Context) {
-	ctx, cancel := context.WithCancel(ctx)
-	f.cancel = cancel
-	f.done = make(chan struct{})
+// Start launches the loop; it runs until ctx is cancelled or Stop is called.
+func (t *Tail) Start(ctx context.Context) {
+	ctx, t.cancel = context.WithCancel(ctx)
+	t.done = make(chan struct{})
 	go func() {
-		defer close(f.done)
-		f.run(ctx)
+		defer close(t.done)
+		t.run(ctx)
 	}()
 }
 
-// Stop cancels the sync loop and waits for it to exit.
-func (f *Follower) Stop() {
-	if f.cancel == nil {
+// Stop cancels the loop and waits for it to exit, its stream closed.
+func (t *Tail) Stop() {
+	if t.cancel == nil {
 		return
 	}
-	f.cancel()
-	<-f.done
+	t.cancel()
+	<-t.done
 }
 
-// run reconnects forever with exponential backoff; any attempt that
-// applied records or installed a snapshot resets the backoff, so a
-// follower that keeps losing a flaky link still makes steady progress.
-func (f *Follower) run(ctx context.Context) {
-	backoff := f.opt.RetryMin
+// Attached reports whether a stream is open.
+func (t *Tail) Attached() bool { return t.attached.Load() }
+
+func (t *Tail) run(ctx context.Context) {
+	backoff := t.opt.RetryMin
 	for {
-		progressed, err := f.syncOnce(ctx)
+		progressed, err := t.attempt(ctx)
 		if ctx.Err() != nil {
 			return
 		}
-		if err == nil && progressed {
-			// A snapshot was installed; reconnect immediately to stream
-			// from the new offset.
-			backoff = f.opt.RetryMin
-			continue
-		}
-		f.mu.Lock()
-		f.lastErr = err
-		f.resyncs++
-		f.mu.Unlock()
-		metResyncTotal.Inc()
 		if progressed {
-			backoff = f.opt.RetryMin
-		} else if backoff < f.opt.RetryMax {
-			backoff *= 2
-			if backoff > f.opt.RetryMax {
-				backoff = f.opt.RetryMax
-			}
+			backoff = t.opt.RetryMin
 		}
-		select {
-		case <-ctx.Done():
+		if err == nil {
+			continue // resynced: stream from the new position now
+		}
+		if t.c.Broke != nil {
+			t.c.Broke(err)
+		}
+		if !t.wait(ctx, backoff) {
 			return
-		case <-time.After(backoff):
+		}
+		if !progressed && backoff < t.opt.RetryMax {
+			backoff = min(2*backoff, t.opt.RetryMax)
 		}
 	}
 }
 
-// syncOnce runs one stream session: dial from the local LSN, then apply
-// records until the connection fails or the primary demands a snapshot.
-// It returns progressed=true if any record was applied or a snapshot was
-// installed; a (true, nil) return means "snapshot installed, reconnect
-// now".
-func (f *Follower) syncOnce(ctx context.Context) (progressed bool, err error) {
-	stream, err := kdb.DialReplication(f.addr, f.db.LSN(), f.opt.HeartbeatTimeout)
+// attempt runs one stream session, until it breaks (err) or the consumer
+// resyncs (nil). progressed reports whether the consumer took records or
+// resynced.
+func (t *Tail) attempt(ctx context.Context) (progressed bool, err error) {
+	after, err := t.c.Resume()
 	if err != nil {
 		return false, err
 	}
-	defer stream.Close()
+	stream, err := kdb.DialReplication(t.addr, after, t.opt.HeartbeatTimeout)
+	if err != nil {
+		return false, err
+	}
+	t.attached.Store(true)
 	stop := context.AfterFunc(ctx, func() { stream.Close() })
-	defer stop()
+	defer func() {
+		stop()
+		stream.Close()
+		t.attached.Store(false)
+	}()
 	for {
 		evs, err := stream.RecvGroup()
 		if err != nil {
 			return progressed, err
 		}
-		last := evs[len(evs)-1]
-		f.noteContact(last.PrimaryLSN)
-		switch {
-		case last.SnapshotRequired:
-			if serr := f.snapshot(ctx); serr != nil {
-				return progressed, serr
-			}
-			return true, nil
-		case last.Heartbeat:
-			f.updateLag()
-		default:
-			// The records the primary shipped together are one write step
-			// here too: one append, one flush.
-			if aerr := f.db.ApplyRecords(evs); aerr != nil {
-				// Any apply failure (LSN gap from divergence, corrupt
-				// record) is unrecoverable by streaming; fall back to a
-				// full snapshot.
-				if serr := f.snapshot(ctx); serr != nil {
-					return progressed, serr
-				}
-				return true, nil
-			}
-			progressed = true
-			metAppliedTotal.Add(int64(len(evs)))
-			f.noteApply(last.PrimaryLSN)
+		if !evs[len(evs)-1].SnapshotRequired && t.c.Group(evs) == nil {
+			progressed = progressed || len(evs[0].Entry) > 0
+			continue
+		}
+		if err := t.c.Snap(ctx); err != nil {
+			return progressed, err
+		}
+		return true, nil
+	}
+}
+
+// wait sleeps d, running Idle every RetryMin meanwhile; false if ctx ended
+// first.
+func (t *Tail) wait(ctx context.Context, d time.Duration) bool {
+	for left := d; left > 0; left -= t.opt.RetryMin {
+		timer := time.NewTimer(min(left, t.opt.RetryMin))
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return false
+		case <-timer.C:
+		}
+		if t.c.Idle != nil {
+			t.c.Idle()
 		}
 	}
+	return true
+}
+
+// Follower keeps db converged with the primary at primaryAddr: a Tail
+// whose consumer applies the stream to the local database. Reads on the
+// local database are always safe; they simply observe a prefix of the
+// primary's history.
+type Follower struct {
+	*Tail
+	db *kdb.DB
+
+	mu         sync.Mutex
+	primaryLSN int64
+	lastApply  time.Time
+	resyncs    int64
+	lastErr    error
+}
+
+// NewFollower wires a follower for the local database; call Start to
+// begin syncing. The address may carry a kdb:// scheme.
+func NewFollower(db *kdb.DB, primaryAddr string, opt Options) *Follower {
+	f := &Follower{db: db}
+	f.Tail = NewTail(primaryAddr, opt, Consumer{
+		Resume: func() (int64, error) { return db.LSN(), nil },
+		Group:  f.apply,
+		Snap:   f.snapshot,
+		Broke:  f.broke,
+	})
+	return f
+}
+
+// DB returns the follower's local database.
+func (f *Follower) DB() *kdb.DB { return f.db }
+
+// apply takes one group off the stream: a heartbeat refreshes the lag, and
+// the records the primary shipped together are one write step here too:
+// one append, one flush. Any apply failure (LSN gap from divergence,
+// corrupt record) is unrecoverable by streaming, and the Tail falls back
+// to a snapshot.
+func (f *Follower) apply(evs []kdb.ReplEvent) error {
+	last := evs[len(evs)-1]
+	f.notePrimary(last.PrimaryLSN)
+	if last.Heartbeat {
+		f.updateLag()
+		return nil
+	}
+	if err := f.db.ApplyRecords(evs); err != nil {
+		return err
+	}
+	metAppliedTotal.Add(int64(len(evs)))
+	f.noteApply(last.PrimaryLSN)
+	return nil
+}
+
+// broke records a failed sync attempt.
+func (f *Follower) broke(err error) {
+	f.mu.Lock()
+	f.lastErr = err
+	f.resyncs++
+	f.mu.Unlock()
+	metResyncTotal.Inc()
 }
 
 // snapshot replaces the local database with the primary's current state.
@@ -216,7 +286,6 @@ func (f *Follower) snapshot(ctx context.Context) error {
 	if err := f.db.RestoreSnapshot(data); err != nil {
 		return err
 	}
-	f.noteContact(lsn)
 	f.noteApply(lsn)
 	return nil
 }
@@ -267,21 +336,16 @@ func (f *Follower) deltaSnapshot(r *kdb.Remote) ([]byte, int64, error) {
 	return data, lsn, nil
 }
 
-func (f *Follower) noteContact(primaryLSN int64) {
+func (f *Follower) notePrimary(primaryLSN int64) {
 	f.mu.Lock()
-	f.lastContact = time.Now()
-	if primaryLSN > f.primaryLSN {
-		f.primaryLSN = primaryLSN
-	}
+	f.primaryLSN = max(f.primaryLSN, primaryLSN)
 	f.mu.Unlock()
 }
 
 func (f *Follower) noteApply(primaryLSN int64) {
 	f.mu.Lock()
 	f.lastApply = time.Now()
-	if primaryLSN > f.primaryLSN {
-		f.primaryLSN = primaryLSN
-	}
+	f.primaryLSN = max(f.primaryLSN, primaryLSN)
 	f.mu.Unlock()
 	f.updateLag()
 }

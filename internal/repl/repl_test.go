@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -188,6 +190,66 @@ func TestFollowerResyncsAfterPrimaryRestart(t *testing.T) {
 	if st := f.Health(); st.Resyncs == 0 {
 		t.Error("expected at least one recorded resync")
 	}
+}
+
+// TestFollowerStopIsPrompt: Stop returns at once, and leaves no goroutine
+// behind, whether the loop is blocked in a receive on an idle primary or
+// waiting out its backoff against a dead address — both far shorter than
+// the receive timeout and the backoff would allow.
+func TestFollowerStopIsPrompt(t *testing.T) {
+	slow := Options{HeartbeatTimeout: 10 * time.Second, RetryMin: 10 * time.Second, RetryMax: 10 * time.Second}
+	stop := func(t *testing.T, f *Follower, goroutines int) {
+		t.Helper()
+		stopped := make(chan struct{})
+		go func() {
+			f.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(time.Second):
+			t.Fatal("Stop has not returned after a second")
+		}
+		if f.Attached() {
+			t.Fatal("Stop returned with the stream still attached")
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > goroutines {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Stop, %d before Start", runtime.NumGoroutine(), goroutines)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	t.Run("receiving", func(t *testing.T) {
+		primary := openDB(t, "")
+		mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
+		addr := servePrimary(t, primary)
+		goroutines := runtime.NumGoroutine()
+		f := NewFollower(openDB(t, ""), addr, slow)
+		f.Start(context.Background())
+		waitLSN(t, f.DB(), primary.LSN())
+		stop(t, f, goroutines)
+	})
+	t.Run("backing off", func(t *testing.T) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := l.Addr().String()
+		l.Close()
+		goroutines := runtime.NumGoroutine()
+		f := NewFollower(openDB(t, ""), addr, slow)
+		f.Start(context.Background())
+		deadline := time.Now().Add(5 * time.Second)
+		for f.Health().Resyncs == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the dial to a dead address never failed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		stop(t, f, goroutines)
+	})
 }
 
 // TestFollowerSurvivesPrimaryCompactRestart: a follower caught up before

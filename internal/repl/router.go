@@ -92,27 +92,14 @@ func (rt *Router) Session() *Session { return &Session{rt: rt} }
 // session (campaign ingest records it as the run's final LSN).
 func (rt *Router) LSN() int64 { return rt.def.lastWrite.Load() }
 
-// PrimaryLSN reports the primary connection's view of its committed
-// position, or the router's own last-write LSN when that is ahead. Unlike
-// Health it never probes replicas, so it is cheap enough for cache-validity
-// checks on the read path.
-func (rt *Router) PrimaryLSN() int64 {
-	lsn := rt.LSN()
-	if p := rt.primary.LSN(); p > lsn {
-		lsn = p
-	}
-	return lsn
-}
-
-// ProbePrimaryLSN actively asks the primary for its committed position
-// via a status round trip when the primary connection supports one
-// (remote clients do; the probe also advances their passive high-water
-// mark), falling back to PrimaryLSN. Unlike PrimaryLSN it can observe
-// commits made by other processes even while this router routes all
-// reads to replicas — the API's cache invalidation polls it for exactly
-// that reason.
+// ProbePrimaryLSN reports the primary's committed position: a status round
+// trip when the primary connection supports one (remote clients do; the
+// probe also advances their passive high-water mark), else the primary
+// connection's own view, or the router's last-write LSN when that is
+// ahead. Unlike LSN it observes commits made by other processes, and it
+// never probes replicas.
 func (rt *Router) ProbePrimaryLSN() int64 {
-	lsn := rt.PrimaryLSN()
+	lsn := max(rt.LSN(), rt.primary.LSN())
 	if s, ok := rt.primary.(interface {
 		Status() (kdb.NodeStatus, error)
 	}); ok {
