@@ -95,6 +95,9 @@ func TestMetricsGolden(t *testing.T) {
 	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "index")).Add(5)
 	reg.Counter(telemetry.Label("kdb_join_total", "strategy", "hash")).Add(1)
 	reg.Counter("kdb_wal_flushes_total").Add(3)
+	reg.Counter(telemetry.Label("kdb_checkpoint_total", "outcome", "written")).Add(2)
+	reg.Counter(telemetry.Label("kdb_checkpoint_total", "outcome", "abandoned")).Add(1)
+	reg.Gauge("kdb_wal_bytes_since_checkpoint").Set(4096)
 	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "resumed")).Add(6)
 	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "cold")).Add(2)
 	reg.Counter(telemetry.Label("kdb_fold_total", "outcome", "stale")).Add(1)

@@ -1,11 +1,11 @@
 package kdb
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"slices"
@@ -105,6 +105,19 @@ type DB struct {
 	// walErr records a failed log reopen (Compact's last resort); while
 	// set, mutations fail rather than silently skipping durability.
 	walErr error
+	// The log file and its online rewrite (checkpoint.go), guarded by db.mu:
+	// logSize is the log's length in bytes and imageSize the length of the
+	// checkpoint image at its head (0 for none); logGen counts the files
+	// that have replaced the log; ckpt is the rewrite in progress, if any;
+	// closed is set by Close, after which none starts.
+	logSize, imageSize int64
+	logGen             int64
+	ckpt               *checkpoint
+	closed             bool
+	// rewriteMu serializes the log's rewriters — Compact, RestoreSnapshot
+	// and the online checkpoint — which share its temp file. It is taken
+	// before db.mu.
+	rewriteMu sync.Mutex
 	// undos, step and ends are the write step in progress (commitLocked):
 	// the undo of each statement staged so far, their newline-terminated log
 	// records end to end, and where in step each record ends. Empty between
@@ -192,8 +205,14 @@ func NewRows(columns []string, rows [][]any) *Rows {
 }
 
 // Open opens (or creates) a database. An empty path opens an in-memory
-// database; otherwise the JSON-lines log at path is replayed and future
-// mutations are appended to it.
+// database; otherwise the log at path is read and future mutations are
+// appended to it. A log may start with a checkpoint image (checkpoint.go),
+// the typed rows of every table as of one LSN, which Open decodes straight
+// into the tables before it replays the JSON-lines records after it; a log
+// without one is all records. A last record that has no newline and does
+// not decode — a write a crash cut short — is cut off the file; any other
+// record or image block that does not read fails Open. A temp file a
+// crashed rewrite of the log left beside it is removed.
 func Open(path string) (*DB, error) {
 	return OpenWithOptions(path, DBOptions{})
 }
@@ -207,21 +226,36 @@ func OpenWithOptions(path string, opts DBOptions) (*DB, error) {
 	if path == "" {
 		return db, nil
 	}
+	if err := os.Remove(path + tempSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("kdb: remove stale %s: %w", path+tempSuffix, err)
+	}
 	// One handle reads the log for replay and then appends to it.
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kdb: open log: %w", err)
 	}
-	if err := db.replayFrom("replay", path, f); err != nil {
-		f.Close()
+	wf := interpose(f)
+	if err := db.load(f, wf); err != nil {
+		wf.Close()
 		return nil, err
 	}
-	db.wal = &wal{f: f, w: bufio.NewWriter(f)}
+	db.wal = newWAL(wf)
 	return db, nil
 }
 
-// Close releases the log file handle.
+// Close releases the log file handle, after stopping a checkpoint in
+// progress (its temp file removed).
 func (db *DB) Close() error {
+	db.mu.Lock()
+	ck := db.ckpt
+	if ck != nil && !db.closed {
+		close(ck.stop)
+	}
+	db.closed = true
+	db.mu.Unlock()
+	if ck != nil {
+		<-ck.done
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.wal != nil {
@@ -313,7 +347,8 @@ func (db *DB) commitLocked(run func() error) error {
 		db.undos, db.step, db.ends = db.undos[:0], keepScratch(db.step[:0]), db.ends[:0]
 	}()
 	err := run()
-	if err == nil && db.wal != nil && len(db.ends) > 0 {
+	logged := err == nil && db.wal != nil && len(db.ends) > 0
+	if logged {
 		if werr := db.wal.AppendRaw(db.step); werr != nil {
 			err = fmt.Errorf("kdb: write log: %w", werr)
 		}
@@ -339,6 +374,11 @@ func (db *DB) commitLocked(run func() error) error {
 		}
 		db.noteCommit(rec, end.scanned)
 		start = end.at
+	}
+	if logged {
+		db.logSize += int64(len(db.step))
+		metWALSinceCheckpoint.Set(float64(db.logSize - db.imageSize))
+		db.maybeCheckpointLocked()
 	}
 	return nil
 }

@@ -26,8 +26,14 @@ var (
 	metFolds           map[string]*telemetry.Counter // by resumeFold outcome
 	metWALFlushes      *telemetry.Counter
 	metWALBytes        *telemetry.Counter
-	metServerRequests  *telemetry.Counter
-	metServerOpenConns *telemetry.Gauge
+	// The online checkpoint (checkpoint.go): attempts by outcome, the wall
+	// time of each written one, and the log bytes after the image at the
+	// head of the log a database last wrote.
+	metCheckpoints        map[string]*telemetry.Counter
+	metCheckpointSeconds  *telemetry.Histogram
+	metWALSinceCheckpoint *telemetry.Gauge
+	metServerRequests     *telemetry.Counter
+	metServerOpenConns    *telemetry.Gauge
 
 	metReplStreams       *telemetry.Gauge
 	metReplRecordsSent   *telemetry.Counter
@@ -56,6 +62,12 @@ func init() {
 	}
 	metWALFlushes = reg.Counter("kdb_wal_flushes_total")
 	metWALBytes = reg.Counter("kdb_wal_bytes_total")
+	metCheckpoints = map[string]*telemetry.Counter{}
+	for _, outcome := range []string{ckptWritten, ckptAbandoned, ckptFailed} {
+		metCheckpoints[outcome] = reg.Counter(telemetry.Label("kdb_checkpoint_total", "outcome", outcome))
+	}
+	metCheckpointSeconds = reg.Histogram("kdb_checkpoint_seconds")
+	metWALSinceCheckpoint = reg.Gauge("kdb_wal_bytes_since_checkpoint")
 	metServerRequests = reg.Counter("kdb_server_requests_total")
 	metServerOpenConns = reg.Gauge("kdb_server_open_conns")
 	metReplStreams = reg.Gauge("kdb_repl_streams")

@@ -174,6 +174,10 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if db.path != "" {
+		db.rewriteMu.Lock() // see Compact
+		defer db.rewriteMu.Unlock()
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.path != "" {

@@ -16,6 +16,16 @@ import (
 // short statement never reaches the scanner's escape path; this one does on
 // every record.
 func BenchmarkOpenReplayIngest(b *testing.B) {
+	benchOpenIngest(b, false)
+}
+
+// BenchmarkOpenCheckpointedIngest reopens the same log after a checkpoint:
+// the typed image of every row and no records after it.
+func BenchmarkOpenCheckpointedIngest(b *testing.B) {
+	benchOpenIngest(b, true)
+}
+
+func benchOpenIngest(b *testing.B, checkpoint bool) {
 	path := filepath.Join(b.TempDir(), "ingest.kdb")
 	s, err := schema.Open(path)
 	if err != nil {
@@ -32,6 +42,11 @@ func BenchmarkOpenReplayIngest(b *testing.B) {
 		}
 	}
 	lsn := s.DB.(*kdb.DB).LSN()
+	if checkpoint {
+		if outcome, err := s.DB.(*kdb.DB).CheckpointNow(); outcome != "written" {
+			b.Fatalf("checkpoint: %s, %v", outcome, err)
+		}
+	}
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}

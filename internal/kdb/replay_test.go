@@ -264,12 +264,13 @@ func openFDs() int {
 
 // TestReplayStopsAtFirstBadRecord: a failed Open names the first record in
 // file order that fails — to apply or to decode, in the first batch or a
-// later one, or torn at the end — and leaves no decoder running and no log
-// handle open behind it.
+// later one, or cut short at the end but newline-terminated (one without its
+// newline is a torn write, which Open cuts off: TestTornTailIsCut) — and
+// leaves no decoder running and no log handle open behind it.
 func TestReplayStopsAtFirstBadRecord(t *testing.T) {
 	corrupt := []byte("{not json\n")
 	torn := inserts(t, 1)
-	torn = torn[:len(torn)-8]
+	torn = append(torn[:len(torn)-8], '\n')
 	cases := []struct {
 		name  string
 		log   []byte
@@ -286,7 +287,7 @@ func TestReplayStopsAtFirstBadRecord(t *testing.T) {
 			append(goodLog(t, recordBatchLen+100), torn...),
 			recordBatchLen + 101, "corrupt log"},
 		{"torn where the statement starts",
-			append(goodLog(t, 5), `{"sql":`...),
+			append(goodLog(t, 5), `{"sql":`+"\n"...),
 			6, "corrupt log"},
 	}
 	for _, c := range cases {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -283,11 +284,29 @@ func ParseSnapshotTables(data []byte) (map[string]*Table, error) {
 	return scratch.tables, nil
 }
 
+// walFile is what the log is written through: the append handle Open
+// opens, and the temp file a rewrite of the log (Compact, RestoreSnapshot,
+// the online checkpoint) writes before renaming it over the log. *os.File
+// is one; tests put kdbtest.FaultFile in its place to short-write, fail or
+// "kill" at a chosen byte.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// interpose is the seam every log file passes through before kdb writes
+// to it. It is the file itself; only tests replace it.
+var interpose = func(f *os.File) walFile { return f }
+
 // wal is the append-only mutation log.
 type wal struct {
-	f *os.File
+	f walFile
 	w *bufio.Writer
 }
+
+func newWAL(f walFile) *wal { return &wal{f: f, w: bufio.NewWriter(f)} }
 
 // AppendRaw writes pre-encoded log records (one or many) and flushes them
 // to the OS in a single pass — the batch ingestion fast path: N mutations
@@ -313,19 +332,23 @@ func (w *wal) Close() error {
 	return w.f.Close()
 }
 
-// Compact rewrites the database file as a minimal snapshot: CREATE TABLE
-// and CREATE INDEX statements, one INSERT per row, and a meta entry
-// preserving auto-increment high-water marks. It is the paper-ablation
-// alternative to the ever-growing append log and also the mechanism for
-// exporting a database to a fresh file.
+// Compact rewrites the database file as a minimal text snapshot: CREATE
+// TABLE and CREATE INDEX statements, one INSERT per row, and a meta entry
+// preserving auto-increment high-water marks. It is the export form of a
+// database — a log any JSON-lines reader can follow, with no checkpoint
+// image at its head (the online checkpoint, checkpoint.go, writes those) —
+// and the paper-ablation alternative to the ever-growing append log.
 //
 // Compact is crash-safe: the snapshot is written to a temp file, synced,
-// and atomically renamed over the log, so a crash at any point leaves
-// either the old log or the complete new snapshot (plus at worst a stale
-// .compact temp file, which reopening ignores). Every error path removes
-// the temp file, and the live log handle is only swapped after the rename
-// has succeeded.
+// and atomically renamed over the log, and the directory is synced, so a
+// crash at any point leaves either the old log or the complete new
+// snapshot (plus at worst a stale .compact temp file, which the next Open
+// removes). Every error path removes the temp file, and the live log
+// handle is only swapped after the rename has succeeded. A checkpoint in
+// progress finishes first: the two share the temp file.
 func (db *DB) Compact() error {
+	db.rewriteMu.Lock()
+	defer db.rewriteMu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.path == "" {
@@ -337,20 +360,19 @@ func (db *DB) Compact() error {
 
 // replaceLogLocked atomically replaces the log file with what write
 // produces and points the append handle at the new file: write goes to a
-// temp file that is flushed, synced, closed and renamed over the log. Until
-// the rename succeeds the old log and its handle stay fully valid and the
-// temp file is removed on every error path, so replaced=false means nothing
-// changed. After it, a failure to reopen for append leaves a complete,
-// consistent file that further mutations cannot be logged to: walErr is set
-// and commitLocked refuses writes until the database is reopened. db.mu
-// must be held for writing and db.path set.
+// temp file that is flushed, synced, closed and renamed over the log, and
+// the directory is synced. Until the rename succeeds the old log and its
+// handle stay fully valid and the temp file is removed on every error path,
+// so replaced=false means nothing changed. After it, see installLocked.
+// db.mu must be held for writing, db.rewriteMu held, and db.path set.
 func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool, err error) {
-	tmp := db.path + ".compact"
-	f, err := os.Create(tmp)
+	tmp := db.path + tempSuffix
+	f, err := createTemp(tmp)
 	if err != nil {
 		return false, err
 	}
-	w := bufio.NewWriter(f)
+	cw := &countingWriter{w: f}
+	w := bufio.NewWriter(cw)
 	err = write(w)
 	if err == nil {
 		err = w.Flush()
@@ -361,13 +383,43 @@ func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = os.Rename(tmp, db.path)
-	}
 	if err != nil {
 		os.Remove(tmp)
 		return false, err
 	}
+	return db.installLocked(tmp, cw.n, 0)
+}
+
+// tempSuffix names the temp file a rewrite of the log at path writes:
+// path+tempSuffix, renamed over path once whole. Open removes one a crash
+// left behind.
+const tempSuffix = ".compact"
+
+// createTemp creates (or truncates) a rewrite's temp file.
+func createTemp(name string) (walFile, error) {
+	f, err := os.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return interpose(f), nil
+}
+
+// installLocked renames the whole, synced temp file tmp over the log,
+// syncs the directory so the rename survives a crash, and points the append
+// handle at the new log: size bytes long, of which the first image are a
+// checkpoint image (0 for none). A failed rename removes tmp and changes
+// nothing (replaced=false). After the rename, a failure to reopen for
+// append leaves a complete, consistent file that further mutations cannot
+// be logged to: walErr is set and commitLocked refuses writes until the
+// database is reopened. db.mu must be held for writing.
+func (db *DB) installLocked(tmp string, size, image int64) (replaced bool, err error) {
+	if err := os.Rename(tmp, db.path); err != nil {
+		os.Remove(tmp)
+		return false, err
+	}
+	db.logGen++
+	db.logSize, db.imageSize = size, image
+	metWALSinceCheckpoint.Set(float64(size - image))
 	if db.wal != nil {
 		db.wal.Close() // old handle points at the unlinked file; best effort
 	}
@@ -376,8 +428,33 @@ func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool
 		db.wal, db.walErr = nil, err
 		return true, err
 	}
-	db.wal, db.walErr = &wal{f: nf, w: bufio.NewWriter(nf)}, nil
-	return true, nil
+	db.wal, db.walErr = newWAL(interpose(nf)), nil
+	return true, syncDir(db.path)
+}
+
+// syncDir syncs the directory holding path, making a rename in it durable.
+func syncDir(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // snapshotLocked serializes the database as a minimal, deterministic

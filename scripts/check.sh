@@ -74,12 +74,13 @@ step_tier1() {
 # stress runs the serving path's timing-sensitive tests 30 times over (about
 # 30 s): the api's change feed, watermarks and single-flight misses, the
 # stream loop (repl.Tail) under the follower — streaming, redialling,
-# resyncing, stopping — and kdb's resumed aggregate folds. A test that fails
+# resyncing, stopping — kdb's resumed aggregate folds, and its online
+# checkpoint racing writers and Close. A test that fails
 # one run in a few dozen fails here, in the gate, rather than at random in
 # CI. Each name list is a -run pattern; a new timing test joins by name.
 STRESS_API='TestValidateWhileFeedRotates|TestStaleReasons|TestReopenedSchemaKeepsCache|TestFeedStreamingGauge|TestFootprintKeepsEntriesAcrossAppends|TestLaggingReplicaReadIsNotStampedNewer|TestSingleFlight|TestFeedlessPrimaryNoticesForeignCommits|TestCacheBoundsAndMetrics|TestServerCloseStopsFeed|TestFeedResyncRebuildsOlderEntries'
 STRESS_REPL='TestFollowerStreamsCommits|TestFollowerResyncsAfterPrimaryRestart|TestFollowerBehindByteBoundResyncs|TestFollowerDivergenceForcesSnapshot|TestFollowerStopIsPrompt'
-STRESS_KDB='TestFoldResume|TestFoldMemoBounds'
+STRESS_KDB='TestFoldResume|TestFoldMemoBounds|TestCheckpointUnderConcurrentCommits|TestCloseDuringCheckpoint'
 step_stress() {
 	echo "== stress (timing tests, -count=30) =="
 	$GO test -count=30 -run "$STRESS_API" ./internal/api/
