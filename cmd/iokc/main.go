@@ -912,7 +912,7 @@ func runShardCoordinator(ctx context.Context, cfg *serveDBConfig) error {
 		return err
 	}
 	defer coord.Close()
-	srv := &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap, Role: "coordinator",
+	srv := &kdb.Server{Backend: coord, Role: "coordinator",
 		MaxConns: cfg.maxConns, IdleTimeout: cfg.idle, Advertise: cfg.advertise}
 	health := func() repl.Status {
 		return repl.Status{Role: "coordinator", Addr: cfg.advertise, AppliedLSN: coord.LSN(), Epoch: cfg.epoch}

@@ -145,7 +145,7 @@ func TestHealthzCarriesEpochAndLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	addr := kdbtest.Serve(t, &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap, Role: "coordinator"})
+	addr := kdbtest.Serve(t, &kdb.Server{Backend: coord, Role: "coordinator"})
 	store, err := schema.Open("shard://" + strings.TrimPrefix(addr, "kdb://"))
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func TestCommitFailureRollsBack(t *testing.T) {
 			mustExec(t, db, "INSERT INTO p (v) VALUES ('keep')")
 			state, lsn, buf := snapshotBytes(t, db), db.LSN(), shipped(t, db)
 
-			db.wal.f.Close() // sabotage the log so the append fails
+			db.wal.Close() // sabotage the log so the append fails
 			err := c.write(db)
 			if err == nil || !strings.Contains(err.Error(), "write log") {
 				t.Fatalf("write with a broken log: err = %v", err)

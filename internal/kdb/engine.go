@@ -99,11 +99,12 @@ type DBOptions struct {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	wal    *wal
+	wal    walFile // the append handle; nil in memory or once walErr is set
 	path   string
 	opts   DBOptions
-	// walErr records a failed log reopen (Compact's last resort); while
-	// set, mutations fail rather than silently skipping durability.
+	// walErr records a failed log reopen (a rewrite's last resort) or a
+	// failed cut after a failed append; while set, mutations fail rather
+	// than silently skipping durability.
 	walErr error
 	// The log file and its online rewrite (checkpoint.go), guarded by db.mu:
 	// logSize is the log's length in bytes and imageSize the length of the
@@ -239,7 +240,7 @@ func OpenWithOptions(path string, opts DBOptions) (*DB, error) {
 		wf.Close()
 		return nil, err
 	}
-	db.wal = newWAL(wf)
+	db.wal = wf
 	return db, nil
 }
 
@@ -284,17 +285,6 @@ func (db *DB) tablesSorted() []string {
 	return names
 }
 
-// Schema returns a copy of the named table's column definitions.
-func (db *DB) Schema(table string) ([]ColumnDef, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(table)]
-	if !ok {
-		return nil, fmt.Errorf("kdb: no such table %q", table)
-	}
-	return append([]ColumnDef(nil), t.Columns...), nil
-}
-
 // Exec runs a mutation statement (CREATE, INSERT, UPDATE, DELETE, DROP).
 func (db *DB) Exec(query string, args ...any) (Result, error) {
 	return db.ExecTraced(telemetry.TraceContext{}, query, args...)
@@ -334,11 +324,11 @@ func (db *DB) exec(query string, args []any) (res Result, err error) {
 // it. run stages the caller's statements (stageStmt, stageRecord); if it or
 // the log append fails, every staged statement is undone newest first and
 // nothing is written, so memory never diverges from disk. Otherwise all the
-// staged records reach the log in exactly one append and flush, and only
-// then does each take its LSN. db.mu must be held for writing.
+// staged records reach the log in exactly one Write (appendLocked), and
+// only then does each take its LSN. db.mu must be held for writing.
 func (db *DB) commitLocked(run func() error) error {
-	if db.wal == nil && db.walErr != nil {
-		return fmt.Errorf("kdb: log unavailable after failed compaction: %w", db.walErr)
+	if db.walErr != nil {
+		return fmt.Errorf("kdb: log unavailable: %w", db.walErr)
 	}
 	defer func() {
 		// Keep the arrays for the next step, not their contents: an undo
@@ -349,9 +339,7 @@ func (db *DB) commitLocked(run func() error) error {
 	err := run()
 	logged := err == nil && db.wal != nil && len(db.ends) > 0
 	if logged {
-		if werr := db.wal.AppendRaw(db.step); werr != nil {
-			err = fmt.Errorf("kdb: write log: %w", werr)
-		}
+		err = db.appendLocked()
 	}
 	if err != nil {
 		for i := len(db.undos) - 1; i >= 0; i-- {
@@ -1576,6 +1564,9 @@ func evalValue(ex expr, args []any) (any, error) {
 
 func applyComparison(op string, l, r any) (any, error) {
 	if op == "LIKE" {
+		if l == nil || r == nil {
+			return false, nil // the NULL rule below: no match
+		}
 		ls, lok := l.(string)
 		rs, rok := r.(string)
 		if !lok || !rok {

@@ -242,7 +242,7 @@ func TestWALFailureRollsBack(t *testing.T) {
 	mustExec(t, db, "INSERT INTO p (v) VALUES ('keep')")
 
 	// Sabotage the log so the next append fails.
-	db.wal.f.Close()
+	db.wal.Close()
 
 	if _, err := db.Exec("INSERT INTO p (v) VALUES ('lost')"); err == nil {
 		t.Fatal("insert with a broken log should error")

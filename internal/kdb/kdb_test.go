@@ -126,6 +126,38 @@ func TestWhereOperators(t *testing.T) {
 	}
 }
 
+// TestLikeOverNull: LIKE gives a NULL operand, on either side, the "no
+// match" verdict the other comparisons give it, so a scan that meets a NULL
+// cell goes on; a non-text operand that is not NULL is still an error.
+func TestLikeOverNull(t *testing.T) {
+	db := memDB(t)
+	mustExec(t, db, "CREATE TABLE t (n INTEGER, s TEXT)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'x1'), (2, NULL), (3, 'y3'), (4, 'x4')")
+	cases := []struct {
+		where string
+		args  []any
+		want  int
+	}{
+		{"s LIKE 'x%'", nil, 2},
+		{"NOT s LIKE 'x%'", nil, 2}, // y3, and the NULL cell's "no match" negated
+		{"s LIKE ?", []any{nil}, 0},
+		{"s LIKE 'x%' OR n = 2", nil, 3},
+	}
+	for _, c := range cases {
+		rows, err := db.Query("SELECT n FROM t WHERE "+c.where, c.args...)
+		if err != nil {
+			t.Errorf("WHERE %s: %v", c.where, err)
+			continue
+		}
+		if rows.Len() != c.want {
+			t.Errorf("WHERE %s: %d rows, want %d", c.where, rows.Len(), c.want)
+		}
+	}
+	if _, err := db.Query("SELECT n FROM t WHERE n LIKE '1%'"); err == nil {
+		t.Error("LIKE over an INTEGER column should still fail")
+	}
+}
+
 func TestOrderByLimit(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, "CREATE TABLE t (n INTEGER, r REAL)")
@@ -368,10 +400,16 @@ func TestStringEscapes(t *testing.T) {
 func TestSchemaIntrospection(t *testing.T) {
 	db := memDB(t)
 	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT, score REAL)")
-	cols, err := db.Schema("t")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cols []ColumnDef
+	var missing bool
+	db.View(func(v *View) error {
+		if tv, ok := v.Table("t"); ok {
+			cols = append(cols, tv.Columns()...)
+		}
+		_, found := v.Table("missing")
+		missing = !found
+		return nil
+	})
 	want := []ColumnDef{
 		{Name: "id", Type: TInteger, PrimaryKey: true},
 		{Name: "name", Type: TText},
@@ -380,8 +418,8 @@ func TestSchemaIntrospection(t *testing.T) {
 	if !reflect.DeepEqual(cols, want) {
 		t.Errorf("schema = %+v", cols)
 	}
-	if _, err := db.Schema("missing"); err == nil {
-		t.Error("missing schema should fail")
+	if !missing {
+		t.Error("a missing table should not be found")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kdb"
 	"repro/internal/repl"
 	"repro/internal/schema"
+	"repro/internal/telemetry"
 )
 
 func chaosSpec(t *testing.T) *campaign.Spec {
@@ -51,7 +52,7 @@ func TestChaosConvergenceUnderCampaign(t *testing.T) {
 	f2.Start(context.Background())
 	defer f2.Stop()
 
-	rt := repl.NewRouter(primary, repl.LocalReplica{F: f1}, repl.LocalReplica{F: f2})
+	rt := repl.NewRouter(primary, LocalReplica{F: f1}, LocalReplica{F: f2})
 	st, err := schema.Wrap(rt)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +135,22 @@ func TestChaosConvergenceUnderCampaign(t *testing.T) {
 			pBefore, pAfter, rBefore, rAfter)
 	}
 }
+
+// LocalReplica adapts an in-process Follower into a repl.Replica, so the
+// router reads a follower's copy without a network hop.
+type LocalReplica struct{ F *repl.Follower }
+
+func (l LocalReplica) QueryTraced(tc telemetry.TraceContext, query string, args ...any) (*kdb.Rows, error) {
+	return l.F.DB().QueryTraced(tc, query, args...)
+}
+
+func (l LocalReplica) QueryBatch(tc telemetry.TraceContext, stmts []kdb.Stmt) ([]*kdb.Rows, error) {
+	return l.F.DB().QueryBatch(tc, stmts)
+}
+
+func (l LocalReplica) Status() (kdb.NodeStatus, error) { return l.F.Status() }
+
+var _ repl.Replica = LocalReplica{}
 
 // The helpers below are chaos-local copies of the package's test
 // helpers: this file lives in the external repl_test package because it

@@ -385,16 +385,15 @@ func TestRouterReadYourWrites(t *testing.T) {
 	// read-your-writes; the router must notice and use the primary.
 	rep := &fakeReplica{db: primary}
 	rt := NewRouter(primary, rep)
-	sess := rt.Session()
 
-	res, err := sess.Exec("INSERT INTO kv (v) VALUES (?)", "mine")
+	res, err := rt.Exec("INSERT INTO kv (v) VALUES (?)", "mine")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LSN == 0 {
 		t.Fatal("exec through router reported no LSN")
 	}
-	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+	if _, err := rt.Query("SELECT * FROM kv"); err != nil {
 		t.Fatal(err)
 	}
 	if p, r := rt.Stats(); p != 1 || r != 0 {
@@ -403,20 +402,11 @@ func TestRouterReadYourWrites(t *testing.T) {
 
 	// Once the replica reports having applied the write, reads move over.
 	rep.lsn.Store(res.LSN)
-	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+	if _, err := rt.Query("SELECT * FROM kv"); err != nil {
 		t.Fatal(err)
 	}
 	if p, r := rt.Stats(); p != 1 || r != 1 {
 		t.Errorf("fresh replica not used: primary=%d replica=%d", p, r)
-	}
-
-	// A session that never wrote reads from the replica immediately.
-	other := rt.Session()
-	if _, err := other.Query("SELECT * FROM kv"); err != nil {
-		t.Fatal(err)
-	}
-	if _, r := rt.Stats(); r != 2 {
-		t.Errorf("read-only session should use the replica, replica reads = %d", r)
 	}
 }
 
@@ -460,8 +450,7 @@ func TestRouterBatchTracksLSN(t *testing.T) {
 	mustExec(t, primary, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
 	rep := &fakeReplica{db: primary}
 	rt := NewRouter(primary, rep)
-	sess := rt.Session()
-	err := sess.Batch(func(exec kdb.ExecFunc) error {
+	err := rt.Batch(func(exec kdb.ExecFunc) error {
 		for i := 0; i < 5; i++ {
 			if _, err := exec("INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("b%d", i)); err != nil {
 				return err
@@ -472,14 +461,14 @@ func TestRouterBatchTracksLSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+	if _, err := rt.Query("SELECT * FROM kv"); err != nil {
 		t.Fatal(err)
 	}
 	if p, r := rt.Stats(); p != 1 || r != 0 {
 		t.Errorf("stale replica served a post-batch read: primary=%d replica=%d", p, r)
 	}
 	rep.lsn.Store(primary.LSN())
-	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+	if _, err := rt.Query("SELECT * FROM kv"); err != nil {
 		t.Fatal(err)
 	}
 	if _, r := rt.Stats(); r != 1 {
@@ -502,8 +491,7 @@ func TestRouterBatchOverWireTracksLSN(t *testing.T) {
 	rep.lsn.Store(primary.LSN()) // caught up with everything before the batch
 	rt := NewRouter(remote, rep)
 	defer rt.Close()
-	sess := rt.Session()
-	err = sess.Batch(func(exec kdb.ExecFunc) error {
+	err = rt.Batch(func(exec kdb.ExecFunc) error {
 		for i := 0; i < 5; i++ {
 			res, err := exec("INSERT INTO kv (v) VALUES (?)", fmt.Sprintf("b%d", i))
 			if err != nil {
@@ -518,12 +506,12 @@ func TestRouterBatchOverWireTracksLSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.LSN() != primary.LSN() || remote.LSN() != primary.LSN() || primary.LSN() != 6 {
-		t.Errorf("after the batch: session LSN %d, connection LSN %d, primary LSN %d; want 6 everywhere", sess.LSN(), remote.LSN(), primary.LSN())
+	if rt.LSN() != primary.LSN() || remote.LSN() != primary.LSN() || primary.LSN() != 6 {
+		t.Errorf("after the batch: router LSN %d, connection LSN %d, primary LSN %d; want 6 everywhere", rt.LSN(), remote.LSN(), primary.LSN())
 	}
 	for lag := int64(5); lag > 0; lag-- {
 		rep.lsn.Store(primary.LSN() - lag)
-		rows, err := sess.Query("SELECT * FROM kv")
+		rows, err := rt.Query("SELECT * FROM kv")
 		if err != nil || rows.Len() != 5 {
 			t.Fatalf("read after the batch = %v, %v", rows, err)
 		}
@@ -532,7 +520,7 @@ func TestRouterBatchOverWireTracksLSN(t *testing.T) {
 		t.Errorf("a replica below the batch's last LSN served a read: primary=%d replica=%d", p, r)
 	}
 	rep.lsn.Store(primary.LSN())
-	if _, err := sess.Query("SELECT * FROM kv"); err != nil {
+	if _, err := rt.Query("SELECT * FROM kv"); err != nil {
 		t.Fatal(err)
 	}
 	if _, r := rt.Stats(); r != 1 {
@@ -574,41 +562,6 @@ func TestRouterFailsOverToHealthyReplica(t *testing.T) {
 	}
 	if p, r := rt.Stats(); p != 0 || r != 5 {
 		t.Errorf("dead replica should be skipped, not trigger primary fallback: primary=%d replica=%d", p, r)
-	}
-}
-
-// closeCountConn counts Close calls on the wrapped connection.
-type closeCountConn struct {
-	kdb.Conn
-	closes atomic.Int64
-}
-
-func (c *closeCountConn) Close() error {
-	c.closes.Add(1)
-	return c.Conn.Close()
-}
-
-func TestSessionCloseLeavesRouterOpen(t *testing.T) {
-	db := openDB(t, "")
-	mustExec(t, db, "CREATE TABLE kv (id INTEGER PRIMARY KEY, v TEXT)")
-	cc := &closeCountConn{Conn: db}
-	rt := NewRouter(cc)
-
-	s1, s2 := rt.Session(), rt.Session()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cc.closes.Load(); got != 0 {
-		t.Fatalf("closing a session closed the shared router (%d primary closes)", got)
-	}
-	if _, err := s2.Query("SELECT * FROM kv"); err != nil {
-		t.Fatalf("sibling session broken after another session's Close: %v", err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cc.closes.Load(); got != 1 {
-		t.Errorf("Router.Close closed the primary %d times, want 1", got)
 	}
 }
 

@@ -80,21 +80,6 @@ func (s *Store) AddCampaignRuns(campaignID int64, runs []CampaignRun) error {
 	})
 }
 
-// ListCampaigns returns all campaign headers, newest first.
-func (s *Store) ListCampaigns() ([]CampaignMeta, error) {
-	rows, err := s.DB.Query(
-		`SELECT id, name, base_seed, workers, units, began, finished, wall_ms, status
-		 FROM campaigns ORDER BY id DESC`)
-	if err != nil {
-		return nil, err
-	}
-	var out []CampaignMeta
-	for rows.Next() {
-		out = append(out, scanCampaign(rows.Row()))
-	}
-	return out, nil
-}
-
 // ListCampaignsPage returns one keyset-paginated page of campaign headers
 // (id > afterID, ascending); see Store.ListObjectsPage for the contract.
 func (s *Store) ListCampaignsPage(afterID int64, limit int) ([]CampaignMeta, error) {

@@ -72,7 +72,7 @@ func TestCampaignRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	list, err := s.ListCampaigns()
+	list, err := s.ListCampaignsPage(0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestOpenShardedStatusCarriesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	addr := kdbtest.Serve(t, &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap, Role: "coordinator"})
+	addr := kdbtest.Serve(t, &kdb.Server{Backend: coord, Role: "coordinator"})
 
 	store, err := Open("shard://" + strings.TrimPrefix(addr, "kdb://"))
 	if err != nil {

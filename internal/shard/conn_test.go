@@ -52,7 +52,6 @@ func TestConnConformance(t *testing.T) {
 			return r
 		}},
 		{"Router", 1, func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})) }},
-		{"Session", 1, func(t *testing.T) kdb.Conn { return repl.NewRouter(kdbtest.MemDB(t, kdb.DBOptions{})).Session() }},
 		{"Coordinator", 2, func(t *testing.T) kdb.Conn {
 			c, err := New(kdbtest.MemDB(t, kdb.DBOptions{AutoIDStride: 2}), kdbtest.MemDB(t, kdb.DBOptions{AutoIDOffset: 1, AutoIDStride: 2}))
 			if err != nil {

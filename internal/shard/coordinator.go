@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,19 +36,10 @@ func New(shards ...kdb.Conn) (*Coordinator, error) {
 	return &Coordinator{shards: shards}, nil
 }
 
-// SetMap attaches the partition map this coordinator advertises over the
-// "shardmap" wire verb. The map's shard count must match the connection
-// set; it is advisory metadata for clients, not a routing input.
-func (c *Coordinator) SetMap(m *Map) error {
-	if m != nil && len(m.Shards) != len(c.shards) {
-		return fmt.Errorf("shard: map has %d shards, coordinator has %d", len(m.Shards), len(c.shards))
-	}
-	c.smap = m
-	return nil
-}
-
-// ShardMap serves the advertised partition map — the kdb.Server
-// ShardMapFunc hook.
+// ShardMap serves the partition map shard.Dial attached: the kdb.Server
+// answers the "shardmap" verb with it, and the api's cache and
+// Store.Status read its epoch. It is advisory metadata for clients, not a
+// routing input.
 func (c *Coordinator) ShardMap() (epoch int64, data []byte) {
 	if c.smap == nil {
 		return 0, nil
@@ -146,8 +138,8 @@ func (c *Coordinator) routeInsert(query string, args []any) (int, error) {
 // broadcast runs the statement on every shard. With sum set the results'
 // affected-row counts are added (UPDATE/DELETE semantics); otherwise the
 // first shard's result is returned (DDL, where all results are equal).
-// Shards run concurrently; all errors are joined so a partial failure is
-// visible rather than masked by a later success.
+// Shards run concurrently; their errors are joined (joinDistinct) so a
+// partial failure is visible rather than masked by a later success.
 func (c *Coordinator) broadcast(tc telemetry.TraceContext, query string, args []any, sum bool) (kdb.Result, error) {
 	results := make([]kdb.Result, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -169,7 +161,7 @@ func (c *Coordinator) broadcast(tc telemetry.TraceContext, query string, args []
 		}(i)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err := joinDistinct(errs); err != nil {
 		return kdb.Result{}, err
 	}
 	out := results[0]
@@ -180,6 +172,19 @@ func (c *Coordinator) broadcast(tc telemetry.TraceContext, query string, args []
 		}
 	}
 	return out, nil
+}
+
+// joinDistinct joins the shards' errors, each distinct message once: a
+// statement every shard refuses alike reads as one error, and shards that
+// fail differently all show.
+func joinDistinct(errs []error) error {
+	var out []error
+	for _, err := range errs {
+		if err != nil && !slices.ContainsFunc(out, func(e error) bool { return e.Error() == err.Error() }) {
+			out = append(out, err)
+		}
+	}
+	return errors.Join(out...)
 }
 
 // Query scatters a SELECT to every shard and gathers the per-shard
@@ -222,7 +227,7 @@ func (c *Coordinator) QueryTraced(tc telemetry.TraceContext, query string, args 
 		}(i)
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err := joinDistinct(errs); err != nil {
 		hop.Fail(err)
 		return nil, err
 	}

@@ -329,6 +329,41 @@ func TestBroadcastMutationCounts(t *testing.T) {
 
 // snapshotRecords returns a database's snapshot as individual record
 // lines, minus the meta record (per-shard LSNs legitimately differ).
+// TestShardErrorsJoinedOnce: a statement every shard refuses alike reads as
+// one error, not one per shard; shards that fail differently all show.
+func TestShardErrorsJoinedOnce(t *testing.T) {
+	cl := newCluster(t, 3)
+	cl.exec(t, "CREATE TABLE ev (id INTEGER PRIMARY KEY, v TEXT)")
+	same := []struct {
+		what string
+		run  func() error
+	}{
+		{"query", func() error { _, err := cl.coord.Query("SELECT nope FROM ev"); return err }},
+		{"broadcast", func() error { _, err := cl.coord.Exec("UPDATE ev SET nope = 1"); return err }},
+	}
+	for _, c := range same {
+		err := c.run()
+		if err == nil {
+			t.Fatalf("%s: an unknown column was accepted", c.what)
+		}
+		if n := strings.Count(err.Error(), "nope"); n != 1 {
+			t.Errorf("%s: the shards' one error appears %d times: %q", c.what, n, err)
+		}
+	}
+	// One shard loses the table: two distinct errors, each once.
+	if _, err := cl.shards[2].Exec("DROP TABLE ev"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := cl.coord.Query("SELECT nope FROM ev")
+	if err == nil {
+		t.Fatal("query: the failing shards were masked")
+	}
+	msg := err.Error()
+	if strings.Count(msg, "nope") != 1 || strings.Count(msg, "no such table") != 1 {
+		t.Errorf("two distinct shard errors should each appear once: %q", msg)
+	}
+}
+
 func snapshotRecords(t testing.TB, db *kdb.DB) []string {
 	t.Helper()
 	var buf bytes.Buffer

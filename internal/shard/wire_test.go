@@ -51,10 +51,8 @@ func TestCoordinatorServedOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.SetMap(&Map{Epoch: 1, Shards: specs}); err != nil {
-		t.Fatal(err)
-	}
-	coordAddr := serveBackend(t, &kdb.Server{Backend: coord, ShardMapFunc: coord.ShardMap})
+	coord.smap = &Map{Epoch: 1, Shards: specs}
+	coordAddr := serveBackend(t, &kdb.Server{Backend: coord})
 
 	client, err := kdb.Dial("kdb://" + coordAddr)
 	if err != nil {

@@ -596,10 +596,3 @@ func closeJSONSection(b *strings.Builder, n int) {
 	}
 	b.WriteByte('}')
 }
-
-// Prom renders the registry in the Prometheus text format.
-func (r *Registry) Prom() string {
-	var b strings.Builder
-	r.Snapshot().WriteProm(&b)
-	return b.String()
-}

@@ -101,6 +101,13 @@ func TestLabel(t *testing.T) {
 	}
 }
 
+// prom renders r in the Prometheus text format, as /metrics does.
+func prom(r *Registry) string {
+	var b strings.Builder
+	r.Snapshot().WriteProm(&b)
+	return b.String()
+}
+
 func TestPromExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label("reqs_total", "path", "/a")).Add(3)
@@ -112,7 +119,7 @@ func TestPromExposition(t *testing.T) {
 	nan := r.HistogramBuckets("odd_seconds", []float64{0.1, 1})
 	nan.Observe(math.NaN()) // NaN counts toward +Inf only
 
-	out := r.Prom()
+	out := prom(r)
 	for _, want := range []string{
 		"# TYPE reqs_total counter",
 		`reqs_total{path="/a"} 3`,

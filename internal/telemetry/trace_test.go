@@ -368,12 +368,12 @@ func TestHistogramExemplar(t *testing.T) {
 	h := r.HistogramBuckets("q_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.ObserveEx(0.05, "") // no trace id: observation counts, no exemplar
-	if out := r.Prom(); strings.Contains(out, "trace_id") {
+	if out := prom(r); strings.Contains(out, "trace_id") {
 		t.Fatalf("exemplar emitted without a trace id:\n%s", out)
 	}
 
 	h.ObserveEx(0.5, "feedbeef")
-	out := r.Prom()
+	out := prom(r)
 	want := `q_seconds_bucket{le="1"} 3 # {trace_id="feedbeef"} 0.5`
 	if !strings.Contains(out, want) {
 		t.Fatalf("exposition missing exemplar %q:\n%s", want, out)
