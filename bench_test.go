@@ -179,8 +179,8 @@ func BenchmarkAblationKdbWALAppend(b *testing.B) {
 }
 
 // BenchmarkAblationKdbCompact measures the same insert load followed by a
-// snapshot rewrite — the compaction strategy trades write amplification
-// now for fast reopen later.
+// rewrite of the log as a checkpoint image — the compaction strategy trades
+// write amplification now for fast reopen later.
 func BenchmarkAblationKdbCompact(b *testing.B) {
 	b.ReportAllocs()
 	dir := b.TempDir()

@@ -27,12 +27,6 @@ import (
 type Scheduler struct {
 	// Store receives the extracted knowledge and the campaign metadata.
 	Store *schema.Store
-	// NewMachine builds a private machine model per attempt (the model is
-	// mutable — fault injection — so workers must not share one). Defaults
-	// to cluster.FuchsCSC.
-	NewMachine func() *cluster.Machine
-	// Registry is the extractor registry (default: built-ins).
-	Registry *extract.Registry
 	// Workers bounds the pool; <= 0 means runtime.NumCPU().
 	Workers int
 	// MaxAttempts is the per-unit attempt budget (default 3). Retries
@@ -44,9 +38,6 @@ type Scheduler struct {
 	// BatchSize is the number of units ingested per store batch
 	// (default 16); 1 degenerates to per-unit ingestion.
 	BatchSize int
-	// EnrichNode selects the node whose system information enriches the
-	// knowledge (default node 1).
-	EnrichNode int
 	// BeforeAttempt, when set, runs before each generation attempt —
 	// the fault-injection and flakiness hook for tests and experiments.
 	BeforeAttempt func(u Unit, attempt int, m *cluster.Machine)
@@ -150,14 +141,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	if batchSize <= 0 {
 		batchSize = 16
 	}
-	newMachine := s.NewMachine
-	if newMachine == nil {
-		newMachine = cluster.FuchsCSC
-	}
-	reg := s.Registry
-	if reg == nil {
-		reg = extract.NewRegistry()
-	}
+	reg := extract.NewRegistry()
 	met := s.Metrics
 	if met == nil {
 		met = telemetry.Default()
@@ -188,7 +172,7 @@ func (s *Scheduler) Run(ctx context.Context, spec *Spec) (*Result, error) {
 				// Every unit is enqueued before the workers start, so
 				// time-since-start is exactly its queue wait.
 				queueWait.Observe(time.Since(began).Seconds())
-				outcomes <- s.runUnit(ctx, u, spec.BaseSeed, maxAttempts, backoff, newMachine, reg, met, trace)
+				outcomes <- s.runUnit(ctx, u, spec.BaseSeed, maxAttempts, backoff, reg, met, trace)
 			}
 		}()
 	}
@@ -339,10 +323,11 @@ func (s *Scheduler) persistSelfObservation(name string, began time.Time, reg *ex
 
 // runUnit executes one unit: derive its seed, then attempt generation and
 // extraction up to maxAttempts times with exponential backoff. Every
-// attempt gets a fresh machine so injected faults or accumulated state
-// cannot leak between attempts (or units).
+// attempt gets a fresh machine model (cluster.FuchsCSC; the model is
+// mutable — fault injection — so workers must not share one), so injected
+// faults or accumulated state cannot leak between attempts (or units).
 func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAttempts int,
-	backoff time.Duration, newMachine func() *cluster.Machine, reg *extract.Registry,
+	backoff time.Duration, reg *extract.Registry,
 	met *telemetry.Registry, trace telemetry.TraceContext) (out outcome) {
 	run := RunOutcome{Unit: u, Seed: core.DeriveSeed(baseSeed, uint64(u.Index))}
 	var span *telemetry.Hop
@@ -382,7 +367,7 @@ func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAtt
 			}
 		}
 		run.Attempts = attempt
-		m := newMachine()
+		m := cluster.FuchsCSC()
 		if s.BeforeAttempt != nil {
 			s.BeforeAttempt(u, attempt, m)
 		}
@@ -397,7 +382,7 @@ func (s *Scheduler) runUnit(ctx context.Context, u Unit, baseSeed uint64, maxAtt
 		if err == nil {
 			extHop := telemetry.JoinHop(span.Context(), "extraction")
 			extStart := time.Now()
-			exs, err = core.ExtractArtifacts(m, reg, s.EnrichNode, arts)
+			exs, err = core.ExtractArtifacts(m, reg, arts)
 			timings = append(timings, endPhase(extHop, extHist, "extraction", u.Index, time.Since(extStart)))
 		}
 		if err == nil {

@@ -69,9 +69,6 @@ type Cycle struct {
 	Registry *extract.Registry
 	Store    *schema.Store
 	Seed     uint64
-	// EnrichNode selects which node's system information enriches the
-	// knowledge (default node 1).
-	EnrichNode int
 	// Metrics receives per-phase latency histograms
 	// (cycle_phase_seconds{phase=...}). Nil disables recording.
 	Metrics *telemetry.Registry
@@ -156,7 +153,7 @@ func (c *Cycle) Run(g Generator) (*Report, error) {
 		return nil, fmt.Errorf("core: generator %s produced no artifacts", g.Name())
 	}
 	endExt := c.beginPhase("extraction")
-	exs, err := ExtractArtifacts(c.Machine, c.Registry, c.EnrichNode, arts)
+	exs, err := ExtractArtifacts(c.Machine, c.Registry, arts)
 	endExt()
 	if err != nil {
 		return nil, err
@@ -190,19 +187,15 @@ func (c *Cycle) Run(g Generator) (*Report, error) {
 // artifacts without persisting anything. It is a pure function of its
 // inputs (sysinfo derivation does not mutate the machine), which lets the
 // campaign scheduler extract on worker goroutines and batch the persistence
-// separately. node selects which node's system information enriches the
-// knowledge; values <= 0 mean node 1.
-func ExtractArtifacts(m *cluster.Machine, reg *extract.Registry, node int, arts []Artifact) ([]*extract.Extraction, error) {
-	if node <= 0 {
-		node = 1
-	}
+// separately. Node 1's system information enriches the knowledge.
+func ExtractArtifacts(m *cluster.Machine, reg *extract.Registry, arts []Artifact) ([]*extract.Extraction, error) {
 	out := make([]*extract.Extraction, 0, len(arts))
 	for _, a := range arts {
 		ex, err := reg.Extract(a.Data)
 		if err != nil {
 			return nil, fmt.Errorf("core: extraction of %s: %w", a.Name, err)
 		}
-		info := sysinfo.ForMachine(m, node)
+		info := sysinfo.ForMachine(m, 1)
 		switch {
 		case ex.Object != nil:
 			if a.TestFile != "" && m.FS != nil {

@@ -39,8 +39,9 @@ import (
 // is the image. Only Open reads it (load): the meta record and the records
 // after it replay as any log's do, so the meta record's rule sets the LSN
 // and empties the catch-up buffer, and a follower resuming from before L
-// is sent a snapshot. WriteSnapshot, the wire, snapshot chunks and commit
-// hashes stay text, and so does Compact, the export form.
+// is sent a snapshot. writeImage is the one writer of an image: Compact and
+// RestoreSnapshot write one too, with nothing after its meta record.
+// WriteSnapshot, the wire, snapshot chunks and commit hashes stay text.
 //
 // The rewrite never makes a committer wait for its encoding. The commit
 // that triggers it takes the cut at L — the tables, their row counts and
@@ -99,8 +100,6 @@ type checkpoint struct {
 	// outcome and err are the attempt's, set before done is closed.
 	outcome string
 	err     error
-	// head, cells and texts are the writer's scratch for a block's parts.
-	head, cells, texts []byte
 }
 
 // cutTable is one table as of the cut.
@@ -124,14 +123,23 @@ func (db *DB) maybeCheckpointLocked() {
 func (db *DB) startCheckpointLocked() *checkpoint {
 	ck := &checkpoint{db: db, from: db.logSize, gen: db.logGen,
 		stop: make(chan struct{}), done: make(chan struct{})}
-	ck.meta, ck.err = db.snapshotMetaLocked()
-	for _, key := range db.tablesSorted() {
-		t := db.tables[key]
-		ck.tables = append(ck.tables, cutTable{key: key, t: t, rewritten: t.rewritten, rows: len(t.Rows)})
-	}
+	ck.tables, ck.meta, ck.err = db.cutLocked()
 	db.ckpt = ck
 	go ck.run()
 	return ck
+}
+
+// cutLocked takes the cut an image is written from: the tables in snapshot
+// order with their row counts and rewrite stamps, and the meta record. db.mu
+// must be held (read or write).
+func (db *DB) cutLocked() ([]cutTable, []byte, error) {
+	var tables []cutTable
+	for _, key := range db.tablesSorted() {
+		t := db.tables[key]
+		tables = append(tables, cutTable{key: key, t: t, rewritten: t.rewritten, rows: len(t.Rows)})
+	}
+	meta, err := db.snapshotMetaLocked()
+	return tables, meta, err
 }
 
 // run is the rewrite's goroutine: it writes and installs the new log, once
@@ -200,19 +208,13 @@ func (ck *checkpoint) write() (outcome string, err error) {
 			os.Remove(tmp)
 		}
 	}()
-	cw := &countingWriter{w: f}
-	w := bufio.NewWriterSize(cw, 256<<10)
-	w.WriteString(imageMagic)
-	for i := range ck.tables {
-		if err := ck.writeTable(w, &ck.tables[i]); err == errAbandoned {
-			return ckptAbandoned, nil
-		} else if err != nil {
-			return ckptFailed, err
-		}
+	w := bufio.NewWriterSize(f, 256<<10)
+	image, err := writeImage(w, ck.tables, ck.meta, ck.hold)
+	if err == errAbandoned {
+		return ckptAbandoned, nil
+	} else if err != nil {
+		return ckptFailed, err
 	}
-	writeBlock(w, blockEnd)
-	image := cw.n + int64(w.Buffered())
-	w.Write(ck.meta)
 
 	// The bytes the log gained since the cut, all but the last few outside
 	// the lock.
@@ -249,7 +251,7 @@ func (ck *checkpoint) write() (outcome string, err error) {
 	if err := f.Close(); err != nil {
 		return ckptFailed, err
 	}
-	replaced, err := db.installLocked(tmp, cw.n, image)
+	replaced, err := db.installLocked(tmp, image+int64(len(ck.meta))+db.logSize-ck.from, image)
 	if !replaced {
 		return ckptFailed, err
 	}
@@ -258,35 +260,47 @@ func (ck *checkpoint) write() (outcome string, err error) {
 	return ckptWritten, err
 }
 
-// writeTable writes one table's blocks: the table block, then its rows a
-// snapshot chunk at a time.
-func (ck *checkpoint) writeTable(w *bufio.Writer, ct *cutTable) error {
-	header := 0
-	var ddl bytes.Buffer
-	err := ck.hold(ct, func(t *Table) error {
-		tv := TableView{t: t}
-		header = tv.headerRecords()
-		return tv.EncodeRecords(&ddl, 0, header)
-	})
-	if err != nil {
-		return err
-	}
-	writeBlock(w, blockTable, binary.AppendUvarint(ck.head[:0], uint64(ct.rows)), ddl.Bytes())
-	for from := 0; from < ct.rows; {
-		// Rows [from, to): the rest of the snapshot chunk row from is in.
-		to := min((from+header)/DefaultChunkLines*DefaultChunkLines+DefaultChunkLines-header, ct.rows)
-		err := ck.hold(ct, func(t *Table) (err error) {
-			ck.cells, ck.texts, err = appendCells(ck.cells[:0], ck.texts[:0], t.Rows[from:to])
-			return err
+// writeImage writes a checkpoint image of tables to w — imageMagic, each
+// table's block and its rows a snapshot chunk at a time, the end block —
+// then meta, and returns the image's length. It is the one writer of an
+// image: hold runs each block's encoding on its table, in one read-lock
+// hold for the online checkpoint (which returns errAbandoned once the cut
+// no longer holds), at once for Compact and RestoreSnapshot. w's error,
+// sticky, surfaces at Flush.
+func writeImage(w *bufio.Writer, tables []cutTable, meta []byte, hold func(ct *cutTable, encode func(t *Table) error) error) (int64, error) {
+	image, _ := w.WriteString(imageMagic)
+	var head, cells, texts []byte
+	for i := range tables {
+		ct := &tables[i]
+		header := 0
+		var ddl bytes.Buffer
+		err := hold(ct, func(t *Table) error {
+			tv := TableView{t: t}
+			header = tv.headerRecords()
+			return tv.EncodeRecords(&ddl, 0, header)
 		})
 		if err != nil {
-			return err
+			return 0, err
 		}
-		ck.head = binary.AppendUvarint(binary.AppendUvarint(ck.head[:0], uint64(to-from)), uint64(len(ck.cells)))
-		writeBlock(w, blockRows, ck.head, ck.cells, ck.texts)
-		from = to
+		image += writeBlock(w, blockTable, binary.AppendUvarint(head[:0], uint64(ct.rows)), ddl.Bytes())
+		for from := 0; from < ct.rows; {
+			// Rows [from, to): the rest of the snapshot chunk row from is in.
+			to := min((from+header)/DefaultChunkLines*DefaultChunkLines+DefaultChunkLines-header, ct.rows)
+			err := hold(ct, func(t *Table) (err error) {
+				cells, texts, err = appendCells(cells[:0], texts[:0], t.Rows[from:to])
+				return err
+			})
+			if err != nil {
+				return 0, err
+			}
+			head = binary.AppendUvarint(binary.AppendUvarint(head[:0], uint64(to-from)), uint64(len(cells)))
+			image += writeBlock(w, blockRows, head, cells, texts)
+			from = to
+		}
 	}
-	return nil
+	image += writeBlock(w, blockEnd)
+	w.Write(meta)
+	return int64(image), nil
 }
 
 // hold runs encode on ct's table in one read-lock hold, if the table is
@@ -301,9 +315,9 @@ func (ck *checkpoint) hold(ct *cutTable, encode func(t *Table) error) error {
 	return encode(ct.t)
 }
 
-// writeBlock writes one image block, its payload the parts end to end;
-// w's error, sticky, surfaces at Flush.
-func writeBlock(w *bufio.Writer, kind byte, parts ...[]byte) {
+// writeBlock writes one image block, its payload the parts end to end,
+// and returns its length; w's error, sticky, surfaces at Flush.
+func writeBlock(w *bufio.Writer, kind byte, parts ...[]byte) int {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
@@ -318,6 +332,7 @@ func writeBlock(w *bufio.Writer, kind byte, parts ...[]byte) {
 		crc = crc32.Update(crc, castagnoli, p)
 	}
 	w.Write(binary.LittleEndian.AppendUint32(head[:0], crc))
+	return len(h) + n + 4
 }
 
 // appendCells appends rows as typed cells to cells, and the bytes of their

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,5 +279,104 @@ func TestCheckpointWriteFaults(t *testing.T) {
 			t.Fatalf("mode %d: rewrite after the fault: %s, %v", mode, outcome, err)
 		}
 		db.Close()
+	}
+}
+
+// TestRestoreCrashSweep kills a follower's restore of a file-backed database
+// at every byte offset of its temp file's writes, at its sync, and at the
+// reopen of the append handle after the rename, copying the files as
+// each crash leaves them, and once more after it completes. Each copy must
+// reopen, with no temp file left, to exactly the old state while the temp
+// file is unfinished and exactly the restored one from the rename on — dump
+// and LSN — never a mix; a killed restore leaves the live database as it was.
+// Under the race detector every seventh offset is tried.
+func TestRestoreCrashSweep(t *testing.T) {
+	root := t.TempDir()
+	base := filepath.Join(root, "base.kdb")
+	db, err := kdb.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE runs (id INTEGER PRIMARY KEY, name TEXT, ms REAL)")
+	mustExec(t, db, "CREATE INDEX runs_name ON runs (name)")
+	for i := 0; i < 8; i++ {
+		mustExec(t, db, "INSERT INTO runs (name, ms) VALUES (?, ?)", fmt.Sprintf("run-%d", i), float64(i)/3)
+	}
+	old, oldLSN := dumpOf(t, db), db.LSN()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	primary := kdbtest.MemDB(t, kdb.DBOptions{})
+	kdb.ApplyRandomOps(primary, rand.New(rand.NewSource(7)), 40)
+	mustExec(t, primary, "INSERT INTO t0 (n, s) VALUES (?, ?)", int64(1), "a note\nwith \"quotes\"")
+	restored, restoredLSN := dumpOf(t, primary), primary.LSN()
+
+	stride := int64(1)
+	if kdb.RaceEnabled {
+		stride = 7
+	}
+	for kill := int64(0); ; kill += stride {
+		dir, err := os.MkdirTemp(root, "kill")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, crash := filepath.Join(dir, "p.kdb"), filepath.Join(dir, "crash.kdb")
+		copyFile(t, base, path)
+		db, err := kdb.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashAt := func() {
+			copyFile(t, path, crash)
+			copyFile(t, path+".compact", crash+".compact")
+		}
+		ff := &kdbtest.FaultFile{Mode: kdbtest.Kill, At: kill, OnKill: crashAt}
+		kdb.InterposeLogFiles(t, func(f *os.File) kdb.WALFile {
+			if strings.HasSuffix(f.Name(), ".compact") {
+				ff.File = f
+				return ff
+			}
+			crashAt() // the append handle, reopened after the rename
+			return f
+		})
+		err = db.RestoreSnapshot(restored)
+		done := !ff.Killed()
+		want, lsn := old, oldLSN
+		if done {
+			if err != nil {
+				t.Fatalf("unkilled restore: %v", err)
+			}
+			want, lsn = restored, restoredLSN
+		} else if err == nil {
+			t.Fatalf("kill at %d: restore succeeded", kill)
+		}
+		if got := dumpOf(t, db); !bytes.Equal(got, want) || db.LSN() != lsn {
+			t.Fatalf("kill at %d: live database at LSN %d (want %d), dump equal %v", kill, db.LSN(), lsn, bytes.Equal(got, want))
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		crashes := []string{crash}
+		if done {
+			crashes = append(crashes, path)
+		}
+		for _, c := range crashes {
+			reopened, err := kdb.Open(c)
+			if err != nil {
+				t.Fatalf("kill at %d: Open %s: %v", kill, filepath.Base(c), err)
+			}
+			if _, err := os.Stat(c + ".compact"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("kill at %d: temp file still there after Open: %v", kill, err)
+			}
+			if got := dumpOf(t, reopened); !bytes.Equal(got, want) || reopened.LSN() != lsn {
+				t.Fatalf("kill at %d: %s reopened at LSN %d (want %d), dump equal %v", kill, filepath.Base(c), reopened.LSN(), lsn, bytes.Equal(got, want))
+			}
+			reopened.Close()
+		}
+		os.RemoveAll(dir)
+		if done {
+			t.Logf("%d kill offsets up to %d bytes", kill/stride+1, kill)
+			return
+		}
 	}
 }

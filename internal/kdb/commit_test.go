@@ -337,14 +337,10 @@ func TestCompactReopenKeepsLSN(t *testing.T) {
 	db = openFile(t, path)
 	check("after reopen", db)
 
-	// RestoreSnapshot of the same bytes agrees with Open.
-	snap, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// RestoreSnapshot of the same state agrees with Open.
 	restored := memDB(t)
 	defer restored.Close()
-	if err := restored.RestoreSnapshot(snap); err != nil {
+	if err := restored.RestoreSnapshot(snapshotBytes(t, db)); err != nil {
 		t.Fatal(err)
 	}
 	check("after RestoreSnapshot", restored)

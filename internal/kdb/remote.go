@@ -27,7 +27,7 @@ import (
 // stops accepting, closes idle connections immediately, lets in-flight
 // requests finish (bounded by the context), then force-closes stragglers.
 // Each connection gets a read deadline between requests (IdleTimeout) and
-// a write deadline per response (WriteTimeout), and the number of
+// a write deadline per response (DefaultWriteTimeout), and the number of
 // concurrently served connections is capped at MaxConns — excess dials
 // receive a structured error response and are closed. Malformed requests
 // likewise receive a wireResponse carrying the parse error instead of a
@@ -163,7 +163,8 @@ type ChunkRef struct {
 	Meta  bool   `json:"m,omitempty"`
 }
 
-// Server limits and deadlines used when the corresponding field is zero.
+// Server limits and deadlines used when the corresponding field is zero;
+// every response's write deadline is DefaultWriteTimeout.
 const (
 	DefaultMaxConns          = 256
 	DefaultIdleTimeout       = 5 * time.Minute
@@ -188,8 +189,6 @@ type Server struct {
 	// IdleTimeout bounds how long a connection may sit between requests
 	// before the server closes it. 0 means DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response. 0 means DefaultWriteTimeout.
-	WriteTimeout time.Duration
 
 	// Role is reported by the "status" verb: "primary" (the default) or
 	// "replica".
@@ -237,13 +236,6 @@ func (s *Server) idleTimeout() time.Duration {
 		return s.IdleTimeout
 	}
 	return DefaultIdleTimeout
-}
-
-func (s *Server) writeTimeout() time.Duration {
-	if s.WriteTimeout > 0 {
-		return s.WriteTimeout
-	}
-	return DefaultWriteTimeout
 }
 
 func (s *Server) heartbeatInterval() time.Duration {
@@ -319,7 +311,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.mu.Unlock()
 		if over {
 			// Refuse politely: one structured error, then close.
-			conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+			conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 			json.NewEncoder(conn).Encode(wireResponse{Err: "kdb: server connection limit reached"})
 			conn.Close()
 			continue
@@ -346,7 +338,7 @@ func (s *Server) handle(sc *serverConn) {
 	// — a snapshot is megabytes — goes from the library's buffer to the
 	// socket without a copy of it being made here.
 	respond := func(op string, resp *wireResponse, rows [][]any) bool {
-		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		sc.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		if !isStatement(op) && op != "batch" {
 			return enc.Encode(resp) == nil
 		}
@@ -390,7 +382,7 @@ func (s *Server) handle(sc *serverConn) {
 		var good bool
 		if req.Op == "read" && req.err == nil {
 			// A read step's answer is a line per statement, written at once.
-			sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+			sc.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 			out = s.read(out[:0], &req)
 			_, err = sc.c.Write(out)
 			out, good = keepScratch(out), err == nil

@@ -167,8 +167,8 @@ func (db *DB) ApplyRecords(recs []ReplEvent) error {
 // snapshot's own base LSN — a follower's bootstrap, whose bytes must match
 // its primary's, and the only restore. The new state is built off to the
 // side first, so a malformed snapshot leaves the live database untouched;
-// for file-backed databases the snapshot replaces the log file exactly as
-// Compact's does.
+// a file-backed database's log is then replaced by that state's checkpoint
+// image, as Compact's is (rewriteLocked).
 func (db *DB) RestoreSnapshot(data []byte) error {
 	scratch, err := replaySnapshot(data)
 	if err != nil {
@@ -181,13 +181,9 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.path != "" {
-		replaced, err := db.replaceLogLocked(func(w *bufio.Writer) error {
-			_, err := w.Write(data)
-			return err
-		})
-		if err != nil {
+		if replaced, err := db.rewriteLocked(scratch); err != nil {
 			if replaced {
-				// The snapshot on disk is complete, so memory follows it;
+				// The image on disk is complete, so memory follows it;
 				// writes are refused until reopen.
 				db.adoptLocked(scratch)
 			}
@@ -226,7 +222,7 @@ func (s *Server) serveReplicate(sc *serverConn, req wireRequest) {
 	defer metReplStreams.Add(-1)
 	enc := json.NewEncoder(sc.c)
 	send := func(m replMsg) bool {
-		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		sc.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		return enc.Encode(m) == nil
 	}
 	cursor := req.AfterLSN
@@ -271,7 +267,7 @@ func (s *Server) serveReplicate(sc *serverConn, req wireRequest) {
 				return
 			}
 		}
-		sc.c.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+		sc.c.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 		if _, err := sc.c.Write(out); err != nil {
 			return
 		}

@@ -12,7 +12,7 @@ import (
 // snapshot records, plus the commit LSN — one consistent cut of the
 // database without serializing it. The columnar store copies rows into
 // vectors from it, snapshot chunks are cut from it (AppendChunks) for the
-// version-control layer and delta transfer, and snapshotLocked writes the
+// version-control layer and delta transfer, and WriteSnapshot writes the
 // snapshot stream through the very same encoder, so there is one
 // serializer of table records and one chunk cutter.
 //

@@ -320,20 +320,18 @@ func (db *DB) appendLocked() error {
 	return nil
 }
 
-// Compact rewrites the database file as a minimal text snapshot: CREATE
-// TABLE and CREATE INDEX statements, one INSERT per row, and a meta entry
-// preserving auto-increment high-water marks. It is the export form of a
-// database — a log any JSON-lines reader can follow, with no checkpoint
-// image at its head (the online checkpoint, checkpoint.go, writes those) —
-// and the paper-ablation alternative to the ever-growing append log.
+// Compact rewrites the log as a checkpoint image of the database and its
+// meta record (writeImage, the online checkpoint's writer), with nothing
+// after them, while holding the write lock — the paper-ablation alternative
+// to the ever-growing append log. WriteSnapshot is the text export form.
 //
-// Compact is crash-safe: the snapshot is written to a temp file, synced,
-// and atomically renamed over the log, and the directory is synced, so a
-// crash at any point leaves either the old log or the complete new
-// snapshot (plus at worst a stale .compact temp file, which the next Open
-// removes). Every error path removes the temp file, and the live log
-// handle is only swapped after the rename has succeeded. A checkpoint in
-// progress finishes first: the two share the temp file.
+// Compact is crash-safe: the image is written to a temp file, synced, and
+// atomically renamed over the log, and the directory is synced, so a crash
+// at any point leaves either the old log or the complete new one (plus at
+// worst a stale .compact temp file, which the next Open removes). Every
+// error path removes the temp file, and the live log handle is only swapped
+// after the rename has succeeded. A checkpoint in progress finishes first:
+// the two share the temp file.
 func (db *DB) Compact() error {
 	db.rewriteMu.Lock()
 	defer db.rewriteMu.Unlock()
@@ -342,26 +340,30 @@ func (db *DB) Compact() error {
 	if db.path == "" {
 		return fmt.Errorf("kdb: in-memory database has no file to compact")
 	}
-	_, err := db.replaceLogLocked(db.snapshotLocked)
+	_, err := db.rewriteLocked(db)
 	return err
 }
 
-// replaceLogLocked atomically replaces the log file with what write
-// produces and points the append handle at the new file: write goes to a
-// temp file that is flushed, synced, closed and renamed over the log, and
-// the directory is synced. Until the rename succeeds the old log and its
-// handle stay fully valid and the temp file is removed on every error path,
-// so replaced=false means nothing changed. After it, see installLocked.
-// db.mu must be held for writing, db.rewriteMu held, and db.path set.
-func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool, err error) {
+// rewriteLocked replaces the log with a checkpoint image of src and its
+// meta record: written to a temp file (writeImage), flushed, synced and
+// closed, then installed (installLocked). src is db itself (Compact) or a
+// scratch database nobody else reaches (RestoreSnapshot), so each block is
+// encoded at once. Until the rename the old log and its handle stay valid
+// and the temp file is removed on every error path, so replaced=false means
+// nothing changed. db.mu must be held for writing, db.rewriteMu held, and
+// db.path set.
+func (db *DB) rewriteLocked(src *DB) (replaced bool, err error) {
+	tables, meta, err := src.cutLocked()
+	if err != nil {
+		return false, err
+	}
 	tmp := db.path + tempSuffix
 	f, err := createTemp(tmp)
 	if err != nil {
 		return false, err
 	}
-	cw := &countingWriter{w: f}
-	w := bufio.NewWriter(cw)
-	err = write(w)
+	w := bufio.NewWriter(f)
+	image, err := writeImage(w, tables, meta, func(ct *cutTable, encode func(t *Table) error) error { return encode(ct.t) })
 	if err == nil {
 		err = w.Flush()
 	}
@@ -375,7 +377,7 @@ func (db *DB) replaceLogLocked(write func(w *bufio.Writer) error) (replaced bool
 		os.Remove(tmp)
 		return false, err
 	}
-	return db.installLocked(tmp, cw.n, 0)
+	return db.installLocked(tmp, image+int64(len(meta)), image)
 }
 
 // tempSuffix names the temp file a rewrite of the log at path writes:
@@ -433,41 +435,6 @@ func syncDir(path string) error {
 	return err
 }
 
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// snapshotLocked serializes the database as a minimal, deterministic
-// sequence of log records: CREATE TABLE and CREATE INDEX statements, one
-// INSERT per row, and a final meta record carrying the auto-increment
-// high-water marks plus the commit LSN the snapshot represents. Table
-// records come from TableView.EncodeRecords, the one table serializer;
-// this stream is what Compact, replication snapshot transfer and the
-// byte-identical convergence checks use. db.mu must be held (read or
-// write).
-func (db *DB) snapshotLocked(w *bufio.Writer) error {
-	for _, name := range db.tablesSorted() {
-		tv := TableView{t: db.tables[name]}
-		if err := tv.EncodeRecords(w, 0, tv.Records()); err != nil {
-			return err
-		}
-	}
-	meta, err := db.snapshotMetaLocked()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(meta)
-	return err
-}
-
 // snapshotMetaLocked encodes a snapshot's trailing meta record: every
 // table's auto-increment high-water mark and the commit LSN. It is written
 // unconditionally and tagged explicitly: a snapshot taken at LSN 0 with no
@@ -489,17 +456,28 @@ func (db *DB) snapshotMetaLocked() ([]byte, error) {
 }
 
 // WriteSnapshot streams a consistent snapshot of the database to w and
-// returns the commit LSN it represents. Two databases are replicas of one
-// another exactly when their snapshots are byte-identical.
+// returns the commit LSN it represents: a minimal, deterministic sequence of
+// log records — CREATE TABLE and CREATE INDEX statements, one INSERT per row
+// (TableView.EncodeRecords, the one table serializer), and the meta record
+// (snapshotMetaLocked). It is the text export form, what the snapshot verb
+// ships and RestoreSnapshot reads. Two databases are replicas of one another
+// exactly when their snapshots are byte-identical.
 func (db *DB) WriteSnapshot(w io.Writer) (int64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	bw := bufio.NewWriter(w)
-	if err := db.snapshotLocked(bw); err != nil {
-		return 0, err
+	for _, name := range db.tablesSorted() {
+		tv := TableView{t: db.tables[name]}
+		if err := tv.EncodeRecords(bw, 0, tv.Records()); err != nil {
+			return 0, err
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
+	meta, err := db.snapshotMetaLocked()
+	if err == nil {
+		_, err = bw.Write(meta)
 	}
-	return db.lsn, nil
+	if err == nil {
+		err = bw.Flush()
+	}
+	return db.lsn, err
 }

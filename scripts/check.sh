@@ -80,7 +80,7 @@ step_tier1() {
 # CI. Each name list is a -run pattern; a new timing test joins by name.
 STRESS_API='TestValidateWhileFeedRotates|TestStaleReasons|TestReopenedSchemaKeepsCache|TestFeedStreamingGauge|TestFootprintKeepsEntriesAcrossAppends|TestLaggingReplicaReadIsNotStampedNewer|TestSingleFlight|TestFeedlessPrimaryNoticesForeignCommits|TestCacheBoundsAndMetrics|TestServerCloseStopsFeed|TestFeedResyncRebuildsOlderEntries'
 STRESS_REPL='TestFollowerStreamsCommits|TestFollowerResyncsAfterPrimaryRestart|TestFollowerBehindByteBoundResyncs|TestFollowerDivergenceForcesSnapshot|TestFollowerStopIsPrompt'
-STRESS_KDB='TestFoldResume|TestFoldMemoBounds|TestCheckpointUnderConcurrentCommits|TestCloseDuringCheckpoint'
+STRESS_KDB='TestFoldResume|TestFoldMemoBounds|TestCheckpointUnderConcurrentCommits|TestCloseDuringCheckpoint|TestRewritesUnderConcurrentCommits'
 step_stress() {
 	echo "== stress (timing tests, -count=30) =="
 	$GO test -count=30 -run "$STRESS_API" ./internal/api/

@@ -31,7 +31,7 @@ var surfaceDirs = []string{
 var surfaceAllowed = map[string]string{
 	"kdb.(*DB).CommitNotify":           "bench/wrap_test.go asserts it",
 	"repl.(*Router).ProbePrimaryLSN":   "bench/wrap_test.go asserts it",
-	"kdb.(*DB).Compact":                "the text export form, and the oracle TestStreamReplayEqualsSerial reads",
+	"kdb.(*DB).Compact":                "the rewrite on demand that BenchmarkAblationKdbCompact, the compaction ablation, measures",
 	"kdb.Footprint.HitBy":              "the reference FuzzMarksEqualScan compares against",
 	"telemetry.(*Registry).SetEnabled": "the disabled arm of BenchmarkTelemetryOverhead",
 	"telemetry.(*Registry).Enabled":    "the disabled arm of BenchmarkTelemetryOverhead",
